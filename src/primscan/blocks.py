@@ -336,48 +336,9 @@ def derivation(w):
 
 
 def is_primitive(w):
-    """True iff w is a member of some free basis of F2."""
-    check_word(w)
-    return _fast_primitive(w)
-
-
-def _fast_primitive(w):
-    """Allocation-light primitivity check for bulk sweeps.
-
-    Same verdict as `derivation(w).primitive`; skips trace construction and
-    bails out early on the cheap necessary conditions.
-    """
-    i, j = 0, len(w)
-    while j - i >= 2 and w[i] == w[j - 1].swapcase():
-        i += 1
-        j -= 1
-    core = w[i:j]
-    if not core:
-        return False
-    has = set(core)
-    if ("a" in has and "A" in has) or ("b" in has and "B" in has):
-        return False
-    cur = core.translate(_POSITIVE_TABLE)
-    if gcd(cur.count("a"), cur.count("b")) != 1:
-        return False
-    while True:
-        if len(cur) == 1:
-            return True
-        doubled = cur + cur
-        if "bb" not in doubled:
-            x, y = "b", "a"
-        elif "aa" not in doubled:
-            x, y = "a", "b"
-        else:
-            return False
-        if x not in cur or y not in cur:
-            return False
-        v = rotate(cur, cur.index(x) + 1)
-        sizes = [len(run) for run in v.split(x) if run]
-        n = min(sizes)
-        if max(sizes) > n + 1:
-            return False
-        cur = "".join(x if m == n else y + x for m in sizes)
+    """True iff w is a member of some free basis of F2, decided by
+    `derivation`."""
+    return derivation(w).primitive
 
 
 # --------------------------------------------------------------------------

@@ -133,13 +133,23 @@ def _cmd_excursion(args):
     p, q = _parse_slope(args.slope)
     gamma = build_blocks(p, q).word
     prof = excursion_profile(rep, gamma, step=args.step)
+    periodicity = prof.periodicity_defect()
+    lipschitz = prof.lipschitz_defect()
+    # A profile that fails its own periodicity or Lipschitz bound has lost
+    # precision in the deep-orbit coordinates; refuse it.
+    if periodicity > 1e-6:
+        raise ValueError(f"periodicity defect {periodicity:.3g} exceeds "
+                         f"the bound 1e-06")
+    if lipschitz > 1e-6 * prof.step:
+        raise ValueError(f"Lipschitz defect {lipschitz:.3g} exceeds "
+                         f"the bound 1e-06 * step = {1e-6 * prof.step:.3g}")
     records = [{"u": float(u), "E": float(v)}
                for u, v in zip(prof.us, prof.values)]
     aggregate = {
         "gamma": gamma, "period": prof.period, "step": prof.step,
         "max": prof.max_excursion, "min": prof.min_excursion,
-        "periodicity_defect": prof.periodicity_defect(),
-        "lipschitz_defect": prof.lipschitz_defect(),
+        "periodicity_defect": periodicity,
+        "lipschitz_defect": lipschitz,
     }
     return records, aggregate, 0
 

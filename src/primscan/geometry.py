@@ -6,7 +6,7 @@ extension of the Mobius action, which restricts to the classical PSL(2, R)
 action on the slice:
 
     z' = ((az + b) conj(cz + d) + a conj(c) t^2) / den
-    t' = |det| t / den,          den = |cz + d|^2 + |c|^2 t^2
+    t' = t / den,                den = |cz + d|^2 + |c|^2 t^2
 
 Distances come from cosh d = 1 + (|dz|^2 + dt^2) / (2 t1 t2).  Geodesics are
 handled by normalizing their endpoints to (0, infinity), where the vertical
@@ -71,6 +71,8 @@ class HPoint:
         object.__setattr__(self, "t", float(self.t))
         if not (self.t > 0 and math.isfinite(self.t)):
             raise ValueError(f"height must be positive and finite, got {self.t}")
+        if not cmath.isfinite(self.z):
+            raise ValueError(f"horizontal coordinate must be finite, got {self.z}")
 
 
 BASEPOINT = HPoint(0.0, 1.0)
@@ -109,22 +111,6 @@ def unimodularize(M):
     return M / cmath.sqrt(d)
 
 
-def drift_renormalize(M):
-    """Re-unitalize only when accumulated det drift is visible."""
-    if abs(det(M) - 1.0) > _DET_TOL:
-        return unimodularize(M)
-    return M
-
-
-def mat_product(matrices):
-    """Product of a sequence of (near-)unimodular matrices with drift
-    monitoring."""
-    out = IDENTITY
-    for M in matrices:
-        out = drift_renormalize(out @ M)
-    return out
-
-
 # --------------------------------------------------------------------------
 # metric and action
 # --------------------------------------------------------------------------
@@ -135,15 +121,19 @@ def distance(p, q):
 
 
 def apply(M, p):
-    """Image of the point p under the isometry M."""
+    """Image of the point p under the isometry M, which must lie in
+    SL(2, C).
+
+    The determinant is taken as 1, never recomputed: on a product along a
+    long word, ad - bc in floats is cancellation noise.
+    """
     a, b = M[0, 0], M[0, 1]
     c, d = M[1, 0], M[1, 1]
     t2 = p.t * p.t
     w = c * p.z + d
     den = abs(w) ** 2 + abs(c) ** 2 * t2
     z = ((a * p.z + b) * w.conjugate() + a * c.conjugate() * t2) / den
-    t = abs(a * d - b * c) * p.t / den
-    return HPoint(z, t)
+    return HPoint(z, p.t / den)
 
 
 def mobius_boundary(M, x):
@@ -512,7 +502,17 @@ class Representation:
         return self._images[letter]
 
     def word_image(self, w):
-        return mat_product(self._images[x] for x in w)
+        """The plain product of the letter images along w.
+
+        The letters are exactly unimodular, so no determinant-based
+        renormalization is applied: the product keeps a relative entry
+        error of about |w| eps, while the floating determinant of a
+        large-entry matrix is cancellation noise.
+        """
+        out = IDENTITY
+        for x in w:
+            out = out @ self._images[x]
+        return out
 
     def displacement(self, w):
         return distance(apply(self.word_image(w), self.basepoint),

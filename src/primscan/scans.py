@@ -152,18 +152,6 @@ def _letter_images(rep, letters):
     return np.stack([table[ch] for ch in letters])
 
 
-def _plain_word_image(rep, w):
-    """Image of a word as a plain product, without determinant-based
-    renormalization (which misfires once entries are large: the float
-    determinant of a big-entry matrix is cancellation noise).  The
-    result is exactly unimodular analytically, with relative entry
-    error ~ |w| eps."""
-    out = np.eye(2, dtype=complex)
-    for ch in w:
-        out = out @ rep.gen_image(ch)
-    return out
-
-
 def _displacements(W, o):
     """d(W[i] o, o) for a stacked array of exactly-unimodular matrices.
 
@@ -481,6 +469,8 @@ def bowditch_scan(rep, max_denominator, low_ratio=1e-3):
             flags.append(kind)
         elif ratio < low_ratio:
             flags.append("low-ratio")
+        if not all(map(math.isfinite, (tr.real, tr.imag, tl, ratio))):
+            flags.append("non-finite")
         records.append({
             "p": slope.p, "q": slope.q, "len": length,
             "tr": [tr.real, tr.imag], "tl": tl, "ratio": ratio,
@@ -557,7 +547,7 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
         if not not_loxodromic:
             try:
                 for j in range(length):
-                    line = axis_of(_plain_word_image(rep, rotate(gamma, j)),
+                    line = axis_of(rep.word_image(rotate(gamma, j)),
                                    basepoint=o)
                     far_end = apply(rep.gen_image(gamma[j]), o)
                     seg = Segment(o, far_end)

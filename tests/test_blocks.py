@@ -285,11 +285,6 @@ def test_primitivity_exhaustive_against_reference_set():
     assert not is_primitive("")
 
 
-def test_fast_primitivity_agrees_with_derivation():
-    for w in enumerate_reduced(7):
-        assert is_primitive(w) == derivation(w).primitive, w
-
-
 reduced_words = (
     st.text(alphabet="aAbB", min_size=1, max_size=40)
     .map(lambda s: cyclic_reduce(reduce(s))[0])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -150,6 +151,23 @@ def test_scan_bowditch_elliptic_generator_exits_one(rep_file):
     assert rows[-1]["violations"] >= 1
 
 
+def test_scan_bowditch_flags_non_finite_records(rep_file):
+    # rho(a) = diag(1e20, 1e-20): deep classes overflow the trace or the
+    # translation length, and those records must count as violations
+    huge = {"model": "H2", "A": [[1e20, 0], [0, 0], [0, 0], [1e-20, 0]],
+            "B": [[2, 0], [1, 0], [1, 0], [1, 0]]}
+    code, out = capture(["scan-bowditch", "--rep", rep_file(huge),
+                         "--max-den", "12"])
+    rows = lines_of(out)
+    records = rows[:-1]
+    non_finite = [r for r in records if not all(
+        map(math.isfinite, (*r["tr"], r["tl"], r["ratio"])))]
+    assert code == 1
+    assert len(records) == 93 and len(non_finite) == 34
+    assert all("non-finite" in r["flags"] for r in non_finite)
+    assert rows[-1]["violations"] == 34
+
+
 def test_scan_ps_markoff(rep_file):
     code, out = capture(["scan-ps", "--rep", rep_file(MARKOFF),
                          "--max-den", "5", "--step", "0.5"])
@@ -270,6 +288,13 @@ def test_malformed_slope_exits_two(capsys):
 def test_non_coprime_slope_exits_two(capsys):
     assert main(["blocks", "--slope", "4/2"]) == 2
     assert "coprime" in capsys.readouterr().err
+
+
+def test_excursion_refuses_failed_periodicity(rep_file, capsys):
+    # at 34/21 (55 letters) the deep-orbit coordinates have lost precision
+    code = main(["excursion", "--rep", rep_file(MARKOFF), "--slope", "34/21"])
+    assert code == 2
+    assert "periodicity" in capsys.readouterr().err
 
 
 def test_excursion_on_elliptic_class_exits_two(rep_file, capsys):

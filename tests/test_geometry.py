@@ -30,7 +30,6 @@ from primscan.geometry import (
     geodesic_through,
     lengths,
     mat_inverse,
-    mat_product,
     minimize_convex,
     mobius_boundary,
     normalizer,
@@ -102,6 +101,10 @@ def test_hpoint_validation():
         HPoint(0, 0.0)
     with pytest.raises(ValueError):
         HPoint(0, -1.0)
+    with pytest.raises(ValueError):
+        HPoint(float("nan"), 1.0)
+    with pytest.raises(ValueError):
+        HPoint(float("inf"), 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -514,9 +517,18 @@ def test_representation_markoff_cprime():
 def test_word_image_homomorphism():
     rep = Representation("H2", MARKOFF_A, MARKOFF_B)
     lhs = rep.word_image("abAB")
-    rhs = mat_product([rep.word_image("ab"), rep.word_image("AB")])
+    rhs = rep.word_image("ab") @ rep.word_image("AB")
     assert abs(lhs - rhs).max() < 1e-12
     assert abs(rep.word_image("aA") - np.eye(2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [20, 300])
+def test_displacement_of_long_word_matches_powering(n):
+    # entries of rho(ab)^n reach ~1e8 at n = 20 and ~1e125 at n = 300,
+    # where the floating determinant of the product is pure noise
+    rep = Representation("H2", MARKOFF_A, MARKOFF_B)
+    want = power_displacement(rep.word_image("ab"), n)
+    assert rep.displacement("ab" * n) == pytest.approx(want, rel=1e-9)
 
 
 def test_parse_rep_file_markoff(tmp_path):

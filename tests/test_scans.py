@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from primscan.blocks import enumerate_primitive_classes
+from primscan.blocks import build_blocks, enumerate_primitive_classes
 from primscan.geometry import (
     HPoint,
     NotLoxodromic,
@@ -26,7 +26,6 @@ from primscan.scans import (
     PreconditionError,
     _displacements,
     _pair_distances_by_offset,
-    _plain_word_image,
     bowditch_scan,
     class_matrix,
     excursion_profile,
@@ -59,7 +58,7 @@ def test_class_matrix_matches_letterwise_product():
     rep = markoff()
     for slope, tower in enumerate_primitive_classes(6):
         got = class_matrix(rep, tower)
-        want = _plain_word_image(rep, tower.word)
+        want = rep.word_image(tower.word)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10), slope
 
 
@@ -127,7 +126,7 @@ def test_orbit_polyline_rejects_bad_words():
 def test_vectorized_displacements_match_scalar_action():
     rep = Representation("H2", MARKOFF_A, MARKOFF_B, basepoint=HPoint(0.3, 1.7))
     words = ["a", "ab", "abAB", "aabAbb", "BAba"]
-    W = np.stack([_plain_word_image(rep, w) for w in words])
+    W = np.stack([rep.word_image(w) for w in words])
     fast = _displacements(W, rep.basepoint)
     slow = [distance(apply(M, rep.basepoint), rep.basepoint) for M in W]
     assert np.abs(fast - np.array(slow)).max() < 1e-12
@@ -137,7 +136,7 @@ def test_vectorized_displacements_match_scalar_action_h3():
     rep = Representation("H3", [[2, 0], [0, 0.5]], [[1, 1j], [0, 1]],
                          basepoint=HPoint(0.1 + 0.2j, 1.0))
     words = ["a", "ab", "abAB", "aabAbb"]
-    W = np.stack([_plain_word_image(rep, w) for w in words])
+    W = np.stack([rep.word_image(w) for w in words])
     fast = _displacements(W, rep.basepoint)
     slow = [distance(apply(M, rep.basepoint), rep.basepoint) for M in W]
     assert np.abs(fast - np.array(slow)).max() < 1e-12
@@ -152,6 +151,19 @@ def test_pair_distances_are_reanchored_subword_displacements():
             sub = letters[m:m + k]
             want = rep.displacement(sub)
             assert dists[k - 1][m] == pytest.approx(want, abs=1e-10), (m, k)
+
+
+@pytest.mark.parametrize("slope, want", [((55, 34), 98.99096780),
+                                         ((199, 200), 385.05451883)],
+                         ids=["55/34", "199/200"])
+def test_displacement_of_deep_class_matches_reanchored_distance(slope, want):
+    # 89- and 399-letter class words: the scalar product and action agree
+    # with the batch path, which takes the determinant as 1
+    rep = markoff()
+    w = build_blocks(*slope).word
+    batch = _pair_distances_by_offset(rep, w, len(w))[-1][0]
+    assert rep.displacement(w) == pytest.approx(batch, rel=1e-9)
+    assert batch == pytest.approx(want, rel=1e-9)
 
 
 def test_pair_distances_survive_huge_coordinates():
