@@ -437,20 +437,12 @@ def adapted_permutation(tower, i, k):
     )
 
 
-_ROTATION_INDEX = {}
-
-
 def _rotation_index(w):
-    """Map rotation -> first rotation index, cached per word (the magic
-    suite classifies every cyclic subword of every class word, so the
-    rotation lists of the block words are reused heavily)."""
-    cached = _ROTATION_INDEX.get(w)
-    if cached is None:
-        cached = {}
-        for r, rot in enumerate(rotations(w)):
-            cached.setdefault(rot, r)
-        _ROTATION_INDEX[w] = cached
-    return cached
+    """Map rotation -> first rotation index."""
+    index = {}
+    for r, rot in enumerate(rotations(w)):
+        index.setdefault(rot, r)
+    return index
 
 
 @dataclass(frozen=True)
@@ -460,12 +452,14 @@ class MagicWitness:
     changed_to: str    # "" when the subword is already a rotation
 
 
-def classify_magic_subword(tower, i, u):
+def classify_magic_subword(tower, i, u, *, indexes=None):
     """Match a length-l_i cyclic subword of w_r against rotations of w_i.
 
     Every such subword is a rotation of w_i after changing at most its last
     letter; returns the first matching rotation index (exact matches take
-    precedence over last-letter repairs).
+    precedence over last-letter repairs).  `indexes`, a dict from block
+    word to its rotation index, lets a caller that classifies many
+    subwords build each index once; without it the index is built here.
     """
     if not 1 <= i <= tower.depth:
         raise ValueError(f"level {i} outside [1, {tower.depth}]")
@@ -474,7 +468,13 @@ def classify_magic_subword(tower, i, u):
         raise ValueError(f"subword length {len(u)} != l_{i} = {li}")
     if u not in tower.word + tower.word:
         raise ValueError(f"{u!r} is not a cyclic subword of the class word")
-    rots = _rotation_index(tower.w[i])
+    w = tower.w[i]
+    if indexes is None:
+        rots = _rotation_index(w)
+    else:
+        rots = indexes.get(w)
+        if rots is None:
+            rots = indexes[w] = _rotation_index(w)
     hit = rots.get(u)
     if hit is not None:
         return MagicWitness(rotation=hit, changed_to="")
@@ -603,6 +603,9 @@ def _check_recurrences(t, failures):
 
 def _magic_suite(cap):
     failures, checks = [], 0
+    # every cyclic subword of every class word is classified, so the
+    # rotation indexes of the block words are shared across the whole run
+    indexes = {}
     for t in _towers_by_word_length(cap):
         doubled = t.word + t.word
         for i in range(1, t.depth + 1):
@@ -610,7 +613,8 @@ def _magic_suite(cap):
             for s in range(len(t.word)):
                 checks += 1
                 try:
-                    classify_magic_subword(t, i, doubled[s:s + li])
+                    classify_magic_subword(t, i, doubled[s:s + li],
+                                           indexes=indexes)
                 except LemmaViolation as e:
                     failures.append({"p": t.p, "q": t.q, "i": i,
                                      "position": s, "error": str(e)})

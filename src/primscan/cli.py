@@ -218,11 +218,12 @@ def build_parser():
         description="primitive-class scans and hyperbolic certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, seeded=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--out", choices=("jsonl", "csv"), default="jsonl")
-        p.add_argument("--seed", type=int, default=0)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         return p
 
     p = add("enumerate", _cmd_enumerate,
@@ -278,19 +279,19 @@ def build_parser():
     p.add_argument("--regime", choices=("near", "far", "close", "general"),
                    default="near")
 
-    p = add("detour", _cmd_detour,
+    p = add("detour", _cmd_detour, seeded=True,
             help="Monte Carlo check of the detour length bound")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--K", type=float, default=None)
     p.add_argument("--C", type=float, default=None)
     p.add_argument("--delta", type=float, default=1.0)
 
-    p = add("quadrilateral", _cmd_quadrilateral,
+    p = add("quadrilateral", _cmd_quadrilateral, seeded=True,
             help="Monte Carlo check of the quadrilateral dichotomy")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--delta", type=float, default=1.0)
 
-    p = add("local-global", _cmd_local_global,
+    p = add("local-global", _cmd_local_global, seeded=True,
             help="local vs global quasi-geodesic constants")
     p.add_argument("--rep", required=True)
     p.add_argument("--power", type=int, default=3,
@@ -298,7 +299,7 @@ def build_parser():
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--words", type=int, default=8)
 
-    p = add("perturb", _cmd_perturb,
+    p = add("perturb", _cmd_perturb, seeded=True,
             help="minimum-ratio robustness under entrywise noise")
     p.add_argument("--rep", required=True)
     p.add_argument("--radius", type=float, required=True)

@@ -22,9 +22,10 @@ n ~ 10^4 (matrix entries ~ e^9600) stays in double precision.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
 import math
-import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,17 +91,57 @@ def as_matrix(entries):
     return M
 
 
-IDENTITY = np.eye(2, dtype=complex)
+# The scalar kernel: one 2x2 matrix as the 4-tuple (a, b, c, d) of Python
+# complex, row-major.  numpy-scalar arithmetic costs several times more per
+# operation, so every single-matrix path reads its entries once and works on
+# the tuple; the public matrix type stays the 2x2 array.  Unlike numpy's,
+# Python's abs() raises OverflowError when the modulus of a finite complex
+# exceeds the float range, so the kernel catches it where entries can be
+# that large.
+
+_ID = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _entries(M):
+    """The entries (a, b, c, d) of a 2x2 matrix as Python complex; a
+    kernel 4-tuple passes through unchanged."""
+    if type(M) is tuple:
+        return M
+    return tuple(np.asarray(M, dtype=complex).ravel().tolist())
+
+
+def _matrix(X):
+    """The 2x2 array of a kernel 4-tuple."""
+    return np.array(X, dtype=complex).reshape(2, 2)
+
+
+def _mul(X, Y):
+    a, b, c, d = X
+    e, f, g, h = Y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _pow(X, n):
+    """X^n for n >= 0 by square-and-multiply."""
+    out = None
+    while n:
+        if n & 1:
+            out = X if out is None else _mul(out, X)
+        n >>= 1
+        if n:
+            X = _mul(X, X)
+    return _ID if out is None else out
 
 
 def det(M):
-    return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    a, b, c, d = _entries(M)
+    return a * d - b * c
 
 
 def mat_inverse(M):
     """Inverse via the adjugate; exact up to the det divide."""
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]],
-                    dtype=complex) / det(M)
+    a, b, c, d = _entries(M)
+    return _matrix((d, -b, -c, a)) / det(M)
 
 
 def unimodularize(M):
@@ -127,11 +168,14 @@ def apply(M, p):
     The determinant is taken as 1, never recomputed: on a product along a
     long word, ad - bc in floats is cancellation noise.
     """
-    a, b = M[0, 0], M[0, 1]
-    c, d = M[1, 0], M[1, 1]
+    a, b, c, d = _entries(M)
     t2 = p.t * p.t
     w = c * p.z + d
-    den = abs(w) ** 2 + abs(c) ** 2 * t2
+    try:
+        # products, not ** 2: a Python float power raises on overflow
+        den = abs(w) * abs(w) + abs(c) * abs(c) * t2
+    except OverflowError:
+        den = math.inf    # the height below is 0, which HPoint refuses
     z = ((a * p.z + b) * w.conjugate() + a * c.conjugate() * t2) / den
     return HPoint(z, p.t / den)
 
@@ -142,8 +186,7 @@ def mobius_boundary(M, x):
     A denominator that cancels to rounding noise is treated as the pole, so
     infinity stays a tagged value instead of leaking out as a huge float.
     """
-    a, b = M[0, 0], M[0, 1]
-    c, d = M[1, 0], M[1, 1]
+    a, b, c, d = _entries(M)
     if x is INF:
         return INF if c == 0 else a / c
     w = c * x + d
@@ -158,9 +201,16 @@ def mobius_boundary(M, x):
 
 def classify(M, tol=1e-9):
     """One of "identity", "elliptic", "parabolic", "loxodromic"."""
-    if abs(M - IDENTITY).max() <= tol or abs(M + IDENTITY).max() <= tol:
+    a, b, c, d = _entries(M)
+    try:
+        identity = abs(b) <= tol and abs(c) <= tol and (
+            (abs(a - 1) <= tol and abs(d - 1) <= tol)
+            or (abs(a + 1) <= tol and abs(d + 1) <= tol))
+    except OverflowError:
+        identity = False    # an entry past the float range
+    if identity:
         return "identity"
-    tr = M[0, 0] + M[1, 1]
+    tr = a + d
     if abs(tr.imag) <= tol:
         x = abs(tr.real)
         if x < 2.0 - tol:
@@ -170,21 +220,32 @@ def classify(M, tol=1e-9):
     return "loxodromic"
 
 
+def _root_discriminant(tr, dt):
+    """The square root s of tr^2 - 4 det with |tr + s| >= |tr - s|."""
+    s = cmath.sqrt(tr * tr - 4.0 * dt)
+    return -s if abs(tr + s) < abs(tr - s) else s
+
+
 def _dominant_eigenvalue(M):
     """The eigenvalue of larger modulus (ties possible only off the
     loxodromic locus)."""
-    tr = M[0, 0] + M[1, 1]
-    s = cmath.sqrt(tr * tr - 4.0 * det(M))
-    if abs(tr + s) < abs(tr - s):
-        s = -s
-    return (tr + s) / 2.0
+    M = _entries(M)
+    tr = M[0] + M[3]
+    if abs(tr.real) > 1e8 or abs(tr.imag) > 1e8:
+        # lambda = tr (1 - 1/tr^2 - ...): the correction is below double
+        # precision, and tr^2 would overflow from |tr| ~ 1e154 on
+        return tr
+    return (tr + _root_discriminant(tr, det(M))) / 2.0
 
 
 def translation_length(M, tol=1e-9):
     """2 ln|lambda| for loxodromic M; 0 for elliptic/parabolic/identity."""
+    M = _entries(M)
     if classify(M, tol) != "loxodromic":
         return 0.0
-    return 2.0 * math.log(abs(_dominant_eigenvalue(M)))
+    # the real part of cmath.log is ln|lambda| even where |lambda| itself
+    # would overflow
+    return 2.0 * cmath.log(_dominant_eigenvalue(M)).real
 
 
 class LengthTriple(NamedTuple):
@@ -296,8 +357,8 @@ class Geodesic:
         if forward == backward or (forward is INF and backward is INF):
             raise ValueError("geodesic endpoints must be distinct")
         self.endpoints = (forward, backward)
-        self._norm = normalizer(backward, forward)
-        self._inv = mat_inverse(self._norm)
+        self._norm = a, b, c, d = _entries(normalizer(backward, forward))
+        self._inv = (d, -b, -c, a)    # the adjugate: det = 1
         q = apply(self._norm, basepoint)
         self._anchor_coord = 0.5 * math.log(abs(q.z) ** 2 + q.t ** 2)
         self.anchor = apply(self._inv,
@@ -334,22 +395,17 @@ def dist_to_geodesic(p, g):
 
 def fixed_points(M, tol=1e-9):
     """(attracting, repelling) boundary fixed points of a loxodromic M."""
+    a, b, c, d = M = _entries(M)
     kind = classify(M, tol)
     if kind != "loxodromic":
-        raise NotLoxodromic(f"{kind} isometry has no axis",
-                            trace=complex(M[0, 0] + M[1, 1]))
-    a, b = M[0, 0], M[0, 1]
-    c, d = M[1, 0], M[1, 1]
+        raise NotLoxodromic(f"{kind} isometry has no axis", trace=a + d)
     if c == 0:
         # fixed points b/(d - a) and INF; INF attracts iff |a| > |d|
         other = b / (d - a)
         if abs(a) > abs(d):
             return INF, other
         return other, INF
-    tr = a + d
-    s = cmath.sqrt(tr * tr - 4.0 * det(M))
-    if abs(tr + s) < abs(tr - s):
-        s = -s
+    s = _root_discriminant(a + d, det(M))
     return (a - d + s) / (2 * c), (a - d - s) / (2 * c)
 
 
@@ -468,7 +524,8 @@ class Representation:
     """A pair of unimodular matrices (images of the two generators), a
     basepoint, and the ambient model data."""
 
-    __slots__ = ("model", "A", "B", "basepoint", "delta", "_images", "c_prime")
+    __slots__ = ("model", "A", "B", "basepoint", "delta", "_images",
+                 "_letters", "c_prime")
 
     def __init__(self, model, A, B, basepoint=BASEPOINT, delta=DEFAULT_DELTA):
         if model not in ("H2", "H3"):
@@ -495,6 +552,7 @@ class Representation:
         self.delta = float(delta)
         self._images = {"a": A, "A": mat_inverse(A),
                         "b": B, "B": mat_inverse(B)}
+        self._letters = {x: _entries(M) for x, M in self._images.items()}
         self.c_prime = max(distance(apply(A, basepoint), basepoint),
                            distance(apply(B, basepoint), basepoint))
 
@@ -509,10 +567,13 @@ class Representation:
         error of about |w| eps, while the floating determinant of a
         large-entry matrix is cancellation noise.
         """
-        out = IDENTITY
-        for x in w:
-            out = out @ self._images[x]
-        return out
+        return _matrix(self._product(w))
+
+    def _product(self, w):
+        """word_image as a kernel 4-tuple."""
+        if not w:
+            return _ID
+        return functools.reduce(_mul, map(self._letters.__getitem__, w))
 
     def displacement(self, w):
         return distance(apply(self.word_image(w), self.basepoint),

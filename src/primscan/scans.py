@@ -19,8 +19,9 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 - `perturbation_scan`: robustness of the minimum ratio under entrywise
   noise.
 
-Class matrices are computed by the block-tower recursion with fast matrix
-powers (O(depth * log n_i) products per class) rather than letter-by-letter
+Class matrices are computed by the block-tower recursion with
+square-and-multiply powers on the scalar 2x2 kernel of `geometry`
+(O(depth * log n_i) products per class) rather than letter-by-letter
 products.
 """
 
@@ -45,6 +46,10 @@ from .geometry import (
     mobius_boundary,
     translation_length,
     _apply_scaled,
+    _entries,
+    _matrix,
+    _mul,
+    _pow,
     _renorm_scaled,
 )
 from .words import is_cyclically_reduced, is_reduced, rotate
@@ -70,13 +75,13 @@ def class_matrix(rep, tower):
     determinant is cancellation noise, while the plain product keeps
     full relative precision over the O(depth + log n_i) multiplies.
     """
-    w = rep.word_image(tower.w[0])
-    wp = rep.word_image(tower.wp[0])
+    w = rep._product(tower.w[0])
+    wp = rep._product(tower.wp[0])
     for n in tower.cf:
-        w_next = np.linalg.matrix_power(w, n - 1) @ wp
-        wp = w @ w_next
+        w_next = _mul(_pow(w, n - 1), wp)
+        wp = _mul(w, w_next)
         w = w_next
-    return w
+    return _matrix(w)
 
 
 class OrbitPolyline:
@@ -320,10 +325,10 @@ def excursion_profile(rep, gamma, step=0.25):
     """Sample E(u) = d(polyline(u), axis line of gamma) over one period."""
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
-    m = rep.word_image(gamma)
+    m = rep._product(gamma)
     if classify(m) != "loxodromic":
-        raise NotLoxodromic(
-            f"image of {gamma!r} is {classify(m)}", complex(np.trace(m)))
+        raise NotLoxodromic(f"image of {gamma!r} is {classify(m)}",
+                            m[0] + m[3])
     line = axis_of(m, basepoint=rep.basepoint)
     polyline = orbit_polyline(rep, gamma, 3)
     period = len(gamma)
@@ -458,8 +463,8 @@ def bowditch_scan(rep, max_denominator, low_ratio=1e-3):
     low-ratio classes; fit displacement constants from the worst ratio."""
     records = []
     for slope, tower in enumerate_primitive_classes(max_denominator):
-        m = class_matrix(rep, tower)
-        tr = complex(np.trace(m))
+        m = _entries(class_matrix(rep, tower))
+        tr = m[0] + m[3]
         kind = classify(m)
         tl = translation_length(m)
         length = len(tower.word)
@@ -477,7 +482,8 @@ def bowditch_scan(rep, max_denominator, low_ratio=1e-3):
             "flags": flags,
         })
     min_ratio = min(r["ratio"] for r in records)
-    commutator = complex(np.trace(rep.word_image("abAB")))
+    abAB = rep._product("abAB")
+    commutator = abAB[0] + abAB[3]
     lox = [r for r in records if not r["flags"]]
     lsq = None
     if len({r["len"] for r in lox}) >= 2:
@@ -535,8 +541,8 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
     for slope, tower in enumerate_primitive_classes(max_denominator):
         gamma = tower.word
         length = len(gamma)
-        m = class_matrix(rep, tower)
-        tr = complex(np.trace(m))
+        m = _entries(class_matrix(rep, tower))
+        tr = m[0] + m[3]
         base = {
             "p": slope.p, "q": slope.q, "len": length,
             "tr": [tr.real, tr.imag], "tl": translation_length(m),

@@ -405,6 +405,19 @@ def test_magic_subwords_exhaustive():
                     assert u not in rots
 
 
+def test_magic_subword_shared_indexes():
+    # a caller-owned index dict gives the same witnesses and holds one
+    # rotation index per block word
+    tower = build_blocks(7, 5)
+    indexes = {}
+    for i in (1, 2):
+        for start in range(len(tower.word)):
+            u = cyclic_subword(tower.word, start, tower.l[i])
+            assert (classify_magic_subword(tower, i, u, indexes=indexes)
+                    == classify_magic_subword(tower, i, u))
+    assert set(indexes) == {tower.w[1], tower.w[2]}
+
+
 def test_magic_subword_validation():
     tower = build_blocks(7, 5)
     with pytest.raises(ValueError):

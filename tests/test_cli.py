@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -151,21 +152,41 @@ def test_scan_bowditch_elliptic_generator_exits_one(rep_file):
     assert rows[-1]["violations"] >= 1
 
 
-def test_scan_bowditch_flags_non_finite_records(rep_file):
-    # rho(a) = diag(1e20, 1e-20): deep classes overflow the trace or the
-    # translation length, and those records must count as violations
-    huge = {"model": "H2", "A": [[1e20, 0], [0, 0], [0, 0], [1e-20, 0]],
-            "B": [[2, 0], [1, 0], [1, 0], [1, 0]]}
-    code, out = capture(["scan-bowditch", "--rep", rep_file(huge),
+HUGE = {"model": "H2", "A": [[1e20, 0], [0, 0], [0, 0], [1e-20, 0]],
+        "B": [[2, 0], [1, 0], [1, 0], [1, 0]]}
+
+
+def test_scan_bowditch_huge_traces_stay_finite(rep_file):
+    # rho(a) = diag(1e20, 1e-20): traces pass 1e240 by cap 12, where
+    # tr^2 - 4 overflows; the translation length must still be 2 ln|tr|
+    code, out = capture(["scan-bowditch", "--rep", rep_file(HUGE),
                          "--max-den", "12"])
+    rows = lines_of(out)
+    records = rows[:-1]
+    assert code == 0 and rows[-1]["violations"] == 0
+    assert len(records) == 93
+    assert all(map(math.isfinite, (*r["tr"], r["tl"], r["ratio"]))
+               for r in records)
+    huge = [r for r in records if math.hypot(*r["tr"]) > 1e8]
+    assert huge
+    for r in huge:
+        assert r["tl"] == pytest.approx(2 * math.log(math.hypot(*r["tr"])),
+                                        rel=1e-12)
+
+
+def test_scan_bowditch_flags_non_finite_records(rep_file):
+    # at cap 16 the deepest traces overflow a double themselves, and
+    # those records must count as violations
+    code, out = capture(["scan-bowditch", "--rep", rep_file(HUGE),
+                         "--max-den", "16"])
     rows = lines_of(out)
     records = rows[:-1]
     non_finite = [r for r in records if not all(
         map(math.isfinite, (*r["tr"], r["tl"], r["ratio"])))]
     assert code == 1
-    assert len(records) == 93 and len(non_finite) == 34
+    assert len(records) == 161 and len(non_finite) == 8
     assert all("non-finite" in r["flags"] for r in non_finite)
-    assert rows[-1]["violations"] == 34
+    assert rows[-1]["violations"] == 8
 
 
 def test_scan_ps_markoff(rep_file):
@@ -234,6 +255,30 @@ def test_detour_and_quadrilateral_pass():
     code, out = capture(["quadrilateral", "--trials", "40", "--seed", "5"])
     assert code == 0
     assert lines_of(out)[-1]["violations"] == 0
+
+
+def test_seed_only_on_seeded_commands(capsys):
+    seeded = {"detour", "quadrilateral", "local-global", "perturb"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        assert ("--seed" in options) == (name in seeded), name
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-bowditch", "--rep", "rep.json", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_detour_seed_selects_the_samples():
+    def run_detour(*extra):
+        return capture(["detour", "--trials", "20", *extra])
+
+    seeded = run_detour("--seed", "5")
+    assert seeded[0] == 0
+    assert seeded == run_detour("--seed", "5")
+    assert seeded != run_detour("--seed", "6")
+    assert run_detour() == run_detour("--seed", "0")
 
 
 # ------------------------------------------------------------ determinism

@@ -177,6 +177,99 @@ def test_translation_length_markoff_generator():
     assert translation_length(as_matrix([[1, 1], [0, 1]])) == 0.0
 
 
+def test_translation_length_of_huge_trace():
+    # tr^2 overflows a double from |tr| ~ 1e154; lambda = tr up to a
+    # correction below double precision, so tl = 2 ln|tr|
+    for x in (1e9, 1e200, 1e300):
+        M = as_matrix([[x, 0], [0, 1 / x]])
+        assert translation_length(M) == pytest.approx(2 * math.log(x),
+                                                      rel=1e-15)
+    screw = as_matrix([[1e200j, 0], [0, -1e-200j]])
+    assert translation_length(screw) == pytest.approx(2 * math.log(1e200),
+                                                      rel=1e-15)
+    # |a| exceeds the float range although both of its parts are finite
+    edge = as_matrix([[1.5e308 * (1 + 1j), 0], [1e300, 1 / (1.5e308 + 0j)]])
+    assert classify(edge) == "loxodromic"
+    assert translation_length(edge) == pytest.approx(
+        2 * (math.log(1.5e308) + 0.5 * math.log(2)), rel=1e-15)
+    with pytest.raises(ValueError):
+        apply(edge, BASEPOINT)
+
+
+# numpy-scalar references for the scalar kernel: the formulas on indexed
+# numpy scalars, and eigen-decompositions from numpy.linalg
+
+def ref_apply(M, p):
+    a, b, c, d = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+    t2 = p.t * p.t
+    w = c * p.z + d
+    den = np.abs(w) ** 2 + np.abs(c) ** 2 * t2
+    return (((a * p.z + b) * np.conj(w) + a * np.conj(c) * t2) / den,
+            p.t / den)
+
+
+def ref_mobius_boundary(M, x):
+    a, b, c, d = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+    if x is INF:
+        return INF if c == 0 else a / c
+    return (a * x + b) / (c * x + d)
+
+
+def ref_classify(M, tol=1e-9):
+    eye = np.eye(2)
+    if np.abs(M - eye).max() <= tol or np.abs(M + eye).max() <= tol:
+        return "identity"
+    tr = np.trace(M)
+    if abs(tr.imag) <= tol:
+        if abs(tr.real) < 2.0 - tol:
+            return "elliptic"
+        if abs(tr.real) <= 2.0 + tol:
+            return "parabolic"
+    return "loxodromic"
+
+
+def ref_eigen(M):
+    """(dominant eigenvalue, attracting fixed point, repelling fixed
+    point) from numpy's eigenvectors (fixed point = v0 / v1)."""
+    values, vectors = np.linalg.eig(M)
+    order = np.argsort(-np.abs(values))
+    fixed = [vectors[0, k] / vectors[1, k] for k in order]
+    return values[order[0]], fixed[0], fixed[1]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["SL2R", "SL2C"])
+def test_kernel_matches_numpy_reference(real):
+    rng = np.random.default_rng(67 if real else 71)
+    kinds = set()
+    for _ in range(300):
+        M = random_isometry(rng, real=real)
+        p = random_point(rng, real=real)
+        q = apply(M, p)
+        z, t = ref_apply(M, p)
+        assert q.z == pytest.approx(complex(z), rel=1e-12, abs=1e-12)
+        assert q.t == pytest.approx(float(t), rel=1e-12)
+        x = p.z
+        assert mobius_boundary(M, x) == pytest.approx(
+            complex(ref_mobius_boundary(M, x)), rel=1e-12, abs=1e-12)
+        assert mobius_boundary(M, INF) == pytest.approx(
+            complex(ref_mobius_boundary(M, INF)), rel=1e-12, abs=1e-12)
+        kind = classify(M)
+        kinds.add(kind)
+        assert kind == ref_classify(M)
+        if kind != "loxodromic":
+            assert translation_length(M) == 0.0
+            continue
+        lam, att, rep = ref_eigen(M)
+        assert translation_length(M) == pytest.approx(
+            2 * math.log(abs(lam)), rel=1e-12, abs=1e-12)
+        got_att, got_rep = fixed_points(M)
+        assert got_att == pytest.approx(complex(att), rel=1e-9, abs=1e-9)
+        assert got_rep == pytest.approx(complex(rep), rel=1e-9, abs=1e-9)
+    assert "loxodromic" in kinds
+    if real:
+        assert "elliptic" in kinds
+
+
 def test_lengths_diagonal_orbit():
     M = as_matrix([[2, 0], [0, 0.5]])
     for n in (1, 2, 7, 100):

@@ -6,6 +6,7 @@ lengths from arccosh of half-traces, and parabolic displacements
 2 asinh(k/2) for [[1,k],[0,1]].
 """
 
+import functools
 import math
 import re
 
@@ -21,6 +22,7 @@ from primscan.geometry import (
     axis_of,
     dist_to_geodesic,
     distance,
+    translation_length,
 )
 from primscan.scans import (
     PreconditionError,
@@ -60,6 +62,42 @@ def test_class_matrix_matches_letterwise_product():
         got = class_matrix(rep, tower)
         want = rep.word_image(tower.word)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10), slope
+
+
+def test_deepest_class_at_cap_600_has_finite_length():
+    # |w| = 1199 and tr ~ 5e250: tr^2 overflows, so the translation
+    # length must come from ln|tr| directly
+    tower = build_blocks(599, 600)
+    m = class_matrix(markoff(), tower)
+    tr = complex(np.trace(m))
+    want = fricke_traces(3.0, 3.0, 3.0, 600)[(599, 600)]
+    assert len(tower.word) == 1199 and want > 1e250
+    assert tr.real == pytest.approx(want, rel=1e-12)
+    assert translation_length(m) == pytest.approx(2 * math.log(want),
+                                                  rel=1e-12)
+
+
+def random_h3_rep(seed):
+    rng = np.random.default_rng(seed)
+
+    def unimodular():
+        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return M / np.sqrt(np.linalg.det(M))
+
+    return Representation("H3", unimodular(), unimodular())
+
+
+@pytest.mark.parametrize("rep", [markoff(), random_h3_rep(3)],
+                         ids=["markoff", "random-h3"])
+def test_class_matrix_matches_numpy_reduce(rep):
+    # the tower recursion on the scalar kernel against a plain numpy
+    # product of the letter images, for every class up to cap 30
+    for slope, tower in enumerate_primitive_classes(30):
+        got = class_matrix(rep, tower)
+        want = functools.reduce(np.matmul,
+                                [rep.gen_image(x) for x in tower.word])
+        assert got.shape == (2, 2)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), slope
 
 
 def test_class_matrix_deep_class_stays_unimodular_in_effect():
