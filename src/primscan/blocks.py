@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .words import (
     check_word,
     cyclic_reduce,
@@ -121,31 +123,31 @@ def slope_of(w):
 # --------------------------------------------------------------------------
 
 # Letter substitutions realizing every slope from the nonnegative, >= 1
-# towers: "ab" exchanges the generators (slopes below 1), "bB" inverts b
-# (negative slopes), "ab+bB" composes the two.
+# towers, which "none" leaves as built: "ab" exchanges the generators
+# (slopes below 1), "bB" inverts b (negative slopes), "ab+bB" composes
+# the two.
 _SUBS = {
-    "none": str.maketrans("", ""),
     "ab": str.maketrans("abAB", "baBA"),
     "bB": str.maketrans("bB", "Bb"),
     "ab+bB": str.maketrans("abAB", "BaAb"),
 }
 
 
-def _tower_plan(p, q):
-    """Recursion entries and substitution tag for slope p/q (canonical)."""
+def _tower_plan(slope):
+    """Recursion entries and substitution tag for a canonical slope.
+
+    A slope p/q >= 1 recurses on its own expansion; 0 < p/q < 1 on that of
+    q/p, which is the tail [n2, ...] of p/q = [0; n2, ...].
+    """
+    p, q = slope.p, slope.q
     if q == 0:
-        return [], "none"
-    neg = p < 0
-    p = abs(p)
+        return (), "none"
     if p == 0:
-        entries, swap = [], "ab"
-    elif p >= q:
-        entries, swap = cf_expansion(p, q), "none"
-    else:
-        entries, swap = cf_expansion(q, p), "ab"
-    if neg:
-        swap = swap + "+bB" if swap == "ab" else "bB"
-    return entries, swap
+        return (), "ab"
+    if p > 0:
+        return (slope.cf, "none") if p >= q else (slope.cf[1:], "ab")
+    entries, swap = _tower_plan(Slope.from_pair(-p, q))
+    return entries, "ab+bB" if swap == "ab" else "bB"
 
 
 @dataclass(frozen=True)
@@ -190,24 +192,28 @@ class BlockTower:
 
 def build_blocks(p, q):
     """Build the block tower for the slope p/q."""
-    slope = Slope.from_pair(p, q)
-    entries, swap = _tower_plan(slope.p, slope.q)
+    return _build_tower(Slope.from_pair(p, q))
+
+
+def _build_tower(slope):
+    entries, swap = _tower_plan(slope)
     w, wp = ["a"], ["ab"]
     for n in entries:
         if n < 1:
             raise LemmaViolation(f"tower entry {n} < 1 for slope {slope}")
         w.append(w[-1] * (n - 1) + wp[-1])
         wp.append(w[-2] * n + wp[-1])
-    table = _SUBS[swap]
-    w = tuple(x.translate(table) for x in w)
-    wp = tuple(x.translate(table) for x in wp)
+    if swap != "none":
+        table = _SUBS[swap]
+        w = [x.translate(table) for x in w]
+        wp = [x.translate(table) for x in wp]
     tower = BlockTower(
-        p=slope.p, q=slope.q, cf=tuple(entries), swap=swap,
-        w=w, wp=wp,
-        l=tuple(len(x) for x in w), lp=tuple(len(x) for x in wp),
+        p=slope.p, q=slope.q, cf=entries, swap=swap,
+        w=tuple(w), wp=tuple(wp),
+        l=tuple(map(len, w)), lp=tuple(map(len, wp)),
     )
     pp, qq = abelianization(tower.word)
-    if Slope.from_pair(pp, qq) != slope:
+    if (pp, qq) not in ((slope.p, slope.q), (-slope.p, -slope.q)):
         raise LemmaViolation(
             f"tower word for {slope} abelianizes to ({pp}, {qq})")
     return tower
@@ -227,7 +233,8 @@ def enumerate_primitive_classes(max_den):
             if gcd(p, q) == 1:
                 pairs.append((p, q))
     pairs.sort(key=lambda pq: (pq[1], pq[0]))
-    return [(Slope.from_pair(p, q), build_blocks(p, q)) for p, q in pairs]
+    slopes = [Slope.from_pair(p, q) for p, q in pairs]
+    return [(slope, _build_tower(slope)) for slope in slopes]
 
 
 # --------------------------------------------------------------------------
@@ -565,39 +572,46 @@ def _towers_by_word_length(cap):
 
 def _check_recurrences(t, failures):
     """Word and length recurrences plus the length inequalities for one
-    tower, in exact integer and string arithmetic."""
-    def need(cond, what):
-        if not cond:
-            failures.append({"p": t.p, "q": t.q, "check": what})
+    tower, in exact integer and string arithmetic.  A failure's message is
+    formatted only when its check fails."""
+    def fail(what):
+        failures.append({"p": t.p, "q": t.q, "check": what})
 
+    w, wp, l, lp, cf = t.w, t.wp, t.l, t.lp, t.cf
     checks = 2
-    need(t.l[0] == 1 and t.lp[0] == 2, "base lengths")
-    need(len(t.word) == abs(t.p) + t.q, "word length |p| + q")
+    if not (l[0] == 1 and lp[0] == 2):
+        fail("base lengths")
+    if len(t.word) != abs(t.p) + t.q:
+        fail("word length |p| + q")
     for i in range(1, t.depth + 1):
-        n = t.cf[i - 1]
+        n = cf[i - 1]
         checks += 7
-        need(t.w[i] == t.w[i - 1] * (n - 1) + t.wp[i - 1],
-             f"w recurrence at level {i}")
-        need(t.wp[i] == t.w[i - 1] * n + t.wp[i - 1],
-             f"w' recurrence at level {i}")
-        need(t.wp[i] == t.w[i - 1] + t.w[i],
-             f"w' = w_(i-1) w_i at level {i}")
-        need(t.lp[i] == t.l[i] + t.l[i - 1], f"l' recurrence at level {i}")
-        need(t.l[i] < t.lp[i] < 2 * t.l[i], f"l < l' < 2l at level {i}")
-        need(i + 1 <= t.l[i], f"l_i >= i + 1 at level {i}")
+        if w[i] != w[i - 1] * (n - 1) + wp[i - 1]:
+            fail(f"w recurrence at level {i}")
+        if wp[i] != w[i - 1] * n + wp[i - 1]:
+            fail(f"w' recurrence at level {i}")
+        if wp[i] != w[i - 1] + w[i]:
+            fail(f"w' = w_(i-1) w_i at level {i}")
+        if lp[i] != l[i] + l[i - 1]:
+            fail(f"l' recurrence at level {i}")
+        if not l[i] < lp[i] < 2 * l[i]:
+            fail(f"l < l' < 2l at level {i}")
+        if not i + 1 <= l[i]:
+            fail(f"l_i >= i + 1 at level {i}")
         if i == 1:
-            need(t.l[1] == (n + 1) * t.l[0], "l_1 = (n_1 + 1) l_0")
-        else:
-            need(n * t.l[i - 1] < t.l[i] < (n + 1) * t.l[i - 1],
-                 f"n l < l < (n+1) l at level {i}")
+            if l[1] != (n + 1) * l[0]:
+                fail("l_1 = (n_1 + 1) l_0")
+        elif not n * l[i - 1] < l[i] < (n + 1) * l[i - 1]:
+            fail(f"n l < l < (n+1) l at level {i}")
     for i in range(2, t.depth + 1):
-        m = t.cf[i - 2]
+        m = cf[i - 2]
         checks += 1
-        lhs, rhs = (m + 2) * t.l[i - 1], (m + 1) * t.l[i]
-        if i >= 3 or t.cf[i - 1] >= 2:
-            need(lhs < rhs, f"(m+2) l_(i-1) < (m+1) l_i at level {i}")
-        else:
-            need(lhs <= rhs, f"(m+2) l_(i-1) <= (m+1) l_i at level {i}")
+        lhs, rhs = (m + 2) * l[i - 1], (m + 1) * l[i]
+        if i >= 3 or cf[i - 1] >= 2:
+            if not lhs < rhs:
+                fail(f"(m+2) l_(i-1) < (m+1) l_i at level {i}")
+        elif not lhs <= rhs:
+            fail(f"(m+2) l_(i-1) <= (m+1) l_i at level {i}")
     return checks
 
 
@@ -637,6 +651,36 @@ def _perm_suite(cap):
     return checks, failures
 
 
+def _bloc_windows(seq, li, lpi, lr):
+    """Block-count bound over every maximal window of one block sequence.
+
+    `seq` is a factorization of a rotated class word of length `lr` into
+    blocks of lengths `li` ("w") and `lpi` ("p").  For each start s and
+    each block boundary from the first one at or after s, the window runs
+    to just before the next boundary (at most lr letters); it is checked
+    when longer than 4 li.  Returns the number of checks and the failures
+    as (start, length, count, alpha) tuples, ordered by start, then length.
+    """
+    sizes = [li if s == "w" else lpi for s in seq]
+    # boundaries over three laps, so that bounds[m + 1] exists for every
+    # cell of the grid; a window never reaches past the second lap
+    bounds = np.concatenate(([0], np.cumsum(sizes * 3)))
+    starts = np.arange(lr)[:, None]
+    first = np.searchsorted(bounds, starts, side="left")
+    # a window of at most lr letters holds at most len(seq) complete blocks
+    count = np.arange(len(seq) + 1)[None, :]
+    m = first + count
+    valid = bounds[m] <= starts + lr
+    length = np.minimum(bounds[m + 1] - 1, starts + lr) - starts
+    checked = valid & (length > 4 * li)
+    alpha = length / li
+    bad = checked & (count < (alpha - 4) / 2 - 1e-12)
+    rows, cols = np.nonzero(bad)
+    failures = list(zip(rows.tolist(), length[rows, cols].tolist(),
+                        cols.tolist(), alpha[rows, cols].tolist()))
+    return int(checked.sum()), failures
+
+
 def _bloc_suite(cap):
     """Block-count bound over every cyclic window with alpha > 4, every
     level, and every rotation.
@@ -644,39 +688,43 @@ def _bloc_suite(cap):
     Windows sharing a start and a complete-block count are dominated by
     the longest of them (same count, largest alpha), so only that
     maximal window is evaluated; the bound for all others follows.
+
+    The windows checked for rotation k depend on k only through the block
+    order of `adapted_permutation(t, i, k)`: the rotated blocks keep the
+    lengths l_i and l'_i, and each window is cut from a word of length
+    l_r.  That order is the level-i block sequence in case 1 and the
+    sequence with its first block moved to the end in case 2, so a
+    level has at most two distinct orders.  The windows are therefore
+    evaluated once per distinct (order, l_i, l'_i), which also covers
+    the towers of p/q and q/p, identical up to the a <-> b swap, and the
+    checks and failures are repeated for every rotation sharing it.  The
+    rotation itself is still built for every k, which re-checks its
+    factorization; a violation there is recorded as a failure.
     """
     failures, checks = [], 0
+    windows = {}
     for t in _towers_by_word_length(cap):
         lr = len(t.word)
         for i in range(1, t.depth + 1):
-            li = t.l[i]
+            li, lpi = t.l[i], t.lp[i]
             if lr <= 4 * li:
                 continue
             for k in range(li):
-                ar = adapted_permutation(t, i, k)
-                sizes = [t.l[i] if s == "w" else t.lp[i] for s in ar.blocks]
-                bounds = [0]
-                for size in sizes + sizes:
-                    bounds.append(bounds[-1] + size)
-                idx0 = 0
-                for s in range(lr):
-                    while bounds[idx0] < s:
-                        idx0 += 1
-                    m = idx0
-                    while m + 1 < len(bounds) and bounds[m] <= s + lr:
-                        e_max = min(bounds[m + 1] - 1, s + lr)
-                        length = e_max - s
-                        if length > 4 * li:
-                            checks += 1
-                            count = m - idx0
-                            alpha = length / li
-                            if count < (alpha - 4) / 2 - 1e-12:
-                                failures.append({
-                                    "p": t.p, "q": t.q, "i": i, "k": k,
-                                    "start": s, "length": length,
-                                    "count": count, "alpha": alpha,
-                                })
-                        m += 1
+                try:
+                    seq = adapted_permutation(t, i, k).blocks
+                except LemmaViolation as e:
+                    failures.append({"p": t.p, "q": t.q, "i": i, "k": k,
+                                     "error": str(e)})
+                    continue
+                key = (seq, li, lpi)
+                if key not in windows:
+                    windows[key] = _bloc_windows(seq, li, lpi, lr)
+                n, bad = windows[key]
+                checks += n
+                failures.extend(
+                    {"p": t.p, "q": t.q, "i": i, "k": k, "start": s,
+                     "length": length, "count": count, "alpha": alpha}
+                    for s, length, count, alpha in bad)
     return checks, failures
 
 

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primscan import blocks
 from primscan.blocks import (
     LemmaViolation,
     Slope,
@@ -19,6 +22,7 @@ from primscan.blocks import (
     derivation,
     enumerate_primitive_classes,
     is_primitive,
+    run_suite,
     slope_of,
 )
 from primscan.words import (
@@ -481,3 +485,143 @@ def test_block_count_validation():
         count_block_occurrences(tower.word * 2, tower, 1, 0)
     with pytest.raises(ValueError):
         count_block_occurrences("bb" + "a" * 6, tower, 1, 0)
+
+
+def _reference_bloc_windows(seq, li, lpi, lr):
+    """The per-rotation window loop that `_bloc_suite` ran before windows
+    were shared across rotations, with a failure kept as a tuple."""
+    checks, failures = 0, []
+    sizes = [li if s == "w" else lpi for s in seq]
+    bounds = [0]
+    for size in sizes + sizes:
+        bounds.append(bounds[-1] + size)
+    idx0 = 0
+    for s in range(lr):
+        while bounds[idx0] < s:
+            idx0 += 1
+        m = idx0
+        while m + 1 < len(bounds) and bounds[m] <= s + lr:
+            e_max = min(bounds[m + 1] - 1, s + lr)
+            length = e_max - s
+            if length > 4 * li:
+                checks += 1
+                count = m - idx0
+                alpha = length / li
+                if count < (alpha - 4) / 2 - 1e-12:
+                    failures.append((s, length, count, alpha))
+            m += 1
+    return checks, failures
+
+
+def test_bloc_windows_match_reference_on_towers():
+    keys = set()
+    for _, t in enumerate_primitive_classes(40):
+        lr = len(t.word)
+        if lr > 40:
+            continue
+        for i in range(1, t.depth + 1):
+            if lr <= 4 * t.l[i]:
+                continue
+            for k in range(t.l[i]):
+                seq = adapted_permutation(t, i, k).blocks
+                keys.add((seq, t.l[i], t.lp[i], lr))
+    assert len(keys) > 100
+    for key in keys:
+        assert blocks._bloc_windows(*key) == _reference_bloc_windows(*key)
+
+
+def test_bloc_windows_match_reference_on_failing_inputs():
+    rng = random.Random(0)
+    failing = 0
+    for _ in range(500):
+        seq = tuple(rng.choice("wp") for _ in range(rng.randint(1, 12)))
+        li = rng.randint(1, 5)
+        lpi = rng.randint(1, 3 * li)
+        lr = sum(li if s == "w" else lpi for s in seq)
+        got = blocks._bloc_windows(seq, li, lpi, lr)
+        assert got == _reference_bloc_windows(seq, li, lpi, lr)
+        assert all(type(x) is int for f in got[1] for x in f[:3])
+        failing += bool(got[1])
+    assert failing > 50
+
+
+def test_bloc_suite_records_adapted_rotation_violation(monkeypatch):
+    healthy = run_suite("bloc", 20)
+    tower = build_blocks(10, 9)
+    skipped, _ = blocks._bloc_windows(
+        adapted_permutation(tower, 1, 1).blocks, tower.l[1], tower.lp[1],
+        len(tower.word))
+    real = blocks.adapted_permutation
+
+    def broken(t, i, k):
+        if (t.p, t.q, i, k) == (10, 9, 1, 1):
+            raise LemmaViolation("injected")
+        return real(t, i, k)
+
+    monkeypatch.setattr(blocks, "adapted_permutation", broken)
+    report = run_suite("bloc", 20)
+    assert report.failures == [
+        {"p": 10, "q": 9, "i": 1, "k": 1, "error": "injected"}]
+    assert report.checks == healthy.checks - skipped
+
+
+# --------------------------------------------------------------------------
+# recurrence suite
+# --------------------------------------------------------------------------
+
+def _break_word(tower, n):
+    """The tower with the last letter of w_n changed."""
+    w = list(tower.w)
+    w[n] = w[n][:-1] + ("a" if w[n][-1] == "b" else "b")
+    return dataclasses.replace(tower, w=tuple(w))
+
+
+@pytest.mark.parametrize("tower, checks, messages", [
+    # w_2 broken, l_3 = 17 -> 20, l'_4 = 90 -> 2 l_4
+    (dataclasses.replace(_break_word(build_blocks(43, 30), 2),
+                         l=(1, 2, 5, 20, 73), lp=(2, 3, 7, 22, 146)),
+     33,
+     ["w recurrence at level 2",
+      "w' = w_(i-1) w_i at level 2",
+      "w recurrence at level 3",
+      "w' recurrence at level 3",
+      "w' = w_(i-1) w_i at level 3",
+      "l' recurrence at level 3",
+      "n l < l < (n+1) l at level 3",
+      "l' recurrence at level 4",
+      "l < l' < 2l at level 4",
+      "n l < l < (n+1) l at level 4"]),
+    (dataclasses.replace(build_blocks(7, 5), p=8, l=(2, 2, 2, 12)),
+     25,
+     ["base lengths",
+      "word length |p| + q",
+      "l' recurrence at level 1",
+      "l_1 = (n_1 + 1) l_0",
+      "l' recurrence at level 2",
+      "l < l' < 2l at level 2",
+      "l_i >= i + 1 at level 2",
+      "n l < l < (n+1) l at level 2",
+      "l' recurrence at level 3",
+      "n l < l < (n+1) l at level 3",
+      "(m+2) l_(i-1) < (m+1) l_i at level 2"]),
+    (dataclasses.replace(build_blocks(5, 3), l=(1, 2, 1, 8)),
+     25,
+     ["l' recurrence at level 2",
+      "l < l' < 2l at level 2",
+      "l_i >= i + 1 at level 2",
+      "n l < l < (n+1) l at level 2",
+      "l' recurrence at level 3",
+      "n l < l < (n+1) l at level 3",
+      "(m+2) l_(i-1) <= (m+1) l_i at level 2"]),
+], ids=["43/30", "7/5", "5/3"])
+def test_recurrence_failure_messages(tower, checks, messages):
+    failures = []
+    assert blocks._check_recurrences(tower, failures) == checks
+    assert failures == [{"p": tower.p, "q": tower.q, "check": m}
+                        for m in messages]
+
+
+def test_tower_abelianization_mismatch_raises(monkeypatch):
+    monkeypatch.setitem(blocks._SUBS, "ab", str.maketrans("", ""))
+    with pytest.raises(LemmaViolation, match="abelianizes"):
+        enumerate_primitive_classes(2)

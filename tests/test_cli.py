@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from primscan import blocks
 from primscan.cli import build_parser, main, run
 
 MARKOFF = {
@@ -124,6 +125,25 @@ def test_verify_lemmas_all_suites_pass_at_small_caps():
     assert rows[-1]["failures"] == 0
     caps = {r["suite"]: r["cap"] for r in rows[:-1]}
     assert caps["recurrences"] == 30 and caps["bloc"] == 20
+
+
+def test_verify_lemmas_reports_bloc_rotation_violation(monkeypatch, capsys):
+    real = blocks.adapted_permutation
+
+    def broken(t, i, k):
+        if (t.p, t.q, i, k) == (10, 9, 1, 1):
+            raise blocks.LemmaViolation("injected")
+        return real(t, i, k)
+
+    monkeypatch.setattr(blocks, "adapted_permutation", broken)
+    code = main(["verify-lemmas", "--suite", "bloc", "--max-block-len", "20"])
+    rows = lines_of(capsys.readouterr().out)
+    assert code == 1
+    assert rows[0]["failures"] == 1
+    assert rows[1] == {"suite": "bloc", "p": 10, "q": 9, "i": 1, "k": 1,
+                       "error": "injected"}
+    assert rows[2] == {"suites": 1, "checks": rows[0]["checks"],
+                       "failures": 1}
 
 
 # ------------------------------------------------------------------ scans
