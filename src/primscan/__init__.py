@@ -71,7 +71,6 @@ from .geometry import (
     dist_to_segment,
     fixed_points,
     geodesic_through,
-    lengths,
     mobius_boundary,
     parse_rep_file,
     power_displacement,
@@ -90,7 +89,6 @@ from .certify import (
 )
 from .scans import (
     ExcursionProfile,
-    OrbitPolyline,
     PreconditionError,
     QuasiLoop,
     QuasiLoopReport,
@@ -101,7 +99,6 @@ from .scans import (
     find_quasi_loops,
     fricke_traces,
     local_global_scan,
-    orbit_polyline,
     perturbation_scan,
     ps_scan,
 )
@@ -112,7 +109,7 @@ __all__ = [
     "ALPHABET", "AdaptedRotation", "BASEPOINT", "BlockCountReport",
     "BlockTower", "DEFAULT_DELTA", "DerivationTrace", "ExcursionProfile",
     "Geodesic", "HPoint", "INF", "LemmaViolation", "MagicWitness",
-    "NotLoxodromic", "OrbitPolyline", "PathBound", "PreconditionError",
+    "NotLoxodromic", "PathBound", "PreconditionError",
     "QuasiLoop", "QuasiLoopReport", "Representation", "RepresentationError",
     "SUITES", "SamplerError", "ScanReport", "Segment", "Slope",
     "SuiteReport", "TrialReport", "abelianization", "adapted_permutation",
@@ -125,8 +122,8 @@ __all__ = [
     "excursion_profile", "find_quasi_loops", "fixed_points",
     "fricke_traces", "geodesic_through", "inverse_letter", "invert",
     "is_cyclically_reduced", "is_primitive", "is_primitive_abelianization",
-    "is_reduced", "lengths", "local_global_scan", "measure_detour",
-    "mobius_boundary", "orbit_polyline", "parse_rep_file",
+    "is_reduced", "local_global_scan", "measure_detour",
+    "mobius_boundary", "parse_rep_file",
     "path_lower_bound", "perturbation_scan", "power", "power_displacement",
     "ps_scan", "quadrilateral_check", "reduce", "rotate", "rotations",
     "run_suite", "segment_gap", "slope_of", "substitute",

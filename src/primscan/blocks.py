@@ -225,6 +225,12 @@ def enumerate_primitive_classes(max_den):
     Deterministic order: by q, then p; so 1/0 comes first, then 0/1, 1/1,
     2/1, ...  The count is 2 + #{(p, q) : 1 <= p, q <= max_den, coprime}.
     """
+    slopes = [Slope.from_pair(p, q) for p, q in _class_pairs(max_den)]
+    return [(slope, _build_tower(slope)) for slope in slopes]
+
+
+def _class_pairs(max_den):
+    """The (p, q) of `enumerate_primitive_classes(max_den)`, in its order."""
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     pairs = [(1, 0), (0, 1)]
@@ -233,8 +239,7 @@ def enumerate_primitive_classes(max_den):
             if gcd(p, q) == 1:
                 pairs.append((p, q))
     pairs.sort(key=lambda pq: (pq[1], pq[0]))
-    slopes = [Slope.from_pair(p, q) for p, q in pairs]
-    return [(slope, _build_tower(slope)) for slope in slopes]
+    return pairs
 
 
 # --------------------------------------------------------------------------
@@ -566,8 +571,9 @@ class SuiteReport:
 
 
 def _towers_by_word_length(cap):
-    return [t for _, t in enumerate_primitive_classes(cap)
-            if len(t.word) <= cap]
+    # the class word of a slope p/q with p >= 0 has p + q letters
+    return [_build_tower(Slope.from_pair(p, q)) for p, q in _class_pairs(cap)
+            if p + q <= cap]
 
 
 def _check_recurrences(t, failures):

@@ -135,8 +135,8 @@ def _cmd_excursion(args):
     prof = excursion_profile(rep, gamma, step=args.step)
     periodicity = prof.periodicity_defect()
     lipschitz = prof.lipschitz_defect()
-    # A profile that fails its own periodicity or Lipschitz bound has lost
-    # precision in the deep-orbit coordinates; refuse it.
+    # A profile that fails its own seam or Lipschitz bound has lost
+    # precision in its frames; refuse it.
     if periodicity > 1e-6:
         raise ValueError(f"periodicity defect {periodicity:.3g} exceeds "
                          f"the bound 1e-06")

@@ -8,10 +8,11 @@ action on the slice:
     z' = ((az + b) conj(cz + d) + a conj(c) t^2) / den
     t' = t / den,                den = |cz + d|^2 + |c|^2 t^2
 
-Distances come from cosh d = 1 + (|dz|^2 + dt^2) / (2 t1 t2).  Geodesics are
-handled by normalizing their endpoints to (0, infinity), where the vertical
-axis makes projections, signed coordinates and point-to-line distances
-closed-form: sinh(dist) = |z|/t and the foot sits at height sqrt(|z|^2+t^2).
+Distances come from sinh(d/2) = sqrt(|dz|^2 + dt^2) / (2 sqrt(t1 t2)).
+Geodesics are handled by normalizing their endpoints to (0, infinity),
+where the vertical axis makes projections, signed coordinates and
+point-to-line distances closed-form: sinh(dist) = |z|/t and the foot sits
+at height sqrt(|z|^2+t^2).
 
 Three length notions for an isometry M: translation length 2 ln|lambda| of
 the dominant eigenvalue (0 with a flag for elliptic/parabolic), displacement
@@ -157,8 +158,18 @@ def unimodularize(M):
 # --------------------------------------------------------------------------
 
 def distance(p, q):
-    arg = 1.0 + (abs(p.z - q.z) ** 2 + (p.t - q.t) ** 2) / (2.0 * p.t * q.t)
-    return math.acosh(max(1.0, arg))
+    """d = 2 asinh(h / (2 sqrt(t1 t2))), h the Euclidean distance.
+
+    The asinh form keeps small distances that acosh(1 + x) rounds away,
+    and the square roots are taken apart so that t1 t2 cannot underflow.
+    Where the ratio overflows, 2 asinh(r) = 2 ln(2r) to double precision.
+    """
+    dz = p.z - q.z
+    h = math.hypot(dz.real, dz.imag, p.t - q.t)
+    r = h / (2.0 * math.sqrt(p.t) * math.sqrt(q.t))
+    if r < math.inf:
+        return 2.0 * math.asinh(r)
+    return 2.0 * (math.log(h) - 0.5 * math.log(p.t) - 0.5 * math.log(q.t))
 
 
 def apply(M, p):
@@ -246,23 +257,6 @@ def translation_length(M, tol=1e-9):
     # the real part of cmath.log is ln|lambda| even where |lambda| itself
     # would overflow
     return 2.0 * cmath.log(_dominant_eigenvalue(M)).real
-
-
-class LengthTriple(NamedTuple):
-    translation: float
-    displacement: float
-    stable_estimate: float
-
-
-def lengths(M, o=BASEPOINT, n=1024):
-    """(translation length, displacement at o, d(M^n o, o)/n)."""
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    return LengthTriple(
-        translation=translation_length(M),
-        displacement=distance(apply(M, o), o),
-        stable_estimate=power_displacement(M, n, o) / n,
-    )
 
 
 def _renorm_scaled(P, log_det):
@@ -406,7 +400,12 @@ def fixed_points(M, tol=1e-9):
             return INF, other
         return other, INF
     s = _root_discriminant(a + d, det(M))
-    return (a - d + s) / (2 * c), (a - d - s) / (2 * c)
+    # the roots are (a - d +- s) / 2c with product -b/c: take the one
+    # whose numerator cannot cancel and the other by Vieta
+    att, rep = a - d + s, a - d - s
+    if abs(rep) > abs(att):
+        return -2 * b / rep, rep / (2 * c)
+    return att / (2 * c), -2 * b / att
 
 
 def axis_of(M, basepoint=BASEPOINT, tol=1e-9):

@@ -3,8 +3,8 @@
 Everything here evaluates a representation of F2 = <a, b> into the
 isometries of H^2 or H^3 against quantitative stability certificates:
 
-- `orbit_polyline` / `ExcursionProfile`: the orbit of the basepoint along
-  the leaf of a primitive word, and its distance profile to the word's
+- `excursion_profile` / `ExcursionProfile`: the distance profile from the
+  leaf of a primitive word (the orbit of the basepoint) to the word's
   axis, with the discrete sub-excursion queries.
 - `find_quasi_loops`: cyclic subwords with displacement at most eps times
   their length, plus greedy disjoint coverage and the contradiction test
@@ -33,7 +33,6 @@ import numpy as np
 from .blocks import enumerate_primitive_classes
 from .geometry import (
     INF,
-    HPoint,
     NotLoxodromic,
     Representation,
     Segment,
@@ -45,20 +44,18 @@ from .geometry import (
     geodesic_metrics,
     mobius_boundary,
     translation_length,
-    _apply_scaled,
     _entries,
     _matrix,
     _mul,
     _pow,
-    _renorm_scaled,
 )
-from .words import is_cyclically_reduced, is_reduced, rotate
+from .words import is_cyclically_reduced, rotate
 
 __all__ = [
-    "ExcursionProfile", "OrbitPolyline", "PreconditionError", "QuasiLoop",
-    "QuasiLoopReport", "ScanReport", "bowditch_scan", "class_matrix",
-    "excursion_profile", "find_quasi_loops", "fricke_traces",
-    "local_global_scan", "orbit_polyline", "perturbation_scan", "ps_scan",
+    "ExcursionProfile", "PreconditionError", "QuasiLoop", "QuasiLoopReport",
+    "ScanReport", "bowditch_scan", "class_matrix", "excursion_profile",
+    "find_quasi_loops", "fricke_traces", "local_global_scan",
+    "perturbation_scan", "ps_scan",
 ]
 
 
@@ -84,71 +81,19 @@ def class_matrix(rep, tower):
     return _matrix(w)
 
 
-class OrbitPolyline:
-    """The orbit of the basepoint along gamma^span: vertex k is
-    rho(prefix of length k) applied to the basepoint, and parameters
-    between integers interpolate along the connecting geodesic."""
+def _rotation_frames(rep, gamma):
+    """The frame of each rotation j of gamma: the pair (class axis, leaf
+    edge j), carried back to the basepoint by rho(gamma[:j])^-1.
 
-    __slots__ = ("word", "span", "vertices", "cprime", "_segments")
-
-    def __init__(self, word, span, vertices, cprime):
-        self.word = word
-        self.span = span
-        self.vertices = vertices
-        self.cprime = cprime
-        self._segments = [None] * (len(vertices) - 1)
-
-    @property
-    def u_max(self):
-        return float(len(self.vertices) - 1)
-
-    def _segment(self, i):
-        seg = self._segments[i]
-        if seg is None:
-            seg = self._segments[i] = Segment(self.vertices[i],
-                                              self.vertices[i + 1])
-        return seg
-
-    def point_at(self, u):
-        """The point at leaf parameter u in [0, u_max]."""
-        u = min(max(u, 0.0), self.u_max)
-        i = min(int(u), len(self.vertices) - 2)
-        frac = u - i
-        if frac == 0.0:
-            return self.vertices[i]
-        return self._segment(i).interpolate(frac)
-
-
-def orbit_polyline(rep, gamma, span):
-    """Build the orbit polyline of gamma^span from incremental products.
-
-    The prefix products are accumulated with max-entry renormalization
-    and the true |det| carried in log form: the letter images are
-    unimodular, so dividing by a float determinant would inject pure
-    cancellation noise once the entries are large."""
-    if not gamma or not is_reduced(gamma) or not is_cyclically_reduced(gamma):
-        raise ValueError("gamma must be a nonempty cyclically reduced word")
-    if span < 1:
-        raise ValueError("span must be >= 1")
+    That isometry maps the axis of gamma to the axis of rotate(gamma, j)
+    and the edge from vertex j to vertex j + 1 of the orbit to the segment
+    [o, rho(gamma[j]) o], so E(j + f) = d(seg.interpolate(f), line) is
+    evaluated at unit scale at every depth of the leaf.
+    """
     o = rep.basepoint
-    log_t0 = math.log(o.t)
-    vertices = [o]
-    m, log_det = None, 0.0
-    for _ in range(span):
-        for letter in gamma:
-            image = rep.gen_image(letter)
-            if m is None:
-                m, log_det = image, 0.0
-            else:
-                m, log_det = _renorm_scaled(m @ image, log_det)
-            z, log_t = _apply_scaled(m, log_det, o.z, log_t0)
-            t = math.exp(log_t)
-            if t == 0.0 or not math.isfinite(t):
-                raise ValueError(
-                    f"orbit point at depth {len(vertices)} exceeds "
-                    "floating-point range")
-            vertices.append(HPoint(z, t))
-    return OrbitPolyline(gamma, span, tuple(vertices), rep.c_prime)
+    for j in range(len(gamma)):
+        line = axis_of(rep.word_image(rotate(gamma, j)), basepoint=o)
+        yield line, Segment(o, apply(rep.gen_image(gamma[j]), o))
 
 
 def _letter_images(rep, letters):
@@ -185,7 +130,7 @@ def _displacements(W, o):
 
 
 def _pair_distances_by_offset(rep, letters, kmax):
-    """Distances between orbit-polyline vertices, re-anchored for
+    """Distances between the orbit vertices of a word, re-anchored for
     precision: entry k-1 is the array d(v_m, v_{m+k}) for m = 0..n-k.
 
     d(v_m, v_{m+k}) equals the basepoint displacement of the subword
@@ -204,33 +149,39 @@ def _pair_distances_by_offset(rep, letters, kmax):
     return out
 
 
+def _excursion_at(frames, u):
+    """E(u) from the frame of rotation floor(u) mod the period."""
+    j = math.floor(u)
+    line, seg = frames[j % len(frames)]
+    return dist_to_geodesic(seg.interpolate(u - j), line)
+
+
 class ExcursionProfile:
-    """The distance E(u) from the orbit polyline to the axis line of
-    gamma, sampled uniformly over one period.
+    """The distance E(u) from the leaf of gamma (the orbit of the
+    basepoint, joined by geodesic edges) to the axis line of gamma,
+    sampled uniformly over one period.
 
     E is periodic with period len(gamma) and Lipschitz with constant
-    C' (the polyline moves at most C' per unit parameter, and distance
+    C' (the leaf moves at most C' per unit parameter, and distance
     to a fixed set is 1-Lipschitz).  The discrete sub-excursion queries
     tolerate one grid step of slack.
     """
 
-    __slots__ = ("gamma", "period", "step", "us", "values", "polyline",
-                 "line", "cprime")
+    __slots__ = ("gamma", "period", "step", "us", "values", "frames",
+                 "cprime")
 
-    def __init__(self, gamma, period, step, us, values, polyline, line,
-                 cprime):
+    def __init__(self, gamma, period, step, us, values, frames, cprime):
         self.gamma = gamma
         self.period = period
         self.step = step
         self.us = us
         self.values = values
-        self.polyline = polyline
-        self.line = line
+        self.frames = frames
         self.cprime = cprime
 
     def value(self, u):
-        """E at an arbitrary parameter (within the sampled span)."""
-        return dist_to_geodesic(self.polyline.point_at(u), self.line)
+        """E at an arbitrary parameter."""
+        return _excursion_at(self.frames, u)
 
     @property
     def min_excursion(self):
@@ -310,9 +261,15 @@ class ExcursionProfile:
         return best
 
     def periodicity_defect(self):
-        """max |E(u + period) - E(u)| over the sampled parameters."""
-        return max(abs(self.value(u + self.period) - v)
-                   for u, v in zip(self.us, self.values))
+        """The seam defect: max over the vertices j of |E(j)| from frame
+        j - 1 at fraction 1 against frame j at fraction 0 (j = 0 is the
+        wrap u = period).  The two agree in exact arithmetic, so this
+        measures the precision of the frames."""
+        return max(
+            abs(dist_to_geodesic(prev_seg.interpolate(1.0), prev_line)
+                - dist_to_geodesic(seg.interpolate(0.0), line))
+            for (prev_line, prev_seg), (line, seg)
+            in zip(self.frames[-1:] + self.frames[:-1], self.frames))
 
     def lipschitz_defect(self):
         """max |E(u_{i+1}) - E(u_i)| - C' * step (negative when the
@@ -322,22 +279,23 @@ class ExcursionProfile:
 
 
 def excursion_profile(rep, gamma, step=0.25):
-    """Sample E(u) = d(polyline(u), axis line of gamma) over one period."""
+    """Sample E(u) = d(leaf(u), axis line of gamma) over one period, in
+    the per-rotation frames of `_rotation_frames`."""
+    if not gamma or not is_cyclically_reduced(gamma):
+        raise ValueError("gamma must be a nonempty cyclically reduced word")
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
     m = rep._product(gamma)
     if classify(m) != "loxodromic":
         raise NotLoxodromic(f"image of {gamma!r} is {classify(m)}",
                             m[0] + m[3])
-    line = axis_of(m, basepoint=rep.basepoint)
-    polyline = orbit_polyline(rep, gamma, 3)
+    frames = list(_rotation_frames(rep, gamma))
     period = len(gamma)
     count = max(1, math.ceil(period / step - 1e-9))
     us = np.linspace(0.0, float(period), count + 1)
-    values = np.array([dist_to_geodesic(polyline.point_at(u), line)
-                       for u in us])
+    values = np.array([_excursion_at(frames, u) for u in us])
     return ExcursionProfile(gamma, period, float(us[1] - us[0]), us, values,
-                            polyline, line, rep.c_prime)
+                            frames, rep.c_prime)
 
 
 # ----------------------------------------------------------- quasi-loops
@@ -512,7 +470,7 @@ def _same_sign(values, tol=1e-9):
 
 
 def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
-    """Scan the orbit polylines of all primitive classes: fit the
+    """Scan the leaves of all primitive classes: fit the
     quasi-isometry constants of the orbit map on each leaf, measure the
     tubular radius around the class axis, and check the projection-order
     lemma at the largest block length above its threshold.
@@ -524,11 +482,11 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
     violations.
 
     Axis excursions and projection feet are measured one letter at a
-    time in a frame conjugated back to the basepoint (the axis of the
-    rotated word), which keeps every evaluation at unit scale; the
-    profile value and the foot increments are conjugation-invariant, so
-    this agrees with measuring along the deep orbit directly, without
-    the precision loss of deep-orbit coordinates.
+    time in the per-rotation frames of `_rotation_frames`, the frames
+    that `excursion_profile` reads; the excursion and the foot increments
+    are conjugation-invariant, so this agrees with measuring along the
+    deep orbit directly, without the precision loss of deep-orbit
+    coordinates.
     """
     if span < 3:
         raise ValueError("span must be >= 3 (at least three periods)")
@@ -536,7 +494,6 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
         raise ValueError("step must be in (0, 1]")
     records = []
     delta = rep.delta
-    o = rep.basepoint
     fracs = np.arange(0.0, 1.0, step)
     for slope, tower in enumerate_primitive_classes(max_denominator):
         gamma = tower.word
@@ -552,16 +509,12 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
         deltas = []
         if not not_loxodromic:
             try:
-                for j in range(length):
-                    line = axis_of(rep.word_image(rotate(gamma, j)),
-                                   basepoint=o)
-                    far_end = apply(rep.gen_image(gamma[j]), o)
-                    seg = Segment(o, far_end)
+                for line, seg in _rotation_frames(rep, gamma):
                     tube = max(tube, max(
                         dist_to_geodesic(seg.interpolate(float(f)), line)
                         for f in fracs))
-                    deltas.append(geodesic_metrics(far_end, line).coordinate
-                                  - geodesic_metrics(o, line).coordinate)
+                    deltas.append(geodesic_metrics(seg.q, line).coordinate
+                                  - geodesic_metrics(seg.p, line).coordinate)
             except NotLoxodromic:
                 not_loxodromic = True
         if not_loxodromic:

@@ -10,6 +10,7 @@ import pytest
 
 from primscan import blocks
 from primscan.cli import build_parser, main, run
+from primscan.scans import ExcursionProfile
 
 MARKOFF = {
     "model": "H2",
@@ -355,11 +356,26 @@ def test_non_coprime_slope_exits_two(capsys):
     assert "coprime" in capsys.readouterr().err
 
 
-def test_excursion_refuses_failed_periodicity(rep_file, capsys):
-    # at 34/21 (55 letters) the deep-orbit coordinates have lost precision
-    code = main(["excursion", "--rep", rep_file(MARKOFF), "--slope", "34/21"])
+def test_excursion_refuses_failed_periodicity(rep_file, capsys,
+                                             monkeypatch):
+    # no known input breaks the seams of the per-rotation frames, so the
+    # refusal is driven by a stand-in defect
+    monkeypatch.setattr(ExcursionProfile, "periodicity_defect",
+                        lambda self: 1e-3)
+    code = main(["excursion", "--rep", rep_file(MARKOFF), "--slope", "2/1"])
     assert code == 2
     assert "periodicity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slope", ["8/5", "34/21", "55/34", "199/200"])
+def test_excursion_holds_precision_on_deep_classes(rep_file, slope):
+    # 13- to 399-letter class words: the frames stay at unit scale
+    code, out = capture(["excursion", "--rep", rep_file(MARKOFF),
+                         "--slope", slope])
+    agg = lines_of(out)[-1]
+    assert code == 0
+    assert agg["periodicity_defect"] <= 1e-12
+    assert agg["lipschitz_defect"] <= 0.0
 
 
 def test_excursion_on_elliptic_class_exits_two(rep_file, capsys):

@@ -28,7 +28,6 @@ from primscan.geometry import (
     fixed_points,
     geodesic_metrics,
     geodesic_through,
-    lengths,
     mat_inverse,
     minimize_convex,
     mobius_boundary,
@@ -87,6 +86,29 @@ def test_distance_semicircle_against_integrated_length():
     arc = abs(math.log(math.tan(theta_q / 2)) - math.log(math.tan(theta_p / 2)))
     assert distance(p, q) == pytest.approx(math.acosh(5.5), abs=1e-12)
     assert distance(p, q) == pytest.approx(arc, abs=1e-12)
+
+
+def test_distance_keeps_small_separations():
+    # acosh(1 + x) rounds x ~ 5e-19 away; the asinh form keeps it
+    d = distance(HPoint(0, 1), HPoint(1e-9, 1))
+    assert d == pytest.approx(1e-9, rel=1e-12)
+
+
+def test_distance_at_tiny_heights():
+    # t1 t2 = 2e-400 underflows; the distance is ln 2 at every scale
+    d = distance(HPoint(0, 1e-200), HPoint(0, 2e-200))
+    assert d == pytest.approx(math.log(2), rel=1e-15)
+
+
+def test_distance_at_huge_separations():
+    # |dz|^2 overflows; d = 2 asinh(1e200) = 2 ln(2e200)
+    d = distance(HPoint(1e200, 1), HPoint(-1e200, 1))
+    assert d == pytest.approx(2 * math.log(2e200), rel=1e-15)
+    assert d == pytest.approx(922.42033, abs=1e-5)
+    # the ratio itself overflows here; the log tail takes over
+    d = distance(HPoint(1e200, 1e-200), HPoint(-1e200, 1e-200))
+    assert d == pytest.approx(2 * (math.log(2) + 400 * math.log(10)),
+                              rel=1e-15)
 
 
 def test_distance_triangle_inequality_bulk():
@@ -272,17 +294,21 @@ def test_kernel_matches_numpy_reference(real):
 
 def test_lengths_diagonal_orbit():
     M = as_matrix([[2, 0], [0, 0.5]])
+    o = HPoint(0, 1)
+    assert translation_length(M) == pytest.approx(2 * math.log(2), abs=1e-12)
+    assert distance(apply(M, o), o) == pytest.approx(2 * math.log(2),
+                                                     abs=1e-12)
     for n in (1, 2, 7, 100):
-        triple = lengths(M, HPoint(0, 1), n)
-        assert triple.translation == pytest.approx(2 * math.log(2), abs=1e-12)
-        assert triple.displacement == pytest.approx(2 * math.log(2), abs=1e-12)
-        assert triple.stable_estimate == pytest.approx(2 * math.log(2),
-                                                       abs=1e-9)
+        assert power_displacement(M, n, o) / n == pytest.approx(
+            2 * math.log(2), abs=1e-9)
 
 
 def test_lengths_identity():
-    triple = lengths(as_matrix([[1, 0], [0, 1]]), HPoint(0, 1), 5)
-    assert triple == (0.0, 0.0, 0.0)
+    M = as_matrix([[1, 0], [0, 1]])
+    o = HPoint(0, 1)
+    assert translation_length(M) == 0.0
+    assert distance(apply(M, o), o) == 0.0
+    assert power_displacement(M, 5, o) == 0.0
 
 
 def test_translation_length_conjugacy_invariance():
@@ -315,8 +341,8 @@ def test_stable_below_displacement():
     for _ in range(200):
         M = random_isometry(rng)
         o = random_point(rng)
-        triple = lengths(M, o, 64)
-        assert triple.stable_estimate <= triple.displacement + 1e-9
+        assert (power_displacement(M, 64, o) / 64
+                <= distance(apply(M, o), o) + 1e-9)
 
 
 def test_displacement_on_axis_equals_translation():
@@ -405,6 +431,20 @@ def test_fixed_points_markoff_generator():
     for _ in range(40):
         x = mobius_boundary(MARKOFF_A, x)
     assert x == pytest.approx(att, abs=1e-9)
+
+
+def test_fixed_points_survive_cancellation():
+    # a - d and s agree to 16 digits, so (a - d - s) / 2c cancels to 0;
+    # the repelling point comes from the product of the roots, -b/c
+    rep = Representation("H2", [[1e4, 0], [0, 1e-4]], [[2, 1], [1, 1]])
+    M = rep.word_image("aab")
+    att, rpl = fixed_points(M)
+    assert att == pytest.approx(2e16, rel=1e-12)
+    assert rpl == pytest.approx(-0.5, rel=1e-12)
+    # still in (attracting, repelling) order when the other root is large
+    att, rpl = fixed_points(mat_inverse(M))
+    assert att == pytest.approx(-0.5, rel=1e-12)
+    assert rpl == pytest.approx(2e16, rel=1e-12)
 
 
 def test_fixed_points_random_are_fixed():

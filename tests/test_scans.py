@@ -18,6 +18,7 @@ from primscan.geometry import (
     HPoint,
     NotLoxodromic,
     Representation,
+    Segment,
     apply,
     axis_of,
     dist_to_geodesic,
@@ -34,7 +35,6 @@ from primscan.scans import (
     find_quasi_loops,
     fricke_traces,
     local_global_scan,
-    orbit_polyline,
     perturbation_scan,
     ps_scan,
 )
@@ -116,49 +116,6 @@ def test_class_matrix_deep_class_stays_unimodular_in_effect():
         pytest.fail("class (20, 19) not enumerated")
 
 
-# ---------------------------------------------------------- orbit polyline
-
-def test_orbit_polyline_diagonal_powers():
-    rep = diagonal_rep()
-    poly = orbit_polyline(rep, "a", 3)
-    assert len(poly.vertices) == 4
-    for k, v in enumerate(poly.vertices):
-        assert v.z == pytest.approx(0.0, abs=1e-15)
-        assert v.t == pytest.approx(4.0 ** k, rel=1e-12)
-
-
-def test_orbit_polyline_vertex_count_and_speed():
-    rep = markoff()
-    poly = orbit_polyline(rep, "ab", 2)
-    assert len(poly.vertices) == 5
-    for p, q in zip(poly.vertices, poly.vertices[1:]):
-        assert distance(p, q) <= rep.c_prime + 1e-12
-
-
-def test_orbit_polyline_point_at_interpolates():
-    rep = markoff()
-    poly = orbit_polyline(rep, "ab", 2)
-    assert distance(poly.point_at(0.0), rep.basepoint) == pytest.approx(0.0, abs=1e-12)
-    assert distance(poly.point_at(poly.u_max), poly.vertices[-1]) == pytest.approx(0.0, abs=1e-12)
-    half = poly.point_at(0.5)
-    d01 = distance(poly.vertices[0], poly.vertices[1])
-    assert distance(poly.vertices[0], half) == pytest.approx(0.5 * d01, rel=1e-9)
-    # clamping outside the span
-    assert distance(poly.point_at(-3.0), poly.vertices[0]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_orbit_polyline_rejects_bad_words():
-    rep = markoff()
-    with pytest.raises(ValueError):
-        orbit_polyline(rep, "", 2)
-    with pytest.raises(ValueError):
-        orbit_polyline(rep, "aA", 2)  # not reduced
-    with pytest.raises(ValueError):
-        orbit_polyline(rep, "abA", 2)  # not cyclically reduced
-    with pytest.raises(ValueError):
-        orbit_polyline(rep, "ab", 0)
-
-
 # ------------------------------------------------- vectorized displacements
 
 def test_vectorized_displacements_match_scalar_action():
@@ -225,20 +182,48 @@ def test_excursion_zero_on_axis_power():
 
 
 def test_excursion_matches_direct_distance_at_vertices():
+    # the per-rotation frames against the deep orbit: vertex j is
+    # rho(gamma[:j]) o, and the edge midpoints lie on the deep segments
     rep = markoff()
-    prof = excursion_profile(rep, "abaab", step=0.25)
-    m = rep.word_image("abaab")
-    line = axis_of(m, basepoint=rep.basepoint)
-    poly = orbit_polyline(rep, "abaab", 3)
+    gamma = "abaab"
+    prof = excursion_profile(rep, gamma, step=0.25)
+    line = axis_of(rep.word_image(gamma), basepoint=rep.basepoint)
+    vertices = [apply(rep.word_image((gamma * 2)[:j]), rep.basepoint)
+                for j in range(7)]
     for j in range(6):
-        want = dist_to_geodesic(poly.vertices[j], line)
+        want = dist_to_geodesic(vertices[j], line)
         assert prof.value(float(j)) == pytest.approx(want, abs=1e-12)
+        mid = Segment(vertices[j], vertices[j + 1]).interpolate(0.5)
+        assert prof.value(j + 0.5) == pytest.approx(
+            dist_to_geodesic(mid, line), abs=1e-12)
 
 
 def test_excursion_periodicity_and_lipschitz():
     prof = excursion_profile(markoff(), "abaab", step=0.25)
     assert prof.periodicity_defect() < 1e-9
     assert prof.lipschitz_defect() <= 1e-9
+
+
+def test_excursion_seam_with_cancelling_fixed_point():
+    # the axis of rotation 0 needs the repelling point -0.5 of
+    # A A B = [[2e8, 1e8], [1e-8, 1e-8]], which the quadratic formula
+    # cancels to 0; a wrong axis breaks the seams between the frames
+    rep = Representation("H2", [[1e4, 0], [0, 1e-4]], [[2, 1], [1, 1]])
+    prof = excursion_profile(rep, "aab", step=0.25)
+    assert prof.periodicity_defect() <= 1e-12
+
+
+def test_ps_scan_tube_is_the_excursion_maximum():
+    # ps_scan and excursion_profile read the same frames at the same
+    # fractions, so the tube is the profile maximum exactly
+    rep = markoff()
+    towers = {(s.p, s.q): t for s, t in enumerate_primitive_classes(10)}
+    records = ps_scan(rep, 10).records
+    assert len(records) == len(towers)
+    for r in records:
+        word = towers[r["p"], r["q"]].word
+        prof = excursion_profile(rep, word, step=0.5)
+        assert prof.max_excursion == r["tube"], word
 
 
 def test_excursion_grid_covers_period_exactly():
@@ -307,6 +292,14 @@ def test_sub_excursion_in_window():
         assert u1 - u0 == pytest.approx(length, abs=1e-12)
     with pytest.raises(ValueError):
         prof.sub_excursion_in(100.0)
+
+
+def test_excursion_rejects_bad_words():
+    rep = markoff()
+    # empty, not reduced, not cyclically reduced
+    for gamma in ("", "aA", "abA"):
+        with pytest.raises(ValueError, match="cyclically reduced"):
+            excursion_profile(rep, gamma)
 
 
 def test_excursion_rejects_bad_inputs():
