@@ -13,6 +13,7 @@ the report); 2 — bad input or a failed precondition (message on stderr).
 import argparse
 import csv
 import json
+import re
 import sys
 
 from .blocks import SUITES, build_blocks, enumerate_primitive_classes, run_suite
@@ -42,6 +43,22 @@ def _parse_slope(text):
         return int(p_str), int(q_str)
     except ValueError as e:
         raise ValueError(f"slope must be P/Q with integers, got {text!r}") from e
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a value that starts with '-' and is not a plain
+    number as an option, so `--slope -3/2` would lack its argument; the
+    parser takes it as `--slope=-3/2`."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] == "--slope" and re.fullmatch(
+                    r"-\d+/-?\d+", arg):
+                joined[-1] = f"--slope={arg}"
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _cell(value):
@@ -213,7 +230,7 @@ def _cmd_perturb(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="primscan",
         description="primitive-class scans and hyperbolic certificates")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -27,7 +27,6 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,20 +60,33 @@ class _Infinity:
 INF = _Infinity()
 
 
-@dataclass(frozen=True)
 class HPoint:
-    """A point of upper half-space: horizontal coordinate z, height t > 0."""
+    """A point of upper half-space: horizontal coordinate z, height t > 0.
 
-    z: complex
-    t: float
+    A value type: compares and hashes by (z, t); never mutate one.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "t", float(self.t))
-        if not (self.t > 0 and math.isfinite(self.t)):
-            raise ValueError(f"height must be positive and finite, got {self.t}")
-        if not cmath.isfinite(self.z):
-            raise ValueError(f"horizontal coordinate must be finite, got {self.z}")
+    __slots__ = ("z", "t")
+
+    def __init__(self, z, t):
+        z, t = complex(z), float(t)
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"height must be positive and finite, got {t}")
+        if not cmath.isfinite(z):
+            raise ValueError(f"horizontal coordinate must be finite, got {z}")
+        self.z = z
+        self.t = t
+
+    def __eq__(self, other):
+        if type(other) is not HPoint:
+            return NotImplemented
+        return self.z == other.z and self.t == other.t
+
+    def __hash__(self):
+        return hash((self.z, self.t))
+
+    def __repr__(self):
+        return f"HPoint(z={self.z!r}, t={self.t!r})"
 
 
 BASEPOINT = HPoint(0.0, 1.0)
@@ -146,11 +158,13 @@ def mat_inverse(M):
 
 
 def unimodularize(M):
-    """Scale so det = 1 (sign of the root is irrelevant projectively)."""
-    d = det(M)
-    if d == 0:
+    """M scaled so det = 1, as a kernel 4-tuple (the sign of the root is
+    irrelevant projectively)."""
+    X = a, b, c, d = _entries(M)
+    s = cmath.sqrt(det(X))
+    if s == 0:
         raise ValueError("singular matrix")
-    return M / cmath.sqrt(d)
+    return (a / s, b / s, c / s, d / s)
 
 
 # --------------------------------------------------------------------------
@@ -325,16 +339,15 @@ def power_displacement(M, n, o=BASEPOINT):
 
 def normalizer(to_zero, to_infinity):
     """Unimodular map sending the boundary point `to_zero` to 0 and
-    `to_infinity` to INF."""
+    `to_infinity` to INF, as a kernel 4-tuple."""
     if to_zero is INF:
-        return unimodularize(np.array([[0, 1], [1, -to_infinity]],
-                                      dtype=complex))
+        return unimodularize((0j, 1 + 0j, 1 + 0j, -complex(to_infinity)))
     if to_infinity is INF:
-        return np.array([[1, -to_zero], [0, 1]], dtype=complex)
+        return (1 + 0j, -complex(to_zero), 0j, 1 + 0j)
     if to_zero == to_infinity:
         raise ValueError("geodesic endpoints must be distinct")
-    return unimodularize(np.array([[1, -to_zero], [1, -to_infinity]],
-                                  dtype=complex))
+    return unimodularize((1 + 0j, -complex(to_zero),
+                          1 + 0j, -complex(to_infinity)))
 
 
 class Geodesic:
@@ -345,21 +358,24 @@ class Geodesic:
     (the foot of the reference basepoint), so H is an isometry onto R.
     """
 
-    __slots__ = ("endpoints", "anchor", "_norm", "_inv", "_anchor_coord")
+    __slots__ = ("endpoints", "_norm", "_inv", "_anchor_coord")
 
     def __init__(self, forward, backward, basepoint=BASEPOINT):
         if forward == backward or (forward is INF and backward is INF):
             raise ValueError("geodesic endpoints must be distinct")
         self.endpoints = (forward, backward)
-        self._norm = a, b, c, d = _entries(normalizer(backward, forward))
+        self._norm = a, b, c, d = normalizer(backward, forward)
         self._inv = (d, -b, -c, a)    # the adjugate: det = 1
         q = apply(self._norm, basepoint)
         self._anchor_coord = 0.5 * math.log(abs(q.z) ** 2 + q.t ** 2)
-        self.anchor = apply(self._inv,
-                            HPoint(0.0, math.exp(self._anchor_coord)))
 
     def __repr__(self):
         return f"Geodesic({self.endpoints[0]!r}, {self.endpoints[1]!r})"
+
+    @property
+    def anchor(self):
+        """The foot of the reference basepoint (coordinate 0)."""
+        return self.point_at(0.0)
 
     def point_at(self, h):
         """The point with signed coordinate h (arc length from the anchor)."""
@@ -380,6 +396,13 @@ def geodesic_metrics(p, g):
     coord = 0.5 * math.log(abs(q.z) ** 2 + q.t ** 2)
     foot = apply(g._inv, HPoint(0.0, math.exp(coord)))
     return GeodesicMetrics(dist, foot, coord - g._anchor_coord)
+
+
+def _coordinate(p, g):
+    """The signed coordinate H of the foot of p on g, without building
+    the foot."""
+    q = apply(g._norm, p)
+    return 0.5 * math.log(abs(q.z) ** 2 + q.t ** 2) - g._anchor_coord
 
 
 def dist_to_geodesic(p, g):
@@ -447,8 +470,8 @@ class Segment:
             self._lo = self._hi = 0.0
         else:
             self._g = geodesic_through(p, q)
-            self._lo = geodesic_metrics(p, self._g).coordinate
-            self._hi = geodesic_metrics(q, self._g).coordinate
+            self._lo = _coordinate(p, self._g)
+            self._hi = _coordinate(q, self._g)
 
     def point_at(self, s):
         """The point at arc length s from p (s clamped into [0, length])."""

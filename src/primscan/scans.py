@@ -41,15 +41,15 @@ from .geometry import (
     classify,
     dist_to_geodesic,
     fixed_points,
-    geodesic_metrics,
     mobius_boundary,
     translation_length,
+    _coordinate,
     _entries,
     _matrix,
     _mul,
     _pow,
 )
-from .words import is_cyclically_reduced, rotate
+from .words import is_cyclically_reduced
 
 __all__ = [
     "ExcursionProfile", "PreconditionError", "QuasiLoop", "QuasiLoopReport",
@@ -81,19 +81,38 @@ def class_matrix(rep, tower):
     return _matrix(w)
 
 
-def _rotation_frames(rep, gamma):
-    """The frame of each rotation j of gamma: the pair (class axis, leaf
-    edge j), carried back to the basepoint by rho(gamma[:j])^-1.
+def _rotation_images(rep, gamma):
+    """rho(rotate(gamma, j)) for each rotation j, as kernel 4-tuples.
 
-    That isometry maps the axis of gamma to the axis of rotate(gamma, j)
-    and the edge from vertex j to vertex j + 1 of the orbit to the segment
-    [o, rho(gamma[j]) o], so E(j + f) = d(seg.interpolate(f), line) is
-    evaluated at unit scale at every depth of the leaf.
+    rho(rotate(gamma, j)) = S_j P_j with the prefix P_j = rho(gamma[:j])
+    and the suffix S_j = rho(gamma[j:]), so the |gamma| rotated products
+    take 3 |gamma| multiplies instead of |gamma|^2.  Its axis is the class
+    axis carried back by P_j^-1.
+    """
+    letters = [rep._letters[x] for x in gamma]
+    suffixes = [letters[-1]]
+    for X in reversed(letters[:-1]):
+        suffixes.append(_mul(X, suffixes[-1]))
+    suffixes.reverse()
+    images = [suffixes[0]]
+    prefix = letters[0]
+    for j in range(1, len(letters)):
+        images.append(_mul(suffixes[j], prefix))
+        prefix = _mul(prefix, letters[j])
+    return images
+
+
+def _leaf_edges(rep):
+    """The segment [o, rho(x) o] for each letter x.
+
+    rho(gamma[:j])^-1 maps the leaf edge from vertex j to vertex j + 1
+    to the edge of its letter gamma[j], and the axis of gamma to the axis
+    of rho(rotate(gamma, j)).  Frame j of gamma is that pair, so E(j + f)
+    = d(edge.interpolate(f), axis) is evaluated at unit scale at every
+    depth of the leaf.
     """
     o = rep.basepoint
-    for j in range(len(gamma)):
-        line = axis_of(rep.word_image(rotate(gamma, j)), basepoint=o)
-        yield line, Segment(o, apply(rep.gen_image(gamma[j]), o))
+    return {x: Segment(o, apply(X, o)) for x, X in rep._letters.items()}
 
 
 def _letter_images(rep, letters):
@@ -107,7 +126,10 @@ def _displacements(W, o):
 
     The action formula is applied with the determinant taken as 1: the
     inputs are products of unimodular letters, and recomputing ad - bc
-    in floats is cancellation noise once the entries are large.
+    in floats is cancellation noise once the entries are large.  The
+    distance is `geometry.distance`, vectorised: 2 asinh(h / (2 sqrt(t)
+    sqrt(o.t))) with h = hypot(|z - o.z|, t - o.t), and where that ratio
+    overflows (beyond ~1400), 2 (ln h - ln t / 2 - ln o.t / 2).
     """
     a, b = W[..., 0, 0], W[..., 0, 1]
     c, d = W[..., 1, 0], W[..., 1, 1]
@@ -116,37 +138,58 @@ def _displacements(W, o):
     den = np.abs(w) ** 2 + np.abs(c) ** 2 * t2
     z = ((a * o.z + b) * np.conj(w) + a * np.conj(c) * t2) / den
     t = o.t / den
-    # Work with ln of the chordal term: at distances beyond ~350 the
-    # squared coordinate differences overflow a float even though the
-    # distance itself is perfectly representable.
-    hyp = np.hypot(np.abs(z - o.z), t - o.t)
-    with np.errstate(divide="ignore"):
-        ln_x = 2.0 * np.log(hyp) - math.log(2.0 * o.t) - np.log(t)
-    out = np.empty_like(ln_x)
-    small = ln_x <= 34.0
-    out[small] = np.arccosh(1.0 + np.exp(ln_x[small]))
-    out[~small] = ln_x[~small] + math.log(2.0)
+    h = np.hypot(np.abs(z - o.z), t - o.t)
+    with np.errstate(divide="ignore", over="ignore"):
+        r = h / (2.0 * np.sqrt(t) * math.sqrt(o.t))
+        out = 2.0 * np.arcsinh(r)
+        far = np.isinf(r)
+        if far.any():
+            out[far] = 2.0 * (np.log(h[far]) - 0.5 * np.log(t[far])
+                              - 0.5 * math.log(o.t))
     return out
 
 
-def _pair_distances_by_offset(rep, letters, kmax):
-    """Distances between the orbit vertices of a word, re-anchored for
-    precision: entry k-1 is the array d(v_m, v_{m+k}) for m = 0..n-k.
+# matrices per displacement batch: bounds the memory of the offset grid
+# of a long word
+_GRID_ROWS = 1 << 16
 
-    d(v_m, v_{m+k}) equals the basepoint displacement of the subword
-    letters[m:m+k], so each value is computed from a fresh k-letter
-    product instead of coordinates accumulated from a single frame
-    (whose pair differences lose all precision at depth ~ 35).
+
+def _offset_grid(rep, letters, kmax, starts):
+    """The orbit pair distances d(v_m, v_{m+k}) of a word for the offsets
+    k = 1..kmax and the starts m < min(starts, n - k + 1), in batches.
+
+    Yields (k0, bounds, disps): offset k0 + i fills disps[bounds[i]:
+    bounds[i + 1]] (the last block runs to the end), in order of m.
+
+    d(v_m, v_{m+k}) is the basepoint displacement of the subword
+    letters[m:m+k], so each value comes from a fresh k-letter product
+    instead of coordinates accumulated from a single frame (whose pair
+    differences lose all precision at depth ~ 35).  The products are
+    stacked one letter per offset, left to right, so the starts m and
+    m + period of a periodic word give bit-identical values, and
+    starts = period covers every residue.
     """
     n = len(letters)
     kmax = min(kmax, n)
     mats = _letter_images(rep, letters)
-    W = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
-    out = []
+    W = np.broadcast_to(np.eye(2, dtype=complex),
+                        (min(starts, n), 2, 2)).copy()
+    stacks, bounds, k0 = [], [0], 1
     for k in range(1, kmax + 1):
-        W = W[: n - k + 1] @ mats[k - 1:]
-        out.append(_displacements(W, rep.basepoint))
-    return out
+        rows = min(starts, n - k + 1)
+        W = W[:rows] @ mats[k - 1:k - 1 + rows]
+        stacks.append(W)
+        bounds.append(bounds[-1] + rows)
+        if k == kmax or bounds[-1] >= _GRID_ROWS:
+            yield k0, bounds[:-1], _displacements(np.concatenate(stacks),
+                                                  rep.basepoint)
+            stacks, bounds, k0 = [], [0], k + 1
+
+
+def _offset_minima(rep, letters, kmax, starts):
+    """min over m of d(v_m, v_{m+k}) for k = 1..kmax (see _offset_grid)."""
+    return [d for _, bounds, disps in _offset_grid(rep, letters, kmax, starts)
+            for d in np.minimum.reduceat(disps, bounds).tolist()]
 
 
 def _excursion_at(frames, u):
@@ -280,7 +323,7 @@ class ExcursionProfile:
 
 def excursion_profile(rep, gamma, step=0.25):
     """Sample E(u) = d(leaf(u), axis line of gamma) over one period, in
-    the per-rotation frames of `_rotation_frames`."""
+    the per-rotation frames of `_rotation_images` and `_leaf_edges`."""
     if not gamma or not is_cyclically_reduced(gamma):
         raise ValueError("gamma must be a nonempty cyclically reduced word")
     if not 0.0 < step <= 1.0:
@@ -289,7 +332,9 @@ def excursion_profile(rep, gamma, step=0.25):
     if classify(m) != "loxodromic":
         raise NotLoxodromic(f"image of {gamma!r} is {classify(m)}",
                             m[0] + m[3])
-    frames = list(_rotation_frames(rep, gamma))
+    edges = _leaf_edges(rep)
+    frames = [(axis_of(X, basepoint=rep.basepoint), edges[x])
+              for X, x in zip(_rotation_images(rep, gamma), gamma)]
     period = len(gamma)
     count = max(1, math.ceil(period / step - 1e-9))
     us = np.linspace(0.0, float(period), count + 1)
@@ -344,18 +389,16 @@ def find_quasi_loops(rep, gamma, eps, min_len=1, cap=10_000, C=None):
     if n > cap:
         raise ValueError(f"|gamma| = {n} exceeds the cap {cap}")
     doubled = gamma + gamma
-    mats = _letter_images(rep, doubled)
-    W = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
     loops = []
-    for length in range(1, n + 1):
-        W = W @ mats[length - 1: length - 1 + n]
-        if length < min_len:
-            continue
-        disps = _displacements(W, rep.basepoint)
-        for position in np.nonzero(disps <= eps * length)[0]:
+    # every offset has all n starts, so entry i of a batch is the subword
+    # of length k0 + i // n at position i % n
+    for k0, _, disps in _offset_grid(rep, doubled, n, n):
+        lengths = k0 + np.arange(len(disps)) // n
+        hits = (disps <= eps * lengths) & (lengths >= min_len)
+        for i in np.nonzero(hits)[0].tolist():
+            length, position = k0 + i // n, i % n
             loops.append(QuasiLoop(doubled[position:position + length],
-                                   int(position), eps,
-                                   float(disps[position])))
+                                   position, eps, float(disps[i])))
     packed = []
     occupied = np.zeros(n, dtype=bool)
     for loop in sorted(loops, key=lambda l: (-len(l.word), l.position)):
@@ -396,9 +439,11 @@ class ScanReport:
 
 
 def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
-    """Traces of all primitive classes up to the cap from the trace triple
-    (tr A, tr B, tr AB), via the trace recursion z' = xy - z down the
-    Farey tree of slopes.  Independent of any matrix arithmetic."""
+    """Traces of the primitive classes of slope p/q with p, q >= 0 up to
+    the cap (1/0, 0/1 and 1 <= p, q <= cap: the half of the Farey tree
+    between 0/1 and 1/0) from the trace triple (tr A, tr B, tr AB), via
+    the trace recursion z' = xy - z.  Independent of any matrix
+    arithmetic."""
     out = {(1, 0): tr_a, (0, 1): tr_b}
 
     def descend(left, t_left, right, t_right, t_mediant):
@@ -416,9 +461,11 @@ def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
 
 
 def bowditch_scan(rep, max_denominator, low_ratio=1e-3):
-    """Scan all primitive classes up to the cap: trace, translation
-    length, and the ratio translation/|class|; flag non-loxodromic and
-    low-ratio classes; fit displacement constants from the worst ratio."""
+    """Scan the primitive classes of `enumerate_primitive_classes` (the
+    slopes p/q with p, q >= 0 up to the cap; the classes of negative slope
+    are not scanned): trace, translation length, and the ratio
+    translation/|class|; flag non-loxodromic and low-ratio classes; fit
+    displacement constants from the worst ratio."""
     records = []
     for slope, tower in enumerate_primitive_classes(max_denominator):
         m = _entries(class_matrix(rep, tower))
@@ -470,7 +517,9 @@ def _same_sign(values, tol=1e-9):
 
 
 def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
-    """Scan the leaves of all primitive classes: fit the
+    """Scan the leaves of the primitive classes of
+    `enumerate_primitive_classes` (the slopes p/q with p, q >= 0 up to the
+    cap; the classes of negative slope are not scanned): fit the
     quasi-isometry constants of the orbit map on each leaf, measure the
     tubular radius around the class axis, and check the projection-order
     lemma at the largest block length above its threshold.
@@ -482,11 +531,17 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
     violations.
 
     Axis excursions and projection feet are measured one letter at a
-    time in the per-rotation frames of `_rotation_frames`, the frames
-    that `excursion_profile` reads; the excursion and the foot increments
-    are conjugation-invariant, so this agrees with measuring along the
-    deep orbit directly, without the precision loss of deep-orbit
-    coordinates.
+    time in the per-rotation frames of `_rotation_images` and `_leaf_edges`,
+    the frames that `excursion_profile` reads; the excursion and the foot
+    increments are conjugation-invariant, so this agrees with measuring
+    along the deep orbit directly, without the precision loss of
+    deep-orbit coordinates.
+
+    Per class of length n the Python-level work is O(n): n axes from
+    prefix and suffix products, the same few sample points on each letter
+    edge, and the pair distances of the |gamma| cyclic starts in one
+    batched offset grid (`_offset_grid`), whose O(n^2) products run in
+    numpy.
     """
     if span < 3:
         raise ValueError("span must be >= 3 (at least three periods)")
@@ -494,7 +549,10 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
         raise ValueError("step must be in (0, 1]")
     records = []
     delta = rep.delta
-    fracs = np.arange(0.0, 1.0, step)
+    edges = _leaf_edges(rep)
+    samples = {x: [seg.interpolate(float(f))
+                   for f in np.arange(0.0, 1.0, step)]
+               for x, seg in edges.items()}
     for slope, tower in enumerate_primitive_classes(max_denominator):
         gamma = tower.word
         length = len(gamma)
@@ -509,12 +567,13 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
         deltas = []
         if not not_loxodromic:
             try:
-                for line, seg in _rotation_frames(rep, gamma):
-                    tube = max(tube, max(
-                        dist_to_geodesic(seg.interpolate(float(f)), line)
-                        for f in fracs))
-                    deltas.append(geodesic_metrics(seg.q, line).coordinate
-                                  - geodesic_metrics(seg.p, line).coordinate)
+                for X, x in zip(_rotation_images(rep, gamma), gamma):
+                    line = axis_of(X, basepoint=rep.basepoint)
+                    tube = max(tube, max(dist_to_geodesic(point, line)
+                                         for point in samples[x]))
+                    # the edge starts at o, the anchor of the line, whose
+                    # coordinate is 0
+                    deltas.append(_coordinate(edges[x].q, line))
             except NotLoxodromic:
                 not_loxodromic = True
         if not_loxodromic:
@@ -526,12 +585,13 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
             continue
         letters = gamma * span
         win = min(window or 2 * length, len(letters))
-        dists = _pair_distances_by_offset(rep, letters, win)
-        inv_lambda = min(float(dists[k - 1].min()) / k
+        # the minimum over m of a rounded inv_lambda * k - d_m is the
+        # rounded difference with the least d_m: rounding is monotone
+        mins = _offset_minima(rep, letters, win, length)
+        inv_lambda = min(mins[k - 1] / k
                          for k in range(max(1, win // 2), win + 1))
-        defect = max(
-            max(0.0, float((inv_lambda * k - dists[k - 1]).max()))
-            for k in range(1, win + 1))
+        defect = max(max(0.0, inv_lambda * k - mins[k - 1])
+                     for k in range(1, win + 1))
         threshold = ((1.0 / inv_lambda if inv_lambda > 0 else math.inf)
                      * (4.0 * rep.c_prime + 24.0 * delta + 2.0 * tube
                         + defect))
@@ -613,14 +673,13 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
     records = []
     for word in words:
         n = len(word)
-        dists = _pair_distances_by_offset(rep, word, n)
-        per_offset = [float(d.min()) / k for k, d in enumerate(dists, 1)]
+        mins = _offset_minima(rep, word, n, n)
+        per_offset = [d / k for k, d in enumerate(mins, 1)]
         win = min(window, n)
         local_rate = min(per_offset[:win])
         global_rate = min(per_offset)
-        global_defect = max(
-            max(0.0, float((local_rate * k - d).max()))
-            for k, d in enumerate(dists, 1))
+        global_defect = max(max(0.0, local_rate * k - d)
+                            for k, d in enumerate(mins, 1))
         records.append({
             "len": n, "local_rate": local_rate, "global_rate": global_rate,
             "global_defect": global_defect,

@@ -29,6 +29,7 @@ from primscan.geometry import (
     power_displacement,
     translation_length,
     unimodularize,
+    _matrix,
 )
 from primscan.scans import (
     bowditch_scan,
@@ -214,7 +215,7 @@ def _random_isometry(rng, model):
             entries = entries + 1j * rng.normal(size=(2, 2))
         m = np.asarray(entries, dtype=complex)
         if abs(np.linalg.det(m)) > 0.1:
-            return unimodularize(m)
+            return _matrix(unimodularize(m))
 
 
 def _random_point(rng, model):

@@ -104,6 +104,20 @@ def test_blocks_negative_slope():
     assert lines_of(out)[-1]["p"] == -3
 
 
+@pytest.mark.parametrize("argv", [
+    ["blocks"],
+    ["excursion", "--rep", MARKOFF],
+    ["quasi-loops", "--rep", MARKOFF, "--eps", "0.1"],
+], ids=["blocks", "excursion", "quasi-loops"])
+def test_negative_slope_as_separate_argument(rep_file, capsys, argv):
+    argv = [rep_file(a) if a is MARKOFF else a for a in argv]
+    assert main([*argv, "--slope=-3/2"]) == 0
+    joined = capsys.readouterr().out
+    assert main([*argv, "--slope", "-3/2"]) == 0
+    assert capsys.readouterr().out == joined
+    assert '"aBaaB"' in joined
+
+
 # ----------------------------------------------------------- verify-lemmas
 
 def test_verify_lemmas_single_suite_passes():

@@ -36,6 +36,7 @@ from primscan.geometry import (
     power_displacement,
     translation_length,
     unimodularize,
+    _matrix,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -55,12 +56,12 @@ def random_isometry(rng, real=False):
             # positive determinant: the orientation-preserving PSL(2, R) case
             M = as_matrix(rng.normal(size=(2, 2)))
             if det(M).real > 0.1:
-                return unimodularize(M)
+                return _matrix(unimodularize(M))
         else:
             M = as_matrix(rng.normal(size=(2, 2)) +
                           1j * rng.normal(size=(2, 2)))
             if abs(det(M)) > 0.1:
-                return unimodularize(M)
+                return _matrix(unimodularize(M))
 
 
 # --------------------------------------------------------------------------
@@ -127,6 +128,34 @@ def test_hpoint_validation():
         HPoint(float("nan"), 1.0)
     with pytest.raises(ValueError):
         HPoint(float("inf"), 1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, -1.0, float("nan"), float("inf")])
+def test_hpoint_rejects_bad_heights(t):
+    with pytest.raises(ValueError, match="height must be positive and finite"):
+        HPoint(0, t)
+
+
+@pytest.mark.parametrize("M, message", [
+    ([[1e200, 0], [1e200, 1e-200]], "height"),    # |c|^2 overflows
+    ([[1, 0], [float("inf"), 1]], "height"),
+    ([[1, 0], [float("nan"), 1]], "height"),
+    ([[float("nan"), 0], [0, 1]], "horizontal coordinate"),
+], ids=["overflow", "inf", "nan-height", "nan-z"])
+def test_apply_refuses_points_outside_the_float_range(M, message):
+    with pytest.raises(ValueError, match=message):
+        apply(as_matrix(M), BASEPOINT)
+
+
+def test_hpoint_value_semantics():
+    p, q = HPoint(1, 2), HPoint(1.0 + 0j, 2.0)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, HPoint(1, 3)}) == 2
+    assert p != HPoint(1, 3) and p != HPoint(2, 2)
+    assert p != (1, 2)
+    assert (p.z, p.t) == (1 + 0j, 2.0)
+    assert type(p.z) is complex and type(p.t) is float
+    assert repr(p) == "HPoint(z=(1+0j), t=2.0)"
 
 
 # --------------------------------------------------------------------------

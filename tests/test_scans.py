@@ -25,10 +25,14 @@ from primscan.geometry import (
     distance,
     translation_length,
 )
+from primscan import scans
 from primscan.scans import (
     PreconditionError,
     _displacements,
-    _pair_distances_by_offset,
+    _letter_images,
+    _offset_grid,
+    _offset_minima,
+    _rotation_images,
     bowditch_scan,
     class_matrix,
     excursion_profile,
@@ -38,6 +42,7 @@ from primscan.scans import (
     perturbation_scan,
     ps_scan,
 )
+from primscan.words import rotate
 
 MARKOFF_A = [[1, 1], [1, 2]]
 MARKOFF_B = [[1, -1], [-1, 2]]
@@ -47,6 +52,14 @@ TRACE3_LENGTH = 2.0 * math.acosh(1.5)
 
 def markoff():
     return Representation("H2", MARKOFF_A, MARKOFF_B, basepoint=HPoint(0, 1))
+
+
+def criterion_9_rep(eta):
+    """The degenerating family of acceptance criterion 9, tr AB = 2 + eta."""
+    z = 2.0 + eta
+    xi = (z + math.sqrt(z * z - 4.0)) / 2.0
+    return Representation("H2", [[3.0, -1.0], [1.0, 0.0]],
+                          [[0.0, xi], [-1.0 / xi, 3.0]])
 
 
 def diagonal_rep():
@@ -118,6 +131,29 @@ def test_class_matrix_deep_class_stays_unimodular_in_effect():
 
 # ------------------------------------------------- vectorized displacements
 
+def reference_pair_distances(rep, letters, kmax):
+    """The per-offset loop that `_offset_grid` replaces: entry k-1 is the
+    array d(v_m, v_{m+k}) for every start m = 0..n-k, each offset in its
+    own `_displacements` call."""
+    n = len(letters)
+    kmax = min(kmax, n)
+    mats = _letter_images(rep, letters)
+    W = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    out = []
+    for k in range(1, kmax + 1):
+        W = W[: n - k + 1] @ mats[k - 1:]
+        out.append(_displacements(W, rep.basepoint))
+    return out
+
+
+def grid_by_offset(rep, letters, kmax, starts):
+    """`_offset_grid` split back into one array per offset."""
+    out = []
+    for _, bounds, disps in _offset_grid(rep, letters, kmax, starts):
+        out += np.split(disps, bounds[1:])
+    return out
+
+
 def test_vectorized_displacements_match_scalar_action():
     rep = Representation("H2", MARKOFF_A, MARKOFF_B, basepoint=HPoint(0.3, 1.7))
     words = ["a", "ab", "abAB", "aabAbb", "BAba"]
@@ -137,10 +173,68 @@ def test_vectorized_displacements_match_scalar_action_h3():
     assert np.abs(fast - np.array(slow)).max() < 1e-12
 
 
+@pytest.mark.parametrize("rep, window", [
+    (markoff(), None), (criterion_9_rep(1.0), None),
+    (criterion_9_rep(0.1), None), (markoff(), 3)],
+    ids=["markoff", "eta=1.0", "eta=0.1", "markoff-window-3n"])
+def test_offset_minima_match_reference_loop(rep, window):
+    # ps_scan's grid: the |gamma| cyclic starts of gamma^3 give the same
+    # per-offset minima, bit for bit, as every start of the old loop; a
+    # window of 3|gamma| (> 2|gamma|) reaches offsets with fewer starts
+    for _, tower in enumerate_primitive_classes(20):
+        gamma = tower.word
+        n = len(gamma)
+        win = (window or 2) * n
+        want = [float(d.min())
+                for d in reference_pair_distances(rep, gamma * 3, win)]
+        assert _offset_minima(rep, gamma * 3, win, n) == want, gamma
+
+
+@pytest.mark.parametrize("word, starts", [("abaab" * 3, 5), ("abaab" * 3, 15),
+                                          ("aabAb" * 4, 20)])
+def test_offset_grid_batches_match_reference_loop(monkeypatch, word, starts):
+    # batches of a few rows split the grid inside and between offsets
+    want = [d[:starts] for d in reference_pair_distances(markoff(), word,
+                                                         len(word))]
+    for rows in (7, 60, scans._GRID_ROWS):
+        monkeypatch.setattr(scans, "_GRID_ROWS", rows)
+        got = grid_by_offset(markoff(), word, len(word), starts)
+        assert len(got) == len(want)
+        for k, (g, w) in enumerate(zip(got, want), 1):
+            assert np.array_equal(g, w), (rows, k)
+
+
+def test_quasi_loops_do_not_depend_on_batching(monkeypatch):
+    rep = Representation("H2", [[1, 1], [0, 1]], [[1, 0], [1, 1]])
+    want = find_quasi_loops(rep, "a" * 12, 0.6, min_len=8).loops
+    monkeypatch.setattr(scans, "_GRID_ROWS", 5)
+    got = find_quasi_loops(rep, "a" * 12, 0.6, min_len=8).loops
+    assert {len(l.word) for l in want} == set(range(8, 13))
+    assert [(l.word, l.position, l.displacement) for l in got] == \
+        [(l.word, l.position, l.displacement) for l in want]
+
+
+def test_displacements_keep_small_distances():
+    # acosh(1 + x) rounded these to 0
+    o = HPoint(0, 1)
+    for shift in (1e-9, 1e-12, 1e-5):
+        M = np.array([[1, shift], [0, 1]], dtype=complex)
+        got = _displacements(M[None], o)[0]
+        assert got == pytest.approx(distance(apply(M, o), o), rel=1e-12)
+        assert got == pytest.approx(shift, rel=1e-6)
+
+
+def test_quasi_loops_report_small_displacements():
+    rep = Representation("H2", [[1, 1e-9], [0, 1]], [[2, 1], [1, 1]])
+    loops = find_quasi_loops(rep, "ab", eps=0.01).loops
+    assert [l.word for l in loops] == ["a"]
+    assert loops[0].displacement == pytest.approx(1e-9, rel=1e-6)
+
+
 def test_pair_distances_are_reanchored_subword_displacements():
     rep = Representation("H2", MARKOFF_A, MARKOFF_B, basepoint=HPoint(0.3, 1.7))
     letters = "abaab" * 3
-    dists = _pair_distances_by_offset(rep, letters, 6)
+    dists = grid_by_offset(rep, letters, 6, len(letters))
     for k in range(1, 7):
         for m in range(len(letters) - k + 1):
             sub = letters[m:m + k]
@@ -156,7 +250,7 @@ def test_displacement_of_deep_class_matches_reanchored_distance(slope, want):
     # with the batch path, which takes the determinant as 1
     rep = markoff()
     w = build_blocks(*slope).word
-    batch = _pair_distances_by_offset(rep, w, len(w))[-1][0]
+    batch = grid_by_offset(rep, w, len(w), len(w))[-1][0]
     assert rep.displacement(w) == pytest.approx(batch, rel=1e-9)
     assert batch == pytest.approx(want, rel=1e-9)
 
@@ -167,7 +261,7 @@ def test_pair_distances_survive_huge_coordinates():
     rep = Representation("H2", [[4, 0], [0, 0.25]], [[4, -3.75], [0, 0.25]],
                          basepoint=HPoint(0, 1))
     word = ("b" + "a" * 4) * 40
-    dists = _pair_distances_by_offset(rep, word, len(word))
+    dists = grid_by_offset(rep, word, len(word), len(word))
     top = dists[-1][0]
     assert math.isfinite(top)
     assert top == pytest.approx(len(word) * math.log(4.0) * 2.0, rel=0.3)
@@ -211,6 +305,20 @@ def test_excursion_seam_with_cancelling_fixed_point():
     rep = Representation("H2", [[1e4, 0], [0, 1e-4]], [[2, 1], [1, 1]])
     prof = excursion_profile(rep, "aab", step=0.25)
     assert prof.periodicity_defect() <= 1e-12
+
+
+def test_rotation_images_match_fresh_products():
+    # prefix/suffix products against a fresh product of each rotated word
+    rep = markoff()
+    words = [t.word for _, t in enumerate_primitive_classes(20)]
+    words.append(build_blocks(199, 200).word)
+    for gamma in words:
+        images = _rotation_images(rep, gamma)
+        assert len(images) == len(gamma)
+        for j, X in enumerate(images):
+            want = rep.word_image(rotate(gamma, j))
+            err = np.abs(np.array(X).reshape(2, 2) - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), (gamma, j)
 
 
 def test_ps_scan_tube_is_the_excursion_maximum():

@@ -1,0 +1,166 @@
+"""Collect paired benchmark runs of two commits into a BENCH_*.json file.
+
+Usage (from the root of a git checkout):
+
+    python3 tools/bench_pair.py --parent REV --change REV \
+        --workload ps-scan --seeds 10-19 --workdir DIR --out BENCH_6.json
+
+Each revision is exported with `git archive` into DIR (which must lie
+outside the checkout) and benchmarked there with its own
+`perfbench/run.py --trace 0`, so both sides run their committed files.
+For every seed the two sides run one after the other, and the side that
+runs first alternates from seed to seed.  Each run's result line, seed and
+order go into the output file, together with the revisions, the hashes of
+their `src` trees, the Python and numpy versions and `nproc`.  Runs of
+further workloads or seeds are appended to an existing output file, and
+the summary (per side: median and quartiles of every end-to-end metric,
+and the pairs each side won on each metric) is recomputed over all runs.
+
+The script records numbers; it gates nothing and exits 0 whatever they
+are.
+"""
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def git(*args):
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev, workdir):
+    """The committed files of rev in workdir/<full rev>; returns the path."""
+    full = git("rev-parse", f"{rev}^{{commit}}")
+    tree = workdir / full
+    if not tree.is_dir():
+        tree.mkdir(parents=True)
+        archive = subprocess.Popen(["git", "archive", full],
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", str(tree)], stdin=archive.stdout,
+                       check=True)
+        if archive.wait() != 0:
+            raise SystemExit(f"bench_pair: git archive {full} failed")
+    return full, tree
+
+
+def run_once(tree, workload, seed, seconds):
+    """One perfbench run in tree; returns its parsed result line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": proc.stderr.strip()[-2000:],
+                "exit": proc.returncode}
+    return json.loads(lines[-1])
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs, better):
+    """Per workload and side, median [q1, q3] of each metric, and the
+    pairs won by each side (ties count for neither)."""
+    out = {}
+    for workload in sorted({r["workload"] for r in runs}):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == workload and "metrics" in r["result"]:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        summary = {"pairs": len(pairs), "failed": {
+            side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}
+        for metric, direction in better.items():
+            values = {side: [p[side]["metrics"][metric]["value"]
+                             for p in pairs] for side in SIDES}
+            wins = {side: 0 for side in SIDES}
+            for p in pairs:
+                a, b = (p[side]["metrics"][metric]["value"] for side in SIDES)
+                if a != b:
+                    lower_wins = direction == "lower"
+                    wins["change" if (b < a) == lower_wins else "parent"] += 1
+            entry = {"wins": wins}
+            for side in SIDES:
+                if values[side]:
+                    q1, med, q3 = quartiles(values[side])
+                    entry[side] = {"median": med, "q1": q1, "q3": q3}
+            summary[metric] = entry
+        out[workload] = summary
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="e.g. 10-19 or 1,2,5")
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--workdir", required=True, type=Path)
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args()
+
+    workdir = args.workdir.resolve()
+    trees = {side: export(getattr(args, side), workdir) for side in SIDES}
+    contract = json.loads((trees["change"][1] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+
+    data = {"runs": []}
+    if args.out.exists():
+        data = json.loads(args.out.read_text())
+    try:
+        numpy_version = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy_version = None
+    data["meta"] = {
+        "revs": {side: rev for side, (rev, _) in trees.items()},
+        "src_trees": {side: git("rev-parse", f"{rev}:src")
+                      for side, (rev, _) in trees.items()},
+        "python": platform.python_version(), "numpy": numpy_version,
+        "nproc": os.cpu_count(), "seconds": args.seconds,
+        "command": "python3 perfbench/run.py --workload W --seed S "
+                   "--seconds T --trace 0, in a git archive of each rev",
+    }
+    start = len(data["runs"]) // 2
+    for i, seed in enumerate(args.seeds):
+        order = SIDES if (start + i) % 2 == 0 else SIDES[::-1]
+        for side in order:
+            result = run_once(trees[side][1], args.workload, seed,
+                              args.seconds)
+            data["runs"].append({"workload": args.workload, "seed": seed,
+                                 "side": side, "first": order[0],
+                                 "result": result})
+            wall = result.get("metrics", {}).get("wall_s", {}).get("value")
+            print(f"{args.workload} seed {seed} {side}: wall_s {wall}",
+                  flush=True)
+            data["summary"] = summarize(data["runs"], better)
+            args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
