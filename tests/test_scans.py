@@ -616,6 +616,22 @@ def test_ps_scan_feet_checked_and_monotone():
     assert scan.aggregate["feet_monotone"] == len(checked)
 
 
+def test_ps_scan_feet_advance_along_the_axis(monkeypatch):
+    # each jump is the foot's advance over `stride` leaf edges: positive
+    # on the Markoff leaves, and at most stride * C' because projection
+    # to the axis is 1-Lipschitz
+    rep = Representation("H2", MARKOFF_A, MARKOFF_B, basepoint=HPoint(0, 1),
+                         delta=0.1)
+    seen = []
+    monkeypatch.setattr(scans, "_same_sign",
+                        lambda jumps: seen.append(jumps) or True)
+    records = ps_scan(rep, 10).records
+    strides = [r["stride"] for r in records if r["stride"] is not None]
+    assert len(seen) == len(strides) > 0
+    for jumps, stride in zip(seen, strides):
+        assert all(0.0 < j <= stride * rep.c_prime for j in jumps)
+
+
 def test_ps_scan_validation():
     with pytest.raises(ValueError):
         ps_scan(markoff(), 4, span=2)
