@@ -22,7 +22,7 @@ subword classification, and block counting in windows) lives here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -78,11 +78,12 @@ def cf_value(cf):
     return p, q
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Slope:
     """A slope p/q in lowest terms with q >= 0 (and p = 1 when q = 0).
 
-    `cf` is the canonical continued fraction of p/q; () encodes 1/0.
+    `cf` is the canonical continued fraction of p/q; () encodes 1/0.  A
+    value type: compares and hashes by its fields; never mutate one.
     """
     p: int
     q: int
@@ -150,7 +151,7 @@ def _tower_plan(slope):
     return entries, "ab+bB" if swap == "ab" else "bB"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BlockTower:
     """The block words and lengths for one slope.
 
@@ -159,6 +160,11 @@ class BlockTower:
     are w_i, w'_i on the substituted alphabet, so w[-1] is an actual class
     representative of slope p/q.  Lengths: l'_i = l_i + l_{i-1},
     l_i < l'_i < 2 l_i and n_i < l_i/l_{i-1} < n_i + 1 for i >= 1.
+
+    A value type: compares and hashes by its fields; never mutate one.
+    The doubled class word and the block sequences by level are kept on the
+    tower once computed; they take no part in comparison, hashing or repr,
+    and `dataclasses.replace` starts without them.
     """
     p: int
     q: int
@@ -168,6 +174,12 @@ class BlockTower:
     wp: tuple
     l: tuple
     lp: tuple
+    # filled on first use; assigned as plain attributes, never through
+    # `__dict__`, which would slow every attribute read of the tower
+    _doubled: str = field(default=None, init=False, repr=False,
+                          compare=False)
+    _block_sequences: dict = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def depth(self):
@@ -176,6 +188,13 @@ class BlockTower:
     @property
     def word(self):
         return self.w[-1]
+
+    @property
+    def _doubled_word(self):
+        """w_r w_r: every cyclic subword of w_r is a substring of it."""
+        if self._doubled is None:
+            self._doubled = self.word + self.word
+        return self._doubled
 
     def to_json_dict(self):
         return {
@@ -192,24 +211,19 @@ class BlockTower:
 
 def build_blocks(p, q):
     """Build the block tower for the slope p/q."""
-    return _build_tower(Slope.from_pair(p, q))
+    return _build_tower(Slope.from_pair(p, q), {})
 
 
-def _build_tower(slope):
+def _build_tower(slope, levels):
+    """The tower of `slope`, with its words looked up in and added to
+    `levels`, the level table of one enumeration (see `_tower_levels`)."""
     entries, swap = _tower_plan(slope)
-    w, wp = ["a"], ["ab"]
     for n in entries:
         if n < 1:
             raise LemmaViolation(f"tower entry {n} < 1 for slope {slope}")
-        w.append(w[-1] * (n - 1) + wp[-1])
-        wp.append(w[-2] * n + wp[-1])
-    if swap != "none":
-        table = _SUBS[swap]
-        w = [x.translate(table) for x in w]
-        wp = [x.translate(table) for x in wp]
+    w, wp = _tower_levels(swap, entries, levels)
     tower = BlockTower(
-        p=slope.p, q=slope.q, cf=entries, swap=swap,
-        w=tuple(w), wp=tuple(wp),
+        p=slope.p, q=slope.q, cf=entries, swap=swap, w=w, wp=wp,
         l=tuple(map(len, w)), lp=tuple(map(len, wp)),
     )
     pp, qq = abelianization(tower.word)
@@ -219,6 +233,33 @@ def _build_tower(slope):
     return tower
 
 
+def _tower_levels(swap, entries, levels):
+    """The (w, w') tuples of the tower with recursion entries `entries` on
+    the `swap` alphabet.
+
+    `levels` maps (swap, entries) to those tuples.  The tower of
+    entries[:-1] holds every level but the last, so a new tower costs one
+    level once its prefix is in the table.  The substitution is applied to
+    w_0 and w'_0 only: it maps letters to letters, so it commutes with the
+    concatenations of the recursion.
+    """
+    key = (swap, entries)
+    found = levels.get(key)
+    if found is None:
+        if entries:
+            w, wp = _tower_levels(swap, entries[:-1], levels)
+            n = entries[-1]
+            found = (w + (w[-1] * (n - 1) + wp[-1],),
+                     wp + (w[-1] * n + wp[-1],))
+        elif swap == "none":
+            found = ("a",), ("ab",)
+        else:
+            table = _SUBS[swap]
+            found = ("a".translate(table),), ("ab".translate(table),)
+        levels[key] = found
+    return found
+
+
 def enumerate_primitive_classes(max_den):
     """One (Slope, BlockTower) per slope with 0 <= p, q <= max_den, plus 1/0.
 
@@ -226,7 +267,8 @@ def enumerate_primitive_classes(max_den):
     2/1, ...  The count is 2 + #{(p, q) : 1 <= p, q <= max_den, coprime}.
     """
     slopes = [Slope.from_pair(p, q) for p, q in _class_pairs(max_den)]
-    return [(slope, _build_tower(slope)) for slope in slopes]
+    levels = {}
+    return [(slope, _build_tower(slope, levels)) for slope in slopes]
 
 
 def _class_pairs(max_den):
@@ -363,22 +405,29 @@ def block_sequence(tower, i):
     Returns a tuple of "w"/"p" symbols such that w_r is the concatenation of
     w_i (for "w") and w'_i (for "p") in that order.
     """
-    if not 0 <= i <= tower.depth:
-        raise ValueError(f"level {i} outside [0, {tower.depth}]")
-    seq_w, seq_p = ("w",), ("p",)
-    for n in tower.cf[i:]:
-        seq_w, seq_p = seq_w * (n - 1) + seq_p, seq_w * n + seq_p
-    return seq_w
+    seqs = tower._block_sequences
+    if seqs is None:
+        seqs = tower._block_sequences = {}
+    seq = seqs.get(i)
+    if seq is None:
+        if not 0 <= i <= tower.depth:
+            raise ValueError(f"level {i} outside [0, {tower.depth}]")
+        seq_w, seq_p = ("w",), ("p",)
+        for n in tower.cf[i:]:
+            seq_w, seq_p = seq_w * (n - 1) + seq_p, seq_w * n + seq_p
+        seq = seqs[i] = seq_w
+    return seq
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AdaptedRotation:
     """A rotated basis pair over which a rotation of the class word factors.
 
     Rotating w_i by k letters pairs with rotating w'_i by j letters so that
     one rotated block is a prefix or a suffix of the other, and
     rotate(w_r, word_rotation) is the concatenation of the rotated blocks in
-    the order given by `blocks`.
+    the order given by `blocks`.  A value type: compares and hashes by its
+    fields; never mutate one.
     """
     i: int
     k: int
@@ -437,7 +486,7 @@ def adapted_permutation(tower, i, k):
     else:
         out_seq = seq[1:] + seq[:1]
         word_rotation = k if seq[0] == "w" else j
-    rebuilt = "".join(rot_w if s == "w" else rot_wp for s in out_seq)
+    rebuilt = "".join(map({"w": rot_w, "p": rot_wp}.__getitem__, out_seq))
     if rebuilt != rotate(tower.word, word_rotation):
         raise LemmaViolation(
             f"rotated factorization mismatch at slope {tower.p}/{tower.q}, "
@@ -457,9 +506,12 @@ def _rotation_index(w):
     return index
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MagicWitness:
-    """How a length-l_i cyclic subword of w_r matches a rotation of w_i."""
+    """How a length-l_i cyclic subword of w_r matches a rotation of w_i.
+
+    A value type: compares and hashes by its fields; never mutate one.
+    """
     rotation: int
     changed_to: str    # "" when the subword is already a rotation
 
@@ -478,7 +530,7 @@ def classify_magic_subword(tower, i, u, *, indexes=None):
     li = tower.l[i]
     if len(u) != li:
         raise ValueError(f"subword length {len(u)} != l_{i} = {li}")
-    if u not in tower.word + tower.word:
+    if u not in tower._doubled_word:
         raise ValueError(f"{u!r} is not a cyclic subword of the class word")
     w = tower.w[i]
     if indexes is None:
@@ -572,8 +624,9 @@ class SuiteReport:
 
 def _towers_by_word_length(cap):
     # the class word of a slope p/q with p >= 0 has p + q letters
-    return [_build_tower(Slope.from_pair(p, q)) for p, q in _class_pairs(cap)
-            if p + q <= cap]
+    levels = {}
+    return [_build_tower(Slope.from_pair(p, q), levels)
+            for p, q in _class_pairs(cap) if p + q <= cap]
 
 
 def _check_recurrences(t, failures):
@@ -622,22 +675,36 @@ def _check_recurrences(t, failures):
 
 
 def _magic_suite(cap):
+    """Classify the length-l_i cyclic subword at every start of every class
+    word, at every level.
+
+    A Christoffel word has at most l_i + 1 distinct cyclic subwords of
+    length l_i, so each distinct subword of a (tower, level) is classified
+    once and its outcome, a witness or a failure message, is repeated for
+    every start where it occurs; checks and failures stay per start.
+    """
     failures, checks = [], 0
     # every cyclic subword of every class word is classified, so the
     # rotation indexes of the block words are shared across the whole run
     indexes = {}
     for t in _towers_by_word_length(cap):
-        doubled = t.word + t.word
+        doubled = t._doubled_word
         for i in range(1, t.depth + 1):
             li = t.l[i]
+            errors = {}    # distinct subword -> failure message or None
             for s in range(len(t.word)):
                 checks += 1
-                try:
-                    classify_magic_subword(t, i, doubled[s:s + li],
-                                           indexes=indexes)
-                except LemmaViolation as e:
+                u = doubled[s:s + li]
+                if u not in errors:
+                    try:
+                        classify_magic_subword(t, i, u, indexes=indexes)
+                    except LemmaViolation as e:
+                        errors[u] = str(e)
+                    else:
+                        errors[u] = None
+                if errors[u] is not None:
                     failures.append({"p": t.p, "q": t.q, "i": i,
-                                     "position": s, "error": str(e)})
+                                     "position": s, "error": errors[u]})
     return checks, failures
 
 

@@ -12,6 +12,7 @@ the report); 2 — bad input or a failed precondition (message on stderr).
 
 import argparse
 import csv
+import gc
 import json
 import re
 import sys
@@ -117,9 +118,14 @@ def _cmd_blocks(args):
 
 def _cmd_verify_lemmas(args):
     suites = SUITES if args.suite == "all" else (args.suite,)
+    caps = {suite: ("--max-den", args.max_den) if suite == "recurrences"
+            else ("--max-block-len", args.max_block_len) for suite in suites}
+    for flag, cap in caps.values():
+        if cap < 1:
+            raise ValueError(f"{flag} must be >= 1, got {cap}")
     records, total_checks, total_failures = [], 0, 0
     for suite in suites:
-        cap = args.max_den if suite == "recurrences" else args.max_block_len
+        cap = caps[suite][1]
         report = run_suite(suite, cap)
         records.append({"suite": suite, "cap": cap, "checks": report.checks,
                         "failures": len(report.failures)})
@@ -338,12 +344,20 @@ def run(args, stream=None):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The suites and scans allocate millions of short-lived tuples while
+    # holding every tower and record alive; at the default first-generation
+    # threshold of 700 that triggers full collections over all of them.
+    # The caller's threshold is restored on return.
+    thresholds = gc.get_threshold()
+    gc.set_threshold(50_000)
     try:
         return run(args)
     except (RepresentationError, PreconditionError, NotLoxodromic,
             SamplerError, OSError, ValueError) as e:
         print(f"primscan: error: {e}", file=sys.stderr)
         return 2
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ class PreconditionError(ValueError):
     """A scan's geometric precondition fails for the given representation."""
 
 
-def class_matrix(rep, tower):
+def class_matrix(rep, tower, levels=None):
     """The image of the tower's top word, via the block recursion
     w_i = w_{i-1}^(n_i - 1) w'_{i-1},  w'_i = w_{i-1} w_i.
 
@@ -71,14 +71,43 @@ def class_matrix(rep, tower):
     renormalization is applied: once entries are large, the floating
     determinant is cancellation noise, while the plain product keeps
     full relative precision over the O(depth + log n_i) multiplies.
+
+    `levels`, a dict owned by the caller, shares the level products
+    between the towers of one representation (see `_class_image`).
     """
-    w = rep._product(tower.w[0])
-    wp = rep._product(tower.wp[0])
-    for n in tower.cf:
-        w_next = _mul(_pow(w, n - 1), wp)
-        wp = _mul(w, w_next)
-        w = w_next
-    return _matrix(w)
+    return _matrix(_class_image(rep, tower, {} if levels is None else levels))
+
+
+def _class_image(rep, tower, levels):
+    """`class_matrix` as a kernel 4-tuple."""
+    w0, wp0, entries = tower.w[0], tower.wp[0], tower.cf
+    if not entries:
+        return rep._product(w0)
+    w, wp = _level_pair(rep, w0, wp0, entries[:-1], levels)
+    return _mul(_pow(w, entries[-1] - 1), wp)
+
+
+def _level_pair(rep, w0, wp0, entries, levels):
+    """The images of (w_i, w'_i) for the recursion entries n_1..n_i
+    (`entries`) from the base words (w0, wp0).
+
+    `levels` maps (w0, wp0, entries) to that pair.  The pair of
+    entries[:-1] is the level below, so a class whose lower levels are in
+    the table costs the products of its top level only.  The products and
+    their order are those of the plain recursion, so the result is
+    bit-identical.
+    """
+    key = (w0, wp0, entries)
+    pair = levels.get(key)
+    if pair is None:
+        if entries:
+            w, wp = _level_pair(rep, w0, wp0, entries[:-1], levels)
+            w_next = _mul(_pow(w, entries[-1] - 1), wp)
+            pair = (w_next, _mul(w, w_next))
+        else:
+            pair = (rep._product(w0), rep._product(wp0))
+        levels[key] = pair
+    return pair
 
 
 def _rotation_images(rep, gamma):
@@ -467,8 +496,9 @@ def bowditch_scan(rep, max_denominator, low_ratio=1e-3):
     translation/|class|; flag non-loxodromic and low-ratio classes; fit
     displacement constants from the worst ratio."""
     records = []
+    levels = {}
     for slope, tower in enumerate_primitive_classes(max_denominator):
-        m = _entries(class_matrix(rep, tower))
+        m = _class_image(rep, tower, levels)
         tr = m[0] + m[3]
         kind = classify(m)
         tl = translation_length(m)
@@ -553,10 +583,11 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
     samples = {x: [seg.interpolate(float(f))
                    for f in np.arange(0.0, 1.0, step)]
                for x, seg in edges.items()}
+    levels = {}
     for slope, tower in enumerate_primitive_classes(max_denominator):
         gamma = tower.word
         length = len(gamma)
-        m = _entries(class_matrix(rep, tower))
+        m = _entries(class_matrix(rep, tower, levels))
         tr = m[0] + m[3]
         base = {
             "p": slope.p, "q": slope.q, "len": length,

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from primscan import blocks
 from primscan.blocks import (
+    BlockTower,
     LemmaViolation,
     Slope,
     adapted_permutation,
@@ -196,6 +197,59 @@ def test_tower_length_recurrences_and_bounds():
 def test_min_li_bound_is_tight_at_level_two():
     t = build_blocks(*cf_value([1, 1, 2]))
     assert (t.cf[0] + 2) * t.l[1] == (t.cf[0] + 1) * t.l[2]
+
+
+def _reference_tower(slope):
+    """The per-slope loop that built every tower before towers shared a
+    level table: all levels on {a, b}, then the letter substitution."""
+    entries, swap = blocks._tower_plan(slope)
+    w, wp = ["a"], ["ab"]
+    for n in entries:
+        w.append(w[-1] * (n - 1) + wp[-1])
+        wp.append(w[-2] * n + wp[-1])
+    if swap != "none":
+        table = blocks._SUBS[swap]
+        w = [x.translate(table) for x in w]
+        wp = [x.translate(table) for x in wp]
+    return BlockTower(p=slope.p, q=slope.q, cf=entries, swap=swap,
+                      w=tuple(w), wp=tuple(wp), l=tuple(map(len, w)),
+                      lp=tuple(map(len, wp)))
+
+
+def test_level_table_towers_match_per_slope_loop():
+    classes = enumerate_primitive_classes(200)
+    assert len(classes) == 24465
+    for slope, tower in classes:
+        assert tower == _reference_tower(slope), slope
+    # both signs and every substitution, sharing one table
+    levels = {}
+    for p in range(-40, 41):
+        for q in range(41):
+            if gcd(abs(p), q) != 1:
+                continue
+            slope = Slope.from_pair(p, q)
+            want = _reference_tower(slope)
+            got = blocks._build_tower(slope, levels)
+            assert got == want and hash(got) == hash(want), slope
+            assert build_blocks(p, q) == want
+
+
+def test_tower_value_semantics():
+    tower = build_blocks(13, 8)
+    seq = block_sequence(tower, 2)
+    assert tower._doubled_word == tower.word * 2
+    # the filled caches take no part in equality, hashing or repr
+    fresh = build_blocks(13, 8)
+    assert tower == fresh and hash(tower) == hash(fresh)
+    assert repr(tower) == repr(fresh)
+    assert block_sequence(tower, 2) is seq
+    # a replaced tower computes its own
+    broken = _break_word(tower, tower.depth)
+    assert broken != tower
+    assert broken._doubled_word == broken.word * 2 != tower._doubled_word
+    assert dataclasses.replace(tower, p=-13).p == -13
+    assert len({tower, fresh, Slope.from_pair(13, 8),
+                Slope.from_pair(13, 8)}) == 2
 
 
 def test_enumeration_count_matches_totient_sum():
@@ -420,6 +474,68 @@ def test_magic_subword_shared_indexes():
             assert (classify_magic_subword(tower, i, u, indexes=indexes)
                     == classify_magic_subword(tower, i, u))
     assert set(indexes) == {tower.w[1], tower.w[2]}
+
+
+def _reference_magic_suite(towers):
+    """The per-start loop of `_magic_suite` before each distinct subword of
+    a (tower, level) was classified once."""
+    failures, checks = [], 0
+    indexes = {}
+    for t in towers:
+        doubled = t.word + t.word
+        for i in range(1, t.depth + 1):
+            li = t.l[i]
+            for s in range(len(t.word)):
+                checks += 1
+                try:
+                    blocks.classify_magic_subword(t, i, doubled[s:s + li],
+                                                  indexes=indexes)
+                except LemmaViolation as e:
+                    failures.append({"p": t.p, "q": t.q, "i": i,
+                                     "position": s, "error": str(e)})
+    return checks, failures
+
+
+def test_magic_suite_matches_per_start_loop():
+    towers = blocks._towers_by_word_length(40)
+    assert blocks._magic_suite(40) == _reference_magic_suite(towers)
+
+
+def test_magic_suite_matches_per_start_loop_on_broken_towers(monkeypatch):
+    broken = [_break_word(build_blocks(p, q), n)
+              for p, q, n in [(43, 30, 2), (13, 8, 3), (7, 5, 1),
+                              (21, 13, 5), (11, 3, 1)]]
+    monkeypatch.setattr(blocks, "_towers_by_word_length",
+                        lambda cap: broken)
+    got = blocks._magic_suite(None)
+    assert got == _reference_magic_suite(broken)
+    checks, failures = got
+    assert checks == sum(len(t.word) * t.depth for t in broken)
+    # some subword fails at more than one start
+    assert len({(f["p"], f["i"], f["error"]) for f in failures}) \
+        < len(failures)
+
+
+def test_magic_suite_classifies_each_distinct_subword_once(monkeypatch):
+    calls = []
+    real = blocks.classify_magic_subword
+
+    def counted(t, i, u, **kwargs):
+        calls.append((t.p, t.q, i, u))
+        if (t.p, t.q, i, u) == (13, 8, 2, "aba"):
+            raise LemmaViolation("injected")
+        return real(t, i, u, **kwargs)
+
+    monkeypatch.setattr(blocks, "classify_magic_subword", counted)
+    checks, failures = blocks._magic_suite(21)
+    assert len(calls) == len(set(calls)) < checks
+    assert checks == _reference_magic_suite(
+        blocks._towers_by_word_length(21))[0]
+    doubled = build_blocks(13, 8).word * 2
+    assert failures == [
+        {"p": 13, "q": 8, "i": 2, "position": s, "error": "injected"}
+        for s in range(21) if doubled[s:s + 3] == "aba"]
+    assert len(failures) > 1
 
 
 def test_magic_subword_validation():

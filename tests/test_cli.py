@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -368,6 +369,25 @@ def test_malformed_slope_exits_two(capsys):
 def test_non_coprime_slope_exits_two(capsys):
     assert main(["blocks", "--slope", "4/2"]) == 2
     assert "coprime" in capsys.readouterr().err
+
+
+def test_main_restores_the_gc_threshold(capsys):
+    before = gc.get_threshold()
+    assert main(["enumerate", "--max-den", "3"]) == 0
+    assert gc.get_threshold() == before
+    assert main(["blocks", "--slope", "4/2"]) == 2
+    assert gc.get_threshold() == before
+
+
+@pytest.mark.parametrize("flag, other", [
+    ("--max-block-len", "--max-den"), ("--max-den", "--max-block-len")])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
+    assert main(["verify-lemmas", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be >= 1, got {value}" in captured.err
+    assert other not in captured.err
 
 
 def test_excursion_refuses_failed_periodicity(rep_file, capsys,

@@ -7,8 +7,11 @@ lengths from arccosh of half-traces, and parabolic displacements
 """
 
 import functools
+import importlib.util
+import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,11 @@ from primscan.geometry import (
     axis_of,
     dist_to_geodesic,
     distance,
+    parse_rep_file,
     translation_length,
+    _entries,
+    _mul,
+    _pow,
 )
 from primscan import scans
 from primscan.scans import (
@@ -130,6 +137,54 @@ def test_class_matrix_deep_class_stays_unimodular_in_effect():
 
 
 # ------------------------------------------------- vectorized displacements
+
+def reference_class_matrix(rep, tower):
+    """The per-class recursion that `class_matrix` ran before level products
+    were shared across classes, as a kernel 4-tuple."""
+    w = rep._product(tower.w[0])
+    wp = rep._product(tower.wp[0])
+    for n in tower.cf:
+        w_next = _mul(_pow(w, n - 1), wp)
+        wp = _mul(w, w_next)
+        w = w_next
+    return w
+
+
+def _bits(X):
+    return [(z.real.hex(), z.imag.hex()) for z in X]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_rep(seed, tmp_path):
+    """The representation file that the benchmark's scan workloads read at
+    `seed`, loaded the way the CLI loads it."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = tmp_path / f"seed{seed}.json"
+    path.write_text(json.dumps(inputs.seeded_rep(seed)))
+    return parse_rep_file(str(path))
+
+
+@pytest.mark.parametrize("which", ["fixture", "seed-3"])
+def test_level_table_matches_per_class_recursion(tmp_path, which):
+    rep = (parse_rep_file(str(ROOT / "tests" / "data" / "markoff.json"))
+           if which == "fixture" else benchmark_rep(3, tmp_path))
+    classes = enumerate_primitive_classes(200)
+    levels = {}
+    for slope, tower in classes:
+        want = _bits(reference_class_matrix(rep, tower))
+        assert _bits(scans._class_image(rep, tower, levels)) == want, slope
+        if slope.q % 50 == 1:
+            assert _bits(_entries(class_matrix(rep, tower))) == want
+            assert _bits(_entries(class_matrix(rep, tower, levels))) == want
+    # one table entry per distinct lower level (base words and entries
+    # prefix), shared between classes
+    assert len(levels) < len(classes) / 2
+
 
 def reference_pair_distances(rep, letters, kmax):
     """The per-offset loop that `_offset_grid` replaces: entry k-1 is the
