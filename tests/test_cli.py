@@ -372,11 +372,15 @@ def test_non_coprime_slope_exits_two(capsys):
 
 
 def test_main_restores_the_gc_threshold(capsys):
-    before = gc.get_threshold()
-    assert main(["enumerate", "--max-den", "3"]) == 0
-    assert gc.get_threshold() == before
-    assert main(["blocks", "--slope", "4/2"]) == 2
-    assert gc.get_threshold() == before
+    saved = gc.get_threshold()
+    gc.set_threshold(1234, 11, 12)
+    try:
+        assert main(["enumerate", "--max-den", "3"]) == 0
+        assert gc.get_threshold() == (1234, 11, 12)
+        assert main(["blocks", "--slope", "4/2"]) == 2
+        assert gc.get_threshold() == (1234, 11, 12)
+    finally:
+        gc.set_threshold(*saved)
 
 
 @pytest.mark.parametrize("flag, other", [
