@@ -16,8 +16,9 @@ sizes n, n+1 is rewritten block-by-block (y^n x -> x, y^(n+1) x -> yx); a
 word is primitive iff repeated derivation reaches a single letter, and the
 run sizes recovered along the way are exactly the tower entries.
 
-Rotation bookkeeping for the towers (adapted rotations, the length-l_i
-subword classification, and block counting in windows) lives here too.
+Rotation bookkeeping for the towers (adapted rotations and the length-l_i
+subword classification) lives here too, with the exhaustive lemma suites,
+among them the block count in windows.
 """
 
 from __future__ import annotations
@@ -487,7 +488,9 @@ def adapted_permutation(tower, i, k):
         out_seq = seq[1:] + seq[:1]
         word_rotation = k if seq[0] == "w" else j
     rebuilt = "".join(map({"w": rot_w, "p": rot_wp}.__getitem__, out_seq))
-    if rebuilt != rotate(tower.word, word_rotation):
+    lr = len(tower.word)
+    r = word_rotation % lr
+    if rebuilt != tower._doubled_word[r:r + lr]:
         raise LemmaViolation(
             f"rotated factorization mismatch at slope {tower.p}/{tower.q}, "
             f"i={i}, k={k}")
@@ -552,53 +555,6 @@ def classify_magic_subword(tower, i, u, *, indexes=None):
     raise LemmaViolation(
         f"{u!r} is not a rotation of w_{i} at slope {tower.p}/{tower.q}, "
         f"even after a last-letter change")
-
-
-@dataclass(frozen=True)
-class BlockCountReport:
-    """Fully-contained adapted blocks in one cyclic window of the class word.
-
-    With alpha = len(u)/l_i, every window with alpha > 4 contains at least
-    (alpha - 4)/2 complete blocks of the rotated factorization.
-    """
-    i: int
-    k: int
-    start: int       # offset of u in rotate(w_r, word_rotation)
-    count: int
-    alpha: float
-    bound: float
-
-    @property
-    def satisfied(self):
-        return self.count >= self.bound - 1e-12
-
-
-def count_block_occurrences(u, tower, i, k):
-    """Count complete rotated blocks inside the window u.
-
-    u must be a cyclic subword of the class word; the window is located in
-    the rotated word of `adapted_permutation(tower, i, k)` and the blocks
-    counted are those of its factorization lying entirely inside.
-    """
-    if not u:
-        raise ValueError("empty window")
-    if len(u) > tower.l[-1]:
-        raise ValueError(f"window length {len(u)} exceeds {tower.l[-1]}")
-    adapted = adapted_permutation(tower, i, k)
-    word = rotate(tower.word, adapted.word_rotation)
-    start = (word + word).find(u)
-    if start < 0:
-        raise ValueError(f"{u!r} is not a cyclic subword of the class word")
-    sizes = [tower.l[i] if s == "w" else tower.lp[i] for s in adapted.blocks]
-    bounds = [0]
-    for size in sizes + sizes:
-        bounds.append(bounds[-1] + size)
-    end = start + len(u)
-    count = sum(1 for t in range(len(bounds) - 1)
-                if bounds[t] >= start and bounds[t + 1] <= end)
-    alpha = len(u) / tower.l[i]
-    return BlockCountReport(i=i, k=k, start=start, count=count,
-                            alpha=alpha, bound=(alpha - 4) / 2)
 
 
 # --------------------------------------------------------------------------

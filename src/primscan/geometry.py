@@ -174,7 +174,7 @@ def unimodularize(M):
 def distance(p, q):
     """d = 2 asinh(h / (2 sqrt(t1 t2))), h the Euclidean distance.
 
-    The asinh form keeps small distances that acosh(1 + x) rounds away,
+    The asinh form keeps small distances that arccosh(1 + x) rounds away,
     and the square roots are taken apart so that t1 t2 cannot underflow.
     Where the ratio overflows, 2 asinh(r) = 2 ln(2r) to double precision.
     """
@@ -273,64 +273,50 @@ def translation_length(M, tol=1e-9):
     return 2.0 * cmath.log(_dominant_eigenvalue(M)).real
 
 
-def _renorm_scaled(P, log_det):
-    s = abs(P).max()
-    return P / s, log_det - 2.0 * math.log(s)
-
-
-def _apply_scaled(P, log_abs_det, z, log_t):
-    """Action of a renormalized matrix on (z, log t) with the true
-    |det| supplied in log form (entry-level det would cancel away)."""
-    a, b = P[0, 0], P[0, 1]
-    c, d = P[1, 0], P[1, 1]
-    t2 = math.exp(2.0 * log_t) if 2.0 * log_t > -745 else 0.0
-    w = c * z + d
-    den = abs(w) ** 2 + abs(c) ** 2 * t2
-    z2 = ((a * z + b) * w.conjugate() + a * c.conjugate() * t2) / den
-    return z2, log_abs_det + log_t - math.log(den)
-
-
-def _log_safe_distance(z0, log_t0, z1, log_t1):
-    """Distance between (z0, e^log_t0) and (z1, e^log_t1) without forming
-    underflowing heights: cosh d = (|dz|^2 + t0^2 + t1^2) / (2 t0 t1)."""
-    terms = [2.0 * log_t0, 2.0 * log_t1]
-    dz = abs(z0 - z1)
-    if dz > 0:
-        terms.append(2.0 * math.log(dz))
-    m = max(terms)
-    log_num = m + math.log(sum(math.exp(x - m) for x in terms))
-    log_arg = log_num - math.log(2.0) - log_t0 - log_t1
-    if log_arg < 30.0:
-        return math.acosh(max(1.0, math.exp(log_arg)))
-    # acosh(x) = ln(2x) - O(1/x^2); the correction is below double precision
-    return log_arg + math.log(2.0)
+def _rescale(X, s):
+    """The pair (X / m, s + ln m), m the largest entry modulus of X: the
+    matrix e^s X as a bounded kernel tuple and a log scale."""
+    m = max(map(abs, X))
+    return tuple(x / m for x in X), s + math.log(m)
 
 
 def power_displacement(M, n, o=BASEPOINT):
-    """d(M^n o, o) by square-and-multiply on renormalized matrices.
+    """d(M^n o, o) for M in SL(2, C), by square-and-multiply on the kernel.
 
-    Safe for n large enough that M^n overflows doubles by thousands of
-    orders of magnitude; the log of |det| is tracked exactly because the
-    renormalized entries retain no usable determinant information.
+    Each product is rescaled by its largest entry modulus and the log
+    scale s carried apart, M^n = e^s Y, so n may be large enough that the
+    entries of M^n overflow doubles by thousands of orders of magnitude.
+    As det M^n = 1, the image height is t / (e^(2s) den(Y)), kept as a log.
     """
+    a, b, c, d = _entries(M)
     if n < 0:
-        M, n = mat_inverse(M), -n
+        a, b, c, d, n = d, -b, -c, a, -n    # the adjugate: det = 1
     if n == 0:
         return 0.0
-    base, base_ld = _renorm_scaled(np.asarray(M, dtype=complex),
-                                   math.log(abs(det(M))))
-    acc, acc_ld = None, 0.0
+    base = _rescale((a, b, c, d), 0.0)
+    acc = None
     while n:
         if n & 1:
-            if acc is None:
-                acc, acc_ld = base, base_ld
-            else:
-                acc, acc_ld = _renorm_scaled(acc @ base, acc_ld + base_ld)
+            acc = base if acc is None else _rescale(_mul(acc[0], base[0]),
+                                                    acc[1] + base[1])
         n >>= 1
         if n:
-            base, base_ld = _renorm_scaled(base @ base, 2.0 * base_ld)
-    z, log_t = _apply_scaled(acc, acc_ld, o.z, math.log(o.t))
-    return _log_safe_distance(o.z, math.log(o.t), z, log_t)
+            base = _rescale(_mul(base[0], base[0]), 2.0 * base[1])
+    (a, b, c, d), s = acc
+    z, t = o.z, o.t
+    w = c * z + d
+    # den(Y) = r^2, with r taken by hypot so that it cannot underflow
+    r = math.hypot(w.real, w.imag, c.real * t, c.imag * t)
+    z = ((a * z + b) * (w.conjugate() / r)
+         + a * (c.conjugate() * t / r) * t) / r
+    log_t = math.log(t) - 2.0 * (math.log(r) + s)
+    if -745.0 < log_t < 709.0:    # e^log_t is a positive finite float
+        return distance(HPoint(z, math.exp(log_t)), o)
+    # past the float range one of the two heights dominates h: the log
+    # tail of `distance`
+    dz = z - o.z
+    log_h = log_t if log_t > 0 else math.log(math.hypot(dz.real, dz.imag, t))
+    return 2.0 * (log_h - 0.5 * math.log(t) - 0.5 * log_t)
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .geometry import (
     mobius_boundary,
     translation_length,
     _coordinate,
-    _entries,
     _matrix,
     _mul,
     _pow,
@@ -587,7 +586,7 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
     for slope, tower in enumerate_primitive_classes(max_denominator):
         gamma = tower.word
         length = len(gamma)
-        m = _entries(class_matrix(rep, tower, levels))
+        m = _class_image(rep, tower, levels)
         tr = m[0] + m[3]
         base = {
             "p": slope.p, "q": slope.q, "len": length,

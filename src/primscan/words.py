@@ -12,15 +12,8 @@ elsewhere in the package call the underlying helpers directly.
 
 from __future__ import annotations
 
-from math import gcd
-
 ALPHABET = "aAbB"
 _ALPHABET_SET = frozenset(ALPHABET)
-
-
-def inverse_letter(c):
-    """Inverse of a single letter: 'a' <-> 'A', 'b' <-> 'B'."""
-    return c.swapcase()
 
 
 def check_word(w, require_reduced=True):
@@ -59,11 +52,6 @@ def invert(w):
     return w[::-1].swapcase()
 
 
-def concat(*ws):
-    """Product in the free group (freely reduced)."""
-    return reduce("".join(ws))
-
-
 def power(w, n):
     """w**n, freely reduced."""
     if n < 0:
@@ -100,33 +88,9 @@ def rotations(w):
     return [rotate(w, k) for k in range(len(w))]
 
 
-def cyclic_subword(w, start, length):
-    """Length-`length` subword of the cyclic word w beginning at `start`.
-
-    `length` may be at most len(w); the read wraps around the end.
-    """
-    n = len(w)
-    if n == 0:
-        raise ValueError("cyclic subword of the empty word")
-    if not 0 <= length <= n:
-        raise ValueError(f"subword length {length} outside [0, {n}]")
-    start %= n
-    doubled = w + w
-    return doubled[start:start + length]
-
-
 def abelianization(w):
     """Image (p, q) of w in Z^2: p = net 'a' exponent, q = net 'b' exponent."""
     return (w.count("a") - w.count("A"), w.count("b") - w.count("B"))
-
-
-def is_primitive_abelianization(w):
-    """Necessary condition for primitivity: the image in Z^2 is a basis vector.
-
-    True iff gcd(|p|, |q|) == 1 (in particular (p, q) != (0, 0)).
-    """
-    p, q = abelianization(w)
-    return gcd(abs(p), abs(q)) == 1
 
 
 def substitute(w, sub):

@@ -19,7 +19,6 @@ from primscan.blocks import (
     cf_expansion,
     cf_value,
     classify_magic_subword,
-    count_block_occurrences,
     derivation,
     enumerate_primitive_classes,
     is_primitive,
@@ -29,7 +28,6 @@ from primscan.blocks import (
 from primscan.words import (
     abelianization,
     cyclic_reduce,
-    cyclic_subword,
     enumerate_reduced,
     invert,
     reduce,
@@ -452,7 +450,7 @@ def test_magic_subwords_exhaustive():
         for i in range(1, tower.depth + 1):
             rots = rotations(tower.w[i])
             for start in range(len(word)):
-                u = cyclic_subword(word, start, tower.l[i])
+                u = (word + word)[start:start + tower.l[i]]
                 wit = classify_magic_subword(tower, i, u)
                 if wit.changed_to == "":
                     assert u == rots[wit.rotation]
@@ -470,7 +468,7 @@ def test_magic_subword_shared_indexes():
     indexes = {}
     for i in (1, 2):
         for start in range(len(tower.word)):
-            u = cyclic_subword(tower.word, start, tower.l[i])
+            u = (tower.word + tower.word)[start:start + tower.l[i]]
             assert (classify_magic_subword(tower, i, u, indexes=indexes)
                     == classify_magic_subword(tower, i, u))
     assert set(indexes) == {tower.w[1], tower.w[2]}
@@ -544,63 +542,6 @@ def test_magic_subword_validation():
         classify_magic_subword(tower, 2, "abaa")  # wrong length
     with pytest.raises(ValueError):
         classify_magic_subword(tower, 2, "babba")  # not a cyclic subword
-
-
-# --------------------------------------------------------------------------
-# block counts in windows
-# --------------------------------------------------------------------------
-
-def test_block_count_bound_exhaustive():
-    for p, q in [(13, 8), (21, 13), (11, 3)]:
-        tower = build_blocks(p, q)
-        word_len = tower.l[-1]
-        for i in range(1, tower.depth + 1):
-            li = tower.l[i]
-            if 4 * li >= word_len:
-                continue
-            for k in {0, 1, li - 1}:
-                for length in range(4 * li + 1, word_len + 1):
-                    for start in range(word_len):
-                        u = cyclic_subword(tower.word, start, length)
-                        rep = count_block_occurrences(u, tower, i, k)
-                        assert rep.satisfied
-                        # bound holds in exact arithmetic as well
-                        assert 2 * li * rep.count >= length - 4 * li
-                        assert rep.alpha == length / li
-
-
-def test_block_count_recount():
-    tower = build_blocks(21, 13)
-    i, k = 2, 1
-    ar = adapted_permutation(tower, i, k)
-    word = rotate(tower.word, ar.word_rotation)
-    sizes = [tower.l[i] if s == "w" else tower.lp[i] for s in ar.blocks]
-    starts = [0]
-    for size in sizes:
-        starts.append(starts[-1] + size)
-    for start in range(len(word)):
-        for length in (1, tower.l[i] * 4 + 1, len(word)):
-            u = cyclic_subword(word, start, length)
-            rep = count_block_occurrences(u, tower, i, k)
-            # independent recount: block t of the doubled word is inside
-            # [rep.start, rep.start + length)
-            count = 0
-            for lap in (0, len(word)):
-                for t in range(len(sizes)):
-                    lo, hi = starts[t] + lap, starts[t + 1] + lap
-                    if lo >= rep.start and hi <= rep.start + length:
-                        count += 1
-            assert rep.count == count
-
-
-def test_block_count_validation():
-    tower = build_blocks(13, 8)
-    with pytest.raises(ValueError):
-        count_block_occurrences("", tower, 1, 0)
-    with pytest.raises(ValueError):
-        count_block_occurrences(tower.word * 2, tower, 1, 0)
-    with pytest.raises(ValueError):
-        count_block_occurrences("bb" + "a" * 6, tower, 1, 0)
 
 
 def _reference_bloc_windows(seq, li, lpi, lr):

@@ -1,14 +1,19 @@
 import argparse
 import csv
 import gc
+import importlib
+import importlib.util
 import io
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+import primscan
 from primscan import blocks
 from primscan.cli import build_parser, main, run
 from primscan.scans import ExcursionProfile
@@ -445,3 +450,33 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "16382\n"
+
+
+# ------------------------------------------------------------ public API
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_tracer_targets_resolve():
+    # `perfbench/run.py --trace 1` rebinds every target by getattr
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, qualname in tracer.TARGETS:
+        obj = importlib.import_module(f"primscan.{module_name}")
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr)
+        assert callable(obj)
+
+
+def test_flat_api_is_the_readme_tour():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python", 1)[1]
+    tour = tour.split("```", 1)[0]
+    exceptions = {"LemmaViolation", "NotLoxodromic", "RepresentationError",
+                  "SamplerError"}
+    assert (set(re.findall(r"\bps\.(\w+)", tour)) | exceptions
+            == set(primscan.__all__))
+    for name in primscan.__all__:
+        assert hasattr(primscan, name)

@@ -327,7 +327,9 @@ def test_lengths_diagonal_orbit():
     assert translation_length(M) == pytest.approx(2 * math.log(2), abs=1e-12)
     assert distance(apply(M, o), o) == pytest.approx(2 * math.log(2),
                                                      abs=1e-12)
-    for n in (1, 2, 7, 100):
+    # at n = 520 the image height 4^n is past the float range, while the
+    # entry 4^-n of the rescaled power is still a (subnormal) double
+    for n in (1, 2, 7, 100, 520):
         assert power_displacement(M, n, o) / n == pytest.approx(
             2 * math.log(2), abs=1e-9)
 
@@ -405,6 +407,13 @@ def test_power_displacement_matches_direct():
                 direct, abs=1e-9)
         assert power_displacement(M, -3, o) == pytest.approx(
             power_displacement(mat_inverse(M), 3, o), abs=1e-12)
+    # parabolic powers with small separations, which arccosh(1 + x)
+    # rounds away
+    o = HPoint(0.0, 1.0)
+    for eps, n in ((1e-9, 1), (1e-9, 1000), (1e-5, 3)):
+        want = distance(apply(as_matrix([[1, n * eps], [0, 1]]), o), o)
+        assert power_displacement(as_matrix([[1, eps], [0, 1]]), n, o) == (
+            pytest.approx(want, rel=1e-12))
 
 
 def test_power_displacement_large_exponent_on_axis():

@@ -3,10 +3,9 @@ from hypothesis import given, strategies as st
 
 from primscan import words
 from primscan.words import (
-    reduce, invert, concat, power, cyclic_reduce, is_reduced,
-    is_cyclically_reduced, rotate, rotations, cyclic_subword,
+    reduce, invert, power, cyclic_reduce, is_reduced,
+    is_cyclically_reduced, rotate, rotations,
     abelianization, substitute, enumerate_reduced, check_word,
-    inverse_letter,
 )
 
 raw_words = st.text(alphabet="aAbB", max_size=40)
@@ -24,10 +23,6 @@ def naive_reduce(w):
                 again = True
                 break
     return "".join(w)
-
-
-def test_inverse_letter():
-    assert [inverse_letter(c) for c in "aAbB"] == ["A", "a", "B", "b"]
 
 
 def test_check_word_rejects():
@@ -54,8 +49,8 @@ def test_reduce_is_reduced_and_idempotent(w):
 @given(raw_words)
 def test_invert_cancels(w):
     r = reduce(w)
-    assert concat(r, invert(r)) == ""
-    assert concat(invert(r), r) == ""
+    assert reduce(r + invert(r)) == ""
+    assert reduce(invert(r) + r) == ""
     assert invert(invert(r)) == r
 
 
@@ -63,7 +58,7 @@ def test_invert_cancels(w):
 def test_abelianization_additive(u, v):
     pu, qu = abelianization(reduce(u))
     pv, qv = abelianization(reduce(v))
-    pw, qw = abelianization(concat(u, v))
+    pw, qw = abelianization(reduce(u + v))
     assert (pw, qw) == (pu + pv, qu + qv)
 
 
@@ -79,7 +74,7 @@ def test_cyclic_reduce_conjugacy(w):
     r = reduce(w)
     core, conj = cyclic_reduce(r)
     assert is_cyclically_reduced(core)
-    assert concat(conj, core, invert(conj)) == r
+    assert reduce(conj + core + invert(conj)) == r
 
 
 def test_rotate_basics():
@@ -96,22 +91,6 @@ def test_rotate_composes(w, j, k):
     assert rotate(rotate(w, j), k) == rotate(w, j + k)
 
 
-@given(st.text(alphabet="ab", min_size=1, max_size=25),
-       st.integers(0, 24), st.integers(0, 25))
-def test_cyclic_subword_oracle(w, start, length):
-    if length > len(w):
-        length = len(w)
-    s = start % len(w)
-    assert cyclic_subword(w, start, length) == (w + w)[s:s + length]
-
-
-def test_cyclic_subword_validation():
-    with pytest.raises(ValueError):
-        cyclic_subword("ab", 0, 3)
-    with pytest.raises(ValueError):
-        cyclic_subword("", 0, 0)
-
-
 def test_substitute_exchange():
     assert substitute("abaab", {"a": "b", "b": "a"}) == "babba"
     assert substitute("ab", {"a": "a", "b": "B"}) == "aB"
@@ -123,8 +102,8 @@ def test_substitute_exchange():
 def test_substitute_is_homomorphism(u, v):
     sub = {"a": "ab", "b": "b"}
     u, v = reduce(u), reduce(v)
-    assert substitute(concat(u, v), sub) == \
-        concat(substitute(u, sub), substitute(v, sub))
+    assert substitute(reduce(u + v), sub) == \
+        reduce(substitute(u, sub) + substitute(v, sub))
 
 
 def test_enumerate_reduced_counts():
