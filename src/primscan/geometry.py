@@ -305,7 +305,7 @@ def power_displacement(M, n, o=BASEPOINT):
     (a, b, c, d), s = acc
     z, t = o.z, o.t
     w = c * z + d
-    # den(Y) = r^2, with r taken by hypot so that it cannot underflow
+    # den(Y) = r^2, with r taken by hypot so that no square underflows
     r = math.hypot(w.real, w.imag, c.real * t, c.imag * t)
     z = ((a * z + b) * (w.conjugate() / r)
          + a * (c.conjugate() * t / r) * t) / r
