@@ -397,7 +397,7 @@ def is_primitive(w):
 
 
 # --------------------------------------------------------------------------
-# rotation bookkeeping: adapted rotations, magic subwords, block counts
+# rotation bookkeeping: adapted rotations, magic subwords
 # --------------------------------------------------------------------------
 
 def block_sequence(tower, i):

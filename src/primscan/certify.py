@@ -39,6 +39,12 @@ from .geometry import (
 )
 
 REGIMES = ("near", "far", "close", "general")
+# rounding slack on every asserted inequality of re-measured distances
+_SLACK = 1e-7
+# share of detour trials forced into the far regime, rare in free draws
+_FAR_FRACTION = 0.08
+# path draws per detour trial before the sampler gives up on its K
+_MAX_RETRIES = 60
 
 
 class SamplerError(RuntimeError):
@@ -149,12 +155,13 @@ class TrialReport:
         }
 
 
-def check_quadrilateral(x, y, line, delta=DEFAULT_DELTA, tol=1e-7):
+def check_quadrilateral(x, y, line, delta=DEFAULT_DELTA):
     """Verify the quadrilateral dichotomies for one configuration.
 
     Returns a record dict; record["ok"] is False when any asserted
     inequality fails.  Both dichotomies classify on the same quantity:
     the minimum gap between [x, y] and the projected segment [x1, y1].
+    Each inequality holds up to _SLACK.
     """
     mx = geodesic_metrics(x, line)
     my = geodesic_metrics(y, line)
@@ -166,19 +173,19 @@ def check_quadrilateral(x, y, line, delta=DEFAULT_DELTA, tol=1e-7):
     failures = []
     if gap <= 2.0 * delta:
         branch = "close"
-        if not d >= k_x + k_y - 4.0 * delta - tol:
+        if not d >= k_x + k_y - 4.0 * delta - _SLACK:
             failures.append("d >= Kx + Ky - 4*delta")
-        if not d1 <= d - k_x - k_y + 12.0 * delta + tol:
+        if not d1 <= d - k_x - k_y + 12.0 * delta + _SLACK:
             failures.append("d1 <= d - Kx - Ky + 12*delta")
     else:
         branch = "apart"
-        if not d <= k_x + k_y + 4.0 * delta + tol:
+        if not d <= k_x + k_y + 4.0 * delta + _SLACK:
             failures.append("d <= Kx + Ky + 4*delta")
-        if not d1 <= 8.0 * delta + tol:
+        if not d1 <= 8.0 * delta + _SLACK:
             failures.append("d1 <= 8*delta")
-    if not d1 <= d + 12.0 * delta + tol:
+    if not d1 <= d + 12.0 * delta + _SLACK:
         failures.append("d1 <= d + 12*delta")
-    if d <= k_x + k_y + 6.0 * delta and not d1 <= 18.0 * delta + tol:
+    if d <= k_x + k_y + 6.0 * delta and not d1 <= 18.0 * delta + _SLACK:
         failures.append("d1 <= 18*delta")
 
     return {
@@ -203,18 +210,20 @@ def _random_point(rng, line):
                   math.exp(float(rng.normal(scale=1.2))))
 
 
-def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0, tol=1e-7):
+def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):
     """Monte-Carlo the quadrilateral dichotomies on random (x, y, line)
     configurations in H^2.  Every trial asserts the branch inequalities
     plus the unconditional d1 <= d + 12*delta and, when
     d <= Kx + Ky + 6*delta, d1 <= 18*delta."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     report = TrialReport()
     for _ in range(trials):
         line = _random_line(rng)
         record = check_quadrilateral(
             _random_point(rng, line), _random_point(rng, line),
-            line, delta=delta, tol=tol)
+            line, delta=delta)
         report.tally(record, record["ok"])
     return report
 
@@ -269,14 +278,14 @@ class DetourMeasurement(NamedTuple):
     satisfied: bool
 
 
-def measure_detour(vertices, delta=DEFAULT_DELTA, tol=1e-7):
+def measure_detour(vertices, delta=DEFAULT_DELTA):
     """Measure a piecewise-geodesic path against the vertical axis and
     test the length bound of the applicable regime.
 
     The constants are re-measured on the path itself -- clearance K is the
     actual minimum distance to the axis, C the actual endpoint excess --
     so the bound's hypotheses hold by construction and the inequality must
-    hold outright.
+    hold outright, up to _SLACK.
     """
     if len(vertices) < 2:
         raise ValueError("a path needs at least two vertices")
@@ -290,10 +299,10 @@ def measure_detour(vertices, delta=DEFAULT_DELTA, tol=1e-7):
     regime = "near" if d <= 2.0 * clearance + 6.0 * delta else "far"
     bound = path_lower_bound(d=d, K=clearance, C=max(excess, 1e-12),
                              delta=delta, regime=regime)
-    ok = length >= bound.bound - tol
+    ok = length >= bound.bound - _SLACK
     if regime == "far":
-        ok = ok and length >= bound.chain_bound - tol
-        ok = ok and d <= bound.diameter_cap + tol
+        ok = ok and length >= bound.chain_bound - _SLACK
+        ok = ok and d <= bound.diameter_cap + _SLACK
     return DetourMeasurement(d, length, clearance, excess, k_x, k_y,
                              bound, ok)
 
@@ -341,32 +350,33 @@ def _sample_detour_path(rng, K, C, delta, far):
     return vertices
 
 
-def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0,
-                  far_fraction=0.08, max_retries=60, tol=1e-7):
+def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
     """Monte-Carlo the path-length bounds: sample random paths avoiding
     the K-neighborhood of the vertical axis (endpoints within K + C),
     re-measure every constant, and assert the regime bound.  K defaults
     to a fresh draw from {1, ..., 5} per trial and C to a draw from
     [0.3, 2].  Far-regime trials (nontrivial only for K/delta > 4) are
     forced for a fraction of the runs."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     report = TrialReport()
     for _ in range(trials):
         k_target = float(rng.integers(1, 6)) if K is None else float(K)
         c_target = float(rng.uniform(0.3, 2.0)) if C is None else float(C)
-        far = rng.random() < far_fraction
+        far = rng.random() < _FAR_FRACTION
         if far and K is None:
             k_target = 5.0  # the only draw with a nontrivial far bound
         if far and C is None:
             c_target = float(rng.uniform(1.2, 2.0))
-        for attempt in range(max_retries):
+        for attempt in range(_MAX_RETRIES):
             vertices = _sample_detour_path(rng, k_target, c_target, delta, far)
-            m = measure_detour(vertices, delta=delta, tol=tol)
+            m = measure_detour(vertices, delta=delta)
             if m.clearance >= k_target:
                 break
         else:
             raise SamplerError(
-                f"no valid path at K={k_target} after {max_retries} tries")
+                f"no valid path at K={k_target} after {_MAX_RETRIES} tries")
         record = {
             "regime": m.bound.regime, "K": k_target, "C": c_target,
             "clearance": m.clearance, "excess": m.excess, "d": m.d,

@@ -33,6 +33,10 @@ import numpy as np
 
 DEFAULT_DELTA = 1.0  # >= the true thin-triangle constant ln(1+sqrt(2)) ~ 0.8814
 _DET_TOL = 1e-9
+# closer to +-2 (or to an identity entry) than this, rounding decides
+_TRACE_TOL = 1e-9
+# golden-section bracket width, far below the certificates' 1e-7 slack
+_BRACKET_TOL = 1e-10
 
 
 class NotLoxodromic(ValueError):
@@ -224,9 +228,11 @@ def mobius_boundary(M, x):
 # classification, eigenvalues, lengths
 # --------------------------------------------------------------------------
 
-def classify(M, tol=1e-9):
-    """One of "identity", "elliptic", "parabolic", "loxodromic"."""
+def classify(M):
+    """One of "identity", "elliptic", "parabolic", "loxodromic"; a trace
+    within _TRACE_TOL of +-2 is parabolic."""
     a, b, c, d = _entries(M)
+    tol = _TRACE_TOL
     try:
         identity = abs(b) <= tol and abs(c) <= tol and (
             (abs(a - 1) <= tol and abs(d - 1) <= tol)
@@ -263,10 +269,10 @@ def _dominant_eigenvalue(M):
     return (tr + _root_discriminant(tr, det(M))) / 2.0
 
 
-def translation_length(M, tol=1e-9):
+def translation_length(M):
     """2 ln|lambda| for loxodromic M; 0 for elliptic/parabolic/identity."""
     M = _entries(M)
-    if classify(M, tol) != "loxodromic":
+    if classify(M) != "loxodromic":
         return 0.0
     # the real part of cmath.log is ln|lambda| even where |lambda| itself
     # would overflow
@@ -287,6 +293,9 @@ def power_displacement(M, n, o=BASEPOINT):
     scale s carried apart, M^n = e^s Y, so n may be large enough that the
     entries of M^n overflow doubles by thousands of orders of magnitude.
     As det M^n = 1, the image height is t / (e^(2s) den(Y)), kept as a log.
+    M^-n = e^s adj(Y) moves o just as far, so the image is taken under
+    whichever of Y and adj(Y) has the larger den: the other may have lost
+    its small row to underflow.
     """
     a, b, c, d = _entries(M)
     if n < 0:
@@ -304,9 +313,13 @@ def power_displacement(M, n, o=BASEPOINT):
             base = _rescale(_mul(base[0], base[0]), 2.0 * base[1])
     (a, b, c, d), s = acc
     z, t = o.z, o.t
-    w = c * z + d
-    # den(Y) = r^2, with r taken by hypot so that no square underflows
-    r = math.hypot(w.real, w.imag, c.real * t, c.imag * t)
+    # den = r^2, with r taken by hypot so that no square underflows
+    ct = c.real * t, c.imag * t
+    w, w_adj = c * z + d, a - c * z
+    r = math.hypot(w.real, w.imag, *ct)
+    r_adj = math.hypot(w_adj.real, w_adj.imag, *ct)
+    if r_adj > r:
+        a, b, c, d, w, r = d, -b, -c, a, w_adj, r_adj
     z = ((a * z + b) * (w.conjugate() / r)
          + a * (c.conjugate() * t / r) * t) / r
     log_t = math.log(t) - 2.0 * (math.log(r) + s)
@@ -396,10 +409,10 @@ def dist_to_geodesic(p, g):
     return math.asinh(abs(q.z) / q.t)
 
 
-def fixed_points(M, tol=1e-9):
+def fixed_points(M):
     """(attracting, repelling) boundary fixed points of a loxodromic M."""
     a, b, c, d = M = _entries(M)
-    kind = classify(M, tol)
+    kind = classify(M)
     if kind != "loxodromic":
         raise NotLoxodromic(f"{kind} isometry has no axis", trace=a + d)
     if c == 0:
@@ -417,10 +430,10 @@ def fixed_points(M, tol=1e-9):
     return att / (2 * c), -2 * b / att
 
 
-def axis_of(M, basepoint=BASEPOINT, tol=1e-9):
+def axis_of(M, basepoint=BASEPOINT):
     """The axis of a loxodromic isometry, oriented toward its attracting
     fixed point, anchored at the projection of the basepoint."""
-    att, rep = fixed_points(M, tol)
+    att, rep = fixed_points(M)
     return Geodesic(att, rep, basepoint)
 
 
@@ -488,14 +501,16 @@ def dist_to_segment(x, seg):
     return math.asinh(abs(q.z) / q.t)
 
 
-def minimize_convex(f, a, b, tol=1e-10):
-    """Golden-section minimum of a convex function on [a, b].
+def minimize_convex(f, a, b):
+    """Golden-section minimum of a convex function on [a, b], to a bracket
+    of width _BRACKET_TOL.
 
     Returns (argmin, min).  Convexity makes the bracket reduction sound; the
     returned value is an achieved evaluation, hence always an upper bound
     for the true minimum.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = _BRACKET_TOL
     x1 = b - inv_phi * (b - a)
     x2 = a + inv_phi * (b - a)
     f1, f2 = f(x1), f(x2)

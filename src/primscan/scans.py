@@ -58,11 +58,27 @@ __all__ = [
 ]
 
 
+# translation per letter below this is a Bowditch violation (C > 1000)
+_LOW_RATIO = 1e-3
+# periods in ps_scan's orbit path: every start, the default two-period window
+_PS_PERIODS = 3
+# a foot jump within this of 0 is rounding and counts as either sign
+_FEET_TOL = 1e-9
+# relative distance below which two boundary points are one
+_BOUNDARY_TOL = 1e-9
+# find_quasi_loops searches O(|gamma|^2) windows: refuse longer words
+_MAX_QUASI_LOOP_LEN = 10_000
+# a random local-global run of A has power_floor + 0..3 letters
+_RUN_SPREAD = 4
+# noise draws per perturbation trial before it counts as degenerate
+_PERTURB_RETRIES = 100
+
+
 class PreconditionError(ValueError):
     """A scan's geometric precondition fails for the given representation."""
 
 
-def class_matrix(rep, tower, levels=None):
+def class_matrix(rep, tower):
     """The image of the tower's top word, via the block recursion
     w_i = w_{i-1}^(n_i - 1) w'_{i-1},  w'_i = w_{i-1} w_i.
 
@@ -70,15 +86,14 @@ def class_matrix(rep, tower, levels=None):
     renormalization is applied: once entries are large, the floating
     determinant is cancellation noise, while the plain product keeps
     full relative precision over the O(depth + log n_i) multiplies.
-
-    `levels`, a dict owned by the caller, shares the level products
-    between the towers of one representation (see `_class_image`).
     """
-    return _matrix(_class_image(rep, tower, {} if levels is None else levels))
+    return _matrix(_class_image(rep, tower, {}))
 
 
 def _class_image(rep, tower, levels):
-    """`class_matrix` as a kernel 4-tuple."""
+    """`class_matrix` as a kernel 4-tuple.  `levels`, a dict owned by the
+    caller, shares the level products between the towers of one
+    representation (see `_level_pair`)."""
     w0, wp0, entries = tower.w[0], tower.wp[0], tower.cf
     if not entries:
         return rep._product(w0)
@@ -305,7 +320,7 @@ class ExcursionProfile:
         u_start = ((start + shift) % len(vals)) * self.step
         return u_start, u_start + length, length
 
-    def sub_excursion_in(self, a, slack=None):
+    def sub_excursion_in(self, a):
         """A sub-excursion whose length lies in [a, 2a], up to one grid
         step of slack: returns (threshold, u_start, u_end, length) for
         the longest interval in the window, preferring lower thresholds.
@@ -315,8 +330,7 @@ class ExcursionProfile:
         window of multiplicative width two, for a up to half the longest
         excursion length.
         """
-        if slack is None:
-            slack = self.step + 1e-9
+        slack = self.step + 1e-9    # 1e-9: rounding of the sample grid
         lo, hi = a - slack, 2.0 * a + slack
         vals, shift = self._circular()
         best = None
@@ -398,7 +412,7 @@ class QuasiLoopReport:
     contradiction: dict | None
 
 
-def find_quasi_loops(rep, gamma, eps, min_len=1, cap=10_000, C=None):
+def find_quasi_loops(rep, gamma, eps, min_len=1, C=None):
     """All cyclic subwords w of gamma with d(rho(w) o, o) <= eps |w|,
     searched over the O(|gamma|^2) windows, plus the fraction of gamma
     covered by a greedy disjoint packing of the loops found.
@@ -414,8 +428,9 @@ def find_quasi_loops(rep, gamma, eps, min_len=1, cap=10_000, C=None):
     n = len(gamma)
     if n == 0:
         raise ValueError("gamma must be nonempty")
-    if n > cap:
-        raise ValueError(f"|gamma| = {n} exceeds the cap {cap}")
+    if n > _MAX_QUASI_LOOP_LEN:
+        raise ValueError(
+            f"|gamma| = {n} exceeds the cap {_MAX_QUASI_LOOP_LEN}")
     doubled = gamma + gamma
     loops = []
     # every offset has all n starts, so entry i of a batch is the subword
@@ -488,7 +503,7 @@ def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
     return out
 
 
-def bowditch_scan(rep, max_denominator, low_ratio=1e-3):
+def bowditch_scan(rep, max_denominator):
     """Scan the primitive classes of `enumerate_primitive_classes` (the
     slopes p/q with p, q >= 0 up to the cap; the classes of negative slope
     are not scanned): trace, translation length, and the ratio
@@ -506,7 +521,7 @@ def bowditch_scan(rep, max_denominator, low_ratio=1e-3):
         flags = []
         if kind != "loxodromic":
             flags.append(kind)
-        elif ratio < low_ratio:
+        elif ratio < _LOW_RATIO:
             flags.append("low-ratio")
         if not all(map(math.isfinite, (tr.real, tr.imag, tl, ratio))):
             flags.append("non-finite")
@@ -540,12 +555,12 @@ def bowditch_scan(rep, max_denominator, low_ratio=1e-3):
     return ScanReport(records, aggregate)
 
 
-def _same_sign(values, tol=1e-9):
-    return bool(all(v >= -tol for v in values)
-                or all(v <= tol for v in values))
+def _same_sign(values):
+    return bool(all(v >= -_FEET_TOL for v in values)
+                or all(v <= _FEET_TOL for v in values))
 
 
-def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
+def ps_scan(rep, max_denominator, window=None, step=0.5):
     """Scan the leaves of the primitive classes of
     `enumerate_primitive_classes` (the slopes p/q with p, q >= 0 up to the
     cap; the classes of negative slope are not scanned): fit the
@@ -572,8 +587,8 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
     batched offset grid (`_offset_grid`), whose O(n^2) products run in
     numpy.
     """
-    if span < 3:
-        raise ValueError("span must be >= 3 (at least three periods)")
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
     records = []
@@ -613,8 +628,8 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
                 "flags": ["not-loxodromic"],
             })
             continue
-        letters = gamma * span
-        win = min(window or 2 * length, len(letters))
+        letters = gamma * _PS_PERIODS
+        win = min(2 * length if window is None else window, len(letters))
         # the minimum over m of a rounded inv_lambda * k - d_m is the
         # rounded difference with the least d_m: rounding is monotone
         mins = _offset_minima(rep, letters, win, length)
@@ -628,7 +643,7 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
         stride = max((l for l in tower.l if l > threshold), default=None)
         feet_monotone = None
         if stride is not None:
-            steps = np.tile(deltas, span)
+            steps = np.tile(deltas, _PS_PERIODS)
             feet_jumps = [float(steps[i:i + stride].sum())
                           for i in range(0, len(steps) - stride + 1, stride)]
             feet_monotone = _same_sign(feet_jumps)
@@ -659,17 +674,17 @@ def ps_scan(rep, max_denominator, window=None, step=0.5, span=3):
 
 # ---------------------------------------------------------- local-global
 
-def _boundary_equal(x, y, tol=1e-9):
+def _boundary_equal(x, y):
     if x is INF or y is INF:
         return x is INF and y is INF
-    return abs(x - y) <= tol * (1.0 + abs(x) + abs(y))
+    return abs(x - y) <= _BOUNDARY_TOL * (1.0 + abs(x) + abs(y))
 
 
-def _local_global_word(rng, power_floor, target_len, spread=4):
+def _local_global_word(rng, power_floor, target_len):
     parts = []
     total = 0
     while total < target_len:
-        run = power_floor + int(rng.integers(0, spread))
+        run = power_floor + int(rng.integers(0, _RUN_SPREAD))
         parts.append("b" + "a" * run)
         total += 1 + run
     return "".join(parts)
@@ -684,6 +699,10 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
     Precondition: A is loxodromic and B does not map the attracting fixed
     point of A to its repelling fixed point.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if isinstance(sample_words, int) and sample_words < 1:
+        raise ValueError(f"sample_words must be >= 1, got {sample_words}")
     a_image = rep.gen_image("a")
     if classify(a_image) != "loxodromic":
         raise PreconditionError("the image of a must be loxodromic")
@@ -725,21 +744,22 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
 
 # ---------------------------------------------------------- perturbation
 
-def perturbation_scan(rep, radius, trials, max_denominator, seed=0,
-                      low_ratio=1e-3, max_retries=100):
+def perturbation_scan(rep, radius, trials, max_denominator, seed=0):
     """Perturb the generator matrices entrywise by uniform noise of the
     given radius, re-unimodularize, and rerun the ratio scan; report the
     minimum and median of the perturbed minimum ratios."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    base = bowditch_scan(rep, max_denominator, low_ratio)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    base = bowditch_scan(rep, max_denominator)
     children = np.random.SeedSequence(seed).spawn(trials)
     values = []
     degenerate = 0
     for child in children:
         rng = np.random.default_rng(child)
         perturbed = None
-        for _ in range(max_retries):
+        for _ in range(_PERTURB_RETRIES):
             try:
                 perturbed = Representation(
                     rep.model,
@@ -753,7 +773,7 @@ def perturbation_scan(rep, radius, trials, max_denominator, seed=0,
             degenerate += 1
             values.append(None)
             continue
-        scan = bowditch_scan(perturbed, max_denominator, low_ratio)
+        scan = bowditch_scan(perturbed, max_denominator)
         values.append(scan.aggregate["min_ratio"])
     valid = [v for v in values if v is not None]
     return {

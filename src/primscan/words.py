@@ -16,19 +16,18 @@ ALPHABET = "aAbB"
 _ALPHABET_SET = frozenset(ALPHABET)
 
 
-def check_word(w, require_reduced=True):
-    """Validate alphabet membership (and free reduction); return w.
+def check_word(w):
+    """Validate alphabet membership and free reduction; return w.
 
     Raises ValueError with the offending position on failure.
     """
     for i, c in enumerate(w):
         if c not in _ALPHABET_SET:
             raise ValueError(f"invalid letter {c!r} at position {i} in {w!r}")
-    if require_reduced:
-        for i in range(len(w) - 1):
-            if w[i] == w[i + 1].swapcase():
-                raise ValueError(
-                    f"word {w!r} is not freely reduced at position {i}")
+    for i in range(len(w) - 1):
+        if w[i] == w[i + 1].swapcase():
+            raise ValueError(
+                f"word {w!r} is not freely reduced at position {i}")
     return w
 
 

@@ -399,6 +399,24 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
     assert other not in captured.err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["scan-ps", "--window", "0"], "window"),
+    (["scan-ps", "--window", "-1"], "window"),
+    (["local-global", "--window", "0"], "window"),
+    (["local-global", "--words", "0"], "words"),
+    (["perturb", "--radius", "1e-3", "--trials", "0"], "trials"),
+    (["detour", "--trials", "0"], "trials"),
+    (["quadrilateral", "--trials", "-2"], "trials"),
+])
+def test_out_of_range_counts_exit_two(rep_file, capsys, argv, name):
+    if argv[0] not in ("detour", "quadrilateral"):
+        argv = [*argv, "--rep", rep_file(MARKOFF)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} must" in captured.err
+
+
 def test_excursion_refuses_failed_periodicity(rep_file, capsys,
                                              monkeypatch):
     # no known input breaks the seams of the per-rotation frames, so the

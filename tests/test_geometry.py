@@ -219,6 +219,17 @@ def test_classify_frozen_cases():
     assert classify(MARKOFF_A) == "loxodromic"
 
 
+def test_classify_trace_tolerance():
+    # [[tr - 1, 1], [tr - 2, 1]] has det 1 and trace tr: a real trace
+    # within 1e-9 of 2 is parabolic, past it the class follows the side
+    def with_trace(tr):
+        return as_matrix([[tr - 1, 1], [tr - 2, 1]])
+    assert classify(with_trace(2 + 5e-10)) == "parabolic"
+    assert classify(with_trace(2 - 5e-10)) == "parabolic"
+    assert classify(with_trace(2 + 2e-9)) == "loxodromic"
+    assert classify(with_trace(2 - 2e-9)) == "elliptic"
+
+
 def test_translation_length_markoff_generator():
     # eigenvalue route vs trace route: 2 ln((3+sqrt 5)/2) = 2 arcosh(3/2)
     tl = translation_length(MARKOFF_A)
@@ -328,10 +339,26 @@ def test_lengths_diagonal_orbit():
     assert distance(apply(M, o), o) == pytest.approx(2 * math.log(2),
                                                      abs=1e-12)
     # at n = 520 the image height 4^n is past the float range, while the
-    # entry 4^-n of the rescaled power is still a (subnormal) double
-    for n in (1, 2, 7, 100, 520):
+    # entry 4^-n of the rescaled power is still a (subnormal) double; from
+    # n = 538 on it underflows to 0 and only the adjugate keeps the image
+    for n in (1, 2, 7, 100, 520, 538, 600, 10_000):
         assert power_displacement(M, n, o) / n == pytest.approx(
             2 * math.log(2), abs=1e-9)
+    for n in (538, 600, 10_000):
+        assert power_displacement(M, n, o) == pytest.approx(
+            n * math.log(4), rel=1e-12)
+    # off the axis M^n o = (4^n (z + 2/3) - 2/3, 4^n t), so d(M^n o, o)
+    # exceeds n ln 4 by ln(((z + 2/3)^2 + t^2) / t^2) up to O(4^-n); past
+    # n ~ 520 the height leaves the float range and the image is measured
+    # under M^-n
+    M = as_matrix([[2, 1], [0, 0.5]])
+    o = HPoint(0.3, 2)
+    excess = math.log(((0.3 + 2 / 3) ** 2 + 4) / 4)
+    for n in (100, 520, 537, 600, 10_000):
+        forward = power_displacement(M, n, o)
+        assert forward == pytest.approx(power_displacement(M, -n, o),
+                                        rel=1e-12)
+        assert forward - n * math.log(4) == pytest.approx(excess, abs=1e-9)
 
 
 def test_lengths_identity():

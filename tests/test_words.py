@@ -30,7 +30,6 @@ def test_check_word_rejects():
         check_word("abc")
     with pytest.raises(ValueError):
         check_word("aA")
-    check_word("aA", require_reduced=False)
     assert check_word("abAB") == "abAB"
 
 
