@@ -217,6 +217,8 @@ def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):
     d <= Kx + Ky + 6*delta, d1 <= 18*delta."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
     report = TrialReport()
     for _ in range(trials):
@@ -359,6 +361,10 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
     forced for a fraction of the runs."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if K is not None and K <= 0:
+        raise ValueError(f"K must be positive, got {K}")
+    if C is not None and C < 0:
+        raise ValueError(f"C must be nonnegative, got {C}")
     rng = np.random.default_rng(seed)
     report = TrialReport()
     for _ in range(trials):

@@ -68,7 +68,7 @@ _FEET_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
 # find_quasi_loops searches O(|gamma|^2) windows: refuse longer words
 _MAX_QUASI_LOOP_LEN = 10_000
-# a random local-global run of A has power_floor + 0..3 letters
+# runs of power_floor + 0..3 letters keep random local-global words aperiodic
 _RUN_SPREAD = 4
 # noise draws per perturbation trial before it counts as degenerate
 _PERTURB_RETRIES = 100
@@ -425,6 +425,8 @@ def find_quasi_loops(rep, gamma, eps, min_len=1, C=None):
         raise ValueError("eps must be positive")
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
+    if C is not None and C <= 0:
+        raise ValueError(f"C must be positive, got {C}")
     n = len(gamma)
     if n == 0:
         raise ValueError("gamma must be nonempty")
@@ -701,6 +703,8 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if power_floor < 0:
+        raise ValueError(f"power_floor must be >= 0, got {power_floor}")
     if isinstance(sample_words, int) and sample_words < 1:
         raise ValueError(f"sample_words must be >= 1, got {sample_words}")
     a_image = rep.gen_image("a")

@@ -404,11 +404,16 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
     (["scan-ps", "--window", "-1"], "window"),
     (["local-global", "--window", "0"], "window"),
     (["local-global", "--words", "0"], "words"),
+    (["local-global", "--power", "-5"], "power_floor"),
     (["perturb", "--radius", "1e-3", "--trials", "0"], "trials"),
     (["detour", "--trials", "0"], "trials"),
+    (["detour", "--K", "0"], "K"),
+    (["detour", "--C", "-1"], "C"),
     (["quadrilateral", "--trials", "-2"], "trials"),
+    (["quadrilateral", "--delta", "0"], "delta"),
+    (["quasi-loops", "--slope", "3/2", "--eps", "0.1", "--C", "0"], "C"),
 ])
-def test_out_of_range_counts_exit_two(rep_file, capsys, argv, name):
+def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
     if argv[0] not in ("detour", "quadrilateral"):
         argv = [*argv, "--rep", rep_file(MARKOFF)]
     assert main(argv) == 2

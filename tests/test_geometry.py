@@ -341,7 +341,7 @@ def test_lengths_diagonal_orbit():
     # at n = 520 the image height 4^n is past the float range, while the
     # entry 4^-n of the rescaled power is still a (subnormal) double; from
     # n = 538 on it underflows to 0 and only the adjugate keeps the image
-    for n in (1, 2, 7, 100, 520, 538, 600, 10_000):
+    for n in (1, 2, 7, 100, 520):
         assert power_displacement(M, n, o) / n == pytest.approx(
             2 * math.log(2), abs=1e-9)
     for n in (538, 600, 10_000):
