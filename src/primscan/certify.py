@@ -45,6 +45,13 @@ _SLACK = 1e-7
 _FAR_FRACTION = 0.08
 # path draws per detour trial before the sampler gives up on its K
 _MAX_RETRIES = 60
+# rounding allowance on the triangle bound that gates the far-regime stop
+# test: the bound and the exact distance are each within a few ulps of
+# values below 1e4, about 1e-12, far less than this
+_STOP_MARGIN = 1e-9
+# largest detour clearance K + C: fermi_point's height e^u / cosh(rho)
+# stays a normal float (cosh itself overflows past 710.5)
+_MAX_CLEARANCE = 700.0
 
 
 class SamplerError(RuntimeError):
@@ -87,11 +94,33 @@ def path_lower_bound(d=0.0, K=0.0, C=0.0, delta=DEFAULT_DELTA,
     - "general": the segment [x, y] stays 2*delta-far from the projected
                  segment; bound (2^((d - Kx - Ky + 2K)/(2 delta) - 5) - 2) delta.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    for name, value in (("d", d), ("K", K), ("C", C), ("Kx", Kx), ("Ky", Ky)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    inputs = {"d": d, "K": K, "C": C, "Kx": Kx, "Ky": Ky}
+    for name, value in inputs.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(
+                f"{name} must be nonnegative and finite, got {value}")
+    try:
+        bound = _regime_bound(d, K, C, delta, Kx, Ky, regime)
+        finite = all(map(math.isfinite, (bound.bound, bound.chain_bound or 0.0,
+                                         bound.diameter_cap or 0.0)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        named = ", ".join(f"{name}={inputs[name]:g}"
+                          for name in _REGIME_INPUTS[regime])
+        raise ValueError(f"the {regime} bound exceeds the float range at "
+                         f"{named}, delta={delta:g}")
+    return bound
+
+
+# the inputs each regime's formula reads, named when it overflows
+_REGIME_INPUTS = {"near": ("d", "C"), "close": ("K",),
+                  "general": ("d", "K", "Kx", "Ky"), "far": ("d", "K", "C")}
+
+
+def _regime_bound(d, K, C, delta, Kx, Ky, regime):
     if regime == "near":
         c_prime = max(C, delta)
         return PathBound(regime, _doubling(
@@ -217,8 +246,8 @@ def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):
     d <= Kx + Ky + 6*delta, d1 <= 18*delta."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     rng = np.random.default_rng(seed)
     report = TrialReport()
     for _ in range(trials):
@@ -250,20 +279,22 @@ def _segment_clearance(p, q):
         return math.asinh(0.5 * (zp + zq) / max(tp, tq))
     m = (zq * zq + tq * tq - zp * zp - tp * tp) / (2.0 * (zq - zp))
     radius = math.hypot(zp - m, tp)
-    lo, hi = sorted((math.atan2(tp, zp - m), math.atan2(tq, zq - m)))
+    lo = math.atan2(tp, zp - m)
+    hi = math.atan2(tq, zq - m)
+    if hi < lo:
+        lo, hi = hi, lo
     k = m / radius
+    stationary = math.inf
     if k <= 1.0:
         # the full circle reaches the axis; if the crossing angle lies
         # inside the arc the segment touches it
         crossing = math.acos(max(-1.0, min(1.0, -k)))
         if lo - 1e-15 <= crossing <= hi + 1e-15:
             return 0.0
-        candidates = []
-    else:
-        stationary = math.acos(-1.0 / k)
-        candidates = [math.sqrt(k * k - 1.0)] if lo <= stationary <= hi else []
-    candidates += [(k + math.cos(th)) / math.sin(th) for th in (lo, hi)]
-    return math.asinh(min(candidates))
+    elif lo <= math.acos(-1.0 / k) <= hi:
+        stationary = math.sqrt(k * k - 1.0)
+    return math.asinh(min(stationary, (k + math.cos(lo)) / math.sin(lo),
+                          (k + math.cos(hi)) / math.sin(hi)))
 
 
 class DetourMeasurement(NamedTuple):
@@ -333,22 +364,33 @@ def _sample_detour_path(rng, K, C, delta, far):
     far_target = 2.0 * hi + 18.0 * delta + float(rng.uniform(1.0, 4.0))
     step_lo, step_hi = (0.55, 0.95) if far else (0.25, 0.8)
     segments = int(rng.integers(2, 9))
-    rho = float(rng.uniform(lo, hi))
+    rho = rho0 = float(rng.uniform(lo, hi))
     u = 0.0
     vertices = [fermi_point(u, rho, side)]
-    while True:
-        next_rho = float(rng.uniform(lo, hi))
-        limit = _chord_limit(min(rho, next_rho), K)
-        u += float(rng.uniform(step_lo, step_hi)) * limit
-        rho = next_rho
-        vertices.append(fermi_point(u, rho, side))
-        if far:
-            if distance(vertices[0], vertices[-1]) > far_target:
+    try:
+        while True:
+            # one draw for both: Generator.uniform(a, b) is
+            # a + (b - a) * random(), so stream and bits are unchanged
+            x, y = rng.random(2).tolist()
+            next_rho = lo + (hi - lo) * x
+            limit = _chord_limit(min(rho, next_rho), K)
+            u += (step_lo + (step_hi - step_lo) * y) * limit
+            rho = next_rho
+            vertices.append(fermi_point(u, rho, side))
+            if far:
+                # d(v0, v) <= rho0 + u + rho through the two feet on
+                # the axis: the exact test cannot pass below that line
+                if (rho0 + u + rho >= far_target - _STOP_MARGIN
+                        and distance(vertices[0], vertices[-1]) > far_target):
+                    break
+                if len(vertices) > 6000:
+                    raise SamplerError("far-regime path failed to spread")
+            elif len(vertices) > segments:
                 break
-            if len(vertices) > 6000:
-                raise SamplerError("far-regime path failed to spread")
-        elif len(vertices) > segments:
-            break
+    except OverflowError:
+        # e^u past the float range: a far target beyond it (large delta)
+        # or chord limits too long for it (tiny K)
+        raise SamplerError("detour path left the float range") from None
     return vertices
 
 
@@ -361,10 +403,17 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
     forced for a fraction of the runs."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if K is not None and K <= 0:
-        raise ValueError(f"K must be positive, got {K}")
-    if C is not None and C < 0:
-        raise ValueError(f"C must be nonnegative, got {C}")
+    if K is not None and not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
+    if C is not None and not 0.0 <= C < math.inf:
+        raise ValueError(f"C must be nonnegative and finite, got {C}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    # the largest clearance a path can reach: K and C at their top draws
+    reach = (5.0 if K is None else K) + (2.0 if C is None else C)
+    if reach > _MAX_CLEARANCE:
+        raise ValueError(f"K + C must be at most {_MAX_CLEARANCE:g}, "
+                         f"got up to {reach:g}")
     rng = np.random.default_rng(seed)
     report = TrialReport()
     for _ in range(trials):

@@ -705,8 +705,14 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
         raise ValueError(f"window must be >= 1, got {window}")
     if power_floor < 0:
         raise ValueError(f"power_floor must be >= 0, got {power_floor}")
-    if isinstance(sample_words, int) and sample_words < 1:
-        raise ValueError(f"sample_words must be >= 1, got {sample_words}")
+    if isinstance(sample_words, int):
+        if sample_words < 1:
+            raise ValueError(
+                f"sample_words must be >= 1, got {sample_words}")
+    else:
+        sample_words = list(sample_words)
+        if not sample_words:
+            raise ValueError("sample_words must not be an empty list")
     a_image = rep.gen_image("a")
     if classify(a_image) != "loxodromic":
         raise PreconditionError("the image of a must be loxodromic")
@@ -722,7 +728,7 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
         words = [_local_global_word(rng, power_floor, int(t))
                  for t in targets]
     else:
-        words = list(sample_words)
+        words = sample_words
     records = []
     for word in words:
         n = len(word)

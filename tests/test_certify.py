@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from primscan import certify
 from primscan.certify import (
     PathBound,
     SamplerError,
@@ -12,6 +14,8 @@ from primscan.certify import (
     path_lower_bound,
     quadrilateral_check,
     segment_gap,
+    _chord_limit,
+    _sample_detour_path,
     _segment_clearance,
 )
 from primscan.geometry import (
@@ -268,3 +272,123 @@ def test_detour_verify_deterministic():
     a = detour_verify(40, delta=1.0, seed=21)
     b = detour_verify(40, delta=1.0, seed=21)
     assert a.records == b.records
+
+
+# ------------------------------------------- sampler against its reference
+#
+# The sampler draws each step's pair with one rng.random(2) and tests the
+# far-regime stop with the exact distance only past a triangle bound, and
+# the clearance takes its minimum without a candidate list.  The scalar
+# versions below are the references: both must give the same vertices,
+# clearances and stream position, bit for bit.
+
+def _reference_sample_detour_path(rng, K, C, delta, far):
+    side = 1.0 if rng.random() < 0.5 else -1.0
+    lo = K + 0.05 * min(1.0, C) + (0.6 * C if far else 0.0)
+    hi = K + C
+    far_target = 2.0 * hi + 18.0 * delta + float(rng.uniform(1.0, 4.0))
+    step_lo, step_hi = (0.55, 0.95) if far else (0.25, 0.8)
+    segments = int(rng.integers(2, 9))
+    rho = float(rng.uniform(lo, hi))
+    u = 0.0
+    vertices = [fermi_point(u, rho, side)]
+    while True:
+        next_rho = float(rng.uniform(lo, hi))
+        limit = _chord_limit(min(rho, next_rho), K)
+        u += float(rng.uniform(step_lo, step_hi)) * limit
+        rho = next_rho
+        vertices.append(fermi_point(u, rho, side))
+        if far:
+            if distance(vertices[0], vertices[-1]) > far_target:
+                break
+            if len(vertices) > 6000:
+                raise SamplerError("far-regime path failed to spread")
+        elif len(vertices) > segments:
+            break
+    return vertices
+
+
+def _reference_segment_clearance(p, q):
+    zp, zq = p.z.real, q.z.real
+    tp, tq = p.t, q.t
+    if zp == 0.0 and zq == 0.0:
+        return 0.0
+    if zp * zq <= 0.0:
+        return 0.0
+    if zp < 0.0:
+        zp, zq = -zp, -zq
+    if abs(zp - zq) <= 1e-14 * (tp + tq):
+        return math.asinh(0.5 * (zp + zq) / max(tp, tq))
+    m = (zq * zq + tq * tq - zp * zp - tp * tp) / (2.0 * (zq - zp))
+    radius = math.hypot(zp - m, tp)
+    lo, hi = sorted((math.atan2(tp, zp - m), math.atan2(tq, zq - m)))
+    k = m / radius
+    if k <= 1.0:
+        crossing = math.acos(max(-1.0, min(1.0, -k)))
+        if lo - 1e-15 <= crossing <= hi + 1e-15:
+            return 0.0
+        candidates = []
+    else:
+        stationary = math.acos(-1.0 / k)
+        candidates = [math.sqrt(k * k - 1.0)] if lo <= stationary <= hi else []
+    candidates += [(k + math.cos(th)) / math.sin(th) for th in (lo, hi)]
+    return math.asinh(min(candidates))
+
+
+def _path_or_error(sampler, rng, K, C, far):
+    try:
+        return sampler(rng, K, C, 1.0, far)
+    except SamplerError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("K", [1.0, 2.0, 5.0])
+@pytest.mark.parametrize("C", [0.3, 1.5])
+def test_sampler_matches_the_scalar_draw_reference(far, K, C):
+    for seed in range(6 if far else 40):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _path_or_error(_sample_detour_path, rng, K, C, far)
+        want = _path_or_error(_reference_sample_detour_path, ref_rng, K, C,
+                              far)
+        assert got == want
+        if not isinstance(got, str):
+            pairs = list(zip(got, got[1:]))
+            assert ([_segment_clearance(p, q) for p, q in pairs]
+                    == [_reference_segment_clearance(p, q) for p, q in pairs])
+        # the next draw pins the stream position
+        assert rng.random() == ref_rng.random()
+
+
+def test_segment_clearance_matches_its_reference_on_random_pairs():
+    rng = np.random.default_rng(17)
+    zs = rng.normal(scale=2.0, size=(20_000, 2))
+    ts = np.exp(rng.normal(scale=1.5, size=(20_000, 2)))
+    for (zp, zq), (tp, tq) in zip(zs.tolist(), ts.tolist()):
+        for p, q in ((HPoint(zp, tp), HPoint(zq, tq)),
+                     (HPoint(abs(zp), tp), HPoint(abs(zq), tq)),
+                     (HPoint(zp, tp), HPoint(zp, tq))):
+            assert _segment_clearance(p, q) == _reference_segment_clearance(
+                p, q)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8, 13, 2026])
+def test_detour_verify_records_match_the_reference_sampler(monkeypatch,
+                                                           seed):
+    got = detour_verify(200, seed=seed).records
+    monkeypatch.setattr(certify, "_sample_detour_path",
+                        _reference_sample_detour_path)
+    monkeypatch.setattr(certify, "_segment_clearance",
+                        _reference_segment_clearance)
+    assert got == detour_verify(200, seed=seed).records
+
+
+@given(rho0=st.floats(0.0, 350.0), u=st.floats(-340.0, 340.0),
+       rho=st.floats(0.0, 350.0), side=st.sampled_from([1.0, -1.0]))
+def test_far_stop_bound_is_sound(rho0, u, rho, side):
+    # d(v0, v) <= rho0 + |u| + rho by the triangle inequality through the
+    # feet of v0 and v on the axis; below that line the sampler skips the
+    # exact stop test, so this bound must hold in floats as well
+    d = distance(fermi_point(0.0, rho0, side), fermi_point(u, rho, side))
+    bound = rho0 + abs(u) + rho
+    assert d <= bound + 1e-12 * (1.0 + bound)

@@ -411,15 +411,57 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
     (["detour", "--C", "-1"], "C"),
     (["quadrilateral", "--trials", "-2"], "trials"),
     (["quadrilateral", "--delta", "0"], "delta"),
+    (["quadrilateral", "--delta", "nan"], "delta"),
+    (["quadrilateral", "--delta", "inf"], "delta"),
+    (["detour", "--K", "nan"], "K"),
+    (["detour", "--K", "inf"], "K"),
+    (["detour", "--C", "nan"], "C"),
+    (["detour", "--C", "inf"], "C"),
+    (["detour", "--delta", "nan"], "delta"),
+    (["detour", "--delta", "inf"], "delta"),
+    (["detour", "--K", "720"], "K + C"),
+    (["detour", "--C", "1e6"], "K + C"),
+    (["bounds", "--d", "nan"], "d"),
+    (["bounds", "--d", "inf"], "d"),
+    (["bounds", "--d", "1", "--K", "nan"], "K"),
+    (["bounds", "--d", "1", "--Kx", "inf"], "Kx"),
+    (["bounds", "--d", "1", "--delta", "nan"], "delta"),
     (["quasi-loops", "--slope", "3/2", "--eps", "0.1", "--C", "0"], "C"),
 ])
 def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
-    if argv[0] not in ("detour", "quadrilateral"):
+    if argv[0] not in ("detour", "quadrilateral", "bounds"):
         argv = [*argv, "--rep", rep_file(MARKOFF)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{name} must" in captured.err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--d", "3000"], "d=3000"),
+    (["--K", "2000", "--regime", "close"], "K=2000"),
+    (["--d", "1e300", "--K", "1000", "--regime", "far"], "K=1000"),
+    (["--d", "1e308", "--K", "1e308", "--regime", "general"], "K=1e+308"),
+])
+def test_bound_past_the_float_range_exits_two(capsys, argv, named):
+    if "--d" not in argv:
+        argv = [*argv, "--d", "1"]
+    assert main(["bounds", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the float range" in captured.err
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--K", "1e-300"],                  # chord limits past e^u's range
+    ["--K", "1", "--delta", "40"],      # a far target past it
+])
+def test_detour_past_the_float_range_exits_two(capsys, argv):
+    assert main(["detour", "--trials", "100", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "float range" in captured.err
 
 
 def test_excursion_refuses_failed_periodicity(rep_file, capsys,

@@ -743,6 +743,13 @@ def test_local_global_word_generator_matches_contract():
         assert len(word) >= target
 
 
+@pytest.mark.parametrize("words", [[], (), iter([])])
+def test_local_global_refuses_an_empty_word_list(words):
+    rep = Representation("H2", [[4, 0], [0, 0.25]], [[4, -3.75], [0, 0.25]])
+    with pytest.raises(ValueError, match="sample_words must not be"):
+        local_global_scan(rep, 3, 10, words)
+
+
 def test_local_global_deterministic():
     rep = Representation("H2", [[4, 0], [0, 0.25]], [[4, -3.75], [0, 0.25]])
     a = local_global_scan(rep, 3, 20, 4, seed=9)
