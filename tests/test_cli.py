@@ -411,6 +411,7 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
     (["detour", "--C", "-1"], "C"),
     (["quadrilateral", "--trials", "-2"], "trials"),
     (["quadrilateral", "--delta", "0"], "delta"),
+    (["quasi-loops", "--slope", "3/2", "--eps", "0.1", "--C", "0"], "C"),
     (["quadrilateral", "--delta", "nan"], "delta"),
     (["quadrilateral", "--delta", "inf"], "delta"),
     (["detour", "--K", "nan"], "K"),
@@ -426,7 +427,6 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
     (["bounds", "--d", "1", "--K", "nan"], "K"),
     (["bounds", "--d", "1", "--Kx", "inf"], "Kx"),
     (["bounds", "--d", "1", "--delta", "nan"], "delta"),
-    (["quasi-loops", "--slope", "3/2", "--eps", "0.1", "--C", "0"], "C"),
 ])
 def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
     if argv[0] not in ("detour", "quadrilateral", "bounds"):
