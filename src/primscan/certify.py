@@ -20,6 +20,7 @@ the default is sound.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -49,6 +50,9 @@ _MAX_RETRIES = 60
 # test: the bound and the exact distance are each within a few ulps of
 # values below 1e4, about 1e-12, far less than this
 _STOP_MARGIN = 1e-9
+# smallest detour K: below it tanh K (= K there) is subnormal, and the
+# chord limit's tanh rho / tanh K runs to inf
+_MIN_K = sys.float_info.min
 # largest detour clearance K + C: fermi_point's height e^u / cosh(rho)
 # stays a normal float (cosh itself overflows past 710.5)
 _MAX_CLEARANCE = 700.0
@@ -403,8 +407,8 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
     forced for a fraction of the runs."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if K is not None and not 0.0 < K < math.inf:
-        raise ValueError(f"K must be positive and finite, got {K}")
+    if K is not None and not _MIN_K <= K < math.inf:
+        raise ValueError(f"K must be finite and at least {_MIN_K!r}, got {K}")
     if C is not None and not 0.0 <= C < math.inf:
         raise ValueError(f"C must be nonnegative and finite, got {C}")
     if not 0.0 < delta < math.inf:

@@ -146,7 +146,7 @@ def _cmd_scan_bowditch(args):
 
 def _cmd_scan_ps(args):
     rep = parse_rep_file(args.rep)
-    scan = ps_scan(rep, args.max_den, window=args.window, step=args.step)
+    scan = ps_scan(rep, args.max_den, step=args.step)
     code = 1 if scan.aggregate["violations"] else 0
     return scan.records, scan.aggregate, code
 
@@ -270,10 +270,9 @@ def build_parser():
     p.add_argument("--max-den", type=int, default=20)
 
     p = add("scan-ps", _cmd_scan_ps,
-            help="orbit-map quasi-isometry scan over primitive classes")
+            help="orbit-map quasi-geodesic scan over primitive classes")
     p.add_argument("--rep", required=True)
     p.add_argument("--max-den", type=int, default=10)
-    p.add_argument("--window", type=int, default=None)
     p.add_argument("--step", type=float, default=0.5)
 
     p = add("excursion", _cmd_excursion,

@@ -12,8 +12,9 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 - `bowditch_scan`: per-class traces, translation lengths and
   translation-per-letter ratios, fitted displacement constants, and the
   trace cross-check data (Fricke recursion over the Farey tree).
-- `ps_scan`: per-class quasi-isometry constants of the orbit map, tubular
-  radii, and the projection-order (feet monotonicity) check.
+- `ps_scan`: per-class quasi-geodesic constants of the orbit map from the
+  projection onto the class axis, tubular radii, and the projection-order
+  (feet monotonicity) check.
 - `local_global_scan`: local vs global quasi-geodesic constants over
   words of the shape (B A^N A^*)^*.
 - `perturbation_scan`: robustness of the minimum ratio under entrywise
@@ -25,6 +26,7 @@ square-and-multiply powers on the scalar 2x2 kernel of `geometry`
 products.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +62,12 @@ __all__ = [
 
 # translation per letter below this is a Bowditch violation (C > 1000)
 _LOW_RATIO = 1e-3
-# periods in ps_scan's orbit path: every start, the default two-period window
+# periods of foot increments in ps_scan's projection-order check
 _PS_PERIODS = 3
+# relative gap between a period of foot increments and the translation
+# length: rounding over a few hundred frames is ~1e-15, so this is a
+# broken frame, not noise
+_PERIOD_TOL = 1e-9
 # a foot jump within this of 0 is rounding and counts as either sign
 _FEET_TOL = 1e-9
 # relative distance below which two boundary points are one
@@ -562,35 +568,31 @@ def _same_sign(values):
                 or all(v <= _FEET_TOL for v in values))
 
 
-def ps_scan(rep, max_denominator, window=None, step=0.5):
+def ps_scan(rep, max_denominator, step=0.5):
     """Scan the leaves of the primitive classes of
     `enumerate_primitive_classes` (the slopes p/q with p, q >= 0 up to the
-    cap; the classes of negative slope are not scanned): fit the
-    quasi-isometry constants of the orbit map on each leaf, measure the
-    tubular radius around the class axis, and check the projection-order
-    lemma at the largest block length above its threshold.
+    cap; the classes of negative slope are not scanned): the quasi-geodesic
+    constants of the orbit map on each leaf, the tubular radius around the
+    class axis, and the projection-order lemma at the largest block length
+    above its threshold.
 
-    The multiplicative rate 1/lambda is fitted as the worst
-    distance-per-parameter over vertex pairs at least half a window
-    apart; the additive constant is the worst defect of that rate over
-    all pairs within the window.  Non-loxodromic classes are recorded as
-    violations.
+    Lemma: let s_m be the axis coordinate of the foot of leaf vertex v_m,
+    l the translation length and n = |gamma|.  rho(gamma) translates the
+    axis by l, so e_m = s_m - m l / n is n-periodic.  Projection onto a
+    geodesic of H^2 or H^3 is 1-Lipschitz (Bridson-Haefliger, Metric
+    spaces of non-positive curvature, Prop. II.2.4), so for all i < j,
+    d(v_i, v_j) >= |s_j - s_i| >= (l / n)(j - i) - osc(e).  Every leaf is
+    a global quasi-geodesic with lower `rate` l / n (the ratio of
+    `bowditch_scan`) and additive constant `osc` = max e - min e.  The
+    foot increments sum to l over a period; `period_error` is the
+    relative gap.
 
-    Axis excursions and projection feet are measured one letter at a
-    time in the per-rotation frames of `_rotation_images` and `_leaf_edges`,
-    the frames that `excursion_profile` reads; the excursion and the foot
-    increments are conjugation-invariant, so this agrees with measuring
-    along the deep orbit directly, without the precision loss of
-    deep-orbit coordinates.
-
-    Per class of length n the Python-level work is O(n): n axes from
-    prefix and suffix products, the same few sample points on each letter
-    edge, and the pair distances of the |gamma| cyclic starts in one
-    batched offset grid (`_offset_grid`), whose O(n^2) products run in
-    numpy.
+    Feet and excursions are measured one letter at a time in the
+    per-rotation frames of `_rotation_images` and `_leaf_edges`, which
+    `excursion_profile` reads too: both are conjugation-invariant, so this
+    agrees with the deep orbit without the precision loss of deep-orbit
+    coordinates.  Per class of length n the work is O(n).
     """
-    if window is not None and window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
     records = []
@@ -605,9 +607,11 @@ def ps_scan(rep, max_denominator, window=None, step=0.5):
         length = len(gamma)
         m = _class_image(rep, tower, levels)
         tr = m[0] + m[3]
+        tl = translation_length(m)
+        rate = tl / length
         base = {
             "p": slope.p, "q": slope.q, "len": length,
-            "tr": [tr.real, tr.imag], "tl": translation_length(m),
+            "tr": [tr.real, tr.imag], "tl": tl, "rate": rate,
         }
         not_loxodromic = classify(m) != "loxodromic"
         tube = 0.0
@@ -625,23 +629,18 @@ def ps_scan(rep, max_denominator, window=None, step=0.5):
                 not_loxodromic = True
         if not_loxodromic:
             records.append({
-                **base, "inv_lambda": 0.0, "defect": None, "tube": None,
+                **base, "osc": None, "period_error": None, "tube": None,
                 "stride": None, "feet_monotone": None,
                 "flags": ["not-loxodromic"],
             })
             continue
-        letters = gamma * _PS_PERIODS
-        win = min(2 * length if window is None else window, len(letters))
-        # the minimum over m of a rounded inv_lambda * k - d_m is the
-        # rounded difference with the least d_m: rounding is monotone
-        mins = _offset_minima(rep, letters, win, length)
-        inv_lambda = min(mins[k - 1] / k
-                         for k in range(max(1, win // 2), win + 1))
-        defect = max(max(0.0, inv_lambda * k - mins[k - 1])
-                     for k in range(1, win + 1))
-        threshold = ((1.0 / inv_lambda if inv_lambda > 0 else math.inf)
-                     * (4.0 * rep.c_prime + 24.0 * delta + 2.0 * tube
-                        + defect))
+        # e_m = s_m - m * rate for m < n, with s_0 = 0
+        feet = itertools.accumulate(deltas[:-1], initial=0.0)
+        offsets = [s - i * rate for i, s in enumerate(feet)]
+        osc = max(offsets) - min(offsets)
+        period_error = abs(sum(deltas) - tl) / max(1.0, tl)
+        threshold = (4.0 * rep.c_prime + 24.0 * delta + 2.0 * tube
+                     + osc) / rate
         stride = max((l for l in tower.l if l > threshold), default=None)
         feet_monotone = None
         if stride is not None:
@@ -650,22 +649,25 @@ def ps_scan(rep, max_denominator, window=None, step=0.5):
                           for i in range(0, len(steps) - stride + 1, stride)]
             feet_monotone = _same_sign(feet_jumps)
         flags = []
-        if inv_lambda <= 1e-12:
-            flags.append("zero-rate")
+        if rate < _LOW_RATIO:
+            flags.append("low-ratio")
+        # a NaN error is flagged too
+        if not period_error <= _PERIOD_TOL:
+            flags.append("period-error")
         if feet_monotone is False:
             flags.append("feet-order")
         records.append({
-            **base, "inv_lambda": inv_lambda, "defect": defect,
-            "tube": tube, "stride": stride, "feet_monotone": feet_monotone,
-            "flags": flags,
+            **base, "osc": osc, "period_error": period_error, "tube": tube,
+            "stride": stride, "feet_monotone": feet_monotone, "flags": flags,
         })
-    tubes = [r["tube"] for r in records if r["tube"] is not None]
+    lox = [r for r in records if r["tube"] is not None]
     aggregate = {
         "classes": len(records),
-        "min_rate": min(r["inv_lambda"] for r in records),
-        "max_defect": max((r["defect"] for r in records
-                           if r["defect"] is not None), default=None),
-        "max_tube": max(tubes, default=None),
+        "min_rate": min(r["rate"] for r in records),
+        "max_osc": max((r["osc"] for r in lox), default=None),
+        "max_period_error": max((r["period_error"] for r in lox),
+                                default=None),
+        "max_tube": max((r["tube"] for r in lox), default=None),
         "feet_checked": sum(1 for r in records
                             if r["feet_monotone"] is not None),
         "feet_monotone": sum(1 for r in records if r["feet_monotone"]),

@@ -51,13 +51,6 @@ def invert(w):
     return w[::-1].swapcase()
 
 
-def power(w, n):
-    """w**n, freely reduced."""
-    if n < 0:
-        return power(invert(w), -n)
-    return reduce(w * n)
-
-
 def is_cyclically_reduced(w):
     return is_reduced(w) and (len(w) < 2 or w[0] != w[-1].swapcase())
 

@@ -274,6 +274,18 @@ def test_detour_verify_deterministic():
     assert a.records == b.records
 
 
+def test_detour_verify_refuses_k_with_subnormal_tanh():
+    # the smallest normal float is the smallest K whose tanh is normal
+    smallest = 2.2250738585072014e-308
+    assert math.tanh(smallest) == smallest
+    for K in (5e-324, math.nextafter(smallest, 0.0)):
+        with pytest.raises(ValueError, match=f"at least {smallest!r}"):
+            detour_verify(1, K=K)
+    # accepted, then past the float range in the sampler
+    with pytest.raises(SamplerError, match="float range"):
+        detour_verify(1, K=smallest)
+
+
 # ------------------------------------------- sampler against its reference
 #
 # The sampler draws each step's pair with one rng.random(2) and tests the

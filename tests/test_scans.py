@@ -232,9 +232,9 @@ def test_vectorized_displacements_match_scalar_action_h3():
     (criterion_9_rep(0.1), None), (markoff(), 3)],
     ids=["markoff", "eta=1.0", "eta=0.1", "markoff-window-3n"])
 def test_offset_minima_match_reference_loop(rep, window):
-    # ps_scan's grid: the |gamma| cyclic starts of gamma^3 give the same
-    # per-offset minima, bit for bit, as every start of the old loop; a
-    # window of 3|gamma| (> 2|gamma|) reaches offsets with fewer starts
+    # the |gamma| cyclic starts of gamma^3 give the same per-offset
+    # minima, bit for bit, as every start of the reference loop; a window
+    # of 3|gamma| (> 2|gamma|) reaches offsets with fewer starts
     for _, tower in enumerate_primitive_classes(20):
         gamma = tower.word
         n = len(gamma)
@@ -650,10 +650,56 @@ def test_ps_scan_markoff_clean():
     assert agg["violations"] == 0
     assert agg["min_rate"] > 0.9
     assert 0.5 < agg["max_tube"] < 1.1
-    assert agg["max_defect"] >= 0.0
+    assert 0.0 < agg["max_osc"] < 2.0
+    assert agg["max_period_error"] < 1e-12
     for r in scan.records:
-        assert r["inv_lambda"] > 0.0
+        assert r["rate"] > 0.0 and r["osc"] >= 0.0
         assert r["flags"] == []
+
+
+# rounding allowance of the projection bound: rate * k - osc sums unit-scale
+# foot increments over one period, and d comes from products of at most 69
+# letters; each is a few ulps of values below 100, about 1e-14
+PROJECTION_SLACK = 1e-12
+
+
+@pytest.mark.parametrize("rep", [
+    markoff(), criterion_9_rep(0.1), criterion_9_rep(0.01),
+    random_h3_rep(0), random_h3_rep(3), random_h3_rep(7)],
+    ids=["markoff", "eta=0.1", "eta=0.01", "h3-0", "h3-3", "h3-7"])
+def test_ps_scan_projection_bound_holds_for_every_pair(rep):
+    # projection onto the axis is 1-Lipschitz, so d(v_i, v_j) >=
+    # rate * (j - i) - osc for every pair of vertices, checked over three
+    # periods against fresh subword products
+    towers = {(s.p, s.q): t for s, t in enumerate_primitive_classes(12)}
+    scan = ps_scan(rep, 12)
+    for r in scan.records:
+        gamma = towers[r["p"], r["q"]].word
+        n = len(gamma)
+        for k, d in enumerate(grid_by_offset(rep, gamma * 3, 3 * n, 3 * n),
+                              1):
+            assert (r["rate"] * k - r["osc"] <= d + PROJECTION_SLACK).all(), \
+                (gamma, k)
+    # the rate is bowditch_scan's ratio, bit for bit
+    min_ratio = bowditch_scan(rep, 12).aggregate["min_ratio"]
+    assert min(r["rate"] for r in scan.records) == min_ratio
+    assert scan.aggregate["min_rate"] == min_ratio
+
+
+def test_ps_scan_flags_low_ratio_as_bowditch_scan_does():
+    # class 7/12 of this representation translates 0.0036 over 19 letters
+    rep = random_h3_rep(4)
+    flagged = {(r["p"], r["q"]): r["flags"] for r in ps_scan(rep, 12).violations}
+    assert flagged == {(r["p"], r["q"]): r["flags"]
+                       for r in bowditch_scan(rep, 12).violations}
+    assert flagged == {(7, 12): ["low-ratio"]}
+
+
+def test_ps_scan_flags_period_error(monkeypatch):
+    # no known input breaks the frames, so a stand-in tolerance drives it
+    monkeypatch.setattr(scans, "_PERIOD_TOL", -1.0)
+    scan = ps_scan(markoff(), 4)
+    assert all(r["flags"] == ["period-error"] for r in scan.records)
 
 
 def test_ps_scan_identity_rep_all_violations():

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from primscan import words
 from primscan.words import (
-    reduce, invert, power, cyclic_reduce, is_reduced,
+    reduce, invert, cyclic_reduce, is_reduced,
     is_cyclically_reduced, rotate, rotations,
     abelianization, substitute, enumerate_reduced, check_word,
 )
@@ -59,13 +59,6 @@ def test_abelianization_additive(u, v):
     pv, qv = abelianization(reduce(v))
     pw, qw = abelianization(reduce(u + v))
     assert (pw, qw) == (pu + pv, qu + qv)
-
-
-def test_power():
-    assert power("ab", 3) == "ababab"
-    assert power("ab", 0) == ""
-    assert power("ab", -2) == "BABA"
-    assert power("aBA", 2) == "aBBA"
 
 
 @given(raw_words)
