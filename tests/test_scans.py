@@ -689,10 +689,12 @@ def test_ps_scan_projection_bound_holds_for_every_pair(rep):
 def test_ps_scan_flags_low_ratio_as_bowditch_scan_does():
     # class 7/12 of this representation translates 0.0036 over 19 letters
     rep = random_h3_rep(4)
-    flagged = {(r["p"], r["q"]): r["flags"] for r in ps_scan(rep, 12).violations}
-    assert flagged == {(r["p"], r["q"]): r["flags"]
-                       for r in bowditch_scan(rep, 12).violations}
-    assert flagged == {(7, 12): ["low-ratio"]}
+
+    def flagged(scan):
+        return {(r["p"], r["q"]): r["flags"] for r in scan.violations}
+
+    assert (flagged(ps_scan(rep, 12)) == flagged(bowditch_scan(rep, 12))
+            == {(7, 12): ["low-ratio"]})
 
 
 def test_ps_scan_flags_period_error(monkeypatch):
