@@ -267,7 +267,9 @@ def enumerate_primitive_classes(max_den):
     Deterministic order: by q, then p; so 1/0 comes first, then 0/1, 1/1,
     2/1, ...  The count is 2 + #{(p, q) : 1 <= p, q <= max_den, coprime}.
     """
-    slopes = [Slope.from_pair(p, q) for p, q in _class_pairs(max_den)]
+    # the pairs are coprime and nonnegative: no from_pair checks needed
+    slopes = [Slope(p, q, tuple(cf_expansion(p, q)) if q else ())
+              for p, q in _class_pairs(max_den)]
     levels = {}
     return [(slope, _build_tower(slope, levels)) for slope in slopes]
 

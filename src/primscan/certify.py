@@ -36,7 +36,7 @@ from .geometry import (
     distance,
     fermi_point,
     geodesic_metrics,
-    minimize_convex,
+    mobius_boundary,
 )
 
 REGIMES = ("near", "far", "close", "general")
@@ -56,6 +56,21 @@ _MIN_K = sys.float_info.min
 # largest detour clearance K + C: fermi_point's height e^u / cosh(rho)
 # stays a normal float (cosh itself overflows past 710.5)
 _MAX_CLEARANCE = 700.0
+# steps of one far-regime path before the sampler gives up.  A step moves
+# the foot coordinate u by at least 0.55 chord limits at the band bottom
+# K + c, c = 0.05 min(1, C) + 0.6 C, and that chord limit is at least
+# 4 e^-K sqrt(1 - e^-2c) (to 1e-6 relative for K <= 8; the exact limit
+# is larger for small K).  The path stops once d(v0, v) > far_target,
+# which is below 2(K + C) + 18 delta + 4; with both ends at clearance
+# >= K + c, cosh d >= cosh^2(K + c)(cosh u - 1) + 1 gets there once
+# u >= G = 18 delta + 4 + 2(C - c) + ln 4 (+ 0.01 for the dropped terms
+# and that rounding).  So a path takes at most
+# G e^K / (2.2 sqrt(1 - e^-2c)) steps, and the cap serves every K up to
+#     K_max(C, delta) = ln(2.2 * _MAX_FAR_STEPS * sqrt(1 - e^-2c) / G),
+# about 6.2 at C = 1.5 and delta = 1 (`_max_far_k`).  Typical paths take
+# about 0.65 of that worst case: 3,050-3,320 steps at K = 6 there, where
+# the bound is 4,878.
+_MAX_FAR_STEPS = 6000
 
 
 class SamplerError(RuntimeError):
@@ -145,17 +160,79 @@ def _regime_bound(d, K, C, delta, Kx, Ky, regime):
 
 
 def segment_gap(seg_a, seg_b):
-    """Minimum distance between two geodesic segments.
+    """Minimum distance between two geodesic segments of H^2, in closed form.
 
-    The distance to a segment is convex along a geodesic, so a convex
-    line search along either segment is exact.
+    The gap is the least of a finite set of candidates:
+
+    - 0, if the segments cross;
+    - the four endpoint distances, from each endpoint of one segment to
+      the other segment (`dist_to_segment`);
+    - the length of the common perpendicular of the two geodesics, when
+      they are ultraparallel and its feet land inside both segments.
+
+    Every candidate is an achieved distance, so none is below the gap.
+    Conversely, H^2 is CAT(-1), so s -> d(seg_a(s), seg_b) is convex and
+    the gap is attained at a pair (x, y) of points of the two segments
+    (Bridson-Haefliger II.2).  If x or y is an endpoint, the gap is an
+    endpoint distance.  If both are interior, either x = y and the
+    segments cross, or the geodesic [x, y] is perpendicular to both
+    geodesics (first-order condition at each end).  Only ultraparallel
+    geodesics have a common perpendicular, and theirs is unique.  So the
+    least candidate is the gap.
+
+    The crossing and the perpendicular are found from ideal endpoints.
+    In the frame of `seg_b`'s geodesic (its `_norm`), that geodesic is the
+    vertical axis and `seg_b` spans the log-heights `_lo`..`_hi` (+
+    `_anchor_coord`).  There `seg_a`'s geodesic is the arc with real ideal
+    endpoints e1, e2: centre m = (e1 + e2)/2 and radius R = |e1 - e2|/2,
+    so m^2 - R^2 = e1 e2.  The geodesics cross when e1 e2 < 0, on the axis
+    at height sqrt(R^2 - m^2) = sqrt(-e1 e2).  They are ultraparallel when
+    e1 e2 > 0: the common perpendicular meets the axis at height
+    sqrt(m^2 - R^2) = sqrt(e1 e2) and has length asinh(sqrt(k^2 - 1)),
+    k = m/R (the stationary value of `_segment_clearance`).  The same
+    test in the frame of `seg_a`'s geodesic places the point on `seg_a`.
+    Geodesics that share an ideal point (e1 e2 = 0, or an endpoint sent to
+    INF) are asymptotic, and only the endpoint distances count.
+
+    Raises ValueError if an endpoint has non-real z (a point off H^2).
     """
-    if seg_a.length < 1e-12:
-        return dist_to_segment(seg_a.p, seg_b)
-    _, gap = minimize_convex(
-        lambda s: dist_to_segment(seg_a.point_at(s), seg_b),
-        0.0, seg_a.length)
+    ends = (seg_a.p, seg_a.q, seg_b.p, seg_b.q)
+    if any(p.z.imag for p in ends):
+        raise ValueError("segment_gap is closed-form in H^2 only: every "
+                         "endpoint needs a real z")
+    gap = min(dist_to_segment(seg_a.p, seg_b), dist_to_segment(seg_a.q, seg_b),
+              dist_to_segment(seg_b.p, seg_a), dist_to_segment(seg_b.q, seg_a))
+    if seg_a._g is None or seg_b._g is None:
+        return gap
+    e1, e2 = _ideal_ends(seg_b, seg_a)
+    f1, f2 = _ideal_ends(seg_a, seg_b)
+    if INF in (e1, e2, f1, f2):
+        return gap
+    on_b, on_a = e1 * e2, f1 * f2
+    if on_b < 0.0 and on_a < 0.0:
+        length = 0.0
+    elif on_b > 0.0 and on_a > 0.0:
+        length = math.asinh(2.0 * math.sqrt(on_b) / abs(e1 - e2))
+    else:
+        return gap    # a shared ideal point, or rounding next to one
+    if _on_segment(seg_b, abs(on_b)) and _on_segment(seg_a, abs(on_a)):
+        gap = min(gap, length)
     return gap
+
+
+def _ideal_ends(seg, other):
+    """The ideal endpoints of `other`'s geodesic in the frame where `seg`'s
+    is the vertical axis: real numbers, or INF."""
+    return [x if x is INF else x.real
+            for x in (mobius_boundary(seg._g._norm, y)
+                      for y in other._g.endpoints)]
+
+
+def _on_segment(seg, height_sq):
+    """Whether the point of `seg`'s geodesic at height sqrt(height_sq) in
+    its frame lies on `seg`."""
+    coord = 0.5 * math.log(height_sq) - seg._g._anchor_coord
+    return min(seg._lo, seg._hi) <= coord <= max(seg._lo, seg._hi)
 
 
 @dataclass
@@ -354,6 +431,18 @@ def _chord_limit(rho, clearance):
     return 2.0 * math.acosh(ratio)
 
 
+def _max_far_k(c_lo, c_hi, delta):
+    """K_max of `_MAX_FAR_STEPS` for every C in [c_lo, c_hi]: the chord
+    limit grows with C and so does G, so each is taken at its worst end.
+    -inf when c_lo = 0, where the band is the single clearance K and no
+    path moves."""
+    band = 0.05 * min(1.0, c_lo) + 0.6 * c_lo
+    top = 0.05 * min(1.0, c_hi) + 0.6 * c_hi
+    growth = 18.0 * delta + 4.0 + 2.0 * (c_hi - top) + math.log(4.0) + 0.01
+    chord = 2.2 * _MAX_FAR_STEPS * math.sqrt(-math.expm1(-2.0 * band))
+    return math.log(chord / growth) if chord > 0.0 else -math.inf
+
+
 def _sample_detour_path(rng, K, C, delta, far):
     """Vertices of a jittered hypercycle path at clearance >= K on one side
     of the vertical axis, endpoints within K + C of it.
@@ -387,7 +476,7 @@ def _sample_detour_path(rng, K, C, delta, far):
                 if (rho0 + u + rho >= far_target - _STOP_MARGIN
                         and distance(vertices[0], vertices[-1]) > far_target):
                     break
-                if len(vertices) > 6000:
+                if len(vertices) > _MAX_FAR_STEPS:
                     raise SamplerError("far-regime path failed to spread")
             elif len(vertices) > segments:
                 break
@@ -404,7 +493,8 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
     re-measure every constant, and assert the regime bound.  K defaults
     to a fresh draw from {1, ..., 5} per trial and C to a draw from
     [0.3, 2].  Far-regime trials (nontrivial only for K/delta > 4) are
-    forced for a fraction of the runs."""
+    forced for a fraction of the runs.  A K past `_max_far_k`, whose
+    far-regime paths could hit the step cap, is refused up front."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if K is not None and not _MIN_K <= K < math.inf:
@@ -418,6 +508,17 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
     if reach > _MAX_CLEARANCE:
         raise ValueError(f"K + C must be at most {_MAX_CLEARANCE:g}, "
                          f"got up to {reach:g}")
+    # far-regime trials run at K = 5 and C in [1.2, 2] unless given
+    far_k = 5.0 if K is None else K
+    c_lo, c_hi = (1.2, 2.0) if C is None else (C, C)
+    k_max = _max_far_k(c_lo, c_hi, delta)
+    if far_k > k_max:
+        c_text = f"{C:g}" if C is not None else "1.2 to 2"
+        raise ValueError(
+            f"K must be at most {k_max:.4g} at C={c_text}, delta={delta:g}: "
+            f"a far-regime path needs about e^K vertices and stops at "
+            f"{_MAX_FAR_STEPS} steps; got K={far_k:g}"
+            + (" (the far-regime draw)" if K is None else ""))
     rng = np.random.default_rng(seed)
     report = TrialReport()
     for _ in range(trials):

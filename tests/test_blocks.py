@@ -268,6 +268,12 @@ def test_enumeration_count_matches_totient_sum():
         enumerate_primitive_classes(0)
 
 
+def test_enumerated_slopes_equal_their_checked_construction():
+    # enumeration builds its slopes without the gcd and sign checks
+    for slope, _ in enumerate_primitive_classes(200):
+        assert slope == Slope.from_pair(slope.p, slope.q)
+
+
 # --------------------------------------------------------------------------
 # derivation and primitivity
 # --------------------------------------------------------------------------

@@ -136,6 +136,139 @@ def test_segment_gap_matches_dense_sampling():
         assert got >= sampled - step
 
 
+# segment_gap takes the least of a finite candidate set; the golden-section
+# search along seg_a that it replaced is the reference.  The search returns
+# an achieved value within its 1e-10 bracket of the gap, so the closed form
+# may sit below it by that much but above it only by rounding.
+
+def _reference_segment_gap(seg_a, seg_b):
+    if seg_a.length < 1e-12:
+        return dist_to_segment(seg_a.p, seg_b)
+    _, gap = minimize_convex(
+        lambda s: dist_to_segment(seg_a.point_at(s), seg_b),
+        0.0, seg_a.length)
+    return gap
+
+
+def _endpoint_distances(seg_a, seg_b):
+    return [dist_to_segment(seg_a.p, seg_b), dist_to_segment(seg_a.q, seg_b),
+            dist_to_segment(seg_b.p, seg_a), dist_to_segment(seg_b.q, seg_a)]
+
+
+def _arc(m, radius, theta_lo, theta_hi):
+    """The segment of the geodesic with centre m and radius `radius`
+    between two angles."""
+    return Segment(*(HPoint(m + radius * math.cos(th), radius * math.sin(th))
+                     for th in (theta_lo, theta_hi)))
+
+
+def _assert_matches_reference(seg_a, seg_b, got):
+    want = _reference_segment_gap(seg_a, seg_b)
+    assert want - 1e-9 <= got <= want + 1e-12
+
+
+def test_segment_gap_matches_the_line_search_on_random_pairs():
+    rng = np.random.default_rng(31)
+    zs = rng.normal(scale=2.0, size=(5000, 4)).tolist()
+    ts = np.exp(rng.normal(scale=1.2, size=(5000, 4))).tolist()
+    for z, t in zip(zs, ts):
+        pts = [HPoint(a, b) for a, b in zip(z, t)]
+        seg_a, seg_b = Segment(pts[0], pts[1]), Segment(pts[2], pts[3])
+        _assert_matches_reference(seg_a, seg_b, segment_gap(seg_a, seg_b))
+
+
+# seg_b on the vertical axis; seg_a on the geodesic with centre 3 and radius
+# 1, whose common perpendicular with the axis has its foot at cos(theta) =
+# -1/3 on seg_a and at height sqrt(8) on the axis, and length asinh(sqrt(8))
+PERP = math.asinh(math.sqrt(8.0))
+PERP_FOOT = math.acos(-1.0 / 3.0)
+
+
+def test_segment_gap_of_crossing_segments_is_zero():
+    seg_a = Segment(HPoint(-1.0, 1.0), HPoint(1.0, 1.0))
+    seg_b = Segment(HPoint(0.0, 0.5), HPoint(0.0, 3.0))
+    assert segment_gap(seg_a, seg_b) == 0.0
+    assert segment_gap(seg_b, seg_a) == 0.0
+    assert min(_endpoint_distances(seg_a, seg_b)) > 0.3
+
+
+def test_segment_gap_takes_the_common_perpendicular_inside_both():
+    seg_a = _arc(3.0, 1.0, PERP_FOOT - 0.4, PERP_FOOT + 0.5)
+    seg_b = Segment(HPoint(0.0, 0.2), HPoint(0.0, 5.0))
+    for got in (segment_gap(seg_a, seg_b), segment_gap(seg_b, seg_a)):
+        assert got == pytest.approx(PERP, abs=1e-12)
+        assert got < min(_endpoint_distances(seg_a, seg_b)) - 0.01
+    _assert_matches_reference(seg_a, seg_b, segment_gap(seg_a, seg_b))
+
+
+@pytest.mark.parametrize("seg_a, seg_b", [
+    # the foot on the axis, at height sqrt(8), lies above seg_b
+    (_arc(3.0, 1.0, PERP_FOOT - 0.4, PERP_FOOT + 0.5),
+     Segment(HPoint(0.0, 0.2), HPoint(0.0, 2.0))),
+    # the foot on the arc lies before seg_a
+    (_arc(3.0, 1.0, PERP_FOOT + 0.3, PERP_FOOT + 0.9),
+     Segment(HPoint(0.0, 0.2), HPoint(0.0, 5.0))),
+], ids=["foot-outside-b", "foot-outside-a"])
+def test_segment_gap_takes_an_endpoint_when_a_foot_is_outside(seg_a, seg_b):
+    got = segment_gap(seg_a, seg_b)
+    assert got == min(_endpoint_distances(seg_a, seg_b))
+    assert got > PERP + 0.01
+    _assert_matches_reference(seg_a, seg_b, got)
+
+
+@pytest.mark.parametrize("seg_a", [
+    Segment(HPoint(1.0, 0.5), HPoint(1.0, 4.0)),   # both end at INF
+    _arc(1.0, 1.0, 1.0, 2.0),                        # both end at 0
+], ids=["at-infinity", "at-zero"])
+def test_segment_gap_of_asymptotic_geodesics_takes_an_endpoint(seg_a):
+    seg_b = Segment(HPoint(0.0, 0.3), HPoint(0.0, 6.0))
+    got = segment_gap(seg_a, seg_b)
+    assert got == min(_endpoint_distances(seg_a, seg_b))
+    _assert_matches_reference(seg_a, seg_b, got)
+
+
+@pytest.mark.parametrize("up", [True, False])
+def test_segment_gap_on_a_geodesic_through_infinity(up):
+    # a vertical seg_b at x = 0.5: its geodesic is Geodesic(INF, 0.5) when
+    # it runs upward and Geodesic(0.5, INF) when it runs down
+    ends = (HPoint(0.5, 0.2), HPoint(0.5, 5.0))
+    seg_b = Segment(*(ends if up else ends[::-1]))
+    assert INF in seg_b._g.endpoints
+    seg_a = _arc(3.5, 1.0, PERP_FOOT - 0.4, PERP_FOOT + 0.5)
+    assert segment_gap(seg_a, seg_b) == pytest.approx(PERP, abs=1e-12)
+    crossing = Segment(HPoint(-0.5, 1.0), HPoint(1.5, 1.0))
+    assert segment_gap(crossing, seg_b) == 0.0
+
+
+def test_segment_gap_of_degenerate_segments():
+    p, r = HPoint(0.7, 1.3), HPoint(-0.4, 2.1)
+    seg = Segment(HPoint(-1.0, 0.5), HPoint(2.0, 0.8))
+    point = Segment(p, p)
+    assert segment_gap(point, seg) == dist_to_segment(p, seg)
+    assert segment_gap(seg, point) == dist_to_segment(p, seg)
+    assert segment_gap(point, Segment(r, r)) == distance(p, r)
+
+
+def test_segment_gap_refuses_points_off_h2():
+    seg = Segment(HPoint(0.0, 1.0), HPoint(1.0, 2.0))
+    off = Segment(HPoint(0.1 + 0.2j, 1.0), HPoint(1.0, 1.0))
+    for pair in ((off, seg), (seg, off)):
+        with pytest.raises(ValueError, match="H\\^2 only"):
+            segment_gap(*pair)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 11, 2026])
+def test_quadrilateral_records_match_the_line_search(monkeypatch, seed):
+    got = quadrilateral_check(1000, seed=seed).records
+    monkeypatch.setattr(certify, "segment_gap", _reference_segment_gap)
+    want = quadrilateral_check(1000, seed=seed).records
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g["branch"], g["ok"], g["failed"]) == (
+            w["branch"], w["ok"], w["failed"])
+        assert g["gap"] == pytest.approx(w["gap"], abs=1e-9)
+
+
 def test_points_on_the_line_project_to_themselves():
     line = Geodesic(2.0, -1.0)
     x, y = line.point_at(-1.7), line.point_at(2.4)
@@ -284,6 +417,59 @@ def test_detour_verify_refuses_k_with_subnormal_tanh():
     # accepted, then past the float range in the sampler
     with pytest.raises(SamplerError, match="float range"):
         detour_verify(1, K=smallest)
+
+
+def _worst_far_steps(K, C, delta):
+    """Most steps a far-regime path can take, with exact functions: every
+    step at the smallest fraction 0.55 of the chord limit at the band
+    bottom, both ends at that bottom, and the far target at its top."""
+    lo = K + 0.05 * min(1.0, C) + 0.6 * C
+    target = 2.0 * (K + C) + 18.0 * delta + 4.0
+    u = math.acosh(1.0 + (math.cosh(target) - 1.0) / math.cosh(lo) ** 2)
+    return math.ceil(u / (0.55 * _chord_limit(lo, K)))
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.25, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("C", [0.01, 0.3, 1.5, 3.0, 20.0])
+def test_far_k_limit_keeps_every_path_under_the_step_cap(C, delta):
+    k_max = certify._max_far_k(C, C, delta)
+    assert _worst_far_steps(k_max, C, delta) <= certify._MAX_FAR_STEPS
+    # the default far draws, C in [1.2, 2], are covered at both ends
+    k_max = certify._max_far_k(1.2, 2.0, delta)
+    for c in (1.2, 2.0):
+        assert _worst_far_steps(k_max, c, delta) <= certify._MAX_FAR_STEPS
+
+
+# delta at least the thin-triangle constant of H^2, ln(1 + sqrt 2) ~ 0.88,
+# below which the path bounds need not hold
+@pytest.mark.parametrize("delta", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("C", [0.3, 1.5, 3.0])
+def test_detour_serves_every_accepted_k(C, delta):
+    k_max = certify._max_far_k(C, C, delta)
+    for K in (0.25 * k_max, 0.5 * k_max, 0.75 * k_max, k_max):
+        # near-regime paths move: their chord limit is not rounded to 0
+        assert _chord_limit(K + 0.05 * min(1.0, C), K) > 0.0
+        for seed in range(2):
+            vertices = _sample_detour_path(np.random.default_rng(seed), K, C,
+                                           delta, True)
+            m = measure_detour(vertices, delta=delta)
+            assert m.satisfied and m.bound.regime == "far"
+            # the far bound is vacuous exactly where its formula is
+            assert (m.bound.bound > 0.0) == (m.clearance > 4.0 * delta)
+        assert detour_verify(10, K=K, C=C, delta=delta, seed=3).passed
+    with pytest.raises(ValueError, match="K must be at most"):
+        detour_verify(1, K=math.nextafter(k_max, math.inf), C=C, delta=delta)
+
+
+def test_detour_refuses_the_k_that_failed_to_spread():
+    # K = 7 exhausted the step cap at the default C draws
+    for K in (7.0, 25.0):
+        with pytest.raises(ValueError, match=f"got K={K:g}$"):
+            detour_verify(200, K=K, seed=1)
+    # with K drawn, the far-regime draw K = 5 is checked, here at C = 0,
+    # where no path moves
+    with pytest.raises(ValueError, match="got K=5 \\(the far-regime draw\\)"):
+        detour_verify(1, C=0.0)
 
 
 # ------------------------------------------- sampler against its reference

@@ -399,35 +399,50 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
     assert other not in captured.err
 
 
-# the ids are positional: a row keeps its place in the table
+# explicit ids: a row keeps its id when another is added or deleted; the
+# argvN-name ids are those the positional ids gave the table
 @pytest.mark.parametrize("argv, name", [
-    (["detour", "--K", "5e-324"], "K"),     # tanh K subnormal
-    (["detour", "--K", "2e-308"], "K"),
-    (["local-global", "--window", "0"], "window"),
-    (["local-global", "--words", "0"], "words"),
-    (["local-global", "--power", "-5"], "power_floor"),
-    (["perturb", "--radius", "1e-3", "--trials", "0"], "trials"),
-    (["detour", "--trials", "0"], "trials"),
-    (["detour", "--K", "0"], "K"),
-    (["detour", "--C", "-1"], "C"),
-    (["quadrilateral", "--trials", "-2"], "trials"),
-    (["quadrilateral", "--delta", "0"], "delta"),
-    (["quasi-loops", "--slope", "3/2", "--eps", "0.1", "--C", "0"], "C"),
-    (["quadrilateral", "--delta", "nan"], "delta"),
-    (["quadrilateral", "--delta", "inf"], "delta"),
-    (["detour", "--K", "nan"], "K"),
-    (["detour", "--K", "inf"], "K"),
-    (["detour", "--C", "nan"], "C"),
-    (["detour", "--C", "inf"], "C"),
-    (["detour", "--delta", "nan"], "delta"),
-    (["detour", "--delta", "inf"], "delta"),
-    (["detour", "--K", "720"], "K + C"),
-    (["detour", "--C", "1e6"], "K + C"),
-    (["bounds", "--d", "nan"], "d"),
-    (["bounds", "--d", "inf"], "d"),
-    (["bounds", "--d", "1", "--K", "nan"], "K"),
-    (["bounds", "--d", "1", "--Kx", "inf"], "Kx"),
-    (["bounds", "--d", "1", "--delta", "nan"], "delta"),
+    # tanh K subnormal
+    pytest.param(["detour", "--K", "5e-324"], "K", id="argv0-K"),
+    pytest.param(["detour", "--K", "2e-308"], "K", id="argv1-K"),
+    pytest.param(["local-global", "--window", "0"], "window",
+                 id="argv2-window"),
+    pytest.param(["local-global", "--words", "0"], "words", id="argv3-words"),
+    pytest.param(["local-global", "--power", "-5"], "power_floor",
+                 id="argv4-power_floor"),
+    pytest.param(["perturb", "--radius", "1e-3", "--trials", "0"], "trials",
+                 id="argv5-trials"),
+    pytest.param(["detour", "--trials", "0"], "trials", id="argv6-trials"),
+    pytest.param(["detour", "--K", "0"], "K", id="argv7-K"),
+    pytest.param(["detour", "--C", "-1"], "C", id="argv8-C"),
+    pytest.param(["quadrilateral", "--trials", "-2"], "trials",
+                 id="argv9-trials"),
+    pytest.param(["quadrilateral", "--delta", "0"], "delta",
+                 id="argv10-delta"),
+    pytest.param(["quasi-loops", "--slope", "3/2", "--eps", "0.1", "--C", "0"],
+                 "C", id="argv11-C"),
+    pytest.param(["quadrilateral", "--delta", "nan"], "delta",
+                 id="argv12-delta"),
+    pytest.param(["quadrilateral", "--delta", "inf"], "delta",
+                 id="argv13-delta"),
+    pytest.param(["detour", "--K", "nan"], "K", id="argv14-K"),
+    pytest.param(["detour", "--K", "inf"], "K", id="argv15-K"),
+    pytest.param(["detour", "--C", "nan"], "C", id="argv16-C"),
+    pytest.param(["detour", "--C", "inf"], "C", id="argv17-C"),
+    pytest.param(["detour", "--delta", "nan"], "delta", id="argv18-delta"),
+    pytest.param(["detour", "--delta", "inf"], "delta", id="argv19-delta"),
+    pytest.param(["detour", "--K", "720"], "K + C", id="argv20-K + C"),
+    pytest.param(["detour", "--C", "1e6"], "K + C", id="argv21-K + C"),
+    pytest.param(["bounds", "--d", "nan"], "d", id="argv22-d"),
+    pytest.param(["bounds", "--d", "inf"], "d", id="argv23-d"),
+    pytest.param(["bounds", "--d", "1", "--K", "nan"], "K", id="argv24-K"),
+    pytest.param(["bounds", "--d", "1", "--Kx", "inf"], "Kx", id="argv25-Kx"),
+    pytest.param(["bounds", "--d", "1", "--delta", "nan"], "delta",
+                 id="argv26-delta"),
+    # far-regime paths past the step cap
+    pytest.param(["detour", "--K", "7"], "K", id="detour-K-past-far-limit"),
+    pytest.param(["detour", "--C", "0"], "K", id="detour-C-zero"),
+    pytest.param(["detour", "--delta", "5"], "K", id="detour-delta-far-draw"),
 ])
 def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
     if argv[0] not in ("detour", "quadrilateral", "bounds"):

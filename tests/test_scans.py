@@ -227,21 +227,17 @@ def test_vectorized_displacements_match_scalar_action_h3():
     assert np.abs(fast - np.array(slow)).max() < 1e-12
 
 
-@pytest.mark.parametrize("rep, window", [
-    (markoff(), None), (criterion_9_rep(1.0), None),
-    (criterion_9_rep(0.1), None), (markoff(), 3)],
-    ids=["markoff", "eta=1.0", "eta=0.1", "markoff-window-3n"])
-def test_offset_minima_match_reference_loop(rep, window):
-    # the |gamma| cyclic starts of gamma^3 give the same per-offset
-    # minima, bit for bit, as every start of the reference loop; a window
-    # of 3|gamma| (> 2|gamma|) reaches offsets with fewer starts
+@pytest.mark.parametrize("rep", [
+    markoff(), criterion_9_rep(1.0), criterion_9_rep(0.1)],
+    ids=["markoff", "eta=1.0", "eta=0.1"])
+def test_offset_minima_match_reference_loop(rep):
+    # the shape local_global_scan passes, (word, n, n): every offset up to
+    # the word length from every start, bit for bit as the reference loop
     for _, tower in enumerate_primitive_classes(20):
         gamma = tower.word
         n = len(gamma)
-        win = (window or 2) * n
-        want = [float(d.min())
-                for d in reference_pair_distances(rep, gamma * 3, win)]
-        assert _offset_minima(rep, gamma * 3, win, n) == want, gamma
+        want = [float(d.min()) for d in reference_pair_distances(rep, gamma, n)]
+        assert _offset_minima(rep, gamma, n, n) == want, gamma
 
 
 @pytest.mark.parametrize("word, starts", [("abaab" * 3, 5), ("abaab" * 3, 15),
