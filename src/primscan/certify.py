@@ -196,8 +196,7 @@ def segment_gap(seg_a, seg_b):
 
     Raises ValueError if an endpoint has non-real z (a point off H^2).
     """
-    ends = (seg_a.p, seg_a.q, seg_b.p, seg_b.q)
-    if any(p.z.imag for p in ends):
+    if any(p.z.imag for p in (seg_a.p, seg_a.q, seg_b.p, seg_b.q)):
         raise ValueError("segment_gap is closed-form in H^2 only: every "
                          "endpoint needs a real z")
     gap = min(dist_to_segment(seg_a.p, seg_b), dist_to_segment(seg_a.q, seg_b),
@@ -223,9 +222,8 @@ def segment_gap(seg_a, seg_b):
 def _ideal_ends(seg, other):
     """The ideal endpoints of `other`'s geodesic in the frame where `seg`'s
     is the vertical axis: real numbers, or INF."""
-    return [x if x is INF else x.real
-            for x in (mobius_boundary(seg._g._norm, y)
-                      for y in other._g.endpoints)]
+    ends = [mobius_boundary(seg._g._norm, y) for y in other._g.endpoints]
+    return [x if x is INF else x.real for x in ends]
 
 
 def _on_segment(seg, height_sq):
