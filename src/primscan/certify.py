@@ -16,7 +16,8 @@ configurations and assert the inequalities outright.
 
 All sampling is seeded and deterministic.  delta = 1 is a valid thinness
 constant for H^2, and every verified inequality is monotone in delta, so
-the default is sound.
+the default is sound.  Below the thin-triangle constant ln(1 + sqrt 2) the
+inequalities need not hold, so the harnesses refuse such a delta.
 """
 
 import math
@@ -28,6 +29,7 @@ import numpy as np
 
 from .geometry import (
     DEFAULT_DELTA,
+    THIN_TRIANGLE_DELTA,
     Geodesic,
     HPoint,
     INF,
@@ -318,6 +320,14 @@ def _random_point(rng, line):
                   math.exp(float(rng.normal(scale=1.2))))
 
 
+def _check_thin_delta(delta):
+    if not THIN_TRIANGLE_DELTA <= delta < math.inf:
+        raise ValueError(
+            f"delta must be finite and at least ln(1 + sqrt 2) = "
+            f"{THIN_TRIANGLE_DELTA:.4f}, the thin-triangle constant of H^2, "
+            f"got {delta}")
+
+
 def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):
     """Monte-Carlo the quadrilateral dichotomies on random (x, y, line)
     configurations in H^2.  Every trial asserts the branch inequalities
@@ -325,8 +335,7 @@ def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):
     d <= Kx + Ky + 6*delta, d1 <= 18*delta."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    _check_thin_delta(delta)
     rng = np.random.default_rng(seed)
     report = TrialReport()
     for _ in range(trials):
@@ -499,8 +508,7 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
         raise ValueError(f"K must be finite and at least {_MIN_K!r}, got {K}")
     if C is not None and not 0.0 <= C < math.inf:
         raise ValueError(f"C must be nonnegative and finite, got {C}")
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    _check_thin_delta(delta)
     # the largest clearance a path can reach: K and C at their top draws
     reach = (5.0 if K is None else K) + (2.0 if C is None else C)
     if reach > _MAX_CLEARANCE:

@@ -146,7 +146,7 @@ def _cmd_scan_bowditch(args):
 
 def _cmd_scan_ps(args):
     rep = parse_rep_file(args.rep)
-    scan = ps_scan(rep, args.max_den, step=args.step)
+    scan = ps_scan(rep, args.max_den)
     code = 1 if scan.aggregate["violations"] else 0
     return scan.records, scan.aggregate, code
 
@@ -273,7 +273,6 @@ def build_parser():
             help="orbit-map quasi-geodesic scan over primitive classes")
     p.add_argument("--rep", required=True)
     p.add_argument("--max-den", type=int, default=10)
-    p.add_argument("--step", type=float, default=0.5)
 
     p = add("excursion", _cmd_excursion,
             help="axis-distance profile along one class leaf")

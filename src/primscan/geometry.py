@@ -31,7 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_DELTA = 1.0  # >= the true thin-triangle constant ln(1+sqrt(2)) ~ 0.8814
+# ln(1 + sqrt 2) ~ 0.8814, the thin-triangle constant of H^2: the
+# certificates' inequalities need delta at least this
+THIN_TRIANGLE_DELTA = math.asinh(1.0)
+DEFAULT_DELTA = 1.0  # >= THIN_TRIANGLE_DELTA
 _DET_TOL = 1e-9
 # closer to +-2 (or to an identity entry) than this, rounding decides
 _TRACE_TOL = 1e-9
@@ -547,10 +550,10 @@ class Representation:
     """A pair of unimodular matrices (images of the two generators), a
     basepoint, and the ambient model data."""
 
-    __slots__ = ("model", "A", "B", "basepoint", "delta", "_images",
-                 "_letters", "c_prime")
+    __slots__ = ("model", "A", "B", "basepoint", "_images", "_letters",
+                 "c_prime")
 
-    def __init__(self, model, A, B, basepoint=BASEPOINT, delta=DEFAULT_DELTA):
+    def __init__(self, model, A, B, basepoint=BASEPOINT):
         if model not in ("H2", "H3"):
             raise RepresentationError(f"unknown model {model!r}")
         A, B = as_matrix(A), as_matrix(B)
@@ -567,12 +570,9 @@ class Representation:
             if basepoint.z.imag != 0:
                 raise RepresentationError(
                     "H2 basepoint must have real horizontal coordinate")
-        if not delta > 0:
-            raise RepresentationError(f"delta must be positive, got {delta}")
         self.model = model
         self.A, self.B = A, B
         self.basepoint = basepoint
-        self.delta = float(delta)
         self._images = {"a": A, "A": mat_inverse(A),
                         "b": B, "B": mat_inverse(B)}
         self._letters = {x: _entries(M) for x, M in self._images.items()}
@@ -620,8 +620,8 @@ def parse_rep_file(path):
     """Load and validate a representation JSON file.
 
     Schema: {"model": "H2"|"H3", "A": [[re, im] x 4 row-major], "B": [...],
-    "basepoint": {"z": [re, im], "t": 1.0}, "delta": 1.0}; basepoint and
-    delta are optional.
+    "basepoint": {"z": [re, im], "t": 1.0}}; basepoint is optional, and
+    other keys are ignored.
     """
     with open(path) as fh:
         try:
@@ -642,5 +642,4 @@ def parse_rep_file(path):
         A=_parse_matrix("A", data["A"]),
         B=_parse_matrix("B", data["B"]),
         basepoint=basepoint,
-        delta=data.get("delta", DEFAULT_DELTA),
     )

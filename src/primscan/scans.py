@@ -13,8 +13,7 @@ isometries of H^2 or H^3 against quantitative stability certificates:
   translation-per-letter ratios, fitted displacement constants, and the
   trace cross-check data (Fricke recursion over the Farey tree).
 - `ps_scan`: per-class quasi-geodesic constants of the orbit map from the
-  projection onto the class axis, tubular radii, and the projection-order
-  (feet monotonicity) check.
+  projection onto the class axis, and tubular radii.
 - `local_global_scan`: local vs global quasi-geodesic constants over
   words of the shape (B A^N A^*)^*.
 - `perturbation_scan`: robustness of the minimum ratio under entrywise
@@ -62,14 +61,10 @@ __all__ = [
 
 # translation per letter below this is a Bowditch violation (C > 1000)
 _LOW_RATIO = 1e-3
-# periods of foot increments in ps_scan's projection-order check
-_PS_PERIODS = 3
 # relative gap between a period of foot increments and the translation
 # length: rounding over a few hundred frames is ~1e-15, so this is a
 # broken frame, not noise
 _PERIOD_TOL = 1e-9
-# a foot jump within this of 0 is rounding and counts as either sign
-_FEET_TOL = 1e-9
 # relative distance below which two boundary points are one
 _BOUNDARY_TOL = 1e-9
 # find_quasi_loops searches O(|gamma|^2) windows: refuse longer words
@@ -152,16 +147,23 @@ def _rotation_images(rep, gamma):
 
 
 def _leaf_edges(rep):
-    """The segment [o, rho(x) o] for each letter x.
+    """The segment [o, rho(x) o] for each letter x."""
+    o = rep.basepoint
+    return {x: Segment(o, apply(X, o)) for x, X in rep._letters.items()}
+
+
+def _rotation_frames(rep, gamma, edges):
+    """Frame j of gamma for each rotation j: (axis of rho(rotate(gamma,
+    j)), edges[gamma[j]]), with `edges` from `_leaf_edges`.
 
     rho(gamma[:j])^-1 maps the leaf edge from vertex j to vertex j + 1
     to the edge of its letter gamma[j], and the axis of gamma to the axis
-    of rho(rotate(gamma, j)).  Frame j of gamma is that pair, so E(j + f)
-    = d(edge.interpolate(f), axis) is evaluated at unit scale at every
-    depth of the leaf.
+    of rho(rotate(gamma, j)), so E(j + f) = d(edge.interpolate(f), axis)
+    is evaluated at unit scale at every depth of the leaf.  Raises
+    NotLoxodromic when a rotated image is not loxodromic.
     """
-    o = rep.basepoint
-    return {x: Segment(o, apply(X, o)) for x, X in rep._letters.items()}
+    return [(axis_of(X, basepoint=rep.basepoint), edges[x])
+            for X, x in zip(_rotation_images(rep, gamma), gamma)]
 
 
 def _letter_images(rep, letters):
@@ -178,17 +180,19 @@ def _displacements(W, o):
     in floats is cancellation noise once the entries are large.  The
     distance is `geometry.distance`, vectorised: 2 asinh(h / (2 sqrt(t)
     sqrt(o.t))) with h = hypot(|z - o.z|, t - o.t), and where that ratio
-    overflows (beyond ~1400), 2 (ln h - ln t / 2 - ln o.t / 2).
+    overflows (beyond ~1400), 2 (ln h - ln t / 2 - ln o.t / 2).  Once a
+    product leaves the float range the value is NaN or inf, with no
+    warning: `_offset_grid` refuses it.
     """
     a, b = W[..., 0, 0], W[..., 0, 1]
     c, d = W[..., 1, 0], W[..., 1, 1]
     t2 = o.t * o.t
-    w = c * o.z + d
-    den = np.abs(w) ** 2 + np.abs(c) ** 2 * t2
-    z = ((a * o.z + b) * np.conj(w) + a * np.conj(c) * t2) / den
-    t = o.t / den
-    h = np.hypot(np.abs(z - o.z), t - o.t)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
+        w = c * o.z + d
+        den = np.abs(w) ** 2 + np.abs(c) ** 2 * t2
+        z = ((a * o.z + b) * np.conj(w) + a * np.conj(c) * t2) / den
+        t = o.t / den
+        h = np.hypot(np.abs(z - o.z), t - o.t)
         r = h / (2.0 * np.sqrt(t) * math.sqrt(o.t))
         out = 2.0 * np.arcsinh(r)
         far = np.isinf(r)
@@ -216,7 +220,8 @@ def _offset_grid(rep, letters, kmax, starts):
     differences lose all precision at depth ~ 35).  The products are
     stacked one letter per offset, left to right, so the starts m and
     m + period of a periodic word give bit-identical values, and
-    starts = period covers every residue.
+    starts = period covers every residue.  Raises ValueError, naming the
+    shortest such subword length, once a displacement is not finite.
     """
     n = len(letters)
     kmax = min(kmax, n)
@@ -226,12 +231,20 @@ def _offset_grid(rep, letters, kmax, starts):
     stacks, bounds, k0 = [], [0], 1
     for k in range(1, kmax + 1):
         rows = min(starts, n - k + 1)
-        W = W[:rows] @ mats[k - 1:k - 1 + rows]
+        with np.errstate(all="ignore"):    # refused below if not finite
+            W = W[:rows] @ mats[k - 1:k - 1 + rows]
         stacks.append(W)
         bounds.append(bounds[-1] + rows)
         if k == kmax or bounds[-1] >= _GRID_ROWS:
-            yield k0, bounds[:-1], _displacements(np.concatenate(stacks),
-                                                  rep.basepoint)
+            disps = _displacements(np.concatenate(stacks), rep.basepoint)
+            bad = np.flatnonzero(~np.isfinite(disps))
+            if bad.size:
+                length = k0 + int(np.searchsorted(bounds, bad[0], "right")) - 1
+                raise ValueError(
+                    f"the displacement of a {length}-letter subword is not "
+                    f"finite: its computation leaves the float range "
+                    f"(about 1.8e308)")
+            yield k0, bounds[:-1], disps
             stacks, bounds, k0 = [], [0], k + 1
 
 
@@ -371,7 +384,7 @@ class ExcursionProfile:
 
 def excursion_profile(rep, gamma, step=0.25):
     """Sample E(u) = d(leaf(u), axis line of gamma) over one period, in
-    the per-rotation frames of `_rotation_images` and `_leaf_edges`."""
+    the per-rotation frames of `_rotation_frames`."""
     if not gamma or not is_cyclically_reduced(gamma):
         raise ValueError("gamma must be a nonempty cyclically reduced word")
     if not 0.0 < step <= 1.0:
@@ -380,9 +393,7 @@ def excursion_profile(rep, gamma, step=0.25):
     if classify(m) != "loxodromic":
         raise NotLoxodromic(f"image of {gamma!r} is {classify(m)}",
                             m[0] + m[3])
-    edges = _leaf_edges(rep)
-    frames = [(axis_of(X, basepoint=rep.basepoint), edges[x])
-              for X, x in zip(_rotation_images(rep, gamma), gamma)]
+    frames = _rotation_frames(rep, gamma, _leaf_edges(rep))
     period = len(gamma)
     count = max(1, math.ceil(period / step - 1e-9))
     us = np.linspace(0.0, float(period), count + 1)
@@ -511,33 +522,37 @@ def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
     return out
 
 
-def bowditch_scan(rep, max_denominator):
-    """Scan the primitive classes of `enumerate_primitive_classes` (the
-    slopes p/q with p, q >= 0 up to the cap; the classes of negative slope
-    are not scanned): trace, translation length, and the ratio
-    translation/|class|; flag non-loxodromic and low-ratio classes; fit
-    displacement constants from the worst ratio."""
-    records = []
+def _scanned_classes(rep, max_denominator):
+    """The classes of `enumerate_primitive_classes` (the slopes p/q with
+    p, q >= 0 up to the cap; the classes of negative slope are not
+    scanned), as (tower, kind, head): `classify` of the class image and
+    the record head p, q, len, tr, tl."""
     levels = {}
     for slope, tower in enumerate_primitive_classes(max_denominator):
         m = _class_image(rep, tower, levels)
         tr = m[0] + m[3]
-        kind = classify(m)
-        tl = translation_length(m)
-        length = len(tower.word)
-        ratio = tl / length
+        yield tower, classify(m), {
+            "p": slope.p, "q": slope.q, "len": len(tower.word),
+            "tr": [tr.real, tr.imag], "tl": translation_length(m),
+        }
+
+
+def bowditch_scan(rep, max_denominator):
+    """Scan the primitive classes of `_scanned_classes`: trace,
+    translation length, and the ratio translation/|class|; flag
+    non-loxodromic and low-ratio classes; fit displacement constants from
+    the worst ratio."""
+    records = []
+    for _, kind, head in _scanned_classes(rep, max_denominator):
+        ratio = head["tl"] / head["len"]
         flags = []
         if kind != "loxodromic":
             flags.append(kind)
         elif ratio < _LOW_RATIO:
             flags.append("low-ratio")
-        if not all(map(math.isfinite, (tr.real, tr.imag, tl, ratio))):
+        if not all(map(math.isfinite, (*head["tr"], head["tl"], ratio))):
             flags.append("non-finite")
-        records.append({
-            "p": slope.p, "q": slope.q, "len": length,
-            "tr": [tr.real, tr.imag], "tl": tl, "ratio": ratio,
-            "flags": flags,
-        })
+        records.append({**head, "ratio": ratio, "flags": flags})
     min_ratio = min(r["ratio"] for r in records)
     abAB = rep._product("abAB")
     commutator = abAB[0] + abAB[3]
@@ -563,18 +578,10 @@ def bowditch_scan(rep, max_denominator):
     return ScanReport(records, aggregate)
 
 
-def _same_sign(values):
-    return bool(all(v >= -_FEET_TOL for v in values)
-                or all(v <= _FEET_TOL for v in values))
-
-
-def ps_scan(rep, max_denominator, step=0.5):
-    """Scan the leaves of the primitive classes of
-    `enumerate_primitive_classes` (the slopes p/q with p, q >= 0 up to the
-    cap; the classes of negative slope are not scanned): the quasi-geodesic
-    constants of the orbit map on each leaf, the tubular radius around the
-    class axis, and the projection-order lemma at the largest block length
-    above its threshold.
+def ps_scan(rep, max_denominator):
+    """Scan the leaves of the primitive classes of `_scanned_classes`:
+    the quasi-geodesic constants of the orbit map on each leaf and the
+    tubular radius around the class axis.
 
     Lemma: let s_m be the axis coordinate of the foot of leaf vertex v_m,
     l the translation length and n = |gamma|.  rho(gamma) translates the
@@ -587,78 +594,51 @@ def ps_scan(rep, max_denominator, step=0.5):
     foot increments sum to l over a period; `period_error` is the
     relative gap.
 
-    Feet and excursions are measured one letter at a time in the
-    per-rotation frames of `_rotation_images` and `_leaf_edges`, which
-    `excursion_profile` reads too: both are conjugation-invariant, so this
-    agrees with the deep orbit without the precision loss of deep-orbit
-    coordinates.  Per class of length n the work is O(n).
+    The distance to a geodesic is convex along each geodesic leaf edge
+    (ibid., Cor. II.2.5), so its maximum over the leaf, `tube`, is
+    attained at a vertex: the largest d(o, axis of rotation j).
+
+    Feet and vertex distances are measured one letter at a time in the
+    per-rotation frames of `_rotation_frames`, which `excursion_profile`
+    reads too: both are conjugation-invariant, so this agrees with the
+    deep orbit without the precision loss of deep-orbit coordinates.  Per
+    class of length n the work is O(n).
     """
-    if not 0.0 < step <= 1.0:
-        raise ValueError("step must be in (0, 1]")
     records = []
-    delta = rep.delta
+    o = rep.basepoint
     edges = _leaf_edges(rep)
-    samples = {x: [seg.interpolate(float(f))
-                   for f in np.arange(0.0, 1.0, step)]
-               for x, seg in edges.items()}
-    levels = {}
-    for slope, tower in enumerate_primitive_classes(max_denominator):
-        gamma = tower.word
-        length = len(gamma)
-        m = _class_image(rep, tower, levels)
-        tr = m[0] + m[3]
-        tl = translation_length(m)
-        rate = tl / length
-        base = {
-            "p": slope.p, "q": slope.q, "len": length,
-            "tr": [tr.real, tr.imag], "tl": tl, "rate": rate,
-        }
-        not_loxodromic = classify(m) != "loxodromic"
-        tube = 0.0
-        deltas = []
-        if not not_loxodromic:
+    for tower, kind, head in _scanned_classes(rep, max_denominator):
+        rate = head["tl"] / head["len"]
+        frames = None
+        if kind == "loxodromic":
             try:
-                for X, x in zip(_rotation_images(rep, gamma), gamma):
-                    line = axis_of(X, basepoint=rep.basepoint)
-                    tube = max(tube, max(dist_to_geodesic(point, line)
-                                         for point in samples[x]))
-                    # the edge starts at o, the anchor of the line, whose
-                    # coordinate is 0
-                    deltas.append(_coordinate(edges[x].q, line))
+                frames = _rotation_frames(rep, tower.word, edges)
             except NotLoxodromic:
-                not_loxodromic = True
-        if not_loxodromic:
+                pass
+        if frames is None:
             records.append({
-                **base, "osc": None, "period_error": None, "tube": None,
-                "stride": None, "feet_monotone": None,
-                "flags": ["not-loxodromic"],
+                **head, "rate": rate, "osc": None, "period_error": None,
+                "tube": None, "flags": ["not-loxodromic"],
             })
             continue
+        tube = max(dist_to_geodesic(o, line) for line, _ in frames)
+        # the edge starts at o, the anchor of the line, whose coordinate
+        # is 0
+        deltas = [_coordinate(edge.q, line) for line, edge in frames]
         # e_m = s_m - m * rate for m < n, with s_0 = 0
         feet = itertools.accumulate(deltas[:-1], initial=0.0)
         offsets = [s - i * rate for i, s in enumerate(feet)]
         osc = max(offsets) - min(offsets)
-        period_error = abs(sum(deltas) - tl) / max(1.0, tl)
-        threshold = (4.0 * rep.c_prime + 24.0 * delta + 2.0 * tube
-                     + osc) / rate
-        stride = max((l for l in tower.l if l > threshold), default=None)
-        feet_monotone = None
-        if stride is not None:
-            steps = np.tile(deltas, _PS_PERIODS)
-            feet_jumps = [float(steps[i:i + stride].sum())
-                          for i in range(0, len(steps) - stride + 1, stride)]
-            feet_monotone = _same_sign(feet_jumps)
+        period_error = abs(sum(deltas) - head["tl"]) / max(1.0, head["tl"])
         flags = []
         if rate < _LOW_RATIO:
             flags.append("low-ratio")
         # a NaN error is flagged too
         if not period_error <= _PERIOD_TOL:
             flags.append("period-error")
-        if feet_monotone is False:
-            flags.append("feet-order")
         records.append({
-            **base, "osc": osc, "period_error": period_error, "tube": tube,
-            "stride": stride, "feet_monotone": feet_monotone, "flags": flags,
+            **head, "rate": rate, "osc": osc, "period_error": period_error,
+            "tube": tube, "flags": flags,
         })
     lox = [r for r in records if r["tube"] is not None]
     aggregate = {
@@ -668,9 +648,6 @@ def ps_scan(rep, max_denominator, step=0.5):
         "max_period_error": max((r["period_error"] for r in lox),
                                 default=None),
         "max_tube": max((r["tube"] for r in lox), default=None),
-        "feet_checked": sum(1 for r in records
-                            if r["feet_monotone"] is not None),
-        "feet_monotone": sum(1 for r in records if r["feet_monotone"]),
         "violations": sum(1 for r in records if r["flags"]),
     }
     return ScanReport(records, aggregate)
@@ -777,7 +754,7 @@ def perturbation_scan(rep, radius, trials, max_denominator, seed=0):
                     rep.model,
                     _perturb(rng, rep.A, radius, rep.model),
                     _perturb(rng, rep.B, radius, rep.model),
-                    basepoint=rep.basepoint, delta=rep.delta)
+                    basepoint=rep.basepoint)
                 break
             except (ValueError, ZeroDivisionError):
                 continue

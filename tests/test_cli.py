@@ -232,12 +232,25 @@ def test_scan_bowditch_flags_non_finite_records(rep_file):
 
 def test_scan_ps_markoff(rep_file):
     code, out = capture(["scan-ps", "--rep", rep_file(MARKOFF),
-                         "--max-den", "5", "--step", "0.5"])
+                         "--max-den", "5"])
     rows = lines_of(out)
     agg = rows[-1]
     assert code == 0
     assert agg["violations"] == 0 and agg["min_rate"] > 0.5
     assert all(r["rate"] > 0 and r["osc"] >= 0 for r in rows[:-1])
+    # the tube is a vertex maximum: no sampling step to set
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-ps", "--rep", rep_file(MARKOFF), "--step", "0.5"])
+    assert exc.value.code == 2
+
+
+def test_local_global_past_the_float_range_exits_two(rep_file, capsys):
+    # tr A = 1001: the subword products of the default words overflow
+    rep = {**MARKOFF, "A": [[1000, 0], [1, 0], [999, 0], [1, 0]]}
+    assert main(["local-global", "--rep", rep_file(rep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"\d+-letter subword .* float range", captured.err)
 
 
 def test_excursion_profile_rows(rep_file):
@@ -443,6 +456,15 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
     pytest.param(["detour", "--K", "7"], "K", id="detour-K-past-far-limit"),
     pytest.param(["detour", "--C", "0"], "K", id="detour-C-zero"),
     pytest.param(["detour", "--delta", "5"], "K", id="detour-delta-far-draw"),
+    # below the thin-triangle constant ln(1 + sqrt 2) of H^2
+    pytest.param(["detour", "--delta", "0.25"], "delta",
+                 id="detour-delta-below-thin"),
+    pytest.param(["detour", "--delta", "0.88"], "delta",
+                 id="detour-delta-just-below-thin"),
+    pytest.param(["quadrilateral", "--delta", "0.25"], "delta",
+                 id="quadrilateral-delta-below-thin"),
+    pytest.param(["quadrilateral", "--delta", "0.5"], "delta",
+                 id="quadrilateral-delta-half"),
 ])
 def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
     if argv[0] not in ("detour", "quadrilateral", "bounds"):
@@ -451,6 +473,15 @@ def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{name} must" in captured.err
+
+
+@pytest.mark.parametrize("command", ["detour", "quadrilateral"])
+def test_delta_below_the_thin_triangle_constant_names_both(capsys, command):
+    assert main([command, "--trials", "10", "--delta", "0.25"]) == 2
+    err = capsys.readouterr().err
+    assert "got 0.25" in err and "ln(1 + sqrt 2) = 0.8814" in err
+    # the constant itself is accepted
+    assert main([command, "--trials", "10", "--delta", "0.8814"]) == 0
 
 
 @pytest.mark.parametrize("argv, named", [

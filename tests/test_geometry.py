@@ -8,7 +8,6 @@ import pytest
 
 from primscan.geometry import (
     BASEPOINT,
-    DEFAULT_DELTA,
     Geodesic,
     HPoint,
     INF,
@@ -735,7 +734,9 @@ def test_parse_rep_file_markoff(tmp_path):
     assert abs(rep.A - MARKOFF_A).max() == 0
     assert abs(rep.B - MARKOFF_B).max() == 0
     assert rep.basepoint == HPoint(0, 1)
-    assert rep.delta == DEFAULT_DELTA
+    # the file still carries the retired "delta" key, which is ignored
+    assert "delta" in json.loads((DATA / "markoff.json").read_text())
+    assert not hasattr(rep, "delta")
     assert rep.c_prime == pytest.approx(math.acosh(3.5), abs=1e-12)
 
 
@@ -748,7 +749,8 @@ def test_parse_rep_file_defaults(tmp_path):
     }))
     rep = parse_rep_file(path)
     assert rep.basepoint == HPoint(0, 1)
-    assert rep.delta == 1.0
+    with pytest.raises(TypeError):
+        Representation(rep.model, rep.A, rep.B, delta=1.0)
 
 
 def test_parse_rep_file_diagnostics(tmp_path):
