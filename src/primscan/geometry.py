@@ -16,9 +16,10 @@ at height sqrt(|z|^2+t^2).
 
 Three length notions for an isometry M: translation length 2 ln|lambda| of
 the dominant eigenvalue (0 with a flag for elliptic/parabolic), displacement
-d(Mo, o), and the stable estimate d(M^n o, o)/n.  The latter is computed by
-renormalized binary powering with explicit log-scale bookkeeping so that
-n ~ 10^4 (matrix entries ~ e^9600) stays in double precision.
+d(Mo, o) from the entries of M alone, and the stable estimate
+d(M^n o, o)/n.  The latter is computed by renormalized binary powering with
+explicit log-scale bookkeeping so that n ~ 10^4 (matrix entries ~ e^9600)
+stays in double precision.
 """
 
 from __future__ import annotations
@@ -289,16 +290,32 @@ def _rescale(X, s):
     return tuple(x / m for x in X), s + math.log(m)
 
 
+def _sinh_half_displacement(X, o):
+    """sinh(d(M o, o) / 2) for M = (a, b, c, d) in SL(2, C): a kernel
+    4-tuple, or four arrays of entries for a stack of matrices.
+
+    N = [[sqrt t, z / sqrt t], [0, 1 / sqrt t]] maps (0, 1) to o = (z, t),
+    and X = N^-1 M N has 4 sinh^2(d/2) = |X11 - conj X22|^2 +
+    |X12 + conj X21|^2 = |u|^2 + |v|^2.  Linear in the entries, it never
+    forms the image point and is finite while they are; e^s M gives e^s
+    times the value.  det M is taken as 1, as in `apply`.
+    """
+    a, b, c, d = X
+    z, t = o.z, o.t
+    with np.errstate(all="ignore"):    # a product past the float range
+        w = c * z + d
+        u = a - c * z - np.conj(w)
+        v = (a * z + b - z * w) / t + np.conj(c) * t
+        return 0.5 * np.hypot(np.abs(u), np.abs(v))
+
+
 def power_displacement(M, n, o=BASEPOINT):
     """d(M^n o, o) for M in SL(2, C), by square-and-multiply on the kernel.
 
     Each product is rescaled by its largest entry modulus and the log
     scale s carried apart, M^n = e^s Y, so n may be large enough that the
     entries of M^n overflow doubles by thousands of orders of magnitude.
-    As det M^n = 1, the image height is t / (e^(2s) den(Y)), kept as a log.
-    M^-n = e^s adj(Y) moves o just as far, so the image is taken under
-    whichever of Y and adj(Y) has the larger den: the other may have lost
-    its small row to underflow.
+    sinh(d/2) is e^s times `_sinh_half_displacement` of Y, kept as a log.
     """
     a, b, c, d = _entries(M)
     if n < 0:
@@ -314,25 +331,15 @@ def power_displacement(M, n, o=BASEPOINT):
         n >>= 1
         if n:
             base = _rescale(_mul(base[0], base[0]), 2.0 * base[1])
-    (a, b, c, d), s = acc
-    z, t = o.z, o.t
-    # den = r^2, with r taken by hypot so that no square underflows
-    ct = c.real * t, c.imag * t
-    w, w_adj = c * z + d, a - c * z
-    r = math.hypot(w.real, w.imag, *ct)
-    r_adj = math.hypot(w_adj.real, w_adj.imag, *ct)
-    if r_adj > r:
-        a, b, c, d, w, r = d, -b, -c, a, w_adj, r_adj
-    z = ((a * z + b) * (w.conjugate() / r)
-         + a * (c.conjugate() * t / r) * t) / r
-    log_t = math.log(t) - 2.0 * (math.log(r) + s)
-    if -745.0 < log_t < 709.0:    # e^log_t is a positive finite float
-        return distance(HPoint(z, math.exp(log_t)), o)
-    # past the float range one of the two heights dominates h: the log
-    # tail of `distance`
-    dz = z - o.z
-    log_h = log_t if log_t > 0 else math.log(math.hypot(dz.real, dz.imag, t))
-    return 2.0 * (log_h - 0.5 * math.log(t) - 0.5 * log_t)
+    Y, s = acc
+    r = float(_sinh_half_displacement(Y, o))
+    if r == 0.0:
+        return 0.0
+    log_r = s + math.log(r)
+    # asinh(x) = ln 2x + O(x^-2), below double precision past x = e^20
+    if log_r > 20.0:
+        return 2.0 * (log_r + math.log(2.0))
+    return 2.0 * math.asinh(math.exp(log_r))
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +376,7 @@ class Geodesic:
         self._norm = a, b, c, d = normalizer(backward, forward)
         self._inv = (d, -b, -c, a)    # the adjugate: det = 1
         q = apply(self._norm, basepoint)
-        self._anchor_coord = 0.5 * math.log(abs(q.z) ** 2 + q.t ** 2)
+        self._anchor_coord = math.log(math.hypot(q.z.real, q.z.imag, q.t))
 
     def __repr__(self):
         return f"Geodesic({self.endpoints[0]!r}, {self.endpoints[1]!r})"
@@ -395,7 +402,7 @@ def geodesic_metrics(p, g):
     coordinate H(foot)."""
     q = apply(g._norm, p)
     dist = math.asinh(abs(q.z) / q.t)
-    coord = 0.5 * math.log(abs(q.z) ** 2 + q.t ** 2)
+    coord = math.log(math.hypot(q.z.real, q.z.imag, q.t))
     foot = apply(g._inv, HPoint(0.0, math.exp(coord)))
     return GeodesicMetrics(dist, foot, coord - g._anchor_coord)
 
@@ -404,7 +411,7 @@ def _coordinate(p, g):
     """The signed coordinate H of the foot of p on g, without building
     the foot."""
     q = apply(g._norm, p)
-    return 0.5 * math.log(abs(q.z) ** 2 + q.t ** 2) - g._anchor_coord
+    return math.log(math.hypot(q.z.real, q.z.imag, q.t)) - g._anchor_coord
 
 
 def dist_to_geodesic(p, g):
@@ -497,7 +504,8 @@ def dist_to_segment(x, seg):
     if seg._g is None:
         return distance(x, seg.p)
     q = apply(seg._g._norm, x)
-    coord = 0.5 * math.log(abs(q.z) ** 2 + q.t ** 2) - seg._g._anchor_coord
+    coord = (math.log(math.hypot(q.z.real, q.z.imag, q.t))
+             - seg._g._anchor_coord)
     lo, hi = min(seg._lo, seg._hi), max(seg._lo, seg._hi)
     if coord < lo or coord > hi:
         return min(distance(x, seg.p), distance(x, seg.q))
@@ -576,8 +584,7 @@ class Representation:
         self._images = {"a": A, "A": mat_inverse(A),
                         "b": B, "B": mat_inverse(B)}
         self._letters = {x: _entries(M) for x, M in self._images.items()}
-        self.c_prime = max(distance(apply(A, basepoint), basepoint),
-                           distance(apply(B, basepoint), basepoint))
+        self.c_prime = max(self.displacement("a"), self.displacement("b"))
 
     def gen_image(self, letter):
         return self._images[letter]
@@ -599,8 +606,13 @@ class Representation:
         return functools.reduce(_mul, map(self._letters.__getitem__, w))
 
     def displacement(self, w):
-        return distance(apply(self.word_image(w), self.basepoint),
-                        self.basepoint)
+        """d(rho(w) o, o); raises ValueError once it is not finite."""
+        r = _sinh_half_displacement(self._product(w), self.basepoint)
+        if not math.isfinite(r):
+            raise ValueError(
+                f"the displacement of a {len(w)}-letter word is not finite: "
+                f"its computation leaves the float range (about 1.8e308)")
+        return 2.0 * math.asinh(r)
 
 
 def _parse_matrix(name, field):

@@ -10,8 +10,9 @@ isometries of H^2 or H^3 against quantitative stability certificates:
   their length, plus greedy disjoint coverage and the contradiction test
   against a displacement-ratio constant.
 - `bowditch_scan`: per-class traces, translation lengths and
-  translation-per-letter ratios, fitted displacement constants, and the
-  trace cross-check data (Fricke recursion over the Farey tree).
+  translation-per-letter ratios, the constant C fitted from the worst
+  ratio, and the trace cross-check data (Fricke recursion over the Farey
+  tree).
 - `ps_scan`: per-class quasi-geodesic constants of the orbit map from the
   projection onto the class axis, and tubular radii.
 - `local_global_scan`: local vs global quasi-geodesic constants over
@@ -48,6 +49,7 @@ from .geometry import (
     _matrix,
     _mul,
     _pow,
+    _sinh_half_displacement,
 )
 from .words import is_cyclically_reduced
 
@@ -172,36 +174,6 @@ def _letter_images(rep, letters):
     return np.stack([table[ch] for ch in letters])
 
 
-def _displacements(W, o):
-    """d(W[i] o, o) for a stacked array of exactly-unimodular matrices.
-
-    The action formula is applied with the determinant taken as 1: the
-    inputs are products of unimodular letters, and recomputing ad - bc
-    in floats is cancellation noise once the entries are large.  The
-    distance is `geometry.distance`, vectorised: 2 asinh(h / (2 sqrt(t)
-    sqrt(o.t))) with h = hypot(|z - o.z|, t - o.t), and where that ratio
-    overflows (beyond ~1400), 2 (ln h - ln t / 2 - ln o.t / 2).  Once a
-    product leaves the float range the value is NaN or inf, with no
-    warning: `_offset_grid` refuses it.
-    """
-    a, b = W[..., 0, 0], W[..., 0, 1]
-    c, d = W[..., 1, 0], W[..., 1, 1]
-    t2 = o.t * o.t
-    with np.errstate(all="ignore"):
-        w = c * o.z + d
-        den = np.abs(w) ** 2 + np.abs(c) ** 2 * t2
-        z = ((a * o.z + b) * np.conj(w) + a * np.conj(c) * t2) / den
-        t = o.t / den
-        h = np.hypot(np.abs(z - o.z), t - o.t)
-        r = h / (2.0 * np.sqrt(t) * math.sqrt(o.t))
-        out = 2.0 * np.arcsinh(r)
-        far = np.isinf(r)
-        if far.any():
-            out[far] = 2.0 * (np.log(h[far]) - 0.5 * np.log(t[far])
-                              - 0.5 * math.log(o.t))
-    return out
-
-
 # matrices per displacement batch: bounds the memory of the offset grid
 # of a long word
 _GRID_ROWS = 1 << 16
@@ -215,7 +187,8 @@ def _offset_grid(rep, letters, kmax, starts):
     bounds[i + 1]] (the last block runs to the end), in order of m.
 
     d(v_m, v_{m+k}) is the basepoint displacement of the subword
-    letters[m:m+k], so each value comes from a fresh k-letter product
+    letters[m:m+k] (`geometry._sinh_half_displacement`, which is finite
+    while the product is), so each value comes from a fresh k-letter product
     instead of coordinates accumulated from a single frame (whose pair
     differences lose all precision at depth ~ 35).  The products are
     stacked one letter per offset, left to right, so the starts m and
@@ -236,7 +209,9 @@ def _offset_grid(rep, letters, kmax, starts):
         stacks.append(W)
         bounds.append(bounds[-1] + rows)
         if k == kmax or bounds[-1] >= _GRID_ROWS:
-            disps = _displacements(np.concatenate(stacks), rep.basepoint)
+            entries = np.concatenate(stacks).reshape(-1, 4).T
+            disps = 2.0 * np.arcsinh(
+                _sinh_half_displacement(entries, rep.basepoint))
             bad = np.flatnonzero(~np.isfinite(disps))
             if bad.size:
                 length = k0 + int(np.searchsorted(bounds, bad[0], "right")) - 1
@@ -540,8 +515,8 @@ def _scanned_classes(rep, max_denominator):
 def bowditch_scan(rep, max_denominator):
     """Scan the primitive classes of `_scanned_classes`: trace,
     translation length, and the ratio translation/|class|; flag
-    non-loxodromic and low-ratio classes; fit displacement constants from
-    the worst ratio."""
+    non-loxodromic and low-ratio classes; fit C = 1 / ratio from the worst
+    ratio."""
     records = []
     for _, kind, head in _scanned_classes(rep, max_denominator):
         ratio = head["tl"] / head["len"]
@@ -567,7 +542,6 @@ def bowditch_scan(rep, max_denominator):
         "min_ratio": min_ratio,
         "min_trace": min(math.hypot(*r["tr"]) for r in records),
         "fitted_C": 1.0 / min_ratio if min_ratio > 0 else None,
-        "fitted_D": 0.0 if min_ratio > 0 else None,
         "lsq_rate": lsq[0] if lsq else None,
         "lsq_intercept": lsq[1] if lsq else None,
         "commutator_trace": [commutator.real, commutator.imag],

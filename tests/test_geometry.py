@@ -35,6 +35,7 @@ from primscan.geometry import (
     power_displacement,
     translation_length,
     unimodularize,
+    _coordinate,
     _matrix,
 )
 
@@ -459,6 +460,17 @@ def test_power_displacement_large_exponent_on_axis():
                 n * tl, rel=1e-11, abs=1e-8)
 
 
+def test_power_displacement_through_the_subnormal_window():
+    # on the axis of A, d(A^n o, o) = n tl; for n = 377..387 the image
+    # height of o is a subnormal float, so it must not be formed
+    A = as_matrix([[1, 1], [1, 2]])
+    tl = translation_length(A)
+    for o in (HPoint(0, 1), axis_of(A).point_at(0.7)):
+        for n in range(300, 450):
+            assert power_displacement(A, n, o) == pytest.approx(
+                n * tl, rel=1e-12), (o, n)
+
+
 def test_power_displacement_huge_exponent():
     # entries of A^n overflow doubles near n ~ 700; the log-safe route must
     # agree with n * translation on an axis basepoint and stay finite off it
@@ -677,6 +689,24 @@ def test_dist_to_segment_endpoint_regimes():
     degenerate = Segment(HPoint(0, 1), HPoint(0, 1))
     assert dist_to_segment(HPoint(0, 2), degenerate) == pytest.approx(
         math.log(2), abs=1e-12)
+
+
+def test_log_heights_past_the_square_range():
+    # |z| = 1e200: |z|^2 overflows a Python float, which raises; the foot
+    # coordinate is ln hypot(|z|, t) = 200 ln 10 up to 1e-400
+    p = HPoint(1e200, 1.0)
+    g = Geodesic(INF, 0.0)
+    want = 200 * math.log(10)
+    assert _coordinate(p, g) == pytest.approx(want, rel=1e-15)
+    # the foot lies above the segment's end (0, 2)
+    assert dist_to_segment(p, Segment(HPoint(0, 1), HPoint(0, 2))) == (
+        pytest.approx(distance(p, HPoint(0, 2)), rel=1e-15))
+    high = Geodesic(INF, 0.0, basepoint=p)
+    assert _coordinate(HPoint(0, 1), high) == pytest.approx(-want, rel=1e-15)
+    # the foot (0, 1e200) itself is past the range of `apply`, whose t^2
+    # overflows: a ValueError, which the CLI reports, not an OverflowError
+    with pytest.raises(ValueError, match="height"):
+        geodesic_metrics(p, g)
 
 
 def test_minimize_convex_quadratic():

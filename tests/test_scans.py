@@ -31,11 +31,11 @@ from primscan.geometry import (
     _entries,
     _mul,
     _pow,
+    _sinh_half_displacement,
 )
 from primscan import scans
 from primscan.scans import (
     PreconditionError,
-    _displacements,
     _letter_images,
     _offset_grid,
     _offset_minima,
@@ -185,10 +185,15 @@ def test_level_table_matches_per_class_recursion(tmp_path, which):
     assert len(levels) < len(classes) / 2
 
 
+def kernel_displacements(W, o):
+    """d(W[i] o, o) for a stacked (n, 2, 2) array, from the kernel."""
+    return 2.0 * np.arcsinh(_sinh_half_displacement(W.reshape(-1, 4).T, o))
+
+
 def reference_pair_distances(rep, letters, kmax):
     """The per-offset loop that `_offset_grid` replaces: entry k-1 is the
     array d(v_m, v_{m+k}) for every start m = 0..n-k, each offset in its
-    own `_displacements` call."""
+    own `kernel_displacements` call."""
     n = len(letters)
     kmax = min(kmax, n)
     mats = _letter_images(rep, letters)
@@ -196,7 +201,7 @@ def reference_pair_distances(rep, letters, kmax):
     out = []
     for k in range(1, kmax + 1):
         W = W[: n - k + 1] @ mats[k - 1:]
-        out.append(_displacements(W, rep.basepoint))
+        out.append(kernel_displacements(W, rep.basepoint))
     return out
 
 
@@ -212,7 +217,7 @@ def test_vectorized_displacements_match_scalar_action():
     rep = Representation("H2", MARKOFF_A, MARKOFF_B, basepoint=HPoint(0.3, 1.7))
     words = ["a", "ab", "abAB", "aabAbb", "BAba"]
     W = np.stack([rep.word_image(w) for w in words])
-    fast = _displacements(W, rep.basepoint)
+    fast = kernel_displacements(W, rep.basepoint)
     slow = [distance(apply(M, rep.basepoint), rep.basepoint) for M in W]
     assert np.abs(fast - np.array(slow)).max() < 1e-12
 
@@ -222,7 +227,7 @@ def test_vectorized_displacements_match_scalar_action_h3():
                          basepoint=HPoint(0.1 + 0.2j, 1.0))
     words = ["a", "ab", "abAB", "aabAbb"]
     W = np.stack([rep.word_image(w) for w in words])
-    fast = _displacements(W, rep.basepoint)
+    fast = kernel_displacements(W, rep.basepoint)
     slow = [distance(apply(M, rep.basepoint), rep.basepoint) for M in W]
     assert np.abs(fast - np.array(slow)).max() < 1e-12
 
@@ -269,7 +274,7 @@ def test_displacements_keep_small_distances():
     o = HPoint(0, 1)
     for shift in (1e-9, 1e-12, 1e-5):
         M = np.array([[1, shift], [0, 1]], dtype=complex)
-        got = _displacements(M[None], o)[0]
+        got = kernel_displacements(M[None], o)[0]
         assert got == pytest.approx(distance(apply(M, o), o), rel=1e-12)
         assert got == pytest.approx(shift, rel=1e-6)
 
@@ -548,15 +553,23 @@ def test_quasi_loops_validation():
 
 
 def trace_1001_rep():
-    # rho(a^k) has entries near 1001^k: the displacement formula's squares
-    # leave the float range from k = 52 on, the product itself past k = 102
+    # rho(a^k) has entries near 1001^k: the product, and with it the
+    # displacement, which is linear in the entries, leaves the float range
+    # past k = 102
     return Representation("H2", [[1000, 1], [999, 1]], MARKOFF_B)
 
 
 def test_quasi_loops_refuse_displacements_past_the_float_range():
-    with pytest.raises(ValueError, match="52-letter subword .* float range"):
+    with pytest.raises(ValueError, match="103-letter subword .* float range"):
         find_quasi_loops(trace_1001_rep(), "a" * 200, 1.0)
-    assert find_quasi_loops(trace_1001_rep(), "a" * 51, 1.0).loops == []
+    assert find_quasi_loops(trace_1001_rep(), "a" * 102, 1.0).loops == []
+
+
+def test_word_displacement_refuses_past_the_float_range():
+    rep = trace_1001_rep()
+    with pytest.raises(ValueError, match="103-letter word .* float range"):
+        rep.displacement("a" * 103)
+    assert math.isfinite(rep.displacement("a" * 102))
 
 
 # ----------------------------------------------------------- trace oracle
@@ -592,7 +605,6 @@ def test_bowditch_markoff_aggregate():
     assert agg["commutator_trace"][1] == pytest.approx(0.0, abs=1e-9)
     assert agg["min_ratio"] == pytest.approx(math.acosh(1.5), rel=1e-12)
     assert agg["fitted_C"] == pytest.approx(1.0 / math.acosh(1.5), rel=1e-12)
-    assert agg["fitted_D"] == 0.0
     assert agg["small_trace_count"] == 0
 
 
@@ -788,7 +800,7 @@ def test_local_global_refuses_an_empty_word_list(words):
 
 
 def test_local_global_refuses_displacements_past_the_float_range():
-    with pytest.raises(ValueError, match="52-letter subword .* float range"):
+    with pytest.raises(ValueError, match="103-letter subword .* float range"):
         local_global_scan(trace_1001_rep(), 3, 5, ["b" + "a" * 200])
 
 

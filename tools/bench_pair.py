@@ -14,7 +14,8 @@ order go into the output file, together with the revisions, the hashes of
 their `src` trees, the Python and numpy versions and `nproc`.  Runs of
 further workloads or seeds are appended to an existing output file, and
 the summary (per side: median and quartiles of every end-to-end metric,
-and the pairs each side won on each metric) is recomputed over all runs.
+the pairs each side won on each metric, and the runs that left no result
+line) is recomputed over all runs.
 
 The script records numbers; it gates nothing and exits 0 whatever they
 are.
@@ -83,7 +84,12 @@ def quartiles(values):
 
 def summarize(runs, better):
     """Per workload and side, median [q1, q3] of each metric, and the
-    pairs won by each side (ties count for neither)."""
+    pairs won by each side (ties count for neither).
+
+    A pair counts only if both of its runs left a result line; `no_result`
+    counts, per side, the runs that did not (a non-zero exit or no
+    output), which no pair holds.
+    """
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
         pairs = {}
@@ -92,7 +98,11 @@ def summarize(runs, better):
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
         pairs = [p for p in pairs.values() if len(p) == 2]
         summary = {"pairs": len(pairs), "failed": {
-            side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}
+            side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+            "no_result": {side: sum(
+                1 for r in runs if r["workload"] == workload
+                and r["side"] == side and "metrics" not in r["result"])
+                for side in SIDES}}
         for metric, direction in better.items():
             values = {side: [p[side]["metrics"][metric]["value"]
                              for p in pairs] for side in SIDES}
