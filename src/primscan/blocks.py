@@ -252,13 +252,19 @@ def _tower_levels(swap, entries, levels):
             n = entries[-1]
             found = (w + (w[-1] * (n - 1) + wp[-1],),
                      wp + (w[-1] * n + wp[-1],))
-        elif swap == "none":
-            found = ("a",), ("ab",)
         else:
-            table = _SUBS[swap]
-            found = ("a".translate(table),), ("ab".translate(table),)
+            w0, wp0 = _base_words(swap)
+            found = (w0,), (wp0,)
         levels[key] = found
     return found
+
+
+def _base_words(swap):
+    """w_0 = a and w'_0 = ab on the `swap` alphabet."""
+    if swap == "none":
+        return "a", "ab"
+    table = _SUBS[swap]
+    return "a".translate(table), "ab".translate(table)
 
 
 def enumerate_primitive_classes(max_den):

@@ -277,8 +277,9 @@ def check_quadrilateral(x, y, line, delta=DEFAULT_DELTA):
     my = geodesic_metrics(y, line)
     k_x, k_y = mx.dist, my.dist
     d = distance(x, y)
-    d1 = distance(mx.foot, my.foot)
-    gap = segment_gap(Segment(x, y), Segment(mx.foot, my.foot))
+    feet = Segment.on_line(line, mx, my)
+    d1 = feet.length
+    gap = segment_gap(Segment(x, y), feet)
 
     failures = []
     if gap <= 2.0 * delta:

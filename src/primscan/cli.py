@@ -75,9 +75,7 @@ def _cell(value):
 def emit(records, aggregate, fmt, stream):
     """Write the report: one record per line plus the aggregate last."""
     if fmt == "jsonl":
-        for record in records:
-            print(json.dumps(record), file=stream)
-        print(json.dumps(aggregate), file=stream)
+        stream.writelines(json.dumps(r) + "\n" for r in [*records, aggregate])
         return
     columns = []
     for row in [*records, aggregate]:

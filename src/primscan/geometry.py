@@ -482,6 +482,21 @@ class Segment:
             self._lo = _coordinate(p, self._g)
             self._hi = _coordinate(q, self._g)
 
+    @classmethod
+    def on_line(cls, line, mp, mq):
+        """The segment of `line` between the feet of the `geodesic_metrics`
+        mp and mq on it, from their coordinates: no new geodesic and no
+        distance."""
+        seg = cls.__new__(cls)
+        seg.p, seg.q = mp.foot, mq.foot
+        seg.length = abs(mq.coordinate - mp.coordinate)
+        if seg.length < 1e-13:
+            seg._g = None
+            seg._lo = seg._hi = 0.0
+        else:
+            seg._g, seg._lo, seg._hi = line, mp.coordinate, mq.coordinate
+        return seg
+
     def point_at(self, s):
         """The point at arc length s from p (s clamped into [0, length])."""
         if self._g is None:

@@ -20,10 +20,12 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 - `perturbation_scan`: robustness of the minimum ratio under entrywise
   noise.
 
-Class matrices are computed by the block-tower recursion with
-square-and-multiply powers on the scalar 2x2 kernel of `geometry`
-(O(depth * log n_i) products per class) rather than letter-by-letter
-products.
+Class matrices are computed from the tower plan of each slope (its
+alphabet swap and recursion entries, `blocks._tower_plan`) by the
+block-tower recursion, with square-and-multiply powers on the scalar 2x2
+kernel of `geometry`: one level table per scan holds the images of the
+lower levels, so a class costs O(log n_r) products and no word is built
+unless a scan walks it.
 """
 
 import itertools
@@ -32,7 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import enumerate_primitive_classes
+from .blocks import (
+    LemmaViolation,
+    Slope,
+    _base_words,
+    _class_pairs,
+    _tower_levels,
+    _tower_plan,
+    cf_expansion,
+)
 from .geometry import (
     INF,
     NotLoxodromic,
@@ -51,7 +61,7 @@ from .geometry import (
     _pow,
     _sinh_half_displacement,
 )
-from .words import is_cyclically_reduced
+from .words import abelianization, is_cyclically_reduced
 
 __all__ = [
     "ExcursionProfile", "PreconditionError", "QuasiLoop", "QuasiLoopReport",
@@ -82,49 +92,59 @@ class PreconditionError(ValueError):
 
 
 def class_matrix(rep, tower):
-    """The image of the tower's top word, via the block recursion
-    w_i = w_{i-1}^(n_i - 1) w'_{i-1},  w'_i = w_{i-1} w_i.
+    """The image of the tower's top word, from its plan (`tower.swap`,
+    `tower.cf`) through `_plan_image`.
 
     The factors are exactly unimodular, so no determinant-based
     renormalization is applied: once entries are large, the floating
     determinant is cancellation noise, while the plain product keeps
     full relative precision over the O(depth + log n_i) multiplies.
     """
-    return _matrix(_class_image(rep, tower, {}))
+    return _matrix(_plan_image(rep, tower.swap, tower.cf, {})[0])
 
 
-def _class_image(rep, tower, levels):
-    """`class_matrix` as a kernel 4-tuple.  `levels`, a dict owned by the
-    caller, shares the level products between the towers of one
-    representation (see `_level_pair`)."""
-    w0, wp0, entries = tower.w[0], tower.wp[0], tower.cf
+def _plan_image(rep, swap, entries, levels):
+    """The image of the class word w_r of the tower plan (swap, entries)
+    as a kernel 4-tuple, with the abelianization of w_r as an integer
+    pair, by w_r = w_{r-1}^(n_r - 1) w'_{r-1} from the level below.
+
+    `levels`, a dict owned by the caller, is the level table of
+    `_plan_level`; the top level is not added to it.  Raises
+    LemmaViolation on an entry below 1.
+    """
     if not entries:
-        return rep._product(w0)
-    w, wp = _level_pair(rep, w0, wp0, entries[:-1], levels)
-    return _mul(_pow(w, entries[-1] - 1), wp)
+        w, _, ab, _ = _plan_level(rep, swap, entries, levels)
+        return w, ab
+    n = entries[-1]
+    if n < 1:
+        raise LemmaViolation(f"tower entry {n} < 1 in {entries}")
+    w, wp, (x, y), (xp, yp) = _plan_level(rep, swap, entries[:-1], levels)
+    return _mul(_pow(w, n - 1), wp), ((n - 1) * x + xp, (n - 1) * y + yp)
 
 
-def _level_pair(rep, w0, wp0, entries, levels):
-    """The images of (w_i, w'_i) for the recursion entries n_1..n_i
-    (`entries`) from the base words (w0, wp0).
+def _plan_level(rep, swap, entries, levels):
+    """(rho(w_i), rho(w'_i), ab(w_i), ab(w'_i)) for the recursion entries
+    n_1..n_i (`entries`) on the `swap` alphabet, with w'_i = w_{i-1} w_i.
 
-    `levels` maps (w0, wp0, entries) to that pair.  The pair of
+    `levels` maps (swap, entries) to that record.  The record of
     entries[:-1] is the level below, so a class whose lower levels are in
     the table costs the products of its top level only.  The products and
     their order are those of the plain recursion, so the result is
-    bit-identical.
+    bit-identical to it.
     """
-    key = (w0, wp0, entries)
-    pair = levels.get(key)
-    if pair is None:
+    key = (swap, entries)
+    level = levels.get(key)
+    if level is None:
         if entries:
-            w, wp = _level_pair(rep, w0, wp0, entries[:-1], levels)
-            w_next = _mul(_pow(w, entries[-1] - 1), wp)
-            pair = (w_next, _mul(w, w_next))
+            w_next, (x, y) = _plan_image(rep, swap, entries, levels)
+            w, _, (x0, y0), _ = levels[swap, entries[:-1]]
+            level = (w_next, _mul(w, w_next), (x, y), (x0 + x, y0 + y))
         else:
-            pair = (rep._product(w0), rep._product(wp0))
-        levels[key] = pair
-    return pair
+            w0, wp0 = _base_words(swap)
+            level = (rep._product(w0), rep._product(wp0),
+                     abelianization(w0), abelianization(wp0))
+        levels[key] = level
+    return level
 
 
 def _rotation_images(rep, gamma):
@@ -498,16 +518,28 @@ def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
 
 
 def _scanned_classes(rep, max_denominator):
-    """The classes of `enumerate_primitive_classes` (the slopes p/q with
-    p, q >= 0 up to the cap; the classes of negative slope are not
-    scanned), as (tower, kind, head): `classify` of the class image and
-    the record head p, q, len, tr, tl."""
+    """The slopes of `enumerate_primitive_classes` (p/q with p, q >= 0 up
+    to the cap, in its order; the classes of negative slope are not
+    scanned), as (swap, entries, kind, head): the tower plan of the slope,
+    `classify` of the class image and the record head p, q, len, tr, tl.
+
+    No word is built.  Each image comes from the plan through one level
+    table (`_plan_image`), and len is |p| + |q|, the length of the class
+    word.  The abelianization that the table carries must come out at
+    +-(p, q), else LemmaViolation, as in `blocks.build_blocks`.
+    """
     levels = {}
-    for slope, tower in enumerate_primitive_classes(max_denominator):
-        m = _class_image(rep, tower, levels)
+    for p, q in _class_pairs(max_denominator):
+        # coprime and nonnegative, as in `enumerate_primitive_classes`
+        slope = Slope(p, q, tuple(cf_expansion(p, q)) if q else ())
+        entries, swap = _tower_plan(slope)
+        m, ab = _plan_image(rep, swap, entries, levels)
+        if ab != (p, q) and ab != (-p, -q):
+            raise LemmaViolation(
+                f"class word for {slope} abelianizes to {ab}")
         tr = m[0] + m[3]
-        yield tower, classify(m), {
-            "p": slope.p, "q": slope.q, "len": len(tower.word),
+        yield swap, entries, classify(m), {
+            "p": p, "q": q, "len": abs(p) + abs(q),
             "tr": [tr.real, tr.imag], "tl": translation_length(m),
         }
 
@@ -518,7 +550,7 @@ def bowditch_scan(rep, max_denominator):
     non-loxodromic and low-ratio classes; fit C = 1 / ratio from the worst
     ratio."""
     records = []
-    for _, kind, head in _scanned_classes(rep, max_denominator):
+    for _, _, kind, head in _scanned_classes(rep, max_denominator):
         ratio = head["tl"] / head["len"]
         flags = []
         if kind != "loxodromic":
@@ -581,12 +613,14 @@ def ps_scan(rep, max_denominator):
     records = []
     o = rep.basepoint
     edges = _leaf_edges(rep)
-    for tower, kind, head in _scanned_classes(rep, max_denominator):
+    words = {}    # the word table of `blocks._tower_levels`
+    for swap, entries, kind, head in _scanned_classes(rep, max_denominator):
         rate = head["tl"] / head["len"]
         frames = None
         if kind == "loxodromic":
+            gamma = _tower_levels(swap, entries, words)[0][-1]
             try:
-                frames = _rotation_frames(rep, tower.word, edges)
+                frames = _rotation_frames(rep, gamma, edges)
             except NotLoxodromic:
                 pass
         if frames is None:

@@ -1,0 +1,99 @@
+"""Tests for tools/bench_pair.py: seed lists and the paired summary."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_bench_pair():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pair", ROOT / "tools" / "bench_pair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pair = load_bench_pair()
+BETTER = {"wall_s": "lower", "items_per_s": "higher"}
+
+
+def result(wall, items, failed=0):
+    return {"failed": failed, "metrics": {"wall_s": {"value": wall},
+                                          "items_per_s": {"value": items}}}
+
+
+def run(seed, side, res, workload="w"):
+    return {"workload": workload, "seed": seed, "side": side,
+            "first": "parent", "result": res}
+
+
+def no_result():
+    return {"error": "Traceback ...", "exit": 1}
+
+
+@pytest.mark.parametrize("text, seeds", [
+    ("10-12,15", [10, 11, 12, 15]),
+    ("3", [3]),
+    ("1,2,5", [1, 2, 5]),
+    ("7-7", [7]),
+])
+def test_parse_seeds(text, seeds):
+    assert bench_pair.parse_seeds(text) == seeds
+
+
+def test_summarize_counts_wins_per_direction():
+    runs = [run(1, "parent", result(1.0, 10.0)),
+            run(1, "change", result(0.5, 12.0)),
+            run(2, "change", result(1.0, 9.0)),
+            run(2, "parent", result(1.5, 11.0))]
+    summary = bench_pair.summarize(runs, BETTER)["w"]
+    assert summary["pairs"] == 2
+    assert summary["wall_s"]["wins"] == {"parent": 0, "change": 2}
+    # higher is better: the change won seed 1 and lost seed 2
+    assert summary["items_per_s"]["wins"] == {"parent": 1, "change": 1}
+    assert summary["wall_s"]["change"] == {"median": 0.75, "q1": 0.625,
+                                           "q3": 0.875}
+    assert summary["no_result"] == {"parent": 0, "change": 0}
+
+
+def test_summarize_tie_counts_for_neither_side():
+    runs = [run(1, "parent", result(1.0, 10.0)),
+            run(1, "change", result(1.0, 10.0))]
+    summary = bench_pair.summarize(runs, BETTER)["w"]
+    assert summary["pairs"] == 1
+    for metric in BETTER:
+        assert summary[metric]["wins"] == {"parent": 0, "change": 0}
+
+
+def test_summarize_pair_needs_both_result_lines():
+    runs = [run(1, "parent", result(1.0, 10.0)),
+            run(1, "change", no_result()),
+            run(2, "parent", no_result()),
+            run(2, "change", no_result()),
+            run(3, "parent", result(1.0, 10.0)),
+            run(3, "change", result(0.5, 20.0, failed=2)),
+            run(4, "change", result(0.5, 20.0))]    # its parent never ran
+    summary = bench_pair.summarize(runs, BETTER)["w"]
+    assert summary["pairs"] == 1
+    assert summary["failed"] == {"parent": 0, "change": 2}
+    assert summary["no_result"] == {"parent": 1, "change": 2}
+    assert summary["wall_s"]["wins"] == {"parent": 0, "change": 1}
+    assert summary["wall_s"]["parent"]["median"] == 1.0
+    assert summary["wall_s"]["change"]["median"] == 0.5
+
+
+def test_summarize_keeps_workloads_apart():
+    runs = [run(1, "parent", result(1.0, 10.0), workload="a"),
+            run(1, "change", result(2.0, 5.0), workload="a"),
+            run(1, "parent", result(1.0, 10.0), workload="b"),
+            run(1, "change", no_result(), workload="b")]
+    summary = bench_pair.summarize(runs, BETTER)
+    assert list(summary) == ["a", "b"]
+    assert summary["a"]["wall_s"]["wins"] == {"parent": 1, "change": 0}
+    assert summary["b"]["pairs"] == 0
+    assert summary["b"]["no_result"] == {"parent": 0, "change": 1}
+    # no pair, so no quartiles for either side
+    assert "parent" not in summary["b"]["wall_s"]

@@ -664,6 +664,29 @@ def test_segment_arclength_parametrization():
         assert distance(p, mid) == pytest.approx(seg.length / 2, abs=1e-9)
 
 
+def test_segment_on_line_matches_the_segment_of_its_feet():
+    # the feet's segment from their coordinates on the line agrees with
+    # the one built through them, which takes a new geodesic
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        line = geodesic_through(random_point(rng, real=True),
+                                random_point(rng, real=True))
+        mp, mq = (geodesic_metrics(random_point(rng, real=True), line)
+                  for _ in range(2))
+        seg = Segment.on_line(line, mp, mq)
+        built = Segment(mp.foot, mq.foot)
+        assert (seg.p, seg.q) == (mp.foot, mq.foot)
+        assert seg.length == pytest.approx(built.length, rel=1e-12, abs=1e-12)
+        for u in (0.0, 0.3, 1.0):
+            assert distance(seg.interpolate(u), built.interpolate(u)) < 1e-9
+        x = random_point(rng, real=True)
+        assert dist_to_segment(x, seg) == pytest.approx(
+            dist_to_segment(x, built), abs=1e-9)
+    foot = geodesic_metrics(HPoint(1.0, 1.0), Geodesic(INF, 0.0))
+    point = Segment.on_line(Geodesic(INF, 0.0), foot, foot)
+    assert point.length == 0.0 and point._g is None
+
+
 def test_dist_to_segment_against_dense_sampling():
     rng = np.random.default_rng(67)
     for _ in range(40):

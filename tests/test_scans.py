@@ -16,7 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primscan.blocks import build_blocks, enumerate_primitive_classes
+from primscan import blocks
+from primscan.blocks import (
+    LemmaViolation,
+    build_blocks,
+    enumerate_primitive_classes,
+)
 from primscan.geometry import (
     HPoint,
     NotLoxodromic,
@@ -177,12 +182,71 @@ def test_level_table_matches_per_class_recursion(tmp_path, which):
     levels = {}
     for slope, tower in classes:
         want = _bits(reference_class_matrix(rep, tower))
-        assert _bits(scans._class_image(rep, tower, levels)) == want, slope
+        image, _ = scans._plan_image(rep, tower.swap, tower.cf, levels)
+        assert _bits(image) == want, slope
         if slope.q % 50 == 1:
             assert _bits(_entries(class_matrix(rep, tower))) == want
-    # one table entry per distinct lower level (base words and entries
-    # prefix), shared between classes
+    # one table entry per distinct lower level (swap and entries prefix),
+    # shared between classes
     assert len(levels) < len(classes) / 2
+
+
+def test_plan_image_carries_the_abelianization():
+    # every class of both signs and all four alphabets comes out at
+    # +-(p, q), with the image of its tower word
+    rep, levels = random_h3_rep(3), {}
+    for p in range(-12, 13):
+        for q in range(13):
+            if math.gcd(p, q) != 1:
+                continue
+            tower = build_blocks(p, q)
+            image, ab = scans._plan_image(rep, tower.swap, tower.cf, levels)
+            assert ab in ((p, q), (-p, -q)), (p, q)
+            assert _bits(image) == _bits(reference_class_matrix(rep, tower))
+
+
+def test_plan_image_refuses_an_entry_below_one():
+    with pytest.raises(LemmaViolation, match="entry 0 < 1"):
+        scans._plan_image(markoff(), "none", (2, 0), {})
+
+
+def test_bowditch_scan_abelianization_mismatch_raises(monkeypatch):
+    # the scan keeps the consistency check of `build_blocks`: a wrong base
+    # alphabet puts the class 0/1 at (1, 0)
+    monkeypatch.setitem(blocks._SUBS, "ab", str.maketrans("", ""))
+    with pytest.raises(LemmaViolation, match="abelianizes"):
+        bowditch_scan(markoff(), 2)
+
+
+def test_bowditch_scan_builds_no_word(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bowditch_scan built a word")
+
+    want = bowditch_scan(markoff(), 40)
+    for name in ("_tower_levels", "_build_tower"):
+        monkeypatch.setattr(blocks, name, refuse)
+        if hasattr(scans, name):
+            monkeypatch.setattr(scans, name, refuse)
+    got = bowditch_scan(markoff(), 40)
+    assert got.records == want.records and got.aggregate == want.aggregate
+    assert got.aggregate["classes"] == 981
+
+
+def test_ps_scan_walks_the_tower_words(monkeypatch):
+    walked = []
+    frames = scans._rotation_frames
+
+    def record(rep, gamma, edges):
+        walked.append(gamma)
+        return frames(rep, gamma, edges)
+
+    monkeypatch.setattr(scans, "_rotation_frames", record)
+    scan = ps_scan(markoff(), 40)
+    # every class of the fixture is loxodromic, so every class is walked
+    assert len(walked) == len(scan.records) == 981
+    for r, gamma in zip(scan.records, walked):
+        assert gamma == build_blocks(r["p"], r["q"]).word, (r["p"], r["q"])
+        assert r["len"] == len(gamma)
 
 
 def kernel_displacements(W, o):
