@@ -293,6 +293,37 @@ def _class_pairs(max_den):
     return pairs
 
 
+def farey_walk(a, b, ab, combine, cap):
+    """Walk the half of the Farey tree between 0/1 and 1/0 down to the cap.
+
+    Yields (p, q, x) for 1/0, 0/1 and 1/1, whose payloads x are `a`, `b`
+    and `ab`, and for every Farey mediant p/q with p, q <= cap: the slopes
+    of `_class_pairs(cap)`, each once, in depth-first order.  The mediant
+    of the edge between the regions u and v, across from the region w,
+    gets the payload `combine(u, v, w)`, with u the endpoint of larger
+    slope; its slope is the sum of theirs.  The class between Farey
+    neighbours u and v is uv, so `combine` may return an image or a word
+    of uv, or the Fricke trace tr u tr v - tr w.  A mediant past the cap
+    ends its branch: every mediant beneath it has a larger p and q.
+    """
+    if cap < 1:
+        raise ValueError("max_den must be >= 1")
+    yield 1, 0, a
+    yield 0, 1, b
+    yield 1, 1, ab
+    # the open edges, as (u, v, w, p_u, q_u, p_v, q_v)
+    stack = [(a, ab, b, 1, 0, 1, 1), (ab, b, a, 1, 1, 0, 1)]
+    while stack:
+        u, v, w, pu, qu, pv, qv = stack.pop()
+        p, q = pu + pv, qu + qv
+        if p > cap or q > cap:
+            continue
+        x = combine(u, v, w)
+        yield p, q, x
+        stack.append((x, v, u, p, q, pv, qv))
+        stack.append((u, x, v, pu, qu, p, q))
+
+
 # --------------------------------------------------------------------------
 # derivation
 # --------------------------------------------------------------------------

@@ -276,10 +276,11 @@ def check_quadrilateral(x, y, line, delta=DEFAULT_DELTA):
     mx = geodesic_metrics(x, line)
     my = geodesic_metrics(y, line)
     k_x, k_y = mx.dist, my.dist
-    d = distance(x, y)
+    seg = Segment(x, y)
+    d = seg.length
     feet = Segment.on_line(line, mx, my)
     d1 = feet.length
-    gap = segment_gap(Segment(x, y), feet)
+    gap = segment_gap(seg, feet)
 
     failures = []
     if gap <= 2.0 * delta:

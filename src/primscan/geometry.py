@@ -142,18 +142,6 @@ def _mul(X, Y):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _pow(X, n):
-    """X^n for n >= 0 by square-and-multiply."""
-    out = None
-    while n:
-        if n & 1:
-            out = X if out is None else _mul(out, X)
-        n >>= 1
-        if n:
-            X = _mul(X, X)
-    return _ID if out is None else out
-
-
 def det(M):
     a, b, c, d = _entries(M)
     return a * d - b * c

@@ -20,29 +20,22 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 - `perturbation_scan`: robustness of the minimum ratio under entrywise
   noise.
 
-Class matrices are computed from the tower plan of each slope (its
-alphabet swap and recursion entries, `blocks._tower_plan`) by the
-block-tower recursion, with square-and-multiply powers on the scalar 2x2
-kernel of `geometry`: one level table per scan holds the images of the
-lower levels, so a class costs O(log n_r) products and no word is built
-unless a scan walks it.
+Class images come from one walk of the Farey tree (`blocks.farey_walk`):
+the class between Farey neighbours u and v is uv, so each class costs one
+product on the scalar 2x2 kernel of `geometry` from two images the walk
+already holds.  The scans sort the walk into slope order; no word is
+built unless a scan walks it, and the trace oracle `fricke_traces` is
+the same walk on traces.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .blocks import (
-    LemmaViolation,
-    Slope,
-    _base_words,
-    _class_pairs,
-    _tower_levels,
-    _tower_plan,
-    cf_expansion,
-)
+from .blocks import farey_walk
 from .geometry import (
     INF,
     NotLoxodromic,
@@ -58,10 +51,9 @@ from .geometry import (
     _coordinate,
     _matrix,
     _mul,
-    _pow,
     _sinh_half_displacement,
 )
-from .words import abelianization, is_cyclically_reduced
+from .words import is_cyclically_reduced
 
 __all__ = [
     "ExcursionProfile", "PreconditionError", "QuasiLoop", "QuasiLoopReport",
@@ -92,59 +84,15 @@ class PreconditionError(ValueError):
 
 
 def class_matrix(rep, tower):
-    """The image of the tower's top word, from its plan (`tower.swap`,
-    `tower.cf`) through `_plan_image`.
+    """The image of the tower's class word, the plain product of its
+    letter images.
 
     The factors are exactly unimodular, so no determinant-based
     renormalization is applied: once entries are large, the floating
     determinant is cancellation noise, while the plain product keeps
-    full relative precision over the O(depth + log n_i) multiplies.
+    full relative precision over the |w| - 1 multiplies.
     """
-    return _matrix(_plan_image(rep, tower.swap, tower.cf, {})[0])
-
-
-def _plan_image(rep, swap, entries, levels):
-    """The image of the class word w_r of the tower plan (swap, entries)
-    as a kernel 4-tuple, with the abelianization of w_r as an integer
-    pair, by w_r = w_{r-1}^(n_r - 1) w'_{r-1} from the level below.
-
-    `levels`, a dict owned by the caller, is the level table of
-    `_plan_level`; the top level is not added to it.  Raises
-    LemmaViolation on an entry below 1.
-    """
-    if not entries:
-        w, _, ab, _ = _plan_level(rep, swap, entries, levels)
-        return w, ab
-    n = entries[-1]
-    if n < 1:
-        raise LemmaViolation(f"tower entry {n} < 1 in {entries}")
-    w, wp, (x, y), (xp, yp) = _plan_level(rep, swap, entries[:-1], levels)
-    return _mul(_pow(w, n - 1), wp), ((n - 1) * x + xp, (n - 1) * y + yp)
-
-
-def _plan_level(rep, swap, entries, levels):
-    """(rho(w_i), rho(w'_i), ab(w_i), ab(w'_i)) for the recursion entries
-    n_1..n_i (`entries`) on the `swap` alphabet, with w'_i = w_{i-1} w_i.
-
-    `levels` maps (swap, entries) to that record.  The record of
-    entries[:-1] is the level below, so a class whose lower levels are in
-    the table costs the products of its top level only.  The products and
-    their order are those of the plain recursion, so the result is
-    bit-identical to it.
-    """
-    key = (swap, entries)
-    level = levels.get(key)
-    if level is None:
-        if entries:
-            w_next, (x, y) = _plan_image(rep, swap, entries, levels)
-            w, _, (x0, y0), _ = levels[swap, entries[:-1]]
-            level = (w_next, _mul(w, w_next), (x, y), (x0 + x, y0 + y))
-        else:
-            w0, wp0 = _base_words(swap)
-            level = (rep._product(w0), rep._product(wp0),
-                     abelianization(w0), abelianization(wp0))
-        levels[key] = level
-    return level
+    return _matrix(rep._product(tower.word))
 
 
 def _rotation_images(rep, gamma):
@@ -321,19 +269,6 @@ class ExcursionProfile:
             return self.period
         return (end - start - 1) * self.step
 
-    def sub_excursion(self, K):
-        """The longest circular interval where E >= K, as
-        (u_start, u_end, length); parameters are reported modulo the
-        period.  Raises ValueError when K exceeds the profile maximum."""
-        if K > self.max_excursion:
-            raise ValueError("threshold exceeds the maximal excursion")
-        vals, shift = self._circular()
-        runs = self._runs(vals, K)
-        start, end = max(runs, key=lambda r: r[1] - r[0])
-        length = self._run_span(start, end, len(vals))
-        u_start = ((start + shift) % len(vals)) * self.step
-        return u_start, u_start + length, length
-
     def sub_excursion_in(self, a):
         """A sub-excursion whose length lies in [a, 2a], up to one grid
         step of slack: returns (threshold, u_start, u_end, length) for
@@ -498,48 +433,50 @@ class ScanReport:
 def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
     """Traces of the primitive classes of slope p/q with p, q >= 0 up to
     the cap (1/0, 0/1 and 1 <= p, q <= cap: the half of the Farey tree
-    between 0/1 and 1/0) from the trace triple (tr A, tr B, tr AB), via
-    the trace recursion z' = xy - z.  Independent of any matrix
+    between 0/1 and 1/0) from the trace triple (tr A, tr B, tr AB), keyed
+    by (p, q): the trace payload of `blocks.farey_walk`, by the Fricke
+    recursion tr uv = tr u tr v - tr w.  Independent of any matrix
     arithmetic."""
-    out = {(1, 0): tr_a, (0, 1): tr_b}
-
-    def descend(left, t_left, right, t_right, t_mediant):
-        mediant = (left[0] + right[0], left[1] + right[1])
-        if mediant[0] > max_denominator or mediant[1] > max_denominator:
-            return
-        out[mediant] = t_mediant
-        descend(left, t_left, mediant, t_mediant,
-                t_left * t_mediant - t_right)
-        descend(mediant, t_mediant, right, t_right,
-                t_mediant * t_right - t_left)
-
-    descend((0, 1), tr_b, (1, 0), tr_a, tr_ab)
-    return out
+    return {(p, q): t for p, q, t in farey_walk(
+        tr_a, tr_b, tr_ab, lambda u, v, w: u * v - w, max_denominator)}
 
 
-def _scanned_classes(rep, max_denominator):
-    """The slopes of `enumerate_primitive_classes` (p/q with p, q >= 0 up
-    to the cap, in its order; the classes of negative slope are not
-    scanned), as (swap, entries, kind, head): the tower plan of the slope,
-    `classify` of the class image and the record head p, q, len, tr, tl.
+def _image(u, v, w):
+    """The walk's image payload: the image of the class uv."""
+    return _mul(u, v)
 
-    No word is built.  Each image comes from the plan through one level
-    table (`_plan_image`), and len is |p| + |q|, the length of the class
-    word.  The abelianization that the table carries must come out at
-    +-(p, q), else LemmaViolation, as in `blocks.build_blocks`.
+
+def _image_and_word(u, v, w):
+    """The walk's image and word payload: the image and the word of the
+    class uv."""
+    return _mul(u[0], v[0]), u[1] + v[1]
+
+
+def _scanned_classes(rep, max_denominator, words):
+    """The slopes p/q with p, q >= 0 up to the cap (the classes of
+    negative slope are not scanned), in the order of `blocks._class_pairs`
+    (by q, then p), as (gamma, kind, head): the class word when `words` is
+    true, else None; `classify` of the class image; and the record head
+    p, q, len, tr, tl.
+
+    Each image is one product along `blocks.farey_walk`: the class
+    between Farey neighbours u and v is uv, and both images are already
+    in hand.  The class words are the walk's u + v, each a cyclic rotation
+    of the `build_blocks` word; without `words` no word is built.  len is
+    p + q, the length of the class word.
     """
-    levels = {}
-    for p, q in _class_pairs(max_denominator):
-        # coprime and nonnegative, as in `enumerate_primitive_classes`
-        slope = Slope(p, q, tuple(cf_expansion(p, q)) if q else ())
-        entries, swap = _tower_plan(slope)
-        m, ab = _plan_image(rep, swap, entries, levels)
-        if ab != (p, q) and ab != (-p, -q):
-            raise LemmaViolation(
-                f"class word for {slope} abelianizes to {ab}")
+    a, b = rep._letters["a"], rep._letters["b"]
+    ab = _mul(a, b)
+    if words:
+        walk = farey_walk((a, "a"), (b, "b"), (ab, "ab"), _image_and_word,
+                          max_denominator)
+    else:
+        walk = ((p, q, (m, None)) for p, q, m
+                in farey_walk(a, b, ab, _image, max_denominator))
+    for p, q, (m, gamma) in sorted(walk, key=itemgetter(1, 0)):
         tr = m[0] + m[3]
-        yield swap, entries, classify(m), {
-            "p": p, "q": q, "len": abs(p) + abs(q),
+        yield gamma, classify(m), {
+            "p": p, "q": q, "len": p + q,
             "tr": [tr.real, tr.imag], "tl": translation_length(m),
         }
 
@@ -550,7 +487,7 @@ def bowditch_scan(rep, max_denominator):
     non-loxodromic and low-ratio classes; fit C = 1 / ratio from the worst
     ratio."""
     records = []
-    for _, _, kind, head in _scanned_classes(rep, max_denominator):
+    for _, kind, head in _scanned_classes(rep, max_denominator, words=False):
         ratio = head["tl"] / head["len"]
         flags = []
         if kind != "loxodromic":
@@ -613,12 +550,11 @@ def ps_scan(rep, max_denominator):
     records = []
     o = rep.basepoint
     edges = _leaf_edges(rep)
-    words = {}    # the word table of `blocks._tower_levels`
-    for swap, entries, kind, head in _scanned_classes(rep, max_denominator):
+    for gamma, kind, head in _scanned_classes(rep, max_denominator,
+                                              words=True):
         rate = head["tl"] / head["len"]
         frames = None
         if kind == "loxodromic":
-            gamma = _tower_levels(swap, entries, words)[0][-1]
             try:
                 frames = _rotation_frames(rep, gamma, edges)
             except NotLoxodromic:

@@ -21,6 +21,7 @@ from primscan.blocks import (
     classify_magic_subword,
     derivation,
     enumerate_primitive_classes,
+    farey_walk,
     is_primitive,
     run_suite,
     slope_of,
@@ -272,6 +273,25 @@ def test_enumerated_slopes_equal_their_checked_construction():
     # enumeration builds its slopes without the gcd and sign checks
     for slope, _ in enumerate_primitive_classes(200):
         assert slope == Slope.from_pair(slope.p, slope.q)
+
+
+def test_farey_walk_slopes_are_the_class_pairs():
+    # the payload is the slope itself: each mediant must be the sum of the
+    # edge it splits, with the larger slope first and the region across
+    # at their difference
+    def mediant(u, v, w):
+        assert u[0] * v[1] > v[0] * u[1]
+        assert w == (u[0] - v[0], u[1] - v[1]) or \
+            w == (v[0] - u[0], v[1] - u[1])
+        return u[0] + v[0], u[1] + v[1]
+
+    for cap in range(1, 61):
+        walk = list(farey_walk((1, 0), (0, 1), (1, 1), mediant, cap))
+        assert all(x == (p, q) for p, q, x in walk)
+        assert sorted(walk, key=lambda r: (r[1], r[0])) == \
+            [(p, q, (p, q)) for p, q in blocks._class_pairs(cap)]
+    with pytest.raises(ValueError):
+        next(farey_walk((1, 0), (0, 1), (1, 1), mediant, 0))
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,9 @@ import pytest
 
 from primscan import blocks
 from primscan.blocks import (
-    LemmaViolation,
     build_blocks,
     enumerate_primitive_classes,
+    farey_walk,
 )
 from primscan.geometry import (
     HPoint,
@@ -35,7 +35,6 @@ from primscan.geometry import (
     translation_length,
     _entries,
     _mul,
-    _pow,
     _sinh_half_displacement,
 )
 from primscan import scans
@@ -143,22 +142,6 @@ def test_class_matrix_deep_class_stays_unimodular_in_effect():
 
 # ------------------------------------------------- vectorized displacements
 
-def reference_class_matrix(rep, tower):
-    """The per-class recursion that `class_matrix` ran before level products
-    were shared across classes, as a kernel 4-tuple."""
-    w = rep._product(tower.w[0])
-    wp = rep._product(tower.wp[0])
-    for n in tower.cf:
-        w_next = _mul(_pow(w, n - 1), wp)
-        wp = _mul(w, w_next)
-        w = w_next
-    return w
-
-
-def _bits(X):
-    return [(z.real.hex(), z.imag.hex()) for z in X]
-
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -174,48 +157,56 @@ def benchmark_rep(seed, tmp_path):
     return parse_rep_file(str(path))
 
 
-@pytest.mark.parametrize("which", ["fixture", "seed-3"])
-def test_level_table_matches_per_class_recursion(tmp_path, which):
-    rep = (parse_rep_file(str(ROOT / "tests" / "data" / "markoff.json"))
-           if which == "fixture" else benchmark_rep(3, tmp_path))
-    classes = enumerate_primitive_classes(200)
-    levels = {}
-    for slope, tower in classes:
-        want = _bits(reference_class_matrix(rep, tower))
-        image, _ = scans._plan_image(rep, tower.swap, tower.cf, levels)
-        assert _bits(image) == want, slope
-        if slope.q % 50 == 1:
-            assert _bits(_entries(class_matrix(rep, tower))) == want
-    # one table entry per distinct lower level (swap and entries prefix),
-    # shared between classes
-    assert len(levels) < len(classes) / 2
+def walk(rep, cap, combine=scans._image):
+    """The scans' walk of `rep` to the cap with the image payload, or with
+    the image and word payload of `ps_scan`."""
+    a, b = rep._letters["a"], rep._letters["b"]
+    if combine is scans._image:
+        return farey_walk(a, b, _mul(a, b), combine, cap)
+    return farey_walk((a, "a"), (b, "b"), (_mul(a, b), "ab"), combine, cap)
 
 
-def test_plan_image_carries_the_abelianization():
-    # every class of both signs and all four alphabets comes out at
-    # +-(p, q), with the image of its tower word
-    rep, levels = random_h3_rep(3), {}
-    for p in range(-12, 13):
-        for q in range(13):
-            if math.gcd(p, q) != 1:
-                continue
-            tower = build_blocks(p, q)
-            image, ab = scans._plan_image(rep, tower.swap, tower.cf, levels)
-            assert ab in ((p, q), (-p, -q)), (p, q)
-            assert _bits(image) == _bits(reference_class_matrix(rep, tower))
+def _bits(X):
+    return [(z.real.hex(), z.imag.hex()) for z in X]
 
 
-def test_plan_image_refuses_an_entry_below_one():
-    with pytest.raises(LemmaViolation, match="entry 0 < 1"):
-        scans._plan_image(markoff(), "none", (2, 0), {})
+def _rel_gap(got, want):
+    want = np.array(want)
+    return np.abs(np.array(got) - want).max() / np.abs(want).max()
 
 
-def test_bowditch_scan_abelianization_mismatch_raises(monkeypatch):
-    # the scan keeps the consistency check of `build_blocks`: a wrong base
-    # alphabet puts the class 0/1 at (1, 0)
-    monkeypatch.setitem(blocks._SUBS, "ab", str.maketrans("", ""))
-    with pytest.raises(LemmaViolation, match="abelianizes"):
-        bowditch_scan(markoff(), 2)
+@pytest.mark.parametrize("which", ["fixture", "seed-3", "random-h3"])
+def test_walk_images_match_their_word_products(tmp_path, which):
+    # every class to cap 40, and at cap 200 the classes of length >= 360
+    # or with p or q <= 3 (the deepest and the longest-power towers): the
+    # image payload against the plain product along the class word, and
+    # bit for bit against the image and word payload
+    rep = {"fixture": lambda: parse_rep_file(
+               str(ROOT / "tests" / "data" / "markoff.json")),
+           "seed-3": lambda: benchmark_rep(3, tmp_path),
+           "random-h3": lambda: random_h3_rep(3)}[which]()
+    for cap, picked in ((40, lambda p, q: True),
+                        (200, lambda p, q: p + q >= 360 or min(p, q) <= 3)):
+        images = {(p, q): m for p, q, m in walk(rep, cap)}
+        checked = 0
+        for p, q, (m, gamma) in walk(rep, cap, scans._image_and_word):
+            assert _bits(m) == _bits(images[p, q]), (p, q)
+            if picked(p, q):
+                want = rep._product(gamma)
+                assert _rel_gap(m, want) <= 1e-12, (p, q)
+                checked += 1
+        assert checked > 400
+
+
+def test_walk_words_are_rotations_of_the_tower_words():
+    # the word payload of `ps_scan`: each class word is a cyclic rotation
+    # of the `build_blocks` word
+    seen = 0
+    for p, q, (_, gamma) in walk(markoff(), 40, scans._image_and_word):
+        word = build_blocks(p, q).word
+        assert len(gamma) == len(word) and gamma in word + word, (p, q)
+        seen += 1
+    assert seen == 981
 
 
 def test_bowditch_scan_builds_no_word(monkeypatch):
@@ -225,8 +216,7 @@ def test_bowditch_scan_builds_no_word(monkeypatch):
     want = bowditch_scan(markoff(), 40)
     for name in ("_tower_levels", "_build_tower"):
         monkeypatch.setattr(blocks, name, refuse)
-        if hasattr(scans, name):
-            monkeypatch.setattr(scans, name, refuse)
+    monkeypatch.setattr(scans, "_image_and_word", refuse)
     got = bowditch_scan(markoff(), 40)
     assert got.records == want.records and got.aggregate == want.aggregate
     assert got.aggregate["classes"] == 981
@@ -245,7 +235,10 @@ def test_ps_scan_walks_the_tower_words(monkeypatch):
     # every class of the fixture is loxodromic, so every class is walked
     assert len(walked) == len(scan.records) == 981
     for r, gamma in zip(scan.records, walked):
-        assert gamma == build_blocks(r["p"], r["q"]).word, (r["p"], r["q"])
+        word = build_blocks(r["p"], r["q"]).word
+        # a cyclic rotation of the tower word
+        assert len(gamma) == len(word) and gamma in word + word, \
+            (r["p"], r["q"])
         assert r["len"] == len(gamma)
 
 
@@ -491,13 +484,27 @@ def _brute_circular_runs(vals, K, step, period):
     return runs
 
 
+def sub_excursion(prof, K):
+    """The longest circular interval where E >= K, as (u_start, u_end,
+    length); parameters are reported modulo the period.  Raises ValueError
+    when K exceeds the profile maximum."""
+    if K > prof.max_excursion:
+        raise ValueError("threshold exceeds the maximal excursion")
+    vals, shift = prof._circular()
+    runs = prof._runs(vals, K)
+    start, end = max(runs, key=lambda r: r[1] - r[0])
+    length = prof._run_span(start, end, len(vals))
+    u_start = ((start + shift) % len(vals)) * prof.step
+    return u_start, u_start + length, length
+
+
 def test_sub_excursion_against_brute_force():
     prof = excursion_profile(markoff(), "abaab", step=0.25)
     grid = prof.values[:-1]
     for K in sorted(set(np.round(grid, 6))):
         if K > prof.max_excursion:
             continue
-        u0, u1, length = prof.sub_excursion(float(K))
+        u0, u1, length = sub_excursion(prof, float(K))
         oracle = _brute_circular_runs(grid.tolist(), float(K), prof.step,
                                       prof.period)
         assert length == pytest.approx(max(l for _, l in oracle), abs=1e-12)
@@ -508,14 +515,14 @@ def test_sub_excursion_against_brute_force():
 
 def test_sub_excursion_full_circle_has_period_length():
     prof = excursion_profile(markoff(), "abaab", step=0.25)
-    u0, u1, length = prof.sub_excursion(prof.min_excursion)
+    u0, u1, length = sub_excursion(prof, prof.min_excursion)
     assert length == pytest.approx(prof.period, abs=1e-12)
 
 
 def test_sub_excursion_above_max_raises():
     prof = excursion_profile(markoff(), "abaab", step=0.25)
     with pytest.raises(ValueError):
-        prof.sub_excursion(prof.max_excursion + 0.1)
+        sub_excursion(prof, prof.max_excursion + 0.1)
 
 
 def test_sub_excursion_in_window():
@@ -655,6 +662,23 @@ def test_fricke_traces_cover_all_classes():
         classes = enumerate_primitive_classes(cap)
         oracle = fricke_traces(3.0, 3.0, 3.0, cap)
         assert set(oracle) == {(s.p, s.q) for s, _ in classes}
+
+
+def test_fricke_traces_walk_past_the_recursion_limit():
+    # a recursive descent raised RecursionError from cap 1000 on
+    pairs = blocks._class_pairs(1000)
+    out = fricke_traces(3.0, 3.0, 3.0, 1000)
+    assert len(out) == len(pairs) and all(pq in out for pq in pairs)
+
+
+def test_fricke_traces_match_the_benchmark_oracle(monkeypatch):
+    # perfbench/validate.py walks the tree on its own, in integers
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_validate", ROOT / "perfbench" / "validate.py")
+    validate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(validate)
+    assert fricke_traces(3, 3, 3, 20) == validate.fricke_traces(3, 3, 3, 20)
 
 
 # ----------------------------------------------------------- bowditch scan
