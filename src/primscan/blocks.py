@@ -16,6 +16,10 @@ sizes n, n+1 is rewritten block-by-block (y^n x -> x, y^(n+1) x -> yx); a
 word is primitive iff repeated derivation reaches a single letter, and the
 run sizes recovered along the way are exactly the tower entries.
 
+`farey_walk` walks the slopes the other way, down the Farey tree: the
+class between Farey neighbours u and v is uv, so a caller's payload (an
+image, a word or a trace) costs one step per class.
+
 Rotation bookkeeping for the towers (adapted rotations and the length-l_i
 subword classification) lives here too, with the exhaustive lemma suites,
 among them the block count in windows.

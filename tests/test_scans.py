@@ -33,7 +33,6 @@ from primscan.geometry import (
     distance,
     parse_rep_file,
     translation_length,
-    _entries,
     _mul,
     _sinh_half_displacement,
 )
