@@ -208,6 +208,33 @@ def test_walk_words_are_rotations_of_the_tower_words():
     assert seen == 981
 
 
+def test_plan_image_carries_the_abelianization():
+    # every class of nonnegative slope to cap 12 (the scans skip the
+    # negative ones): the class word of the walk abelianizes to (p, q),
+    # and the image has the trace of the tower word's image, its conjugate
+    rep = random_h3_rep(3)
+    images = {(p, q): m for p, q, m in walk(rep, 12)}
+    seen = 0
+    for p, q, (m, gamma) in walk(rep, 12, scans._image_and_word):
+        assert blocks.abelianization(gamma) == (p, q)
+        assert _bits(m) == _bits(images[p, q]), (p, q)
+        want = np.trace(class_matrix(rep, build_blocks(p, q)))
+        assert abs(m[0] + m[3] - want) <= 1e-12 * abs(want), (p, q)
+        seen += 1
+    assert seen == len(blocks._class_pairs(12))
+
+
+def test_plan_image_refuses_an_entry_below_one(monkeypatch):
+    # the tower still refuses a recursion entry below one; the scans read
+    # no entries, so a broken plan leaves them as they were
+    want = bowditch_scan(markoff(), 12)
+    monkeypatch.setattr(blocks, "_tower_plan", lambda slope: ((2, 0), "none"))
+    with pytest.raises(blocks.LemmaViolation, match="entry 0 < 1"):
+        build_blocks(2, 1)
+    got = bowditch_scan(markoff(), 12)
+    assert got.records == want.records and got.aggregate == want.aggregate
+
+
 def test_bowditch_scan_builds_no_word(monkeypatch):
     def refuse(*args):
         raise AssertionError("bowditch_scan built a word")
