@@ -14,6 +14,14 @@ each of its regimes and the Monte-Carlo harnesses `quadrilateral_check`
 and `detour_verify` re-measure every constant on randomly generated
 configurations and assert the inequalities outright.
 
+The detour harness runs on bare floats.  A sampled path is the pair of
+lists (zs, ts), the real horizontal coordinates and the heights of its
+vertices, with no point object per vertex; `measure_detour` takes the
+clearance minimum and the length of a path in one pass over them.  The
+sampler draws its steps' random pairs in chunks and gives the unused
+draws back, so the random stream and every bit of every record are those
+of one draw call and one point per step.
+
 All sampling is seeded and deterministic.  delta = 1 is a valid thinness
 constant for H^2, and every verified inequality is monotone in delta, so
 the default is sound.  Below the thin-triangle constant ln(1 + sqrt 2) the
@@ -36,9 +44,10 @@ from .geometry import (
     Segment,
     dist_to_segment,
     distance,
-    fermi_point,
+    fermi_coords,
     geodesic_metrics,
     mobius_boundary,
+    offset_distance,
 )
 
 REGIMES = ("near", "far", "close", "general")
@@ -73,6 +82,9 @@ _MAX_CLEARANCE = 700.0
 # about 0.65 of that worst case: 3,050-3,320 steps at K = 6 there, where
 # the bound is 4,878.
 _MAX_FAR_STEPS = 6000
+# step pairs in a far-regime path's first chunk of draws; each further
+# chunk is twice the last, up to the step cap
+_FAR_CHUNK = 128
 
 
 class SamplerError(RuntimeError):
@@ -349,16 +361,15 @@ def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):
     return report
 
 
-def _segment_clearance(p, q):
-    """Minimum distance from the segment [p, q] to the vertical axis.
+def _segment_clearance(zp, tp, zq, tq):
+    """Minimum distance to the vertical axis from the segment of H^2
+    between the points (zp, tp) and (zq, tq), z real and t the height.
 
     Closed form: along the circular arc (center m, radius R on the real
     axis) the clearance satisfies sinh(c) = (m/R + cos(theta))/sin(theta),
     which is stationary only at cos(theta) = -R/m, where it equals
     sqrt((m/R)^2 - 1).
     """
-    zp, zq = p.z.real, q.z.real
-    tp, tq = p.t, q.t
     if zp == 0.0 and zq == 0.0:
         return 0.0
     if zp * zq <= 0.0:
@@ -401,24 +412,38 @@ class DetourMeasurement(NamedTuple):
     satisfied: bool
 
 
-def measure_detour(vertices, delta=DEFAULT_DELTA):
-    """Measure a piecewise-geodesic path against the vertical axis and
-    test the length bound of the applicable regime.
+def measure_detour(zs, ts, delta=DEFAULT_DELTA):
+    """Measure a piecewise-geodesic path of H^2 against the vertical axis
+    and test the length bound of the applicable regime.  The path is
+    given by its vertices' real horizontal coordinates zs and heights ts.
 
     The constants are re-measured on the path itself -- clearance K is the
     actual minimum distance to the axis, C the actual endpoint excess --
     so the bound's hypotheses hold by construction and the inequality must
     hold outright, up to _SLACK.
     """
-    if len(vertices) < 2:
+    if len(zs) < 2:
         raise ValueError("a path needs at least two vertices")
-    k_x = math.asinh(abs(vertices[0].z) / vertices[0].t)
-    k_y = math.asinh(abs(vertices[-1].z) / vertices[-1].t)
-    clearance = min(_segment_clearance(p, q)
-                    for p, q in zip(vertices, vertices[1:]))
+    if len(ts) != len(zs):
+        raise ValueError(f"a path needs one height per vertex, got "
+                         f"{len(ts)} heights for {len(zs)} vertices")
+    # the invariants of HPoint, checked once for the whole path
+    if not (all(map(math.isfinite, zs)) and all(map(math.isfinite, ts))
+            and min(ts) > 0.0):
+        raise ValueError("every vertex needs a finite horizontal coordinate "
+                         "and a positive, finite height")
+    k_x = math.asinh(abs(zs[0]) / ts[0])
+    k_y = math.asinh(abs(zs[-1]) / ts[-1])
+    clearances, lengths = [], []
+    for zp, tp, zq, tq in zip(zs, ts, zs[1:], ts[1:]):
+        clearances.append(_segment_clearance(zp, tp, zq, tq))
+        lengths.append(offset_distance(zp - zq, 0.0, tp, tq))
+    clearance = min(clearances)
     excess = max(k_x, k_y) - clearance
-    d = distance(vertices[0], vertices[-1])
-    length = sum(distance(p, q) for p, q in zip(vertices, vertices[1:]))
+    d = offset_distance(zs[0] - zs[-1], 0.0, ts[0], ts[-1])
+    # sum() of floats is compensated from Python 3.12 on, so a running +=
+    # would change the bits there
+    length = sum(lengths)
     regime = "near" if d <= 2.0 * clearance + 6.0 * delta else "far"
     bound = path_lower_bound(d=d, K=clearance, C=max(excess, 1e-12),
                              delta=delta, regime=regime)
@@ -430,11 +455,12 @@ def measure_detour(vertices, delta=DEFAULT_DELTA):
                              bound, ok)
 
 
-def _chord_limit(rho, clearance):
+def _chord_limit(tanh_rho, tanh_clearance):
     """Largest Fermi-coordinate gap between two vertices at clearance rho
-    whose connecting geodesic still clears `clearance`: from the symmetric
-    chord, sinh(min) = 1/sqrt(m^2 - 1) with m = cosh(gap/2) coth(rho)."""
-    ratio = math.tanh(rho) / math.tanh(clearance)
+    whose connecting geodesic still clears `clearance`, from the tanh of
+    each: from the symmetric chord, sinh(min) = 1/sqrt(m^2 - 1) with
+    m = cosh(gap/2) coth(rho)."""
+    ratio = tanh_rho / tanh_clearance
     if ratio <= 1.0:
         return 0.0
     return 2.0 * math.acosh(ratio)
@@ -454,11 +480,23 @@ def _max_far_k(c_lo, c_hi, delta):
 
 def _sample_detour_path(rng, K, C, delta, far):
     """Vertices of a jittered hypercycle path at clearance >= K on one side
-    of the vertical axis, endpoints within K + C of it.
+    of the vertical axis, endpoints within K + C of it, as two float
+    lists: the horizontal coordinates zs and the heights ts.
 
     Far-regime paths ride the top of the clearance band (larger chords
     survive the dip toward the axis there) and stop just past the endpoint
-    separation that makes the closed-form bound nontrivial."""
+    separation that makes the closed-form bound nontrivial.
+
+    Each step takes one pair of draws, its clearance and its step
+    fraction, and the pairs come in chunks: rng.random(2k) is k calls of
+    rng.random(2).  A near path draws its `segments` pairs at once.  A far
+    path draws chunks of growing size, never past the step cap.  Where a
+    path stops inside a chunk, or leaves the float range, it restores the
+    generator state saved before that chunk and redraws the pairs it used.
+    So on every exit the stream stands where one draw per step leaves it.
+    (`bit_generator.advance` would not do: it drops the buffered 32-bit
+    half-draw that `rng.integers` leaves behind.)
+    """
     side = 1.0 if rng.random() < 0.5 else -1.0
     lo = K + 0.05 * min(1.0, C) + (0.6 * C if far else 0.0)
     hi = K + C
@@ -467,33 +505,56 @@ def _sample_detour_path(rng, K, C, delta, far):
     step_lo, step_hi = (0.55, 0.95) if far else (0.25, 0.8)
     segments = int(rng.integers(2, 9))
     rho = rho0 = float(rng.uniform(lo, hi))
+    # Generator.uniform(a, b) is a + (b - a) * random(): a step scales its
+    # pair the same way, so the bits are those of two uniform draws
+    rho_span, step_span = hi - lo, step_hi - step_lo
+    # d(v0, v) <= rho0 + u + rho through the two feet on the axis: the
+    # exact stop test cannot pass below that line
+    gate = far_target - _STOP_MARGIN
+    tanh_k, tanh_rho = math.tanh(K), math.tanh(rho)
     u = 0.0
-    vertices = [fermi_point(u, rho, side)]
-    try:
-        while True:
-            # one draw for both: Generator.uniform(a, b) is
-            # a + (b - a) * random(), so stream and bits are unchanged
-            x, y = rng.random(2).tolist()
-            next_rho = lo + (hi - lo) * x
-            limit = _chord_limit(min(rho, next_rho), K)
-            u += (step_lo + (step_hi - step_lo) * y) * limit
-            rho = next_rho
-            vertices.append(fermi_point(u, rho, side))
-            if far:
-                # d(v0, v) <= rho0 + u + rho through the two feet on
-                # the axis: the exact test cannot pass below that line
-                if (rho0 + u + rho >= far_target - _STOP_MARGIN
-                        and distance(vertices[0], vertices[-1]) > far_target):
-                    break
-                if len(vertices) > _MAX_FAR_STEPS:
-                    raise SamplerError("far-regime path failed to spread")
-            elif len(vertices) > segments:
-                break
-    except OverflowError:
-        # e^u past the float range: a far target beyond it (large delta)
-        # or chord limits too long for it (tiny K)
-        raise SamplerError("detour path left the float range") from None
-    return vertices
+    z, t = fermi_coords(u, rho, tanh_rho, side)
+    zs, ts = [z], [t]
+    budget = _MAX_FAR_STEPS if far else segments
+    chunk = _FAR_CHUNK if far else segments
+    bitgen = rng.bit_generator
+    while len(zs) <= budget:    # len(zs) - 1 steps taken
+        chunk = min(chunk, budget + 1 - len(zs))
+        state, before = bitgen.state, len(zs)
+        pairs = iter(rng.random(2 * chunk).tolist())
+        try:
+            for x, y in zip(pairs, pairs):
+                next_rho = lo + rho_span * x
+                tanh_next = math.tanh(next_rho)
+                # tanh of min(rho, next_rho)
+                limit = _chord_limit(
+                    tanh_rho if rho <= next_rho else tanh_next, tanh_k)
+                u += (step_lo + step_span * y) * limit
+                rho, tanh_rho = next_rho, tanh_next
+                z, t = fermi_coords(u, rho, tanh_rho, side)
+                zs.append(z)
+                ts.append(t)
+                if (far and rho0 + u + rho >= gate
+                        and distance(HPoint(zs[0], ts[0]),
+                                     HPoint(z, t)) > far_target):
+                    _give_back(rng, state, len(zs) - before)
+                    return zs, ts
+        except OverflowError:
+            # e^u past the float range: a far target beyond it (large
+            # delta) or chord limits too long for it (tiny K).  The failed
+            # step drew its pair too.
+            _give_back(rng, state, len(zs) + 1 - before)
+            raise SamplerError("detour path left the float range") from None
+        chunk *= 2
+    if far:
+        raise SamplerError("far-regime path failed to spread")
+    return zs, ts
+
+
+def _give_back(rng, state, pairs):
+    """Rewind rng to `state` and draw `pairs` step pairs again."""
+    rng.bit_generator.state = state
+    rng.random(2 * pairs)
 
 
 def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
@@ -538,8 +599,8 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
         if far and C is None:
             c_target = float(rng.uniform(1.2, 2.0))
         for attempt in range(_MAX_RETRIES):
-            vertices = _sample_detour_path(rng, k_target, c_target, delta, far)
-            m = measure_detour(vertices, delta=delta)
+            zs, ts = _sample_detour_path(rng, k_target, c_target, delta, far)
+            m = measure_detour(zs, ts, delta=delta)
             if m.clearance >= k_target:
                 break
         else:
@@ -550,7 +611,7 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
             "clearance": m.clearance, "excess": m.excess, "d": m.d,
             "length": m.length, "bound": m.bound.bound,
             "chain_bound": m.bound.chain_bound, "n": m.bound.n,
-            "segments": len(vertices) - 1, "ok": m.satisfied,
+            "segments": len(zs) - 1, "ok": m.satisfied,
         }
         report.tally(record, m.satisfied)
     return report

@@ -168,18 +168,24 @@ def unimodularize(M):
 # --------------------------------------------------------------------------
 
 def distance(p, q):
-    """d = 2 asinh(h / (2 sqrt(t1 t2))), h the Euclidean distance.
+    """d = 2 asinh(h / (2 sqrt(t1 t2))), h the Euclidean distance."""
+    dz = p.z - q.z
+    return offset_distance(dz.real, dz.imag, p.t, q.t)
+
+
+def offset_distance(dx, dy, s, t):
+    """`distance` on bare floats: between points at heights s and t whose
+    horizontal coordinates differ by dx + i dy.
 
     The asinh form keeps small distances that arccosh(1 + x) rounds away,
-    and the square roots are taken apart so that t1 t2 cannot underflow.
+    and the square roots are taken apart so that s t cannot underflow.
     Where the ratio overflows, 2 asinh(r) = 2 ln(2r) to double precision.
     """
-    dz = p.z - q.z
-    h = math.hypot(dz.real, dz.imag, p.t - q.t)
-    r = h / (2.0 * math.sqrt(p.t) * math.sqrt(q.t))
+    h = math.hypot(dx, dy, s - t)
+    r = h / (2.0 * math.sqrt(s) * math.sqrt(t))
     if r < math.inf:
         return 2.0 * math.asinh(r)
-    return 2.0 * (math.log(h) - 0.5 * math.log(p.t) - 0.5 * math.log(q.t))
+    return 2.0 * (math.log(h) - 0.5 * math.log(s) - 0.5 * math.log(t))
 
 
 def apply(M, p):
@@ -266,6 +272,11 @@ def translation_length(M):
     M = _entries(M)
     if classify(M) != "loxodromic":
         return 0.0
+    return _loxodromic_length(M)
+
+
+def _loxodromic_length(M):
+    """2 ln|lambda| of an M that `classify` already called loxodromic."""
     # the real part of cmath.log is ln|lambda| even where |lambda| itself
     # would overflow
     return 2.0 * cmath.log(_dominant_eigenvalue(M)).real
@@ -549,8 +560,15 @@ def fermi_point(u, rho, side=1.0):
     The curve u -> fermi_point(u, rho) is the hypercycle at clearance |rho|;
     side picks the half-plane (direction of the real axis) for H^2 use.
     """
+    return HPoint(*fermi_coords(u, rho, math.tanh(rho), side))
+
+
+def fermi_coords(u, rho, tanh_rho, side=1.0):
+    """`fermi_point` on bare floats: its (z, t), given tanh_rho =
+    tanh(rho), which a caller stepping along the hypercycle already holds.
+    Raises OverflowError where e^u leaves the float range."""
     scale = math.exp(u)
-    return HPoint(side * scale * math.tanh(rho), scale / math.cosh(rho))
+    return side * scale * tanh_rho, scale / math.cosh(rho)
 
 
 # --------------------------------------------------------------------------

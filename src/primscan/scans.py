@@ -47,8 +47,8 @@ from .geometry import (
     dist_to_geodesic,
     fixed_points,
     mobius_boundary,
-    translation_length,
     _coordinate,
+    _loxodromic_length,
     _matrix,
     _mul,
     _sinh_half_displacement,
@@ -475,9 +475,12 @@ def _scanned_classes(rep, max_denominator, words):
                 in farey_walk(a, b, ab, _image, max_denominator))
     for p, q, (m, gamma) in sorted(walk, key=itemgetter(1, 0)):
         tr = m[0] + m[3]
-        yield gamma, classify(m), {
+        kind = classify(m)
+        # `translation_length`, without classifying the image again
+        tl = _loxodromic_length(m) if kind == "loxodromic" else 0.0
+        yield gamma, kind, {
             "p": p, "q": q, "len": p + q,
-            "tr": [tr.real, tr.imag], "tl": translation_length(m),
+            "tr": [tr.real, tr.imag], "tl": tl,
         }
 
 

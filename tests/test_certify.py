@@ -323,6 +323,26 @@ def test_quadrilateral_check_deterministic():
 
 
 # --------------------------------------------------------------- detours
+#
+# The sampler and measure_detour work on float lists (zs, ts), and
+# _segment_clearance on the floats of two points; these helpers take and
+# give HPoint lists, z real.
+
+def _floats(vertices):
+    return [p.z.real for p in vertices], [p.t for p in vertices]
+
+
+def _points(zs, ts):
+    return [HPoint(z, t) for z, t in zip(zs, ts)]
+
+
+def _clearance(p, q):
+    return _segment_clearance(p.z.real, p.t, q.z.real, q.t)
+
+
+def _measure(vertices, delta):
+    return measure_detour(*_floats(vertices), delta=delta)
+
 
 def test_segment_clearance_matches_line_search():
     rng = np.random.default_rng(5)
@@ -335,24 +355,24 @@ def test_segment_clearance_matches_line_search():
         _, oracle = minimize_convex(
             lambda s: dist_to_geodesic(seg.point_at(s), AXIS),
             0.0, seg.length)
-        assert _segment_clearance(p, q) == pytest.approx(oracle, abs=1e-7)
+        assert _clearance(p, q) == pytest.approx(oracle, abs=1e-7)
         # mirrored onto the other side the clearance is unchanged
-        assert _segment_clearance(
+        assert _clearance(
             HPoint(-p.z.real, p.t), HPoint(-q.z.real, q.t)
         ) == pytest.approx(oracle, abs=1e-7)
 
 
 def test_segment_clearance_degenerate_cases():
-    assert _segment_clearance(HPoint(-1.0, 1.0), HPoint(2.0, 1.0)) == 0.0
-    assert _segment_clearance(HPoint(0.0, 1.0), HPoint(0.0, 3.0)) == 0.0
+    assert _clearance(HPoint(-1.0, 1.0), HPoint(2.0, 1.0)) == 0.0
+    assert _clearance(HPoint(0.0, 1.0), HPoint(0.0, 3.0)) == 0.0
     # vertical chord: the minimum sits at the top endpoint
-    got = _segment_clearance(HPoint(1.0, 1.0), HPoint(1.0, 4.0))
+    got = _clearance(HPoint(1.0, 1.0), HPoint(1.0, 4.0))
     assert got == pytest.approx(math.asinh(0.25), abs=1e-12)
 
 
 def test_degenerate_detour_passes_trivially():
     p = fermi_point(0.0, 2.0)
-    m = measure_detour([p, p], delta=1.0)
+    m = _measure([p, p], delta=1.0)
     assert m.satisfied
     assert m.d == pytest.approx(0.0, abs=1e-12)
     assert m.bound.bound == 0.0
@@ -365,7 +385,7 @@ def test_geodesic_arc_detour_at_clearance_two():
     half = math.acosh(math.tanh(rho) / math.tanh(2.05))
     arc = Segment(fermi_point(-half, rho), fermi_point(half, rho))
     vertices = [arc.point_at(s) for s in np.linspace(0.0, arc.length, 201)]
-    m = measure_detour(vertices, delta=1.0)
+    m = _measure(vertices, delta=1.0)
     assert m.satisfied
     assert m.clearance >= 2.0
     assert m.length == pytest.approx(m.d, abs=1e-6)
@@ -377,7 +397,7 @@ def test_hypercycle_detour_measures_cosh_stretch():
     rho, span = 2.0, 3.0
     us = np.linspace(0.0, span, 400)
     vertices = [fermi_point(float(u), rho) for u in us]
-    m = measure_detour(vertices, delta=1.0)
+    m = _measure(vertices, delta=1.0)
     assert m.satisfied
     assert m.length == pytest.approx(span * math.cosh(rho), rel=1e-4)
 
@@ -426,7 +446,7 @@ def _worst_far_steps(K, C, delta):
     lo = K + 0.05 * min(1.0, C) + 0.6 * C
     target = 2.0 * (K + C) + 18.0 * delta + 4.0
     u = math.acosh(1.0 + (math.cosh(target) - 1.0) / math.cosh(lo) ** 2)
-    return math.ceil(u / (0.55 * _chord_limit(lo, K)))
+    return math.ceil(u / (0.55 * _chord_limit(math.tanh(lo), math.tanh(K))))
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.25, 1.0, 3.0, 10.0])
@@ -448,11 +468,12 @@ def test_detour_serves_every_accepted_k(C, delta):
     k_max = certify._max_far_k(C, C, delta)
     for K in (0.25 * k_max, 0.5 * k_max, 0.75 * k_max, k_max):
         # near-regime paths move: their chord limit is not rounded to 0
-        assert _chord_limit(K + 0.05 * min(1.0, C), K) > 0.0
+        assert _chord_limit(math.tanh(K + 0.05 * min(1.0, C)),
+                            math.tanh(K)) > 0.0
         for seed in range(2):
-            vertices = _sample_detour_path(np.random.default_rng(seed), K, C,
-                                           delta, True)
-            m = measure_detour(vertices, delta=delta)
+            zs, ts = _sample_detour_path(np.random.default_rng(seed), K, C,
+                                         delta, True)
+            m = measure_detour(zs, ts, delta=delta)
             assert m.satisfied and m.bound.regime == "far"
             # the far bound is vacuous exactly where its formula is
             assert (m.bound.bound > 0.0) == (m.clearance > 4.0 * delta)
@@ -474,11 +495,14 @@ def test_detour_refuses_the_k_that_failed_to_spread():
 
 # ------------------------------------------- sampler against its reference
 #
-# The sampler draws each step's pair with one rng.random(2) and tests the
-# far-regime stop with the exact distance only past a triangle bound, and
-# the clearance takes its minimum without a candidate list.  The scalar
-# versions below are the references: both must give the same vertices,
-# clearances and stream position, bit for bit.
+# The sampler draws its step pairs in chunks of rng.random(2k), gives the
+# unused ones back, keeps its vertices as floats and tests the far-regime
+# stop with the exact distance only past a triangle bound;
+# measure_detour takes the clearances and lengths in one pass over
+# floats, and the clearance takes its minimum without a candidate list.
+# The scalar versions below, one draw call and one HPoint per vertex, are
+# the references: both must give the same vertices, clearances, records
+# and stream position, bit for bit.
 
 def _reference_sample_detour_path(rng, K, C, delta, far):
     side = 1.0 if rng.random() < 0.5 else -1.0
@@ -492,7 +516,7 @@ def _reference_sample_detour_path(rng, K, C, delta, far):
     vertices = [fermi_point(u, rho, side)]
     while True:
         next_rho = float(rng.uniform(lo, hi))
-        limit = _chord_limit(min(rho, next_rho), K)
+        limit = _chord_limit(math.tanh(min(rho, next_rho)), math.tanh(K))
         u += float(rng.uniform(step_lo, step_hi)) * limit
         rho = next_rho
         vertices.append(fermi_point(u, rho, side))
@@ -533,11 +557,43 @@ def _reference_segment_clearance(p, q):
     return math.asinh(min(candidates))
 
 
+def _reference_measure_detour(vertices, delta):
+    k_x = math.asinh(abs(vertices[0].z) / vertices[0].t)
+    k_y = math.asinh(abs(vertices[-1].z) / vertices[-1].t)
+    clearance = min(_reference_segment_clearance(p, q)
+                    for p, q in zip(vertices, vertices[1:]))
+    excess = max(k_x, k_y) - clearance
+    d = distance(vertices[0], vertices[-1])
+    length = sum(distance(p, q) for p, q in zip(vertices, vertices[1:]))
+    regime = "near" if d <= 2.0 * clearance + 6.0 * delta else "far"
+    bound = path_lower_bound(d=d, K=clearance, C=max(excess, 1e-12),
+                             delta=delta, regime=regime)
+    ok = length >= bound.bound - 1e-7
+    if regime == "far":
+        ok = ok and length >= bound.chain_bound - 1e-7
+        ok = ok and d <= bound.diameter_cap + 1e-7
+    return certify.DetourMeasurement(d, length, clearance, excess, k_x, k_y,
+                                     bound, ok)
+
+
 def _path_or_error(sampler, rng, K, C, far):
     try:
         return sampler(rng, K, C, 1.0, far)
     except SamplerError as e:
         return str(e)
+
+
+def _sampled_points(rng, K, C, delta, far):
+    return _points(*_sample_detour_path(rng, K, C, delta, far))
+
+
+def _assert_same_stream(rng, ref_rng):
+    """The whole generator state, the buffered 32-bit half-draw of
+    rng.integers included, and the next draws agree.  A lost half-draw
+    never shows in rng.random(), which reads 64 bits."""
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.integers(0, 1000) == ref_rng.integers(0, 1000)
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("far", [False, True])
@@ -546,16 +602,49 @@ def _path_or_error(sampler, rng, K, C, far):
 def test_sampler_matches_the_scalar_draw_reference(far, K, C):
     for seed in range(6 if far else 40):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _path_or_error(_sample_detour_path, rng, K, C, far)
+        got = _path_or_error(_sampled_points, rng, K, C, far)
         want = _path_or_error(_reference_sample_detour_path, ref_rng, K, C,
                               far)
         assert got == want
         if not isinstance(got, str):
             pairs = list(zip(got, got[1:]))
-            assert ([_segment_clearance(p, q) for p, q in pairs]
+            assert ([_clearance(p, q) for p, q in pairs]
                     == [_reference_segment_clearance(p, q) for p, q in pairs])
-        # the next draw pins the stream position
-        assert rng.random() == ref_rng.random()
+            assert (_measure(got, delta=1.0)
+                    == _reference_measure_detour(want, delta=1.0))
+        # the next draws pin the stream position
+        _assert_same_stream(rng, ref_rng)
+
+
+@pytest.mark.parametrize("K, C", [(5.0, 1.5), (2.0, 1.0), (1.0, 0.3)])
+def test_consecutive_far_paths_keep_the_stream(K, C):
+    # one generator for several far paths: each path's rng.integers draw
+    # leaves a 32-bit half-draw buffered, which the next path's must find,
+    # so a give-back that dropped it would move every later draw
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(6):
+        got = _path_or_error(_sampled_points, rng, K, C, True)
+        want = _path_or_error(_reference_sample_detour_path, ref_rng, K, C,
+                              True)
+        assert got == want
+    _assert_same_stream(rng, ref_rng)
+
+
+def test_sampler_keeps_the_stream_when_it_refuses():
+    # a K that the step cap refuses (detour_verify turns it away up
+    # front), and one whose first step leaves the float range
+    for K, C in ((8.0, 1.5), (2.2250738585072014e-308, 1.0)):
+        for far in (False, True):
+            rng, ref_rng = (np.random.default_rng(1),
+                            np.random.default_rng(1))
+            got = _path_or_error(_sampled_points, rng, K, C, far)
+            try:
+                want = _path_or_error(_reference_sample_detour_path, ref_rng,
+                                      K, C, far)
+            except OverflowError:
+                want = "detour path left the float range"
+            assert got == want
+            _assert_same_stream(rng, ref_rng)
 
 
 def test_segment_clearance_matches_its_reference_on_random_pairs():
@@ -566,19 +655,25 @@ def test_segment_clearance_matches_its_reference_on_random_pairs():
         for p, q in ((HPoint(zp, tp), HPoint(zq, tq)),
                      (HPoint(abs(zp), tp), HPoint(abs(zq), tq)),
                      (HPoint(zp, tp), HPoint(zp, tq))):
-            assert _segment_clearance(p, q) == _reference_segment_clearance(
-                p, q)
+            assert _clearance(p, q) == _reference_segment_clearance(p, q)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 8, 13, 2026])
+# a fixed K draws one rng.integers value per path, not two per trial, so
+# the 32-bit half-draws it buffers do not pair up
+@pytest.mark.parametrize("seed, K", [(0, None), (3, None), (8, None),
+                                     (13, None), (2026, None), (4, 5.0)],
+                         ids=["0", "3", "8", "13", "2026", "4-K5"])
 def test_detour_verify_records_match_the_reference_sampler(monkeypatch,
-                                                           seed):
-    got = detour_verify(200, seed=seed).records
-    monkeypatch.setattr(certify, "_sample_detour_path",
-                        _reference_sample_detour_path)
-    monkeypatch.setattr(certify, "_segment_clearance",
-                        _reference_segment_clearance)
-    assert got == detour_verify(200, seed=seed).records
+                                                           seed, K):
+    got = detour_verify(200, K=K, seed=seed).records
+    monkeypatch.setattr(
+        certify, "_sample_detour_path",
+        lambda *args: _floats(_reference_sample_detour_path(*args)))
+    monkeypatch.setattr(
+        certify, "measure_detour",
+        lambda zs, ts, delta: _reference_measure_detour(_points(zs, ts),
+                                                        delta))
+    assert got == detour_verify(200, K=K, seed=seed).records
 
 
 @given(rho0=st.floats(0.0, 350.0), u=st.floats(-340.0, 340.0),
