@@ -563,7 +563,7 @@ def fermi_point(u, rho, side=1.0):
     return HPoint(*fermi_coords(u, rho, math.tanh(rho), side))
 
 
-def fermi_coords(u, rho, tanh_rho, side=1.0):
+def fermi_coords(u, rho, tanh_rho, side):
     """`fermi_point` on bare floats: its (z, t), given tanh_rho =
     tanh(rho), which a caller stepping along the hypercycle already holds.
     Raises OverflowError where e^u leaves the float range."""

@@ -378,6 +378,19 @@ def test_degenerate_detour_passes_trivially():
     assert m.bound.bound == 0.0
 
 
+def test_measure_detour_refuses_a_path_off_the_plane():
+    with pytest.raises(ValueError, match="at least two vertices"):
+        measure_detour([1.0], [1.0])
+    with pytest.raises(ValueError, match="2 heights for 3 vertices"):
+        measure_detour([1.0, 2.0, 3.0], [1.0, 1.0])
+    bad = [([1.0, math.nan], [1.0, 1.0]), ([1.0, -math.inf], [1.0, 1.0]),
+           ([1.0, 2.0], [1.0, 0.0]), ([1.0, 2.0], [-1.0, 1.0]),
+           ([1.0, 2.0], [1.0, math.inf]), ([1.0, 2.0], [math.nan, 1.0])]
+    for zs, ts in bad:
+        with pytest.raises(ValueError, match="positive, finite height"):
+            measure_detour(zs, ts)
+
+
 def test_geodesic_arc_detour_at_clearance_two():
     # a single geodesic arc whose dip stays above clearance 2, discretized
     # into 200 chords: the sum of the chords is the arc length
