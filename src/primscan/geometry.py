@@ -579,8 +579,7 @@ class Representation:
     """A pair of unimodular matrices (images of the two generators), a
     basepoint, and the ambient model data."""
 
-    __slots__ = ("model", "A", "B", "basepoint", "_images", "_letters",
-                 "c_prime")
+    __slots__ = ("model", "A", "B", "basepoint", "_letters", "c_prime")
 
     def __init__(self, model, A, B, basepoint=BASEPOINT):
         if model not in ("H2", "H3"):
@@ -602,13 +601,10 @@ class Representation:
         self.model = model
         self.A, self.B = A, B
         self.basepoint = basepoint
-        self._images = {"a": A, "A": mat_inverse(A),
-                        "b": B, "B": mat_inverse(B)}
-        self._letters = {x: _entries(M) for x, M in self._images.items()}
+        # each letter's image as a kernel 4-tuple
+        self._letters = {x: _entries(M) for x, M in (
+            ("a", A), ("A", mat_inverse(A)), ("b", B), ("B", mat_inverse(B)))}
         self.c_prime = max(self.displacement("a"), self.displacement("b"))
-
-    def gen_image(self, letter):
-        return self._images[letter]
 
     def word_image(self, w):
         """The plain product of the letter images along w.

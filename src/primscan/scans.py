@@ -49,11 +49,10 @@ from .geometry import (
     mobius_boundary,
     _coordinate,
     _loxodromic_length,
-    _matrix,
     _mul,
     _sinh_half_displacement,
 )
-from .words import is_cyclically_reduced
+from .words import check_word, is_cyclically_reduced
 
 __all__ = [
     "ExcursionProfile", "PreconditionError", "QuasiLoop", "QuasiLoopReport",
@@ -83,16 +82,19 @@ class PreconditionError(ValueError):
     """A scan's geometric precondition fails for the given representation."""
 
 
-def class_matrix(rep, tower):
-    """The image of the tower's class word, the plain product of its
-    letter images.
+def _check_scan_word(w, cyclic):
+    """w, once it is a nonempty reduced word of `words.check_word`, and
+    cyclically reduced when `cyclic` (the scans that wrap around it);
+    else ValueError naming it."""
+    if not w or cyclic and not is_cyclically_reduced(w):
+        kind = "cyclically reduced" if cyclic else "reduced"
+        raise ValueError(f"the word must be a nonempty {kind} word, got {w!r}")
+    return check_word(w)
 
-    The factors are exactly unimodular, so no determinant-based
-    renormalization is applied: once entries are large, the floating
-    determinant is cancellation noise, while the plain product keeps
-    full relative precision over the |w| - 1 multiplies.
-    """
-    return _matrix(rep._product(tower.word))
+
+def class_matrix(rep, tower):
+    """The image of the tower's class word (`Representation.word_image`)."""
+    return rep.word_image(tower.word)
 
 
 def _rotation_images(rep, gamma):
@@ -136,12 +138,6 @@ def _rotation_frames(rep, gamma, edges):
             for X, x in zip(_rotation_images(rep, gamma), gamma)]
 
 
-def _letter_images(rep, letters):
-    """Stacked (n, 2, 2) array of the generator images along a word."""
-    table = {ch: rep.gen_image(ch) for ch in set(letters)}
-    return np.stack([table[ch] for ch in letters])
-
-
 # matrices per displacement batch: bounds the memory of the offset grid
 # of a long word
 _GRID_ROWS = 1 << 16
@@ -158,26 +154,28 @@ def _offset_grid(rep, letters, kmax, starts):
     letters[m:m+k] (`geometry._sinh_half_displacement`, which is finite
     while the product is), so each value comes from a fresh k-letter product
     instead of coordinates accumulated from a single frame (whose pair
-    differences lose all precision at depth ~ 35).  The products are
-    stacked one letter per offset, left to right, so the starts m and
-    m + period of a periodic word give bit-identical values, and
-    starts = period covers every residue.  Raises ValueError, naming the
-    shortest such subword length, once a displacement is not finite.
+    differences lose all precision at depth ~ 35).  The products are four
+    entry arrays, one element per start, multiplied on the kernel `_mul`
+    one letter per offset, left to right, so the starts m and m + period
+    of a periodic word give bit-identical values, and starts = period
+    covers every residue.  Raises ValueError, naming the shortest such
+    subword length, once a displacement is not finite.
     """
     n = len(letters)
     kmax = min(kmax, n)
-    mats = _letter_images(rep, letters)
-    W = np.broadcast_to(np.eye(2, dtype=complex),
-                        (min(starts, n), 2, 2)).copy()
+    # column j holds the entries of the image of letters[j]
+    cols = np.array([rep._letters[x] for x in letters]).T.copy()
+    W = None
     stacks, bounds, k0 = [], [0], 1
     for k in range(1, kmax + 1):
         rows = min(starts, n - k + 1)
+        X = cols[:, k - 1:k - 1 + rows]
         with np.errstate(all="ignore"):    # refused below if not finite
-            W = W[:rows] @ mats[k - 1:k - 1 + rows]
+            W = X if W is None else _mul([w[:rows] for w in W], X)
         stacks.append(W)
         bounds.append(bounds[-1] + rows)
         if k == kmax or bounds[-1] >= _GRID_ROWS:
-            entries = np.concatenate(stacks).reshape(-1, 4).T
+            entries = [np.concatenate(x) for x in zip(*stacks)]
             disps = 2.0 * np.arcsinh(
                 _sinh_half_displacement(entries, rep.basepoint))
             bad = np.flatnonzero(~np.isfinite(disps))
@@ -315,8 +313,7 @@ class ExcursionProfile:
 def excursion_profile(rep, gamma, step=0.25):
     """Sample E(u) = d(leaf(u), axis line of gamma) over one period, in
     the per-rotation frames of `_rotation_frames`."""
-    if not gamma or not is_cyclically_reduced(gamma):
-        raise ValueError("gamma must be a nonempty cyclically reduced word")
+    _check_scan_word(gamma, cyclic=True)
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
     m = rep._product(gamma)
@@ -374,9 +371,7 @@ def find_quasi_loops(rep, gamma, eps, min_len=1, C=None):
         raise ValueError("min_len must be >= 1")
     if C is not None and C <= 0:
         raise ValueError(f"C must be positive, got {C}")
-    n = len(gamma)
-    if n == 0:
-        raise ValueError("gamma must be nonempty")
+    n = len(_check_scan_word(gamma, cyclic=True))
     if n > _MAX_QUASI_LOOP_LEN:
         raise ValueError(
             f"|gamma| = {n} exceeds the cap {_MAX_QUASI_LOOP_LEN}")
@@ -636,14 +631,15 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
             raise ValueError(
                 f"sample_words must be >= 1, got {sample_words}")
     else:
-        sample_words = list(sample_words)
+        sample_words = [_check_scan_word(w, cyclic=False)
+                        for w in sample_words]
         if not sample_words:
             raise ValueError("sample_words must not be an empty list")
-    a_image = rep.gen_image("a")
+    a_image = rep._letters["a"]
     if classify(a_image) != "loxodromic":
         raise PreconditionError("the image of a must be loxodromic")
     attracting, repelling = fixed_points(a_image)
-    image = mobius_boundary(rep.gen_image("b"), attracting)
+    image = mobius_boundary(rep._letters["b"], attracting)
     if _boundary_equal(image, repelling):
         raise PreconditionError(
             f"B maps the attracting fixed point {attracting} of A to its "

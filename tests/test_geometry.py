@@ -1,3 +1,4 @@
+import ast
 import cmath
 import json
 import math
@@ -40,6 +41,7 @@ from primscan.geometry import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parents[1] / "src" / "primscan"
 
 MARKOFF_A = as_matrix([[1, 1], [1, 2]])
 MARKOFF_B = as_matrix([[1, -1], [-1, 2]])
@@ -330,6 +332,32 @@ def test_kernel_matches_numpy_reference(real):
     assert "loxodromic" in kinds
     if real:
         assert "elliptic" in kinds
+
+
+def other_products(tree):
+    """Line numbers of the products in a module that bypass
+    `geometry._mul`: each `@` and each call of a matmul, dot or einsum."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            if isinstance(node.op, ast.MatMult):
+                yield node.lineno
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if name in ("matmul", "dot", "einsum"):
+                yield node.lineno
+
+
+def test_mul_is_the_only_product_kernel():
+    # single matrices and stacks of entry arrays alike multiply on the
+    # kernel; the source is parsed, not searched as text, so a
+    # decorator's @ does not count
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == "scans.py" for p in paths)
+    for path in paths:
+        found = list(other_products(ast.parse(path.read_text())))
+        assert not found, (path.name, found)
 
 
 def test_lengths_diagonal_orbit():

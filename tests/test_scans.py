@@ -39,7 +39,6 @@ from primscan.geometry import (
 from primscan import scans
 from primscan.scans import (
     PreconditionError,
-    _letter_images,
     _offset_grid,
     _offset_minima,
     _rotation_images,
@@ -118,7 +117,7 @@ def test_class_matrix_matches_numpy_reduce(rep):
     for slope, tower in enumerate_primitive_classes(30):
         got = class_matrix(rep, tower)
         want = functools.reduce(np.matmul,
-                                [rep.gen_image(x) for x in tower.word])
+                                [rep.word_image(x) for x in tower.word])
         assert got.shape == (2, 2)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), slope
 
@@ -274,16 +273,32 @@ def kernel_displacements(W, o):
 
 
 def reference_pair_distances(rep, letters, kmax):
-    """The per-offset loop that `_offset_grid` replaces: entry k-1 is the
-    array d(v_m, v_{m+k}) for every start m = 0..n-k, each offset in its
-    own `kernel_displacements` call."""
+    """The per-offset loop that `_offset_grid` batches: entry k-1 is the
+    array d(v_m, v_{m+k}) for every start m = 0..n-k, from the entry
+    arrays of the subword products on `_mul`, each offset in its own
+    `_sinh_half_displacement` call."""
     n = len(letters)
-    kmax = min(kmax, n)
-    mats = _letter_images(rep, letters)
-    W = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    cols = [np.array([rep._letters[x][i] for x in letters]) for i in range(4)]
+    W = cols
     out = []
-    for k in range(1, kmax + 1):
-        W = W[: n - k + 1] @ mats[k - 1:]
+    for k in range(1, min(kmax, n) + 1):
+        if k > 1:
+            W = _mul([w[:n - k + 1] for w in W], [c[k - 1:] for c in cols])
+        out.append(2.0 * np.arcsinh(
+            _sinh_half_displacement(W, rep.basepoint)))
+    return out
+
+
+def matmul_pair_distances(rep, letters, kmax):
+    """`reference_pair_distances` from an independent product: (n, 2, 2)
+    numpy stacks of the letter images, multiplied with np.matmul."""
+    n = len(letters)
+    mats = np.stack([rep.word_image(x) for x in letters])
+    W = mats
+    out = []
+    for k in range(1, min(kmax, n) + 1):
+        if k > 1:
+            W = W[: n - k + 1] @ mats[k - 1:]
         out.append(kernel_displacements(W, rep.basepoint))
     return out
 
@@ -315,31 +330,43 @@ def test_vectorized_displacements_match_scalar_action_h3():
     assert np.abs(fast - np.array(slow)).max() < 1e-12
 
 
+# the grid's kernel products against numpy's matmul on classes of up to
+# 39 letters: both round each of the |w| - 1 products, and the widest gap
+# measured, on random-h3, is 1.0e-14
+MATMUL_RTOL = 1e-12
+
+
 @pytest.mark.parametrize("rep", [
-    markoff(), criterion_9_rep(1.0), criterion_9_rep(0.1)],
-    ids=["markoff", "eta=1.0", "eta=0.1"])
+    markoff(), criterion_9_rep(1.0), criterion_9_rep(0.1), random_h3_rep(3)],
+    ids=["markoff", "eta=1.0", "eta=0.1", "random-h3"])
 def test_offset_minima_match_reference_loop(rep):
     # the shape local_global_scan passes, (word, n, n): every offset up to
     # the word length from every start, bit for bit as the reference loop
+    # on the same kernel, and to MATMUL_RTOL as the np.matmul stacks
     for _, tower in enumerate_primitive_classes(20):
         gamma = tower.word
         n = len(gamma)
+        got = _offset_minima(rep, gamma, n, n)
         want = [float(d.min()) for d in reference_pair_distances(rep, gamma, n)]
-        assert _offset_minima(rep, gamma, n, n) == want, gamma
+        assert got == want, gamma
+        independent = [d.min() for d in matmul_pair_distances(rep, gamma, n)]
+        assert np.allclose(got, independent, rtol=MATMUL_RTOL, atol=0), gamma
 
 
 @pytest.mark.parametrize("word, starts", [("abaab" * 3, 5), ("abaab" * 3, 15),
                                           ("aabAb" * 4, 20)])
 def test_offset_grid_batches_match_reference_loop(monkeypatch, word, starts):
-    # batches of a few rows split the grid inside and between offsets
-    want = [d[:starts] for d in reference_pair_distances(markoff(), word,
-                                                         len(word))]
-    for rows in (7, 60, scans._GRID_ROWS):
-        monkeypatch.setattr(scans, "_GRID_ROWS", rows)
-        got = grid_by_offset(markoff(), word, len(word), starts)
-        assert len(got) == len(want)
-        for k, (g, w) in enumerate(zip(got, want), 1):
-            assert np.array_equal(g, w), (rows, k)
+    # batches of a few rows split the grid inside and between offsets, on
+    # H2 and on H3
+    for rep in (markoff(), random_h3_rep(3)):
+        want = [d[:starts] for d in reference_pair_distances(rep, word,
+                                                             len(word))]
+        for rows in (7, 60, scans._GRID_ROWS):
+            monkeypatch.setattr(scans, "_GRID_ROWS", rows)
+            got = grid_by_offset(rep, word, len(word), starts)
+            assert len(got) == len(want)
+            for k, (g, w) in enumerate(zip(got, want), 1):
+                assert np.array_equal(g, w), (rep.model, rows, k)
 
 
 def test_quasi_loops_do_not_depend_on_batching(monkeypatch):
@@ -568,6 +595,8 @@ def test_excursion_rejects_bad_words():
     for gamma in ("", "aA", "abA"):
         with pytest.raises(ValueError, match="cyclically reduced"):
             excursion_profile(rep, gamma)
+    with pytest.raises(ValueError, match="invalid letter 'x' .* 'abx'"):
+        excursion_profile(rep, "abx")
 
 
 def test_excursion_rejects_bad_inputs():
@@ -642,11 +671,16 @@ def test_quasi_loops_validation():
     with pytest.raises(ValueError):
         find_quasi_loops(rep, "ab", 0.0)
     with pytest.raises(ValueError):
-        find_quasi_loops(rep, "", 0.5)
-    with pytest.raises(ValueError):
         find_quasi_loops(rep, "ab", 0.5, min_len=0)
     with pytest.raises(ValueError):
         find_quasi_loops(rep, "ab" * 5001, 0.5)
+    # each bad word is named: a letter outside aAbB, an unreduced word,
+    # and one that is not cyclically reduced (the search wraps around it)
+    with pytest.raises(ValueError, match="invalid letter 'x' .* 'abx'"):
+        find_quasi_loops(rep, "abx", 0.5)
+    for gamma in ("", "aAb", "abA"):
+        with pytest.raises(ValueError, match=f"cyclically reduced.*'{gamma}'"):
+            find_quasi_loops(rep, gamma, 0.5)
 
 
 def trace_1001_rep():
@@ -911,6 +945,16 @@ def test_local_global_refuses_an_empty_word_list(words):
     rep = Representation("H2", [[4, 0], [0, 0.25]], [[4, -3.75], [0, 0.25]])
     with pytest.raises(ValueError, match="sample_words must not be"):
         local_global_scan(rep, 3, 10, words)
+
+
+@pytest.mark.parametrize("word, message", [
+    ("abc", "invalid letter 'c' .* 'abc'"),
+    ("", "nonempty reduced word, got ''"),
+    ("baAb", "'baAb' is not freely reduced")])
+def test_local_global_refuses_a_bad_word(word, message):
+    rep = Representation("H2", [[4, 0], [0, 0.25]], [[4, -3.75], [0, 0.25]])
+    with pytest.raises(ValueError, match=message):
+        local_global_scan(rep, 3, 5, ["baaab", word])
 
 
 def test_local_global_refuses_displacements_past_the_float_range():
