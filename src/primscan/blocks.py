@@ -27,6 +27,7 @@ among them the block count in windows.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -215,8 +216,18 @@ class BlockTower:
 
 
 def build_blocks(p, q):
-    """Build the block tower for the slope p/q."""
-    return _build_tower(Slope.from_pair(p, q), {})
+    """Build the block tower for the slope p/q.
+
+    Raises ValueError when the class word, of |p| + q letters, is longer
+    than a string can be (`sys.maxsize`).
+    """
+    slope = Slope.from_pair(p, q)
+    length = abs(slope.p) + slope.q
+    if length > sys.maxsize:
+        raise ValueError(f"the class word of slope {slope} has {length} "
+                         f"letters, more than a string holds "
+                         f"({sys.maxsize})")
+    return _build_tower(slope, {})
 
 
 def _build_tower(slope, levels):
@@ -497,51 +508,80 @@ def adapted_permutation(tower, i, k):
     li = tower.l[i]
     if not 0 <= k < li:
         raise ValueError(f"rotation {k} outside [0, {li})")
-    n_i = tower.cf[i - 1]
-    threshold = (n_i - 1) * tower.l[i - 1]
-    if k <= threshold:
-        case, j = 1, k
-    else:
-        case, j = 2, k + tower.l[i - 1]
-    rot_w = rotate(tower.w[i], k)
-    rot_wp = rotate(tower.wp[i], j)
-    if case == 1:
-        if rot_wp.endswith(rot_w):
-            relation = "suffix"
-        elif rot_wp.startswith(rot_w):
-            relation = "prefix"
-        else:
-            raise LemmaViolation(
-                f"no prefix/suffix relation at slope {tower.p}/{tower.q}, "
-                f"i={i}, k={k}")
-    else:
-        if rot_wp.startswith(rot_w):
-            relation = "prefix"
-        elif rot_wp.endswith(rot_w):
-            relation = "suffix"
-        else:
-            raise LemmaViolation(
-                f"no prefix/suffix relation at slope {tower.p}/{tower.q}, "
-                f"i={i}, k={k}")
+    [ar] = _level_rotations(tower, i, (k,))
+    if isinstance(ar, LemmaViolation):
+        raise ar
+    return ar
+
+
+def adapted_rotations(tower, i):
+    """`adapted_permutation(tower, i, k)` for k = 0 .. l_i - 1, in order,
+    with a LemmaViolation returned, not raised, as the entry of its k."""
+    if not 1 <= i <= tower.depth:
+        raise ValueError(f"level {i} outside [1, {tower.depth}]")
+    return _level_rotations(tower, i, range(tower.l[i]))
+
+
+def _level_rotations(tower, i, ks):
+    """The adapted rotation, or its LemmaViolation, of every k in `ks`.
+
+    The level is read once: l_{i-1}, the case threshold, the block
+    sequence and its order with the first block moved to the end, and the
+    doubled words, of which every rotated block and rotated class word is
+    a slice.  Each k still gets its own prefix/suffix test and its own
+    joined factorization, compared with the rotated class word.
+    """
+    lprev = tower.l[i - 1]
+    threshold = (tower.cf[i - 1] - 1) * lprev
+    w, wp = tower.w[i], tower.wp[i]
+    lw, lwp = len(w), len(wp)
+    ww, wpwp = w + w, wp + wp
     seq = block_sequence(tower, i)
-    if case == 1:
-        out_seq = seq
-        word_rotation = k
-    else:
-        out_seq = seq[1:] + seq[:1]
-        word_rotation = k if seq[0] == "w" else j
-    rebuilt = "".join(map({"w": rot_w, "p": rot_wp}.__getitem__, out_seq))
+    moved = seq[1:] + seq[:1]
+    # the blocks as indexes into (rotated w_i, rotated w'_i)
+    order = [0 if s == "w" else 1 for s in seq]
+    moved_order = order[1:] + order[:1]
+    first_is_w = seq[0] == "w"
+    doubled = tower._doubled_word
     lr = len(tower.word)
-    r = word_rotation % lr
-    if rebuilt != tower._doubled_word[r:r + lr]:
-        raise LemmaViolation(
-            f"rotated factorization mismatch at slope {tower.p}/{tower.q}, "
-            f"i={i}, k={k}")
-    return AdaptedRotation(
-        i=i, k=k, j=j, case=case, relation=relation,
-        block=rot_w, block_prime=rot_wp,
-        word_rotation=word_rotation, blocks=out_seq,
-    )
+    where = f"at slope {tower.p}/{tower.q}, i={i}, k="
+    out = []
+    for k in ks:
+        if k <= threshold:
+            j = k
+            rot_w, rot_wp = ww[k:k + lw], wpwp[j:j + lwp]
+            if rot_wp.endswith(rot_w):
+                relation = "suffix"
+            elif rot_wp.startswith(rot_w):
+                relation = "prefix"
+            else:
+                out.append(LemmaViolation(
+                    f"no prefix/suffix relation {where}{k}"))
+                continue
+            case, out_seq, indexes, word_rotation = 1, seq, order, k
+        else:
+            j = k + lprev
+            rot_w, rot_wp = ww[k:k + lw], wpwp[j:j + lwp]
+            if rot_wp.startswith(rot_w):
+                relation = "prefix"
+            elif rot_wp.endswith(rot_w):
+                relation = "suffix"
+            else:
+                out.append(LemmaViolation(
+                    f"no prefix/suffix relation {where}{k}"))
+                continue
+            case, out_seq, indexes = 2, moved, moved_order
+            word_rotation = k if first_is_w else j
+        pair = (rot_w, rot_wp)
+        r = word_rotation % lr
+        if "".join([pair[x] for x in indexes]) != doubled[r:r + lr]:
+            out.append(LemmaViolation(
+                f"rotated factorization mismatch {where}{k}"))
+            continue
+        # positional: keyword arguments would double the cost of a call
+        out.append(AdaptedRotation(i, k, j, case, relation, rot_w, rot_wp,
+                                   word_rotation, out_seq))
+    return out
 
 
 def _rotation_index(w):
@@ -550,6 +590,14 @@ def _rotation_index(w):
     for r, rot in enumerate(rotations(w)):
         index.setdefault(rot, r)
     return index
+
+
+def _shared_rotation_index(w, indexes):
+    """The rotation index of w, built once into `indexes`."""
+    rots = indexes.get(w)
+    if rots is None:
+        rots = indexes[w] = _rotation_index(w)
+    return rots
 
 
 @dataclass(unsafe_hash=True)
@@ -579,22 +627,23 @@ def classify_magic_subword(tower, i, u, *, indexes=None):
     if u not in tower._doubled_word:
         raise ValueError(f"{u!r} is not a cyclic subword of the class word")
     w = tower.w[i]
-    if indexes is None:
-        rots = _rotation_index(w)
-    else:
-        rots = indexes.get(w)
-        if rots is None:
-            rots = indexes[w] = _rotation_index(w)
+    rots = (_rotation_index(w) if indexes is None
+            else _shared_rotation_index(w, indexes))
+    return _match_magic_subword(tower, i, u, rots)
+
+
+def _match_magic_subword(tower, i, u, rots):
+    """The witness of `classify_magic_subword` for a checked subword u,
+    with `rots` the rotation index of w_i."""
     hit = rots.get(u)
     if hit is not None:
-        return MagicWitness(rotation=hit, changed_to="")
-    letters = sorted(set(tower.wp[0]))
-    for c in letters:
+        return MagicWitness(hit, "")    # positional: see _level_rotations
+    for c in sorted(set(tower.wp[0])):
         if c == u[-1]:
             continue
         hit = rots.get(u[:-1] + c)
         if hit is not None:
-            return MagicWitness(rotation=hit, changed_to=c)
+            return MagicWitness(hit, c)
     raise LemmaViolation(
         f"{u!r} is not a rotation of w_{i} at slope {tower.p}/{tower.q}, "
         f"even after a last-letter change")
@@ -679,8 +728,8 @@ def _magic_suite(cap):
 
     A Christoffel word has at most l_i + 1 distinct cyclic subwords of
     length l_i, so each distinct subword of a (tower, level) is classified
-    once and its outcome, a witness or a failure message, is repeated for
-    every start where it occurs; checks and failures stay per start.
+    once and its failure message, if any, is repeated for every start
+    where it occurs; checks and failures stay per start.
     """
     failures, checks = [], 0
     # every cyclic subword of every class word is classified, so the
@@ -688,22 +737,25 @@ def _magic_suite(cap):
     indexes = {}
     for t in _towers_by_word_length(cap):
         doubled = t._doubled_word
+        lr = len(t.word)
         for i in range(1, t.depth + 1):
             li = t.l[i]
-            errors = {}    # distinct subword -> failure message or None
-            for s in range(len(t.word)):
-                checks += 1
-                u = doubled[s:s + li]
-                if u not in errors:
-                    try:
-                        classify_magic_subword(t, i, u, indexes=indexes)
-                    except LemmaViolation as e:
-                        errors[u] = str(e)
-                    else:
-                        errors[u] = None
-                if errors[u] is not None:
-                    failures.append({"p": t.p, "q": t.q, "i": i,
-                                     "position": s, "error": errors[u]})
+            rots = _shared_rotation_index(t.w[i], indexes)
+            # slices of length l_i of w_r w_r at a level in [1, depth]:
+            # every argument check of `classify_magic_subword` holds
+            subwords = [doubled[s:s + li] for s in range(lr)]
+            checks += lr
+            errors = {}    # distinct failing subword -> failure message
+            for u in dict.fromkeys(subwords):
+                try:
+                    _match_magic_subword(t, i, u, rots)
+                except LemmaViolation as e:
+                    errors[u] = str(e)
+            if errors:
+                failures.extend(
+                    {"p": t.p, "q": t.q, "i": i, "position": s,
+                     "error": errors[u]}
+                    for s, u in enumerate(subwords) if u in errors)
     return checks, failures
 
 
@@ -711,15 +763,17 @@ def _perm_suite(cap):
     failures, checks = [], 0
     for t in _towers_by_word_length(cap):
         for i in range(1, t.depth + 1):
-            for k in range(t.l[i]):
-                checks += 1
-                try:
-                    ar = adapted_permutation(t, i, k)
-                    if ar.relation not in ("prefix", "suffix"):
-                        raise LemmaViolation("no prefix-or-suffix witness")
-                except LemmaViolation as e:
-                    failures.append({"p": t.p, "q": t.q, "i": i, "k": k,
-                                     "error": str(e)})
+            rotations_i = adapted_rotations(t, i)
+            checks += len(rotations_i)
+            for k, ar in enumerate(rotations_i):
+                if isinstance(ar, LemmaViolation):
+                    error = str(ar)
+                elif ar.relation not in ("prefix", "suffix"):
+                    error = "no prefix-or-suffix witness"
+                else:
+                    continue
+                failures.append({"p": t.p, "q": t.q, "i": i, "k": k,
+                                 "error": error})
     return checks, failures
 
 
@@ -762,7 +816,7 @@ def _bloc_suite(cap):
     maximal window is evaluated; the bound for all others follows.
 
     The windows checked for rotation k depend on k only through the block
-    order of `adapted_permutation(t, i, k)`: the rotated blocks keep the
+    order of its adapted rotation: the rotated blocks keep the
     lengths l_i and l'_i, and each window is cut from a word of length
     l_r.  That order is the level-i block sequence in case 1 and the
     sequence with its first block moved to the end in case 2, so a
@@ -770,8 +824,9 @@ def _bloc_suite(cap):
     evaluated once per distinct (order, l_i, l'_i), which also covers
     the towers of p/q and q/p, identical up to the a <-> b swap, and the
     checks and failures are repeated for every rotation sharing it.  The
-    rotation itself is still built for every k, which re-checks its
-    factorization; a violation there is recorded as a failure.
+    rotation itself is still built for every k (`adapted_rotations`, once
+    per level), which re-checks its factorization; a violation there is
+    recorded as a failure.
     """
     failures, checks = [], 0
     windows = {}
@@ -781,16 +836,14 @@ def _bloc_suite(cap):
             li, lpi = t.l[i], t.lp[i]
             if lr <= 4 * li:
                 continue
-            for k in range(li):
-                try:
-                    seq = adapted_permutation(t, i, k).blocks
-                except LemmaViolation as e:
+            for k, ar in enumerate(adapted_rotations(t, i)):
+                if isinstance(ar, LemmaViolation):
                     failures.append({"p": t.p, "q": t.q, "i": i, "k": k,
-                                     "error": str(e)})
+                                     "error": str(ar)})
                     continue
-                key = (seq, li, lpi)
+                key = (ar.blocks, li, lpi)
                 if key not in windows:
-                    windows[key] = _bloc_windows(seq, li, lpi, lr)
+                    windows[key] = _bloc_windows(ar.blocks, li, lpi, lr)
                 n, bad = windows[key]
                 checks += n
                 failures.extend(

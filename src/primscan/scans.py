@@ -166,27 +166,30 @@ def _offset_grid(rep, letters, kmax, starts):
     # column j holds the entries of the image of letters[j]
     cols = np.array([rep._letters[x] for x in letters]).T.copy()
     W = None
-    stacks, bounds, k0 = [], [0], 1
-    for k in range(1, kmax + 1):
-        rows = min(starts, n - k + 1)
-        X = cols[:, k - 1:k - 1 + rows]
+    k = 0
+    while k < kmax:
+        stacks, bounds, k0 = [], [0], k + 1
+        # one error state per batch, left before the batch is yielded so
+        # that the caller's state holds while the generator is suspended
         with np.errstate(all="ignore"):    # refused below if not finite
-            W = X if W is None else _mul([w[:rows] for w in W], X)
-        stacks.append(W)
-        bounds.append(bounds[-1] + rows)
-        if k == kmax or bounds[-1] >= _GRID_ROWS:
-            entries = [np.concatenate(x) for x in zip(*stacks)]
-            disps = 2.0 * np.arcsinh(
-                _sinh_half_displacement(entries, rep.basepoint))
-            bad = np.flatnonzero(~np.isfinite(disps))
-            if bad.size:
-                length = k0 + int(np.searchsorted(bounds, bad[0], "right")) - 1
-                raise ValueError(
-                    f"the displacement of a {length}-letter subword is not "
-                    f"finite: its computation leaves the float range "
-                    f"(about 1.8e308)")
-            yield k0, bounds[:-1], disps
-            stacks, bounds, k0 = [], [0], k + 1
+            while k < kmax and bounds[-1] < _GRID_ROWS:
+                k += 1
+                rows = min(starts, n - k + 1)
+                X = cols[:, k - 1:k - 1 + rows]
+                W = X if W is None else _mul([w[:rows] for w in W], X)
+                stacks.append(W)
+                bounds.append(bounds[-1] + rows)
+        entries = [np.concatenate(x) for x in zip(*stacks)]
+        disps = 2.0 * np.arcsinh(
+            _sinh_half_displacement(entries, rep.basepoint))
+        bad = np.flatnonzero(~np.isfinite(disps))
+        if bad.size:
+            length = k0 + int(np.searchsorted(bounds, bad[0], "right")) - 1
+            raise ValueError(
+                f"the displacement of a {length}-letter subword is not "
+                f"finite: its computation leaves the float range "
+                f"(about 1.8e308)")
+        yield k0, bounds[:-1], disps
 
 
 def _offset_minima(rep, letters, kmax, starts):

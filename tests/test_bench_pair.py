@@ -1,4 +1,5 @@
-"""Tests for tools/bench_pair.py: seed lists and the paired summary."""
+"""Tests for tools/bench_pair.py: seed lists, the paired summary and the
+refusal to pool runs of other revisions."""
 
 import importlib.util
 from pathlib import Path
@@ -97,3 +98,37 @@ def test_summarize_keeps_workloads_apart():
     assert summary["b"]["no_result"] == {"parent": 0, "change": 1}
     # no pair, so no quartiles for either side
     assert "parent" not in summary["b"]["wall_s"]
+
+
+REVS = {"parent": "a" * 40, "change": "b" * 40}
+
+
+def test_check_revs_accepts_runs_of_the_same_pair():
+    data = {"meta": {"revs": dict(REVS)},
+            "runs": [run(1, "parent", result(1.0, 10.0))]}
+    bench_pair.check_revs(data, REVS)
+    # a file with no runs yet pools nothing
+    bench_pair.check_revs({"runs": []}, REVS)
+    bench_pair.check_revs({"meta": {"revs": {"parent": "c", "change": "d"}},
+                           "runs": []}, REVS)
+
+
+@pytest.mark.parametrize("old", [
+    {"parent": "a" * 40, "change": "c" * 40},
+    {"parent": "c" * 40, "change": "b" * 40},
+    {"parent": "b" * 40, "change": "a" * 40},
+], ids=["change", "parent", "swapped"])
+def test_check_revs_refuses_runs_of_other_revisions(old):
+    data = {"meta": {"revs": old},
+            "runs": [run(1, "parent", result(1.0, 10.0))]}
+    with pytest.raises(SystemExit) as refused:
+        bench_pair.check_revs(data, REVS)
+    message = str(refused.value)
+    assert f"parent {old['parent']} and change {old['change']}" in message
+    assert f"parent {REVS['parent']} and change {REVS['change']}" in message
+
+
+def test_check_revs_refuses_runs_without_revisions():
+    data = {"runs": [run(1, "parent", result(1.0, 10.0))]}
+    with pytest.raises(SystemExit, match="unrecorded revisions"):
+        bench_pair.check_revs(data, REVS)

@@ -13,6 +13,7 @@ from primscan.blocks import (
     LemmaViolation,
     Slope,
     adapted_permutation,
+    adapted_rotations,
     alphabet_class,
     block_sequence,
     build_blocks,
@@ -454,6 +455,9 @@ def test_adapted_rotation_validation():
         adapted_permutation(tower, 4, 0)
     with pytest.raises(ValueError):
         adapted_permutation(tower, 2, tower.l[2])
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            adapted_rotations(tower, i)
 
 
 def test_adapted_rotation_spec_example():
@@ -464,6 +468,98 @@ def test_adapted_rotation_spec_example():
     assert ar.relation == "prefix"
     assert ar.word_rotation == 3
     assert ar.blocks == ("p", "w")
+
+
+def _reference_adapted_permutation(tower, i, k):
+    """The per-k construction of `adapted_permutation` before a level's
+    rotations were built in one pass, without its argument checks."""
+    n_i = tower.cf[i - 1]
+    threshold = (n_i - 1) * tower.l[i - 1]
+    if k <= threshold:
+        case, j = 1, k
+    else:
+        case, j = 2, k + tower.l[i - 1]
+    rot_w = rotate(tower.w[i], k)
+    rot_wp = rotate(tower.wp[i], j)
+    if case == 1:
+        if rot_wp.endswith(rot_w):
+            relation = "suffix"
+        elif rot_wp.startswith(rot_w):
+            relation = "prefix"
+        else:
+            raise LemmaViolation(
+                f"no prefix/suffix relation at slope {tower.p}/{tower.q}, "
+                f"i={i}, k={k}")
+    else:
+        if rot_wp.startswith(rot_w):
+            relation = "prefix"
+        elif rot_wp.endswith(rot_w):
+            relation = "suffix"
+        else:
+            raise LemmaViolation(
+                f"no prefix/suffix relation at slope {tower.p}/{tower.q}, "
+                f"i={i}, k={k}")
+    seq = block_sequence(tower, i)
+    if case == 1:
+        out_seq = seq
+        word_rotation = k
+    else:
+        out_seq = seq[1:] + seq[:1]
+        word_rotation = k if seq[0] == "w" else j
+    rebuilt = "".join(map({"w": rot_w, "p": rot_wp}.__getitem__, out_seq))
+    lr = len(tower.word)
+    r = word_rotation % lr
+    if rebuilt != (tower.word * 2)[r:r + lr]:
+        raise LemmaViolation(
+            f"rotated factorization mismatch at slope {tower.p}/{tower.q}, "
+            f"i={i}, k={k}")
+    return blocks.AdaptedRotation(
+        i=i, k=k, j=j, case=case, relation=relation,
+        block=rot_w, block_prime=rot_wp,
+        word_rotation=word_rotation, blocks=out_seq,
+    )
+
+
+def _assert_rotations_match_reference(tower):
+    """Each level's `adapted_rotations` and each `adapted_permutation`
+    against the per-k reference; returns the number of violations."""
+    violations = 0
+    for i in range(1, tower.depth + 1):
+        got = adapted_rotations(tower, i)
+        assert len(got) == tower.l[i]
+        for k, entry in enumerate(got):
+            try:
+                want = _reference_adapted_permutation(tower, i, k)
+            except LemmaViolation as e:
+                violations += 1
+                assert type(entry) is LemmaViolation, (tower, i, k)
+                assert str(entry) == str(e)
+                with pytest.raises(LemmaViolation) as raised:
+                    adapted_permutation(tower, i, k)
+                assert str(raised.value) == str(e)
+            else:
+                assert entry == want, (tower, i, k)
+                assert adapted_permutation(tower, i, k) == want
+    return violations
+
+
+def test_level_rotations_match_per_k_reference():
+    # every slope whose class word has at most 40 letters, on every
+    # substituted alphabet
+    towers = [build_blocks(p, q) for q in range(41) for p in range(-40, 41)
+              if abs(p) + q <= 40 and gcd(abs(p), q) == 1]
+    assert len(towers) > 900
+    for tower in towers:
+        assert _assert_rotations_match_reference(tower) == 0
+
+
+def test_level_rotations_match_per_k_reference_on_broken_towers():
+    violations = 0
+    for p, q, n in [(43, 30, 2), (13, 8, 3), (7, 5, 1), (21, 13, 5),
+                    (11, 3, 1)]:
+        violations += _assert_rotations_match_reference(
+            _break_word(build_blocks(p, q), n))
+    assert violations > 0
 
 
 # --------------------------------------------------------------------------
@@ -542,15 +638,15 @@ def test_magic_suite_matches_per_start_loop_on_broken_towers(monkeypatch):
 
 def test_magic_suite_classifies_each_distinct_subword_once(monkeypatch):
     calls = []
-    real = blocks.classify_magic_subword
+    real = blocks._match_magic_subword
 
-    def counted(t, i, u, **kwargs):
+    def counted(t, i, u, rots):
         calls.append((t.p, t.q, i, u))
         if (t.p, t.q, i, u) == (13, 8, 2, "aba"):
             raise LemmaViolation("injected")
-        return real(t, i, u, **kwargs)
+        return real(t, i, u, rots)
 
-    monkeypatch.setattr(blocks, "classify_magic_subword", counted)
+    monkeypatch.setattr(blocks, "_match_magic_subword", counted)
     checks, failures = blocks._magic_suite(21)
     assert len(calls) == len(set(calls)) < checks
     assert checks == _reference_magic_suite(
@@ -634,18 +730,37 @@ def test_bloc_suite_records_adapted_rotation_violation(monkeypatch):
     skipped, _ = blocks._bloc_windows(
         adapted_permutation(tower, 1, 1).blocks, tower.l[1], tower.lp[1],
         len(tower.word))
-    real = blocks.adapted_permutation
-
-    def broken(t, i, k):
-        if (t.p, t.q, i, k) == (10, 9, 1, 1):
-            raise LemmaViolation("injected")
-        return real(t, i, k)
-
-    monkeypatch.setattr(blocks, "adapted_permutation", broken)
+    monkeypatch.setattr(blocks, "adapted_rotations",
+                        _inject_rotation_violation(10, 9, 1, 1))
     report = run_suite("bloc", 20)
     assert report.failures == [
         {"p": 10, "q": 9, "i": 1, "k": 1, "error": "injected"}]
     assert report.checks == healthy.checks - skipped
+
+
+def _inject_rotation_violation(p, q, i, k):
+    """`adapted_rotations` with entry k of level i of the slope p/q
+    replaced by an injected LemmaViolation."""
+    real = blocks.adapted_rotations
+
+    def broken(t, level):
+        out = real(t, level)
+        if (t.p, t.q, level) == (p, q, i):
+            out[k] = LemmaViolation("injected")
+        return out
+
+    return broken
+
+
+def test_perm_suite_records_adapted_rotation_violation(monkeypatch):
+    healthy = run_suite("perm-cycl", 20)
+    assert healthy.passed
+    monkeypatch.setattr(blocks, "adapted_rotations",
+                        _inject_rotation_violation(10, 9, 1, 1))
+    report = run_suite("perm-cycl", 20)
+    assert report.failures == [
+        {"p": 10, "q": 9, "i": 1, "k": 1, "error": "injected"}]
+    assert report.checks == healthy.checks
 
 
 # --------------------------------------------------------------------------

@@ -124,6 +124,28 @@ def test_negative_slope_as_separate_argument(rep_file, capsys, argv):
     assert '"aBaaB"' in joined
 
 
+@pytest.mark.parametrize("argv", [
+    ["blocks"],
+    ["excursion", "--rep", MARKOFF],
+    ["quasi-loops", "--rep", MARKOFF, "--eps", "0.1"],
+], ids=["blocks", "excursion", "quasi-loops"])
+@pytest.mark.parametrize("slope, length", [
+    ("99999999999999999999/1", 10 ** 20),
+    ("-1/99999999999999999999", 10 ** 20),
+    (f"{sys.maxsize}/1", sys.maxsize + 1),
+], ids=["p", "-q", "maxsize+1"])
+def test_slope_past_the_string_range_is_refused(rep_file, capsys, argv,
+                                                slope, length):
+    # a class word longer than sys.maxsize cannot be built; lengths a str
+    # could hold but memory could not are not tried: they allocate
+    argv = [rep_file(a) if a is MARKOFF else a for a in argv]
+    assert main([*argv, "--slope", slope]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("primscan: error: the class word of "
+                                   f"slope {slope} has {length} letters")
+
+
 # ----------------------------------------------------------- verify-lemmas
 
 def test_verify_lemmas_single_suite_passes():
@@ -149,14 +171,15 @@ def test_verify_lemmas_all_suites_pass_at_small_caps():
 
 
 def test_verify_lemmas_reports_bloc_rotation_violation(monkeypatch, capsys):
-    real = blocks.adapted_permutation
+    real = blocks.adapted_rotations
 
-    def broken(t, i, k):
-        if (t.p, t.q, i, k) == (10, 9, 1, 1):
-            raise blocks.LemmaViolation("injected")
-        return real(t, i, k)
+    def broken(t, i):
+        out = real(t, i)
+        if (t.p, t.q, i) == (10, 9, 1):
+            out[1] = blocks.LemmaViolation("injected")
+        return out
 
-    monkeypatch.setattr(blocks, "adapted_permutation", broken)
+    monkeypatch.setattr(blocks, "adapted_rotations", broken)
     code = main(["verify-lemmas", "--suite", "bloc", "--max-block-len", "20"])
     rows = lines_of(capsys.readouterr().out)
     assert code == 1

@@ -369,6 +369,40 @@ def test_offset_grid_batches_match_reference_loop(monkeypatch, word, starts):
                 assert np.array_equal(g, w), (rep.model, rows, k)
 
 
+@pytest.mark.parametrize("rows", [scans._GRID_ROWS, 50])
+def test_offset_grid_enters_the_error_state_once_per_batch(monkeypatch, rows):
+    # the products of a batch share one error state; the displacement
+    # kernel enters its own
+    rep = markoff()
+    entries = []
+    real = np.errstate
+
+    def counted(**kwargs):
+        entries.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    monkeypatch.setattr(scans, "_GRID_ROWS", rows)
+    batches = 0
+    for _ in _offset_grid(rep, "ab" * 200, 300, 2):
+        assert len(entries) <= 2
+        entries.clear()
+        batches += 1
+    # 300 offsets of 2 starts each
+    assert batches == math.ceil(600 / rows)
+
+
+def test_offset_grid_yields_in_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(scans, "_GRID_ROWS", 50)
+    with np.errstate(all="raise"):
+        caller = np.geterr()
+        batches = 0
+        for _ in _offset_grid(markoff(), "ab" * 200, 300, 2):
+            assert np.geterr() == caller
+            batches += 1
+    assert batches > 1
+
+
 def test_quasi_loops_do_not_depend_on_batching(monkeypatch):
     rep = Representation("H2", [[1, 1], [0, 1]], [[1, 0], [1, 1]])
     want = find_quasi_loops(rep, "a" * 12, 0.6, min_len=8).loops

@@ -12,8 +12,9 @@ For every seed the two sides run one after the other, and the side that
 runs first alternates from seed to seed.  Each run's result line, seed and
 order go into the output file, together with the revisions, the hashes of
 their `src` trees, the Python and numpy versions and `nproc`.  Runs of
-further workloads or seeds are appended to an existing output file, and
-the summary (per side: median and quartiles of every end-to-end metric,
+further workloads or seeds of the same two revisions are appended to an
+existing output file (one that holds runs of other revisions is refused),
+and the summary (per side: median and quartiles of every end-to-end metric,
 the pairs each side won on each metric, and the runs that left no result
 line) is recomputed over all runs.
 
@@ -52,6 +53,23 @@ def export(rev, workdir):
         if archive.wait() != 0:
             raise SystemExit(f"bench_pair: git archive {full} failed")
     return full, tree
+
+
+def check_revs(data, revs):
+    """Refuse to pool this pair's runs with runs of other revisions.
+
+    `data` is the content of an existing output file and `revs` maps each
+    side to this pair's revision.  Raises SystemExit naming both pairs.
+    """
+    old = data.get("meta", {}).get("revs")
+    if data.get("runs") and old != revs:
+        def pair(r):
+            if not r:
+                return "unrecorded revisions"
+            return f"parent {r.get('parent')} and change {r.get('change')}"
+        raise SystemExit(
+            f"bench_pair: the output file holds runs of {pair(old)}, not "
+            f"of {pair(revs)}; write this pair to another --out file")
 
 
 def run_once(tree, workload, seed, seconds):
@@ -139,15 +157,17 @@ def main():
     contract = json.loads((trees["change"][1] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
 
+    revs = {side: rev for side, (rev, _) in trees.items()}
     data = {"runs": []}
     if args.out.exists():
         data = json.loads(args.out.read_text())
+        check_revs(data, revs)
     try:
         numpy_version = importlib.metadata.version("numpy")
     except importlib.metadata.PackageNotFoundError:
         numpy_version = None
     data["meta"] = {
-        "revs": {side: rev for side, (rev, _) in trees.items()},
+        "revs": revs,
         "src_trees": {side: git("rev-parse", f"{rev}:src")
                       for side, (rev, _) in trees.items()},
         "python": platform.python_version(), "numpy": numpy_version,
