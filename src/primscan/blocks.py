@@ -28,7 +28,7 @@ among them the block count in windows.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -129,14 +129,17 @@ def slope_of(w):
 # block towers
 # --------------------------------------------------------------------------
 
-# Letter substitutions realizing every slope from the nonnegative, >= 1
-# towers, which "none" leaves as built: "ab" exchanges the generators
-# (slopes below 1), "bB" inverts b (negative slopes), "ab+bB" composes
-# the two.
-_SUBS = {
-    "ab": str.maketrans("abAB", "baBA"),
-    "bB": str.maketrans("bB", "Bb"),
-    "ab+bB": str.maketrans("abAB", "BaAb"),
+# The base words w_0 = a and w'_0 = ab under the letter substitution
+# that realizes every slope from the nonnegative, >= 1 towers, which
+# "none" leaves as built: "ab" exchanges the generators (slopes below 1),
+# "bB" inverts b (negative slopes), "ab+bB" composes the two.  A
+# substitution maps letters to letters, so it commutes with the
+# concatenations of the recursion: substituting the base words is enough.
+_BASE_WORDS = {
+    "none": ("a", "ab"),
+    "ab": ("b", "ba"),
+    "bB": ("a", "aB"),
+    "ab+bB": ("B", "Ba"),
 }
 
 
@@ -168,9 +171,6 @@ class BlockTower:
     l_i < l'_i < 2 l_i and n_i < l_i/l_{i-1} < n_i + 1 for i >= 1.
 
     A value type: compares and hashes by its fields; never mutate one.
-    The doubled class word and the block sequences by level are kept on the
-    tower once computed; they take no part in comparison, hashing or repr,
-    and `dataclasses.replace` starts without them.
     """
     p: int
     q: int
@@ -180,12 +180,6 @@ class BlockTower:
     wp: tuple
     l: tuple
     lp: tuple
-    # filled on first use; assigned as plain attributes, never through
-    # `__dict__`, which would slow every attribute read of the tower
-    _doubled: str = field(default=None, init=False, repr=False,
-                          compare=False)
-    _block_sequences: dict = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     @property
     def depth(self):
@@ -194,13 +188,6 @@ class BlockTower:
     @property
     def word(self):
         return self.w[-1]
-
-    @property
-    def _doubled_word(self):
-        """w_r w_r: every cyclic subword of w_r is a substring of it."""
-        if self._doubled is None:
-            self._doubled = self.word + self.word
-        return self._doubled
 
     def to_json_dict(self):
         return {
@@ -256,8 +243,7 @@ def _tower_levels(swap, entries, levels):
     `levels` maps (swap, entries) to those tuples.  The tower of
     entries[:-1] holds every level but the last, so a new tower costs one
     level once its prefix is in the table.  The substitution is applied to
-    w_0 and w'_0 only: it maps letters to letters, so it commutes with the
-    concatenations of the recursion.
+    w_0 and w'_0 only (see `_BASE_WORDS`).
     """
     key = (swap, entries)
     found = levels.get(key)
@@ -268,18 +254,10 @@ def _tower_levels(swap, entries, levels):
             found = (w + (w[-1] * (n - 1) + wp[-1],),
                      wp + (w[-1] * n + wp[-1],))
         else:
-            w0, wp0 = _base_words(swap)
+            w0, wp0 = _BASE_WORDS[swap]
             found = (w0,), (wp0,)
         levels[key] = found
     return found
-
-
-def _base_words(swap):
-    """w_0 = a and w'_0 = ab on the `swap` alphabet."""
-    if swap == "none":
-        return "a", "ab"
-    table = _SUBS[swap]
-    return "a".translate(table), "ab".translate(table)
 
 
 def enumerate_primitive_classes(max_den):
@@ -460,18 +438,12 @@ def block_sequence(tower, i):
     Returns a tuple of "w"/"p" symbols such that w_r is the concatenation of
     w_i (for "w") and w'_i (for "p") in that order.
     """
-    seqs = tower._block_sequences
-    if seqs is None:
-        seqs = tower._block_sequences = {}
-    seq = seqs.get(i)
-    if seq is None:
-        if not 0 <= i <= tower.depth:
-            raise ValueError(f"level {i} outside [0, {tower.depth}]")
-        seq_w, seq_p = ("w",), ("p",)
-        for n in tower.cf[i:]:
-            seq_w, seq_p = seq_w * (n - 1) + seq_p, seq_w * n + seq_p
-        seq = seqs[i] = seq_w
-    return seq
+    if not 0 <= i <= tower.depth:
+        raise ValueError(f"level {i} outside [0, {tower.depth}]")
+    seq_w, seq_p = ("w",), ("p",)
+    for n in tower.cf[i:]:
+        seq_w, seq_p = seq_w * (n - 1) + seq_p, seq_w * n + seq_p
+    return seq_w
 
 
 @dataclass(unsafe_hash=True)
@@ -542,7 +514,7 @@ def _level_rotations(tower, i, ks):
     order = [0 if s == "w" else 1 for s in seq]
     moved_order = order[1:] + order[:1]
     first_is_w = seq[0] == "w"
-    doubled = tower._doubled_word
+    doubled = tower.word * 2
     lr = len(tower.word)
     where = f"at slope {tower.p}/{tower.q}, i={i}, k="
     out = []
@@ -592,14 +564,6 @@ def _rotation_index(w):
     return index
 
 
-def _shared_rotation_index(w, indexes):
-    """The rotation index of w, built once into `indexes`."""
-    rots = indexes.get(w)
-    if rots is None:
-        rots = indexes[w] = _rotation_index(w)
-    return rots
-
-
 @dataclass(unsafe_hash=True)
 class MagicWitness:
     """How a length-l_i cyclic subword of w_r matches a rotation of w_i.
@@ -610,26 +574,21 @@ class MagicWitness:
     changed_to: str    # "" when the subword is already a rotation
 
 
-def classify_magic_subword(tower, i, u, *, indexes=None):
+def classify_magic_subword(tower, i, u):
     """Match a length-l_i cyclic subword of w_r against rotations of w_i.
 
     Every such subword is a rotation of w_i after changing at most its last
     letter; returns the first matching rotation index (exact matches take
-    precedence over last-letter repairs).  `indexes`, a dict from block
-    word to its rotation index, lets a caller that classifies many
-    subwords build each index once; without it the index is built here.
+    precedence over last-letter repairs).
     """
     if not 1 <= i <= tower.depth:
         raise ValueError(f"level {i} outside [1, {tower.depth}]")
     li = tower.l[i]
     if len(u) != li:
         raise ValueError(f"subword length {len(u)} != l_{i} = {li}")
-    if u not in tower._doubled_word:
+    if u not in tower.word * 2:
         raise ValueError(f"{u!r} is not a cyclic subword of the class word")
-    w = tower.w[i]
-    rots = (_rotation_index(w) if indexes is None
-            else _shared_rotation_index(w, indexes))
-    return _match_magic_subword(tower, i, u, rots)
+    return _match_magic_subword(tower, i, u, _rotation_index(tower.w[i]))
 
 
 def _match_magic_subword(tower, i, u, rots):
@@ -736,11 +695,13 @@ def _magic_suite(cap):
     # rotation indexes of the block words are shared across the whole run
     indexes = {}
     for t in _towers_by_word_length(cap):
-        doubled = t._doubled_word
+        doubled = t.word * 2
         lr = len(t.word)
         for i in range(1, t.depth + 1):
             li = t.l[i]
-            rots = _shared_rotation_index(t.w[i], indexes)
+            rots = indexes.get(t.w[i])
+            if rots is None:
+                rots = indexes[t.w[i]] = _rotation_index(t.w[i])
             # slices of length l_i of w_r w_r at a level in [1, depth]:
             # every argument check of `classify_magic_subword` holds
             subwords = [doubled[s:s + li] for s in range(lr)]

@@ -28,6 +28,7 @@ built unless a scan walks it, and the trace oracle `fricke_traces` is
 the same walk on traces.
 """
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -368,12 +369,12 @@ def find_quasi_loops(rep, gamma, eps, min_len=1, C=None):
     the displacement-ratio contradiction is evaluated: the report then
     records whether d(rho(gamma) o, o) < |gamma| / C.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
-    if C is not None and C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    if C is not None and not 0 < C < math.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
     n = len(_check_scan_word(gamma, cyclic=True))
     if n > _MAX_QUASI_LOOP_LEN:
         raise ValueError(
@@ -462,6 +463,10 @@ def _scanned_classes(rep, max_denominator, words):
     in hand.  The class words are the walk's u + v, each a cyclic rotation
     of the `build_blocks` word; without `words` no word is built.  len is
     p + q, the length of the class word.
+
+    Raises ValueError naming the first class, in that order, whose trace
+    or translation length is not finite: its image has left the float
+    range.
     """
     a, b = rep._letters["a"], rep._letters["b"]
     ab = _mul(a, b)
@@ -476,6 +481,11 @@ def _scanned_classes(rep, max_denominator, words):
         kind = classify(m)
         # `translation_length`, without classifying the image again
         tl = _loxodromic_length(m) if kind == "loxodromic" else 0.0
+        if not (cmath.isfinite(tr) and math.isfinite(tl)):
+            raise ValueError(
+                f"the trace or translation length of class {p}/{q} is "
+                f"not finite at max_den {max_denominator}: its image "
+                f"leaves the float range (about 1.8e308)")
         yield gamma, kind, {
             "p": p, "q": q, "len": p + q,
             "tr": [tr.real, tr.imag], "tl": tl,
@@ -495,8 +505,6 @@ def bowditch_scan(rep, max_denominator):
             flags.append(kind)
         elif ratio < _LOW_RATIO:
             flags.append("low-ratio")
-        if not all(map(math.isfinite, (*head["tr"], head["tl"], ratio))):
-            flags.append("non-finite")
         records.append({**head, "ratio": ratio, "flags": flags})
     min_ratio = min(r["ratio"] for r in records)
     abAB = rep._product("abAB")
@@ -683,8 +691,9 @@ def perturbation_scan(rep, radius, trials, max_denominator, seed=0):
     """Perturb the generator matrices entrywise by uniform noise of the
     given radius, re-unimodularize, and rerun the ratio scan; report the
     minimum and median of the perturbed minimum ratios."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= radius < math.inf:
+        raise ValueError(
+            f"radius must be nonnegative and finite, got {radius}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     base = bowditch_scan(rep, max_denominator)

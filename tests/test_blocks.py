@@ -199,6 +199,15 @@ def test_min_li_bound_is_tight_at_level_two():
     assert (t.cf[0] + 2) * t.l[1] == (t.cf[0] + 1) * t.l[2]
 
 
+# the letter substitutions of every swap tag, applied to whole words: an
+# oracle independent of the base-word table of `blocks`
+_REFERENCE_SUBS = {
+    "ab": str.maketrans("abAB", "baBA"),
+    "bB": str.maketrans("bB", "Bb"),
+    "ab+bB": str.maketrans("abAB", "BaAb"),
+}
+
+
 def _reference_tower(slope):
     """The per-slope loop that built every tower before towers shared a
     level table: all levels on {a, b}, then the letter substitution."""
@@ -208,7 +217,7 @@ def _reference_tower(slope):
         w.append(w[-1] * (n - 1) + wp[-1])
         wp.append(w[-2] * n + wp[-1])
     if swap != "none":
-        table = blocks._SUBS[swap]
+        table = _REFERENCE_SUBS[swap]
         w = [x.translate(table) for x in w]
         wp = [x.translate(table) for x in wp]
     return BlockTower(p=slope.p, q=slope.q, cf=entries, swap=swap,
@@ -236,17 +245,11 @@ def test_level_table_towers_match_per_slope_loop():
 
 def test_tower_value_semantics():
     tower = build_blocks(13, 8)
-    seq = block_sequence(tower, 2)
-    assert tower._doubled_word == tower.word * 2
-    # the filled caches take no part in equality, hashing or repr
     fresh = build_blocks(13, 8)
     assert tower == fresh and hash(tower) == hash(fresh)
     assert repr(tower) == repr(fresh)
-    assert block_sequence(tower, 2) is seq
-    # a replaced tower computes its own
     broken = _break_word(tower, tower.depth)
     assert broken != tower
-    assert broken._doubled_word == broken.word * 2 != tower._doubled_word
     assert dataclasses.replace(tower, p=-13).p == -13
     assert len({tower, fresh, Slope.from_pair(13, 8),
                 Slope.from_pair(13, 8)}) == 2
@@ -583,24 +586,10 @@ def test_magic_subwords_exhaustive():
                     assert u not in rots
 
 
-def test_magic_subword_shared_indexes():
-    # a caller-owned index dict gives the same witnesses and holds one
-    # rotation index per block word
-    tower = build_blocks(7, 5)
-    indexes = {}
-    for i in (1, 2):
-        for start in range(len(tower.word)):
-            u = (tower.word + tower.word)[start:start + tower.l[i]]
-            assert (classify_magic_subword(tower, i, u, indexes=indexes)
-                    == classify_magic_subword(tower, i, u))
-    assert set(indexes) == {tower.w[1], tower.w[2]}
-
-
 def _reference_magic_suite(towers):
     """The per-start loop of `_magic_suite` before each distinct subword of
     a (tower, level) was classified once."""
     failures, checks = [], 0
-    indexes = {}
     for t in towers:
         doubled = t.word + t.word
         for i in range(1, t.depth + 1):
@@ -608,8 +597,7 @@ def _reference_magic_suite(towers):
             for s in range(len(t.word)):
                 checks += 1
                 try:
-                    blocks.classify_magic_subword(t, i, doubled[s:s + li],
-                                                  indexes=indexes)
+                    blocks.classify_magic_subword(t, i, doubled[s:s + li])
                 except LemmaViolation as e:
                     failures.append({"p": t.p, "q": t.q, "i": i,
                                      "position": s, "error": str(e)})
@@ -820,6 +808,6 @@ def test_recurrence_failure_messages(tower, checks, messages):
 
 
 def test_tower_abelianization_mismatch_raises(monkeypatch):
-    monkeypatch.setitem(blocks._SUBS, "ab", str.maketrans("", ""))
+    monkeypatch.setitem(blocks._BASE_WORDS, "ab", ("a", "ab"))
     with pytest.raises(LemmaViolation, match="abelianizes"):
         enumerate_primitive_classes(2)

@@ -57,8 +57,14 @@ def capture(argv):
     return code, stream.getvalue()
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def lines_of(text):
-    return [json.loads(line) for line in text.splitlines()]
+    """The JSON records of a report; a NaN or Infinity token fails."""
+    return [json.loads(line, parse_constant=_refuse_constant)
+            for line in text.splitlines()]
 
 
 # ----------------------------------------------------------------- bounds
@@ -238,19 +244,19 @@ def test_scan_bowditch_huge_traces_stay_finite(rep_file):
                                         rel=1e-12)
 
 
-def test_scan_bowditch_flags_non_finite_records(rep_file):
-    # at cap 16 the deepest traces overflow a double themselves, and
-    # those records must count as violations
-    code, out = capture(["scan-bowditch", "--rep", rep_file(HUGE),
-                         "--max-den", "16"])
+def test_scan_bowditch_refuses_non_finite_records(rep_file, capsys):
+    # at cap 16 the deepest traces overflow a double themselves (8 classes,
+    # the first 16/1): the scan refuses and names that class and the cap
+    # instead of writing records that are not JSON
+    path = rep_file(HUGE)
+    code, out = capture(["scan-bowditch", "--rep", path, "--max-den", "15"])
     rows = lines_of(out)
-    records = rows[:-1]
-    non_finite = [r for r in records if not all(
-        map(math.isfinite, (*r["tr"], r["tl"], r["ratio"])))]
-    assert code == 1
-    assert len(records) == 161 and len(non_finite) == 8
-    assert all("non-finite" in r["flags"] for r in non_finite)
-    assert rows[-1]["violations"] == 8
+    assert code == 0 and len(rows) - 1 == 145
+    assert main(["scan-bowditch", "--rep", path, "--max-den", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("class 16/1 is not finite at max_den 16: its image leaves the "
+            "float range") in captured.err
 
 
 def test_scan_ps_markoff(rep_file):
@@ -488,6 +494,19 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
                  id="quadrilateral-delta-below-thin"),
     pytest.param(["quadrilateral", "--delta", "0.5"], "delta",
                  id="quadrilateral-delta-half"),
+    # non-finite constants
+    pytest.param(["quasi-loops", "--slope", "3/2", "--eps", "nan"], "eps",
+                 id="quasi-loops-eps-nan"),
+    pytest.param(["quasi-loops", "--slope", "3/2", "--eps", "inf"], "eps",
+                 id="quasi-loops-eps-inf"),
+    pytest.param(["quasi-loops", "--slope", "3/2", "--eps", "0.1", "--C",
+                  "nan"], "C", id="quasi-loops-C-nan"),
+    pytest.param(["quasi-loops", "--slope", "3/2", "--eps", "0.1", "--C",
+                  "inf"], "C", id="quasi-loops-C-inf"),
+    pytest.param(["perturb", "--radius", "nan"], "radius",
+                 id="perturb-radius-nan"),
+    pytest.param(["perturb", "--radius", "inf"], "radius",
+                 id="perturb-radius-inf"),
 ])
 def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
     if argv[0] not in ("detour", "quadrilateral", "bounds"):
