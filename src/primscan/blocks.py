@@ -73,17 +73,6 @@ def cf_expansion(p, q):
     return out
 
 
-def cf_value(cf):
-    """Evaluate a continued fraction to a pair (p, q), gcd 1, q >= 0.
-
-    The empty expansion evaluates to (1, 0), i.e. the slope of 'a'.
-    """
-    p, q = 1, 0
-    for n in reversed(cf):
-        p, q = n * p + q, p
-    return p, q
-
-
 @dataclass(unsafe_hash=True)
 class Slope:
     """A slope p/q in lowest terms with q >= 0 (and p = 1 when q = 0).

@@ -29,7 +29,6 @@ the same walk on traces.
 """
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -48,7 +47,6 @@ from .geometry import (
     dist_to_geodesic,
     fixed_points,
     mobius_boundary,
-    _coordinate,
     _loxodromic_length,
     _mul,
     _sinh_half_displacement,
@@ -66,8 +64,7 @@ __all__ = [
 # translation per letter below this is a Bowditch violation (C > 1000)
 _LOW_RATIO = 1e-3
 # relative gap between a period of foot increments and the translation
-# length: rounding over a few hundred frames is ~1e-15, so this is a
-# broken frame, not noise
+# length: rounding over a few hundred letters is ~1e-15, not this
 _PERIOD_TOL = 1e-9
 # relative distance below which two boundary points are one
 _BOUNDARY_TOL = 1e-9
@@ -531,79 +528,82 @@ def bowditch_scan(rep, max_denominator):
 
 
 def ps_scan(rep, max_denominator):
-    """Scan the leaves of the primitive classes of `_scanned_classes`:
-    the quasi-geodesic constants of the orbit map on each leaf and the
-    tubular radius around the class axis.
+    """Quasi-geodesic constants and tubes of the leaves of `_scanned_classes`.
 
-    Lemma: let s_m be the axis coordinate of the foot of leaf vertex v_m,
-    l the translation length and n = |gamma|.  rho(gamma) translates the
-    axis by l, so e_m = s_m - m l / n is n-periodic.  Projection onto a
-    geodesic of H^2 or H^3 is 1-Lipschitz (Bridson-Haefliger, Metric
-    spaces of non-positive curvature, Prop. II.2.4), so for all i < j,
-    d(v_i, v_j) >= |s_j - s_i| >= (l / n)(j - i) - osc(e).  Every leaf is
-    a global quasi-geodesic with lower `rate` l / n (the ratio of
-    `bowditch_scan`) and additive constant `osc` = max e - min e.  The
-    foot increments sum to l over a period; `period_error` is the
-    relative gap.
+    Lemma: with s_m the axis coordinate of the foot of leaf vertex v_m, l
+    the translation length and n = |gamma|, e_m = s_m - m l / n is
+    n-periodic.  Projection onto a geodesic is 1-Lipschitz
+    (Bridson-Haefliger, Metric spaces of non-positive curvature, Prop.
+    II.2.4), so d(v_i, v_j) >= (l / n)(j - i) - osc for all i < j, with
+    `rate` l / n (the ratio of `bowditch_scan`) and `osc` = max e - min e.
+    The foot increments sum to l over a period (`period_error`: the
+    relative gap; NaN is flagged).  Distance to a geodesic is convex along
+    leaf edges (ibid., Cor. II.2.5): `tube` = max_j d(o, axis X_j).
 
-    The distance to a geodesic is convex along each geodesic leaf edge
-    (ibid., Cor. II.2.5), so its maximum over the leaf, `tube`, is
-    attained at a vertex: the largest d(o, axis of rotation j).
-
-    Feet and vertex distances are measured one letter at a time in the
-    per-rotation frames of `_rotation_frames`, which `excursion_profile`
-    reads too: both are conjugation-invariant, so this agrees with the
-    deep orbit without the precision loss of deep-orbit coordinates.  Per
-    class of length n the work is O(n).
+    Both come from the fixed points alpha (attracting) and beta (repelling)
+    of each rotation image X_j, in the frames of `_rotation_frames`: with
+    o = (z, t), sinh d(o, axis X_j) = |(z - alpha) conj(z - beta) + t^2|
+    / (t |alpha - beta|), and the foot of (z, t) has the coordinate 1/2
+    ln((|z - beta|^2 + t^2) / (|z - alpha|^2 + t^2)) + const.  Raises
+    ValueError naming the first class with a non-finite image, tube or foot.
     """
-    records = []
     o = rep.basepoint
-    edges = _leaf_edges(rep)
-    for gamma, kind, head in _scanned_classes(rep, max_denominator,
-                                              words=True):
-        rate = head["tl"] / head["len"]
-        frames = None
-        if kind == "loxodromic":
-            try:
-                frames = _rotation_frames(rep, gamma, edges)
-            except NotLoxodromic:
-                pass
-        if frames is None:
-            records.append({
-                **head, "rate": rate, "osc": None, "period_error": None,
-                "tube": None, "flags": ["not-loxodromic"],
-            })
-            continue
-        tube = max(dist_to_geodesic(o, line) for line, _ in frames)
-        # the edge starts at o, the anchor of the line, whose coordinate
-        # is 0
-        deltas = [_coordinate(edge.q, line) for line, edge in frames]
-        # e_m = s_m - m * rate for m < n, with s_0 = 0
-        feet = itertools.accumulate(deltas[:-1], initial=0.0)
-        offsets = [s - i * rate for i, s in enumerate(feet)]
-        osc = max(offsets) - min(offsets)
-        period_error = abs(sum(deltas) - head["tl"]) / max(1.0, head["tl"])
-        flags = []
-        if rate < _LOW_RATIO:
-            flags.append("low-ratio")
-        # a NaN error is flagged too
-        if not period_error <= _PERIOD_TOL:
-            flags.append("period-error")
-        records.append({
-            **head, "rate": rate, "osc": osc, "period_error": period_error,
-            "tube": tube, "flags": flags,
-        })
-    lox = [r for r in records if r["tube"] is not None]
-    aggregate = {
+    ends = {x: apply(X, o) for x, X in rep._letters.items()}
+    records, lox, images, points, refusal = [], [], [], [], None
+    try:
+        for gamma, kind, head in _scanned_classes(rep, max_denominator,
+                                                  words=True):
+            records.append({**head, "rate": head["tl"] / head["len"],
+                            "osc": None, "period_error": None, "tube": None,
+                            "flags": ["not-loxodromic"]})
+            if kind == "loxodromic":
+                lox.append(records[-1])
+                images += _rotation_images(rep, gamma)
+                points += (ends[x] for x in gamma)
+    except ValueError as e:    # raised below unless an earlier class is
+        refusal = e
+    lens = np.array([r["len"] for r in lox], dtype=np.intp)
+    starts = np.cumsum(lens) - lens
+    a, b, c, d = np.array(images, dtype=complex).reshape(-1, 4).T
+    z, t, tr = o.z, o.t, a + d
+    with np.errstate(all="ignore"):    # refused below if not finite
+        # the roots m / 2c and -2b / m of `geometry.fixed_points` as
+        # fractions, so that INF (c = 0) needs no case; |alpha - beta| = |s/c|
+        s = np.sqrt(tr * tr - 4.0 * (a * d - b * c))
+        s = np.where(np.abs(tr + s) < np.abs(tr - s), -s, s)
+        sign = np.where(np.abs(a - d - s) > np.abs(a - d + s), -1.0, 1.0)
+        m = a - d + sign * s    # alpha = m / 2c if sign > 0, else -2b / m
+        sinh_r = np.abs((2 * c * z - m) * np.conj(z * m + 2 * b)
+                        + 2 * t * t * c * np.conj(m)) / (2 * t * np.abs(s * m))
+        # sign * the foot coordinates of o and rho(gamma[j]) o, up to const
+        zs = np.array([[z] * len(points), [p.z for p in points]])
+        ts = np.array([[t] * len(points), [p.t for p in points]])
+        feet = np.log(np.hypot(np.abs(zs * m + 2 * b), ts * np.abs(m))
+                      / np.hypot(np.abs(2 * c * zs - m), 2 * ts * np.abs(c)))
+        deltas = sign * (feet[1] - feet[0])
+        x = deltas - np.repeat([r["rate"] for r in lox], lens)
+        e = np.cumsum(x) - x    # e_m = s_m - m rate: the sum of x before m
+        oscs = np.maximum.reduceat(e, starts) - np.minimum.reduceat(e, starts)
+    for r, osc, period, tube in zip(
+            lox, oscs.tolist(), np.add.reduceat(deltas, starts).tolist(),
+            np.maximum.reduceat(np.arcsinh(sinh_r), starts).tolist()):
+        if not math.isfinite(osc + period + tube):
+            raise ValueError(
+                f"the axis of class {r['p']}/{r['q']} leaves the float range "
+                f"(about 1.8e308) at max_den {max_denominator}")
+        period_error = abs(period - r["tl"]) / max(1.0, r["tl"])
+        low, off = r["rate"] < _LOW_RATIO, not period_error <= _PERIOD_TOL
+        r.update(osc=osc, period_error=period_error, tube=tube,
+                 flags=["low-ratio"] * low + ["period-error"] * off)
+    if refusal is not None:
+        raise refusal
+    return ScanReport(records, {
         "classes": len(records),
         "min_rate": min(r["rate"] for r in records),
-        "max_osc": max((r["osc"] for r in lox), default=None),
-        "max_period_error": max((r["period_error"] for r in lox),
-                                default=None),
-        "max_tube": max((r["tube"] for r in lox), default=None),
+        **{f"max_{k}": max((r[k] for r in lox), default=None)
+           for k in ("osc", "period_error", "tube")},
         "violations": sum(1 for r in records if r["flags"]),
-    }
-    return ScanReport(records, aggregate)
+    })
 
 
 # ---------------------------------------------------------- local-global
@@ -691,9 +691,9 @@ def perturbation_scan(rep, radius, trials, max_denominator, seed=0):
     """Perturb the generator matrices entrywise by uniform noise of the
     given radius, re-unimodularize, and rerun the ratio scan; report the
     minimum and median of the perturbed minimum ratios."""
-    if not 0 <= radius < math.inf:
-        raise ValueError(
-            f"radius must be nonnegative and finite, got {radius}")
+    if not 0 <= 2 * radius < math.inf:    # the noise spans 2 radius
+        raise ValueError(f"radius must be nonnegative, with 2 radius finite "
+                         f"(below about 8.99e307), got {radius}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     base = bowditch_scan(rep, max_denominator)

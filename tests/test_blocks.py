@@ -18,7 +18,6 @@ from primscan.blocks import (
     block_sequence,
     build_blocks,
     cf_expansion,
-    cf_value,
     classify_magic_subword,
     derivation,
     enumerate_primitive_classes,
@@ -42,6 +41,17 @@ from primscan.words import (
 # --------------------------------------------------------------------------
 # continued fractions
 # --------------------------------------------------------------------------
+
+def cf_value(cf):
+    """Evaluate a continued fraction to a pair (p, q), gcd 1, q >= 0.
+
+    The empty expansion evaluates to (1, 0), i.e. the slope of 'a'.
+    """
+    p, q = 1, 0
+    for n in reversed(cf):
+        p, q = n * p + q, p
+    return p, q
+
 
 @given(st.integers(-40, 40), st.integers(1, 40))
 def test_cf_roundtrips_through_fraction(p, q):

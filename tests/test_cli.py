@@ -259,6 +259,24 @@ def test_scan_bowditch_refuses_non_finite_records(rep_file, capsys):
             "float range") in captured.err
 
 
+def test_scan_ps_refuses_non_finite_axes(rep_file, capsys):
+    # from cap 8 the fixed points of the rotation images of 8/1 = a^8 b
+    # overflow (tr^2 passes the float range) while its trace and
+    # translation length stay finite: the scan refuses and names that
+    # class and the cap; at cap 16 8/1 still comes before the overflowing
+    # trace of 16/1
+    path = rep_file(HUGE)
+    code, out = capture(["scan-ps", "--rep", path, "--max-den", "7"])
+    rows = lines_of(out)
+    assert code == 0 and len(rows) - 1 == 37 and rows[-1]["violations"] == 0
+    for cap in ("8", "16"):
+        assert main(["scan-ps", "--rep", path, "--max-den", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"the axis of class 8/1 leaves the float range (about "
+                f"1.8e308) at max_den {cap}") in captured.err
+
+
 def test_scan_ps_markoff(rep_file):
     code, out = capture(["scan-ps", "--rep", rep_file(MARKOFF),
                          "--max-den", "5"])
@@ -507,6 +525,11 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
                  id="perturb-radius-nan"),
     pytest.param(["perturb", "--radius", "inf"], "radius",
                  id="perturb-radius-inf"),
+    # finite, but the noise interval [-radius, radius] is not
+    pytest.param(["perturb", "--radius", "1e308"], "radius",
+                 id="perturb-radius-1e308"),
+    pytest.param(["perturb", "--radius", repr(sys.float_info.max)], "radius",
+                 id="perturb-radius-float-max"),
 ])
 def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
     if argv[0] not in ("detour", "quadrilateral", "bounds"):

@@ -8,6 +8,7 @@ lengths from arccosh of half-traces, and parabolic displacements
 
 import functools
 import importlib.util
+import itertools
 import json
 import math
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primscan import blocks
+from primscan import blocks, geometry
 from primscan.blocks import (
     build_blocks,
     enumerate_primitive_classes,
@@ -33,6 +34,7 @@ from primscan.geometry import (
     distance,
     parse_rep_file,
     translation_length,
+    _coordinate,
     _mul,
     _sinh_half_displacement,
 )
@@ -99,14 +101,15 @@ def test_deepest_class_at_cap_600_has_finite_length():
                                                   rel=1e-12)
 
 
-def random_h3_rep(seed):
+def random_h3_rep(seed, basepoint=HPoint(0, 1)):
     rng = np.random.default_rng(seed)
 
     def unimodular():
         M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         return M / np.sqrt(np.linalg.det(M))
 
-    return Representation("H3", unimodular(), unimodular())
+    return Representation("H3", unimodular(), unimodular(),
+                          basepoint=basepoint)
 
 
 @pytest.mark.parametrize("rep", [markoff(), random_h3_rep(3)],
@@ -247,15 +250,32 @@ def test_bowditch_scan_builds_no_word(monkeypatch):
     assert got.aggregate["classes"] == 981
 
 
+def test_ps_scan_builds_no_axis(monkeypatch):
+    # the tube and the feet come from the entries of the rotation images:
+    # no `Geodesic` per rotation, nor any other
+    def refuse(*args, **kwargs):
+        raise AssertionError("ps_scan built an axis")
+
+    want = ps_scan(markoff(), 40)
+    monkeypatch.setattr(scans, "axis_of", refuse)
+    monkeypatch.setattr(geometry, "Geodesic", refuse)
+    got = ps_scan(markoff(), 40)
+    assert got.records == want.records and got.aggregate == want.aggregate
+    assert got.aggregate["classes"] == 981
+    # the frames of `excursion_profile` still build one axis per rotation
+    with pytest.raises(AssertionError, match="built an axis"):
+        excursion_profile(markoff(), "aab")
+
+
 def test_ps_scan_walks_the_tower_words(monkeypatch):
     walked = []
-    frames = scans._rotation_frames
+    images = scans._rotation_images
 
-    def record(rep, gamma, edges):
+    def record(rep, gamma):
         walked.append(gamma)
-        return frames(rep, gamma, edges)
+        return images(rep, gamma)
 
-    monkeypatch.setattr(scans, "_rotation_frames", record)
+    monkeypatch.setattr(scans, "_rotation_images", record)
     scan = ps_scan(markoff(), 40)
     # every class of the fixture is loxodromic, so every class is walked
     assert len(walked) == len(scan.records) == 981
@@ -869,6 +889,82 @@ def test_ps_scan_markoff_clean():
                            "period_error", "tube", "flags"]
         assert r["rate"] > 0.0 and r["osc"] >= 0.0
         assert r["flags"] == []
+
+
+def frame_ps_records(rep, max_denominator):
+    """`ps_scan`'s records the way the scan took them before it read the
+    fixed points of the rotation images: one `Geodesic` per rotation (the
+    frames of `scans._rotation_frames`), the tube as the largest
+    `dist_to_geodesic(o, axis)` and each foot increment as the
+    `_coordinate` of the end of its leaf edge on that axis."""
+    records = []
+    o = rep.basepoint
+    edges = scans._leaf_edges(rep)
+    for gamma, kind, head in scans._scanned_classes(rep, max_denominator,
+                                                    words=True):
+        rate = head["tl"] / head["len"]
+        frames = None
+        if kind == "loxodromic":
+            try:
+                frames = scans._rotation_frames(rep, gamma, edges)
+            except NotLoxodromic:
+                pass
+        if frames is None:
+            records.append({
+                **head, "rate": rate, "osc": None, "period_error": None,
+                "tube": None, "flags": ["not-loxodromic"],
+            })
+            continue
+        tube = max(dist_to_geodesic(o, line) for line, _ in frames)
+        # the edge starts at o, the anchor of the line, whose coordinate
+        # is 0
+        deltas = [_coordinate(edge.q, line) for line, edge in frames]
+        # e_m = s_m - m * rate for m < n, with s_0 = 0
+        feet = itertools.accumulate(deltas[:-1], initial=0.0)
+        offsets = [s - i * rate for i, s in enumerate(feet)]
+        osc = max(offsets) - min(offsets)
+        period_error = abs(sum(deltas) - head["tl"]) / max(1.0, head["tl"])
+        flags = []
+        if rate < scans._LOW_RATIO:
+            flags.append("low-ratio")
+        if not period_error <= scans._PERIOD_TOL:
+            flags.append("period-error")
+        records.append({
+            **head, "rate": rate, "osc": osc, "period_error": period_error,
+            "tube": tube, "flags": flags,
+        })
+    return records
+
+
+# allowance between `ps_scan` and its frame reference: the two round
+# differently (entry fractions against a normalized point action), a few
+# ulps of values below 10 per rotation, summed over at most 40 foot
+# increments at cap 20; the largest gap measured on these reps is 5e-14
+FRAME_TOL = 1e-12
+OFF_ORIGIN = HPoint(0.3 + 0.2j, 1.3)
+
+
+@pytest.mark.parametrize("rep", [
+    markoff(), criterion_9_rep(0.1), criterion_9_rep(0.01),
+    random_h3_rep(1, OFF_ORIGIN), random_h3_rep(2, OFF_ORIGIN),
+    random_h3_rep(5, OFF_ORIGIN), diagonal_rep()],
+    ids=["markoff", "eta=0.1", "eta=0.01", "h3-1", "h3-2", "h3-5",
+         "diagonal"])
+def test_ps_scan_matches_the_frame_reference(rep):
+    # every record at cap 20; on the diagonal rep every rotation image
+    # has c = 0, so one fixed point of each is INF
+    got = ps_scan(rep, 20).records
+    want = frame_ps_records(rep, 20)
+    assert len(got) == len(want) == 257
+    for g, w in zip(got, want):
+        head = ("p", "q", "len", "tr", "tl", "rate", "flags")
+        assert {k: g[k] for k in head} == {k: w[k] for k in head}
+        for k in ("osc", "period_error", "tube"):
+            if w[k] is None:
+                assert g[k] is None, (g["p"], g["q"], k)
+            else:
+                assert abs(g[k] - w[k]) <= FRAME_TOL * max(1.0, w[k]), \
+                    (g["p"], g["q"], k, g[k], w[k])
 
 
 # rounding allowance of the projection bound: rate * k - osc sums unit-scale
