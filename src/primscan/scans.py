@@ -64,7 +64,7 @@ __all__ = [
 # translation per letter below this is a Bowditch violation (C > 1000)
 _LOW_RATIO = 1e-3
 # relative gap between a period of foot increments and the translation
-# length: rounding over a few hundred letters is ~1e-15, not this
+# length: rounding over a few hundred letters is ~1e-15, far below this
 _PERIOD_TOL = 1e-9
 # relative distance below which two boundary points are one
 _BOUNDARY_TOL = 1e-9
@@ -558,13 +558,13 @@ def ps_scan(rep, max_denominator):
                             "flags": ["not-loxodromic"]})
             if kind == "loxodromic":
                 lox.append(records[-1])
-                images += _rotation_images(rep, gamma)
+                images.append(np.array(_rotation_images(rep, gamma)))
                 points += (ends[x] for x in gamma)
     except ValueError as e:    # raised below unless an earlier class is
         refusal = e
     lens = np.array([r["len"] for r in lox], dtype=np.intp)
     starts = np.cumsum(lens) - lens
-    a, b, c, d = np.array(images, dtype=complex).reshape(-1, 4).T
+    a, b, c, d = np.concatenate(images or [np.empty((0, 4))]).T
     z, t, tr = o.z, o.t, a + d
     with np.errstate(all="ignore"):    # refused below if not finite
         # the roots m / 2c and -2b / m of `geometry.fixed_points` as
@@ -576,10 +576,10 @@ def ps_scan(rep, max_denominator):
         sinh_r = np.abs((2 * c * z - m) * np.conj(z * m + 2 * b)
                         + 2 * t * t * c * np.conj(m)) / (2 * t * np.abs(s * m))
         # sign * the foot coordinates of o and rho(gamma[j]) o, up to const
-        zs = np.array([[z] * len(points), [p.z for p in points]])
-        ts = np.array([[t] * len(points), [p.t for p in points]])
-        feet = np.log(np.hypot(np.abs(zs * m + 2 * b), ts * np.abs(m))
-                      / np.hypot(np.abs(2 * c * zs - m), 2 * ts * np.abs(c)))
+        feet = [np.log(np.hypot(np.abs(u * m + 2 * b), v * np.abs(m))
+                       / np.hypot(np.abs(2 * c * u - m), 2 * v * np.abs(c)))
+                for u, v in ((z, t), (np.array([p.z for p in points]),
+                                      np.array([p.t for p in points])))]
         deltas = sign * (feet[1] - feet[0])
         x = deltas - np.repeat([r["rate"] for r in lox], lens)
         e = np.cumsum(x) - x    # e_m = s_m - m rate: the sum of x before m
