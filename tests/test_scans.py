@@ -892,11 +892,11 @@ def test_ps_scan_markoff_clean():
 
 
 def frame_ps_records(rep, max_denominator):
-    """`ps_scan`'s records the way the scan took them before it read the
-    fixed points of the rotation images: one `Geodesic` per rotation (the
-    frames of `scans._rotation_frames`), the tube as the largest
-    `dist_to_geodesic(o, axis)` and each foot increment as the
-    `_coordinate` of the end of its leaf edge on that axis."""
+    """`ps_scan`'s records from the frames of `scans._rotation_frames`,
+    the reference for its closed forms: one `Geodesic` per rotation, the
+    tube as the largest `dist_to_geodesic(o, axis)` and each foot
+    increment as the `_coordinate` of the end of its leaf edge on that
+    axis."""
     records = []
     o = rep.basepoint
     edges = scans._leaf_edges(rep)
