@@ -157,7 +157,7 @@ def _cmd_excursion(args):
     periodicity = prof.periodicity_defect()
     lipschitz = prof.lipschitz_defect()
     # A profile that fails its own seam or Lipschitz bound has lost
-    # precision in its frames; refuse it.
+    # precision in its rotation axes; refuse it.
     if periodicity > 1e-6:
         raise ValueError(f"periodicity defect {periodicity:.3g} exceeds "
                          f"the bound 1e-06")

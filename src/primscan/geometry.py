@@ -380,11 +380,6 @@ class Geodesic:
     def __repr__(self):
         return f"Geodesic({self.endpoints[0]!r}, {self.endpoints[1]!r})"
 
-    @property
-    def anchor(self):
-        """The foot of the reference basepoint (coordinate 0)."""
-        return self.point_at(0.0)
-
     def point_at(self, h):
         """The point with signed coordinate h (arc length from the anchor)."""
         return apply(self._inv, HPoint(0.0, math.exp(self._anchor_coord + h)))

@@ -42,9 +42,7 @@ from .geometry import (
     Representation,
     Segment,
     apply,
-    axis_of,
     classify,
-    dist_to_geodesic,
     fixed_points,
     mobius_boundary,
     _loxodromic_length,
@@ -122,18 +120,28 @@ def _leaf_edges(rep):
     return {x: Segment(o, apply(X, o)) for x, X in rep._letters.items()}
 
 
-def _rotation_frames(rep, gamma, edges):
-    """Frame j of gamma for each rotation j: (axis of rho(rotate(gamma,
-    j)), edges[gamma[j]]), with `edges` from `_leaf_edges`.
+def _rotation_axes(images):
+    """(b, c, m, s, sign) of an (n, 4) array of rotation images: the roots
+    of `geometry.fixed_points` kept as the fractions m / 2c and -2b / m, so
+    that INF (c = 0) needs no case.  The attracting point alpha is m / 2c
+    if sign > 0, else -2b / m, and |alpha - beta| = |s / c|."""
+    a, b, c, d = images.T
+    tr = a + d
+    with np.errstate(all="ignore"):    # refused by the callers if not finite
+        s = np.sqrt(tr * tr - 4.0 * (a * d - b * c))
+        s = np.where(np.abs(tr + s) < np.abs(tr - s), -s, s)
+        sign = np.where(np.abs(a - d - s) > np.abs(a - d + s), -1.0, 1.0)
+        return b, c, a - d + sign * s, s, sign
 
-    rho(gamma[:j])^-1 maps the leaf edge from vertex j to vertex j + 1
-    to the edge of its letter gamma[j], and the axis of gamma to the axis
-    of rho(rotate(gamma, j)), so E(j + f) = d(edge.interpolate(f), axis)
-    is evaluated at unit scale at every depth of the leaf.  Raises
-    NotLoxodromic when a rotated image is not loxodromic.
-    """
-    return [(axis_of(X, basepoint=rep.basepoint), edges[x])
-            for X, x in zip(_rotation_images(rep, gamma), gamma)]
+
+def _axis_distance(axes, z, t):
+    """d((z, t), axis) for each axis of `_rotation_axes`: sinh d =
+    |(z - alpha) conj(z - beta) + t^2| / (t |alpha - beta|), cleared."""
+    b, c, m, s, _ = axes
+    with np.errstate(all="ignore"):
+        return np.arcsinh(np.abs((2 * c * z - m) * np.conj(z * m + 2 * b)
+                                 + 2 * t * t * c * np.conj(m))
+                          / (2 * t * np.abs(s * m)))
 
 
 # matrices per displacement batch: bounds the memory of the offset grid
@@ -196,13 +204,6 @@ def _offset_minima(rep, letters, kmax, starts):
             for d in np.minimum.reduceat(disps, bounds).tolist()]
 
 
-def _excursion_at(frames, u):
-    """E(u) from the frame of rotation floor(u) mod the period."""
-    j = math.floor(u)
-    line, seg = frames[j % len(frames)]
-    return dist_to_geodesic(seg.interpolate(u - j), line)
-
-
 class ExcursionProfile:
     """The distance E(u) from the leaf of gamma (the orbit of the
     basepoint, joined by geodesic edges) to the axis line of gamma,
@@ -214,21 +215,35 @@ class ExcursionProfile:
     tolerate one grid step of slack.
     """
 
-    __slots__ = ("gamma", "period", "step", "us", "values", "frames",
+    __slots__ = ("gamma", "period", "step", "us", "values", "axes", "edges",
                  "cprime")
 
-    def __init__(self, gamma, period, step, us, values, frames, cprime):
-        self.gamma = gamma
-        self.period = period
-        self.step = step
-        self.us = us
-        self.values = values
-        self.frames = frames
-        self.cprime = cprime
+    def __init__(self, gamma, us, axes, edges, cprime):
+        self.gamma, self.period, self.us = gamma, len(gamma), us
+        self.step = float(us[1] - us[0])
+        self.axes, self.edges, self.cprime = axes, edges, cprime
+        js = np.floor(us).astype(np.intp)
+        self.values = self._at(js, us - js)
+
+    def _at(self, js, fs):
+        """E(j + f) for the arrays js and fs: the distance from fraction f
+        of the edge of letter gamma[j] to the axis of rotation j (j mod the
+        period).  Raises ValueError once a value is not finite."""
+        js = js % self.period
+        points = [self.edges[self.gamma[j]].interpolate(f)
+                  for j, f in zip(js.tolist(), fs.tolist())]
+        values = _axis_distance([x[js] for x in self.axes],
+                                np.array([p.z for p in points]),
+                                np.array([p.t for p in points]))
+        if not np.isfinite(values).all():
+            raise ValueError(f"the axis of the {self.period}-letter word "
+                             f"leaves the float range (about 1.8e308)")
+        return values
 
     def value(self, u):
         """E at an arbitrary parameter."""
-        return _excursion_at(self.frames, u)
+        j = math.floor(u)
+        return float(self._at(np.array([j]), np.array([u - j]))[0])
 
     @property
     def min_excursion(self):
@@ -294,15 +309,13 @@ class ExcursionProfile:
         return best
 
     def periodicity_defect(self):
-        """The seam defect: max over the vertices j of |E(j)| from frame
-        j - 1 at fraction 1 against frame j at fraction 0 (j = 0 is the
+        """The seam defect: max over the vertices j of |E(j)| from rotation
+        j - 1 at fraction 1 against rotation j at fraction 0 (j = 0 is the
         wrap u = period).  The two agree in exact arithmetic, so this
-        measures the precision of the frames."""
-        return max(
-            abs(dist_to_geodesic(prev_seg.interpolate(1.0), prev_line)
-                - dist_to_geodesic(seg.interpolate(0.0), line))
-            for (prev_line, prev_seg), (line, seg)
-            in zip(self.frames[-1:] + self.frames[:-1], self.frames))
+        measures the precision of the closed form."""
+        js = np.arange(self.period)
+        ends = self._at(js - 1, np.ones(self.period))
+        return float(np.abs(ends - self._at(js, np.zeros(self.period))).max())
 
     def lipschitz_defect(self):
         """max |E(u_{i+1}) - E(u_i)| - C' * step (negative when the
@@ -312,8 +325,10 @@ class ExcursionProfile:
 
 
 def excursion_profile(rep, gamma, step=0.25):
-    """Sample E(u) = d(leaf(u), axis line of gamma) over one period, in
-    the per-rotation frames of `_rotation_frames`."""
+    """Sample E(u) = d(leaf(u), axis line of gamma) over one period.
+    rho(gamma[:j])^-1 maps leaf edge j to the edge of its letter at o
+    (`_leaf_edges`) and the axis of gamma to that of rotation j, so every
+    sample is taken at unit scale, at every depth of the leaf."""
     _check_scan_word(gamma, cyclic=True)
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
@@ -321,13 +336,11 @@ def excursion_profile(rep, gamma, step=0.25):
     if classify(m) != "loxodromic":
         raise NotLoxodromic(f"image of {gamma!r} is {classify(m)}",
                             m[0] + m[3])
-    frames = _rotation_frames(rep, gamma, _leaf_edges(rep))
-    period = len(gamma)
-    count = max(1, math.ceil(period / step - 1e-9))
-    us = np.linspace(0.0, float(period), count + 1)
-    values = np.array([_excursion_at(frames, u) for u in us])
-    return ExcursionProfile(gamma, period, float(us[1] - us[0]), us, values,
-                            frames, rep.c_prime)
+    count = max(1, math.ceil(len(gamma) / step - 1e-9))
+    return ExcursionProfile(
+        gamma, np.linspace(0.0, float(len(gamma)), count + 1),
+        _rotation_axes(np.array(_rotation_images(rep, gamma))),
+        _leaf_edges(rep), rep.c_prime)
 
 
 # ----------------------------------------------------------- quasi-loops
@@ -541,9 +554,8 @@ def ps_scan(rep, max_denominator):
     leaf edges (ibid., Cor. II.2.5): `tube` = max_j d(o, axis X_j).
 
     Both come from the fixed points alpha (attracting) and beta (repelling)
-    of each rotation image X_j, in the frames of `_rotation_frames`: with
-    o = (z, t), sinh d(o, axis X_j) = |(z - alpha) conj(z - beta) + t^2|
-    / (t |alpha - beta|), and the foot of (z, t) has the coordinate 1/2
+    of each rotation image X_j (`_rotation_axes`): the tube is
+    `_axis_distance` at o, and the foot of (z, t) has the coordinate 1/2
     ln((|z - beta|^2 + t^2) / (|z - alpha|^2 + t^2)) + const.  Raises
     ValueError naming the first class with a non-finite image, tube or foot.
     """
@@ -564,21 +576,13 @@ def ps_scan(rep, max_denominator):
         refusal = e
     lens = np.array([r["len"] for r in lox], dtype=np.intp)
     starts = np.cumsum(lens) - lens
-    a, b, c, d = np.concatenate(images or [np.empty((0, 4))]).T
-    z, t, tr = o.z, o.t, a + d
+    b, c, m, _, sign = axes = _rotation_axes(
+        np.concatenate(images or [np.empty((0, 4))]))
     with np.errstate(all="ignore"):    # refused below if not finite
-        # the roots m / 2c and -2b / m of `geometry.fixed_points` as
-        # fractions, so that INF (c = 0) needs no case; |alpha - beta| = |s/c|
-        s = np.sqrt(tr * tr - 4.0 * (a * d - b * c))
-        s = np.where(np.abs(tr + s) < np.abs(tr - s), -s, s)
-        sign = np.where(np.abs(a - d - s) > np.abs(a - d + s), -1.0, 1.0)
-        m = a - d + sign * s    # alpha = m / 2c if sign > 0, else -2b / m
-        sinh_r = np.abs((2 * c * z - m) * np.conj(z * m + 2 * b)
-                        + 2 * t * t * c * np.conj(m)) / (2 * t * np.abs(s * m))
         # sign * the foot coordinates of o and rho(gamma[j]) o, up to const
         feet = [np.log(np.hypot(np.abs(u * m + 2 * b), v * np.abs(m))
                        / np.hypot(np.abs(2 * c * u - m), 2 * v * np.abs(c)))
-                for u, v in ((z, t), (np.array([p.z for p in points]),
+                for u, v in ((o.z, o.t), (np.array([p.z for p in points]),
                                       np.array([p.t for p in points])))]
         deltas = sign * (feet[1] - feet[0])
         x = deltas - np.repeat([r["rate"] for r in lox], lens)
@@ -586,7 +590,8 @@ def ps_scan(rep, max_denominator):
         oscs = np.maximum.reduceat(e, starts) - np.minimum.reduceat(e, starts)
     for r, osc, period, tube in zip(
             lox, oscs.tolist(), np.add.reduceat(deltas, starts).tolist(),
-            np.maximum.reduceat(np.arcsinh(sinh_r), starts).tolist()):
+            np.maximum.reduceat(_axis_distance(axes, o.z, o.t),
+                                starts).tolist()):
         if not math.isfinite(osc + period + tube):
             raise ValueError(
                 f"the axis of class {r['p']}/{r['q']} leaves the float range "

@@ -578,8 +578,8 @@ def test_detour_past_the_float_range_exits_two(capsys, argv):
 
 def test_excursion_refuses_failed_periodicity(rep_file, capsys,
                                              monkeypatch):
-    # no known input breaks the seams of the per-rotation frames, so the
-    # refusal is driven by a stand-in defect
+    # no known input breaks the seams of the closed form, so the refusal
+    # is driven by a stand-in defect
     monkeypatch.setattr(ExcursionProfile, "periodicity_defect",
                         lambda self: 1e-3)
     code = main(["excursion", "--rep", rep_file(MARKOFF), "--slope", "2/1"])
@@ -589,13 +589,28 @@ def test_excursion_refuses_failed_periodicity(rep_file, capsys,
 
 @pytest.mark.parametrize("slope", ["8/5", "34/21", "55/34", "199/200"])
 def test_excursion_holds_precision_on_deep_classes(rep_file, slope):
-    # 13- to 399-letter class words: the frames stay at unit scale
+    # 13- to 399-letter class words: every sample is taken at the
+    # basepoint, from the fixed points of a rotation image
     code, out = capture(["excursion", "--rep", rep_file(MARKOFF),
                          "--slope", slope])
     agg = lines_of(out)[-1]
     assert code == 0
     assert agg["periodicity_defect"] <= 1e-12
     assert agg["lipschitz_defect"] <= 0.0
+
+
+def test_excursion_refuses_axes_past_the_float_range(rep_file, capsys):
+    # tr^2 - 4 det of the rotation images of b^369 a overflows, so its
+    # axes are not finite: the profile refuses and names the word length
+    path = rep_file(MARKOFF)
+    code, out = capture(["excursion", "--rep", path, "--slope", "1/368"])
+    assert code == 0 and len(lines_of(out)) == 4 * 369 + 2
+    for slope, n in (("1/369", 370), ("400/401", 801), ("-1/370", 371)):
+        assert main(["excursion", "--rep", path, "--slope", slope]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"the axis of the {n}-letter word leaves the float range "
+                f"(about 1.8e308)") in captured.err
 
 
 def test_excursion_on_elliptic_class_exits_two(rep_file, capsys):

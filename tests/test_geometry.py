@@ -625,7 +625,7 @@ def test_geodesic_metrics_vertical_axis():
     assert m.dist == pytest.approx(0.0, abs=1e-12)
     assert m.coordinate == pytest.approx(1.0, abs=1e-12)
     assert m.foot.z == pytest.approx(0.0) and m.foot.t == pytest.approx(math.e)
-    assert g.anchor.t == pytest.approx(1.0)
+    assert g.point_at(0.0).t == pytest.approx(1.0)
 
 
 def test_geodesic_metrics_point_on_line():

@@ -257,14 +257,26 @@ def test_ps_scan_builds_no_axis(monkeypatch):
         raise AssertionError("ps_scan built an axis")
 
     want = ps_scan(markoff(), 40)
-    monkeypatch.setattr(scans, "axis_of", refuse)
-    monkeypatch.setattr(geometry, "Geodesic", refuse)
-    got = ps_scan(markoff(), 40)
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "axis_of", refuse)
+        patch.setattr(geometry, "Geodesic", refuse)
+        got = ps_scan(markoff(), 40)
     assert got.records == want.records and got.aggregate == want.aggregate
     assert got.aggregate["classes"] == 981
-    # the frames of `excursion_profile` still build one axis per rotation
-    with pytest.raises(AssertionError, match="built an axis"):
-        excursion_profile(markoff(), "aab")
+    # `excursion_profile` builds one `Geodesic` per leaf edge, the four
+    # of `_leaf_edges`, whatever the length of the word
+    built = []
+    init = geometry.Geodesic.__init__
+
+    def count(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.Geodesic, "__init__", count)
+    prof = excursion_profile(markoff(), build_blocks(199, 200).word)
+    prof.periodicity_defect()
+    prof.value(123.4)
+    assert prof.period == 399 and len(built) == 4
 
 
 def test_ps_scan_walks_the_tower_words(monkeypatch):
@@ -495,8 +507,8 @@ def test_excursion_zero_on_axis_power():
 
 
 def test_excursion_matches_direct_distance_at_vertices():
-    # the per-rotation frames against the deep orbit: vertex j is
-    # rho(gamma[:j]) o, and the edge midpoints lie on the deep segments
+    # the rotation axes at the basepoint against the deep orbit: vertex j
+    # is rho(gamma[:j]) o, and the edge midpoints lie on the deep segments
     rep = markoff()
     gamma = "abaab"
     prof = excursion_profile(rep, gamma, step=0.25)
@@ -520,7 +532,7 @@ def test_excursion_periodicity_and_lipschitz():
 def test_excursion_seam_with_cancelling_fixed_point():
     # the axis of rotation 0 needs the repelling point -0.5 of
     # A A B = [[2e8, 1e8], [1e-8, 1e-8]], which the quadratic formula
-    # cancels to 0; a wrong axis breaks the seams between the frames
+    # cancels to 0; a wrong axis breaks the seams between the rotations
     rep = Representation("H2", [[1e4, 0], [0, 1e-4]], [[2, 1], [1, 1]])
     prof = excursion_profile(rep, "aab", step=0.25)
     assert prof.periodicity_defect() <= 1e-12
@@ -891,12 +903,33 @@ def test_ps_scan_markoff_clean():
         assert r["flags"] == []
 
 
+def rotation_frames(rep, gamma, edges):
+    """Frame j of gamma for each rotation j: (axis of rho(rotate(gamma,
+    j)), edges[gamma[j]]), with `edges` from `scans._leaf_edges`: one
+    `Geodesic` per rotation, the reference for the closed forms of
+    `scans._rotation_axes`.  Raises NotLoxodromic when a rotated image is
+    not loxodromic."""
+    return [(axis_of(X, basepoint=rep.basepoint), edges[x])
+            for X, x in zip(_rotation_images(rep, gamma), gamma)]
+
+
+def frame_excursion_values(rep, gamma, us):
+    """E(u) at each u from the frame of rotation floor(u) mod the period:
+    the reference for `excursion_profile`."""
+    frames = rotation_frames(rep, gamma, scans._leaf_edges(rep))
+    values = []
+    for u in us:
+        j = math.floor(u)
+        line, seg = frames[j % len(frames)]
+        values.append(dist_to_geodesic(seg.interpolate(u - j), line))
+    return values
+
+
 def frame_ps_records(rep, max_denominator):
-    """`ps_scan`'s records from the frames of `scans._rotation_frames`,
-    the reference for its closed forms: one `Geodesic` per rotation, the
-    tube as the largest `dist_to_geodesic(o, axis)` and each foot
-    increment as the `_coordinate` of the end of its leaf edge on that
-    axis."""
+    """`ps_scan`'s records from the frames of `rotation_frames`, the
+    reference for its closed forms: the tube as the largest
+    `dist_to_geodesic(o, axis)` and each foot increment as the
+    `_coordinate` of the end of its leaf edge on that axis."""
     records = []
     o = rep.basepoint
     edges = scans._leaf_edges(rep)
@@ -906,7 +939,7 @@ def frame_ps_records(rep, max_denominator):
         frames = None
         if kind == "loxodromic":
             try:
-                frames = scans._rotation_frames(rep, gamma, edges)
+                frames = rotation_frames(rep, gamma, edges)
             except NotLoxodromic:
                 pass
         if frames is None:
@@ -967,6 +1000,66 @@ def test_ps_scan_matches_the_frame_reference(rep):
                     (g["p"], g["q"], k, g[k], w[k])
 
 
+# allowance between `excursion_profile` and its frame reference: both
+# evaluate at the same points of the leaf edges and differ only in the
+# axis (entry fractions against a normalized point action); the largest
+# gap measured on these reps, over every class word up to cap 12, is
+# 3.0e-15, about 30 times below this
+EXCURSION_TOL = 1e-13
+MARKOFF_SLOPES = [(8, 5), (55, 34), (199, 200), (-5, 8)]
+
+
+@pytest.mark.parametrize("rep, slopes", [
+    (markoff(), MARKOFF_SLOPES),
+    *[(rep, [(8, 5), (3, 2), (-5, 8)]) for rep in (
+        criterion_9_rep(0.1), criterion_9_rep(0.01), diagonal_rep(),
+        random_h3_rep(1, OFF_ORIGIN), random_h3_rep(2, OFF_ORIGIN),
+        random_h3_rep(5, OFF_ORIGIN))]],
+    ids=["markoff", "eta=0.1", "eta=0.01", "diagonal", "h3-1", "h3-2",
+         "h3-5"])
+def test_excursion_matches_the_frame_reference(rep, slopes):
+    # every sample, a point off the grid in each edge and the seams; on
+    # the diagonal rep every rotation image has c = 0
+    for p, q in slopes:
+        gamma = build_blocks(p, q).word
+        prof = excursion_profile(rep, gamma, step=0.25)
+        off_grid = np.arange(prof.period) + 0.3
+        got = [*prof.values.tolist(), *(prof.value(u) for u in off_grid)]
+        want = frame_excursion_values(rep, gamma, [*prof.us, *off_grid])
+        for u, g, w in zip([*prof.us, *off_grid], got, want):
+            assert abs(g - w) <= EXCURSION_TOL * max(1.0, w), (p, q, u, g, w)
+        assert prof.periodicity_defect() <= 1e-12, (p, q)
+
+
+def test_rotation_axes_are_the_fixed_points():
+    # the fractions m / 2c and -2b / m against `geometry.fixed_points`:
+    # m / 2c attracts when sign > 0, and it is INF where c = 0
+    rng = np.random.default_rng(22)
+    general = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+    general /= np.sqrt(general[:, 0] * general[:, 3]
+                       - general[:, 1] * general[:, 2])[:, None]
+    upper = general.copy()
+    upper[:, 2], upper[:, 3] = 0.0, 1.0 / upper[:, 0]
+    for images in (general, upper):
+        b, c, m, s, sign = scans._rotation_axes(images)
+        for X, bj, cj, mj, sj, signj in zip(images.tolist(), b.tolist(),
+                                            c.tolist(), m.tolist(),
+                                            s.tolist(), sign.tolist()):
+            over_c = geometry.INF if cj == 0 else mj / (2 * cj)
+            roots = (over_c, -2 * bj / mj)
+            want = geometry.fixed_points(X)
+            got = roots if signj > 0 else roots[::-1]
+            for g, w in zip(got, want):
+                if w is geometry.INF:
+                    assert g is geometry.INF, (X, got, want)
+                else:
+                    assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), \
+                        (X, got, want)
+            if cj != 0:    # |alpha - beta| = |s / c|
+                assert abs(got[0] - got[1]) == pytest.approx(abs(sj / cj),
+                                                             rel=1e-12)
+
+
 # rounding allowance of the projection bound: rate * k - osc sums unit-scale
 # foot increments over one period, and d comes from products of at most 69
 # letters; each is a few ulps of values below 100, about 1e-14
@@ -1008,7 +1101,8 @@ def test_ps_scan_flags_low_ratio_as_bowditch_scan_does():
 
 
 def test_ps_scan_flags_period_error(monkeypatch):
-    # no known input breaks the frames, so a stand-in tolerance drives it
+    # no known input breaks the closed forms, so a stand-in tolerance
+    # drives it
     monkeypatch.setattr(scans, "_PERIOD_TOL", -1.0)
     scan = ps_scan(markoff(), 4)
     assert all(r["flags"] == ["period-error"] for r in scan.records)
