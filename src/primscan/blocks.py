@@ -255,11 +255,20 @@ def enumerate_primitive_classes(max_den):
     Deterministic order: by q, then p; so 1/0 comes first, then 0/1, 1/1,
     2/1, ...  The count is 2 + #{(p, q) : 1 <= p, q <= max_den, coprime}.
     """
-    # the pairs are coprime and nonnegative: no from_pair checks needed
-    slopes = [Slope(p, q, tuple(cf_expansion(p, q)) if q else ())
-              for p, q in _class_pairs(max_den)]
-    levels = {}
-    return [(slope, _build_tower(slope, levels)) for slope in slopes]
+    return list(_class_towers(_class_pairs(max_den), {}))
+
+
+def _class_towers(pairs, levels):
+    """Yield (Slope, BlockTower) for each (p, q) of `pairs`, in order, with
+    the towers built one at a time on the level table `levels`.
+
+    Read between two towers, len(levels) tells how many levels the last
+    one added.  The pairs must be coprime and nonnegative, like those of
+    `_class_pairs`: the slopes are built without the from_pair checks.
+    """
+    for p, q in pairs:
+        slope = Slope(p, q, tuple(cf_expansion(p, q)) if q else ())
+        yield slope, _build_tower(slope, levels)
 
 
 def _class_pairs(max_den):
@@ -619,55 +628,113 @@ class SuiteReport:
 
 
 def _towers_by_word_length(cap):
+    """The towers whose class word has at most `cap` letters, one at a
+    time, in the order of `_class_pairs(cap)`."""
     # the class word of a slope p/q with p >= 0 has p + q letters
+    pairs = [(p, q) for p, q in _class_pairs(cap) if p + q <= cap]
+    return (t for _, t in _class_towers(pairs, {}))
+
+
+def _recurrence_suite(cap):
+    """The word and length recurrences and the length inequalities of
+    every tower of `enumerate_primitive_classes(cap)`.
+
+    The towers are built one at a time on one level table and dropped once
+    checked.  The checks of level i read levels i - 1 and i only, which
+    are the same in every tower that holds level i, so `_check_level` runs
+    once per level of the table: in the tower that adds it, whose top
+    levels, as many as the table grew by, are the new ones.  Checks and
+    failures stay per (tower, level): a failing level's messages are
+    recorded again for every tower that holds it.
+    """
+    failures, checks = [], 0
     levels = {}
-    return [_build_tower(Slope.from_pair(p, q), levels)
-            for p, q in _class_pairs(cap) if p + q <= cap]
+    failing = {}    # (swap, entries[:i]) -> `_check_level` messages
+    size = 0
+    for _, t in _class_towers(_class_pairs(cap), levels):
+        new, size = len(levels) - size, len(levels)
+        depth = t.depth
+        for i in range(max(1, depth + 1 - new), depth + 1):
+            own, inequality = found = _check_level(t, i)
+            if own or inequality:
+                failing[t.swap, t.cf[:i]] = found
+        held = []
+        if failing:
+            for i in range(1, depth + 1):
+                found = failing.get((t.swap, t.cf[:i]))
+                if found:
+                    held.append(found)
+        checks += _check_tower(t, held, failures)
+    return checks, failures
 
 
-def _check_recurrences(t, failures):
-    """Word and length recurrences plus the length inequalities for one
-    tower, in exact integer and string arithmetic.  A failure's message is
-    formatted only when its check fails."""
+def _check_tower(t, level_failures, failures):
+    """Record the failures of one tower, in exact integer arithmetic, and
+    return its number of checks, those of its levels included.
+
+    The tower's own checks are its base lengths and its word length.
+    `level_failures` holds the messages of `_check_level(t, i)`, in level
+    order, for the levels i that fail (passing ones may be included).  A
+    record is appended to `failures` for each failure: the tower's own,
+    then the level checks by level, then the (m+2) l_(i-1) inequalities
+    by level.
+    """
     def fail(what):
         failures.append({"p": t.p, "q": t.q, "check": what})
 
-    w, wp, l, lp, cf = t.w, t.wp, t.l, t.lp, t.cf
-    checks = 2
-    if not (l[0] == 1 and lp[0] == 2):
+    if not (t.l[0] == 1 and t.lp[0] == 2):
         fail("base lengths")
     if len(t.word) != abs(t.p) + t.q:
         fail("word length |p| + q")
-    for i in range(1, t.depth + 1):
-        n = cf[i - 1]
-        checks += 7
-        if w[i] != w[i - 1] * (n - 1) + wp[i - 1]:
-            fail(f"w recurrence at level {i}")
-        if wp[i] != w[i - 1] * n + wp[i - 1]:
-            fail(f"w' recurrence at level {i}")
-        if wp[i] != w[i - 1] + w[i]:
-            fail(f"w' = w_(i-1) w_i at level {i}")
-        if lp[i] != l[i] + l[i - 1]:
-            fail(f"l' recurrence at level {i}")
-        if not l[i] < lp[i] < 2 * l[i]:
-            fail(f"l < l' < 2l at level {i}")
-        if not i + 1 <= l[i]:
-            fail(f"l_i >= i + 1 at level {i}")
-        if i == 1:
-            if l[1] != (n + 1) * l[0]:
-                fail("l_1 = (n_1 + 1) l_0")
-        elif not n * l[i - 1] < l[i] < (n + 1) * l[i - 1]:
-            fail(f"n l < l < (n+1) l at level {i}")
-    for i in range(2, t.depth + 1):
-        m = cf[i - 2]
-        checks += 1
-        lhs, rhs = (m + 2) * l[i - 1], (m + 1) * l[i]
-        if i >= 3 or cf[i - 1] >= 2:
-            if not lhs < rhs:
-                fail(f"(m+2) l_(i-1) < (m+1) l_i at level {i}")
-        elif not lhs <= rhs:
-            fail(f"(m+2) l_(i-1) <= (m+1) l_i at level {i}")
-    return checks
+    for own, _ in level_failures:
+        for what in own:
+            fail(what)
+    for _, inequality in level_failures:
+        for what in inequality:
+            fail(what)
+    # seven checks at every level, and the inequality from level 2 on
+    depth = t.depth
+    return 2 + 7 * depth + max(depth - 1, 0)
+
+
+def _check_level(t, i):
+    """The word and length recurrences and the length inequalities at
+    level i >= 1 of tower t, in exact integer and string arithmetic.
+
+    They read levels i - 1 and i only.  Returns the failure messages as
+    two lists: those of the seven level checks, and that of the
+    (m+2) l_(i-1) inequality, which starts at level 2.  A message is
+    formatted only when its check fails.
+    """
+    w, wp, l, lp, cf = t.w, t.wp, t.l, t.lp, t.cf
+    n = cf[i - 1]
+    own, inequality = [], []
+    if w[i] != w[i - 1] * (n - 1) + wp[i - 1]:
+        own.append(f"w recurrence at level {i}")
+    if wp[i] != w[i - 1] * n + wp[i - 1]:
+        own.append(f"w' recurrence at level {i}")
+    if wp[i] != w[i - 1] + w[i]:
+        own.append(f"w' = w_(i-1) w_i at level {i}")
+    if lp[i] != l[i] + l[i - 1]:
+        own.append(f"l' recurrence at level {i}")
+    if not l[i] < lp[i] < 2 * l[i]:
+        own.append(f"l < l' < 2l at level {i}")
+    if not i + 1 <= l[i]:
+        own.append(f"l_i >= i + 1 at level {i}")
+    if i == 1:
+        if l[1] != (n + 1) * l[0]:
+            own.append("l_1 = (n_1 + 1) l_0")
+        return own, inequality
+    if not n * l[i - 1] < l[i] < (n + 1) * l[i - 1]:
+        own.append(f"n l < l < (n+1) l at level {i}")
+    m = cf[i - 2]
+    lhs, rhs = (m + 2) * l[i - 1], (m + 1) * l[i]
+    if i >= 3 or n >= 2:
+        if not lhs < rhs:
+            inequality.append(f"(m+2) l_(i-1) < (m+1) l_i at level {i}")
+    elif not lhs <= rhs:
+        inequality.append(f"(m+2) l_(i-1) <= (m+1) l_i at level {i}")
+    return own, inequality
 
 
 def _magic_suite(cap):
@@ -811,9 +878,7 @@ def run_suite(suite, cap):
     "magic-len", "perm-cycl", and "bloc".
     """
     if suite == "recurrences":
-        failures, checks = [], 0
-        for _, t in enumerate_primitive_classes(cap):
-            checks += _check_recurrences(t, failures)
+        checks, failures = _recurrence_suite(cap)
         return SuiteReport(suite, cap, checks, failures)
     if suite == "magic-len":
         checks, failures = _magic_suite(cap)

@@ -394,8 +394,16 @@ def _segment_clearance(zp, tp, zq, tq):
             return 0.0
     elif lo <= math.acos(-1.0 / k) <= hi:
         stationary = math.sqrt(k * k - 1.0)
-    return math.asinh(min(stationary, (k + math.cos(lo)) / math.sin(lo),
-                          (k + math.cos(hi)) / math.sin(hi)))
+    # min(stationary, at lo, at hi) without building its argument tuple:
+    # the same comparisons, in the same order, as `min`
+    best = stationary
+    c = (k + math.cos(lo)) / math.sin(lo)
+    if c < best:
+        best = c
+    c = (k + math.cos(hi)) / math.sin(hi)
+    if c < best:
+        best = c
+    return math.asinh(best)
 
 
 class DetourMeasurement(NamedTuple):

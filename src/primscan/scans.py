@@ -230,11 +230,15 @@ class ExcursionProfile:
         of the edge of letter gamma[j] to the axis of rotation j (j mod the
         period).  Raises ValueError once a value is not finite."""
         js = js % self.period
-        points = [self.edges[self.gamma[j]].interpolate(f)
-                  for j, f in zip(js.tolist(), fs.tolist())]
+        # a sample's point depends only on its letter and fraction: each
+        # distinct pair is interpolated once
+        keys = list(zip(map(self.gamma.__getitem__, js.tolist()),
+                        fs.tolist()))
+        points = {key: self.edges[key[0]].interpolate(key[1])
+                  for key in dict.fromkeys(keys)}
         values = _axis_distance([x[js] for x in self.axes],
-                                np.array([p.z for p in points]),
-                                np.array([p.t for p in points]))
+                                np.array([points[key].z for key in keys]),
+                                np.array([points[key].t for key in keys]))
         if not np.isfinite(values).all():
             raise ValueError(f"the axis of the {self.period}-letter word "
                              f"leaves the float range (about 1.8e308)")

@@ -132,3 +132,15 @@ def test_check_revs_refuses_runs_without_revisions():
     data = {"runs": [run(1, "parent", result(1.0, 10.0))]}
     with pytest.raises(SystemExit, match="unrecorded revisions"):
         bench_pair.check_revs(data, REVS)
+
+
+def test_child_env_drops_dontwritebytecode(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("BENCH_PAIR_PROBE", "kept")
+    env = bench_pair.child_env()
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["BENCH_PAIR_PROBE"] == "kept"
+    # the tool's own environment is left as it was
+    assert bench_pair.os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert "PYTHONDONTWRITEBYTECODE" not in bench_pair.child_env()

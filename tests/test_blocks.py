@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -765,6 +767,117 @@ def test_perm_suite_records_adapted_rotation_violation(monkeypatch):
 # recurrence suite
 # --------------------------------------------------------------------------
 
+def _reference_check_recurrences(t, failures):
+    """The per-tower recurrence checks that the suite ran on every
+    (tower, level) pair before each level of the level table was checked
+    once."""
+    def fail(what):
+        failures.append({"p": t.p, "q": t.q, "check": what})
+
+    w, wp, l, lp, cf = t.w, t.wp, t.l, t.lp, t.cf
+    checks = 2
+    if not (l[0] == 1 and lp[0] == 2):
+        fail("base lengths")
+    if len(t.word) != abs(t.p) + t.q:
+        fail("word length |p| + q")
+    for i in range(1, t.depth + 1):
+        n = cf[i - 1]
+        checks += 7
+        if w[i] != w[i - 1] * (n - 1) + wp[i - 1]:
+            fail(f"w recurrence at level {i}")
+        if wp[i] != w[i - 1] * n + wp[i - 1]:
+            fail(f"w' recurrence at level {i}")
+        if wp[i] != w[i - 1] + w[i]:
+            fail(f"w' = w_(i-1) w_i at level {i}")
+        if lp[i] != l[i] + l[i - 1]:
+            fail(f"l' recurrence at level {i}")
+        if not l[i] < lp[i] < 2 * l[i]:
+            fail(f"l < l' < 2l at level {i}")
+        if not i + 1 <= l[i]:
+            fail(f"l_i >= i + 1 at level {i}")
+        if i == 1:
+            if l[1] != (n + 1) * l[0]:
+                fail("l_1 = (n_1 + 1) l_0")
+        elif not n * l[i - 1] < l[i] < (n + 1) * l[i - 1]:
+            fail(f"n l < l < (n+1) l at level {i}")
+    for i in range(2, t.depth + 1):
+        m = cf[i - 2]
+        checks += 1
+        lhs, rhs = (m + 2) * l[i - 1], (m + 1) * l[i]
+        if i >= 3 or cf[i - 1] >= 2:
+            if not lhs < rhs:
+                fail(f"(m+2) l_(i-1) < (m+1) l_i at level {i}")
+        elif not lhs <= rhs:
+            fail(f"(m+2) l_(i-1) <= (m+1) l_i at level {i}")
+    return checks
+
+
+def _reference_recurrence_suite(cap):
+    failures = []
+    checks = sum(_reference_check_recurrences(t, failures)
+                 for _, t in enumerate_primitive_classes(cap))
+    return checks, failures
+
+
+def _level_keys(cap):
+    """The (swap, entries) keys of the level table of the towers to `cap`,
+    level 0 left out, with the number of towers that hold each."""
+    return collections.Counter(
+        (t.swap, t.cf[:i]) for _, t in enumerate_primitive_classes(cap)
+        for i in range(1, t.depth + 1))
+
+
+def _corrupt_level(key, corrupt):
+    """A `_tower_levels` whose level table holds corrupt(w_i, w'_i) in
+    place of the top words of the entry `key` = (swap, entries), from the
+    moment that entry is added: every tower that holds the level, and
+    every level built on it, reads the corrupted words."""
+    real = blocks._tower_levels
+
+    def corrupted(swap, entries, levels):
+        fresh = (swap, entries) not in levels
+        w, wp = real(swap, entries, levels)
+        if fresh and (swap, entries) == key:
+            top_w, top_wp = corrupt(w[-1], wp[-1])
+            w, wp = levels[key] = w[:-1] + (top_w,), wp[:-1] + (top_wp,)
+        return w, wp
+
+    return corrupted
+
+
+# each keeps the letter counts, so that every tower still abelianizes to
+# its slope: w_i rotated by one letter, and w_i or w'_i two letters
+# longer with a cancelling pair
+_CORRUPTIONS = {
+    "w": lambda w, wp: (w[-1] + w[:-1], wp),
+    "l": lambda w, wp: (w + "aA", wp),
+    "l'": lambda w, wp: (w, wp + "aA"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
+def test_recurrence_suite_matches_per_tower_reference(monkeypatch, kind):
+    shared = 0
+    for cap in range(1, 41):
+        held = _level_keys(cap)
+        keys = sorted(held)
+        several = [k for k in keys if held[k] > 1]
+        if cap % 2 == 0 and several:
+            keys = several    # even caps: a level of several towers
+        key = random.Random(cap).choice(keys)
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks, "_tower_levels",
+                          _corrupt_level(key, _CORRUPTIONS[kind]))
+            report = run_suite("recurrences", cap)
+            checks, failures = _reference_recurrence_suite(cap)
+        assert failures, (cap, key)
+        assert report.checks == checks, (cap, key)
+        assert report.failures == failures, (cap, key)
+        shared += len({(f["p"], f["q"]) for f in failures}) > 1
+    # the failures of a shared level are recorded for several towers
+    assert shared >= 20
+
+
 def _break_word(tower, n):
     """The tower with the last letter of w_n changed."""
     w = list(tower.w)
@@ -812,9 +925,41 @@ def _break_word(tower, n):
 ], ids=["43/30", "7/5", "5/3"])
 def test_recurrence_failure_messages(tower, checks, messages):
     failures = []
-    assert blocks._check_recurrences(tower, failures) == checks
+    found = [blocks._check_level(tower, i)
+             for i in range(1, tower.depth + 1)]
+    assert blocks._check_tower(tower, found, failures) == checks
     assert failures == [{"p": tower.p, "q": tower.q, "check": m}
                         for m in messages]
+    reference = []
+    assert _reference_check_recurrences(tower, reference) == checks
+    assert failures == reference
+
+
+def test_recurrence_suite_checks_each_level_once(monkeypatch):
+    real = blocks._check_level
+    calls = []
+
+    def counted(t, i):
+        calls.append((t.swap, t.cf[:i]))
+        return real(t, i)
+
+    monkeypatch.setattr(blocks, "_check_level", counted)
+    report = run_suite("recurrences", 200)
+    assert report.checks == 907_899 and report.passed
+    assert len(calls) == len(set(calls)) == 27_726
+    assert set(calls) == set(_level_keys(200))
+
+
+def test_recurrence_suite_memory_peak():
+    # the towers are dropped once checked: the level table sets the peak
+    # (36.8 MB with every tower kept in one list)
+    tracemalloc.start()
+    try:
+        run_suite("recurrences", 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_tower_abelianization_mismatch_raises(monkeypatch):

@@ -11,7 +11,9 @@ outside the checkout) and benchmarked there with its own
 For every seed the two sides run one after the other, and the side that
 runs first alternates from seed to seed.  Each run's result line, seed and
 order go into the output file, together with the revisions, the hashes of
-their `src` trees, the Python and numpy versions and `nproc`.  Runs of
+their `src` trees, the Python and numpy versions and `nproc`.  The runs
+never inherit PYTHONDONTWRITEBYTECODE, so the first one in a tree writes
+its bytecode cache; `meta` records whether it was set here.  Runs of
 further workloads or seeds of the same two revisions are appended to an
 existing output file (one that holds runs of other revisions is refused),
 and the summary (per side: median and quartiles of every end-to-end metric,
@@ -72,12 +74,23 @@ def check_revs(data, revs):
             f"of {pair(revs)}; write this pair to another --out file")
 
 
+def child_env():
+    """This process's environment without PYTHONDONTWRITEBYTECODE.
+
+    With it set, no child writes a bytecode cache, so every child run in
+    a fresh export compiles `primscan` again while it imports it.
+    """
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
 def run_once(tree, workload, seed, seconds):
     """One perfbench run in tree; returns its parsed result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, capture_output=True, text=True, env=child_env())
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": proc.stderr.strip()[-2000:],
@@ -174,6 +187,7 @@ def main():
         "nproc": os.cpu_count(), "seconds": args.seconds,
         "command": "python3 perfbench/run.py --workload W --seed S "
                    "--seconds T --trace 0, in a git archive of each rev",
+        "pythondontwritebytecode_set": "PYTHONDONTWRITEBYTECODE" in os.environ,
     }
     start = len(data["runs"]) // 2
     for i, seed in enumerate(args.seeds):
