@@ -876,6 +876,13 @@ def run_suite(suite, cap):
     The cap is a slope bound (|p|, q <= cap) for "recurrences" and a
     class-word length bound (l_r <= cap) for the string suites
     "magic-len", "perm-cycl", and "bloc".
+
+    Every suite builds its towers one at a time on one level table and
+    keeps none.  The recurrences suite checks each level of that table
+    once, and the string suites take one (tower, level) per call.
+    Checks and failures are still counted per tower and level (and per
+    start, rotation or window in the string suites), so a failing level
+    is reported for every tower that holds it.
     """
     if suite == "recurrences":
         checks, failures = _recurrence_suite(cap)
