@@ -658,6 +658,87 @@ def test_magic_suite_classifies_each_distinct_subword_once(monkeypatch):
     assert len(failures) > 1
 
 
+def _reference_rotation_index(w):
+    """Map rotation -> first rotation index."""
+    index = {}
+    for r, rot in enumerate(rotations(w)):
+        index.setdefault(rot, r)
+    return index
+
+
+def _reference_match(tower, i, u, rots):
+    """The matcher of `_match_magic_subword` before it searched the
+    doubled w_i: lookups in `rots`, the rotation index of w_i."""
+    hit = rots.get(u)
+    if hit is not None:
+        return blocks.MagicWitness(hit, "")
+    for c in sorted(set(tower.wp[0])):
+        if c == u[-1]:
+            continue
+        hit = rots.get(u[:-1] + c)
+        if hit is not None:
+            return blocks.MagicWitness(hit, c)
+    raise LemmaViolation(
+        f"{u!r} is not a rotation of w_{i} at slope {tower.p}/{tower.q}, "
+        f"even after a last-letter change")
+
+
+def _outcome(match, *args):
+    """The witness a matcher returns, or the message it raises."""
+    try:
+        return match(*args)
+    except LemmaViolation as e:
+        return str(e)
+
+
+def _assert_match_is_reference(tower, i, subwords):
+    """The outcomes of `_match_magic_subword` on `subwords`, each
+    asserted equal to the reference's."""
+    rots = _reference_rotation_index(tower.w[i])
+    ww = tower.w[i] * 2
+    got = [_outcome(blocks._match_magic_subword, tower, i, u, ww)
+           for u in subwords]
+    assert got == [_outcome(_reference_match, tower, i, u, rots)
+                   for u in subwords], (tower, i)
+    return got
+
+
+def test_match_magic_subword_matches_rotation_index_reference():
+    # every cyclic subword of the class word, and every rotation of w_i
+    # with its first or its last letter set to each letter, so exact
+    # matches, last-letter repairs and violations all occur
+    kinds = collections.Counter()
+    for t in blocks._towers_by_word_length(40):
+        doubled = t.word * 2
+        for i in range(1, t.depth + 1):
+            li = t.l[i]
+            subwords = {doubled[s:s + li] for s in range(len(t.word))}
+            for v in rotations(t.w[i]):
+                subwords.update(v[:-1] + c for c in "ab")
+                subwords.update(c + v[1:] for c in "ab")
+            kinds.update(
+                "violation" if isinstance(got, str)
+                else "repair" if got.changed_to else "exact"
+                for got in _assert_match_is_reference(t, i, subwords))
+    assert set(kinds) == {"exact", "repair", "violation"}
+
+
+def test_match_magic_subword_on_a_length_that_is_not_l_i():
+    # a tower whose l_2 disagrees with its w_2: a subword of the stated
+    # length is a proper substring of the doubled w_2 or longer than w_2,
+    # and is a rotation of nothing
+    tower = build_blocks(7, 5)
+    assert tower.l[2] == len(tower.w[2]) == 5
+    for li in (4, 6):
+        broken = dataclasses.replace(
+            tower, l=tower.l[:2] + (li,) + tower.l[3:])
+        u = (tower.word * 2)[:li]
+        assert u in tower.w[2] * 2 or li > 5
+        _assert_match_is_reference(broken, 2, [u])
+        with pytest.raises(LemmaViolation, match="not a rotation of w_2"):
+            classify_magic_subword(broken, 2, u)
+
+
 def test_magic_subword_validation():
     tower = build_blocks(7, 5)
     with pytest.raises(ValueError):

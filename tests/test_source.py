@@ -1,0 +1,58 @@
+"""Checks on the package source itself, parsed with `ast`."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).parents[1] / "src" / "primscan"
+
+# every function or class that nothing in src/ names, with the reason it
+# stays; a new entry needs a reason, and an entry whose last user goes
+# must go with it
+UNNAMED_IN_SRC = {
+    "adapted_permutation": "tracer target; test reference for "
+                           "adapted_rotations",
+    "axis_of": "tracer target; test reference for the per-rotation frames",
+    "classify_magic_subword": "tracer target; the checked entry to the "
+                              "magic-subword matcher",
+    "dist_to_geodesic": "tracer target; test reference for the "
+                        "per-rotation frames",
+    "enumerate_reduced": "test reference: all reduced words of a length",
+    "fermi_point": "tracer target",
+    "minimize_convex": "tracer target; test reference for the line searches",
+    "power_displacement": "test reference: criterion 7 reads it",
+    "rotations": "tracer target; test reference for cyclic words",
+    "sub_excursion_in": "public API: the README's excursion example",
+    "substitute": "test reference: letter substitutions of words",
+    "to_json_dict": "test reference: the frozen towers",
+}
+
+
+def unnamed_definitions(trees):
+    """Names of the functions and classes (dunders aside) defined in
+    `trees` that none of them names as a name, an attribute or a string
+    of `__all__`."""
+    defined, named = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                named.update(ast.literal_eval(node.value))
+    return defined - named
+
+
+def test_unnamed_definitions_are_the_allowlist():
+    paths = sorted(SRC.glob("*.py"))
+    assert any(p.name == "blocks.py" for p in paths)
+    trees = [ast.parse(p.read_text()) for p in paths]
+    assert unnamed_definitions(trees) == set(UNNAMED_IN_SRC)
+
