@@ -28,10 +28,10 @@ among them the block count in windows.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
-
-import numpy as np
 
 from .words import (
     check_word,
@@ -780,30 +780,43 @@ def _bloc_windows(seq, li, lpi, lr):
     """Block-count bound over every maximal window of one block sequence.
 
     `seq` is a factorization of a rotated class word of length `lr` into
-    blocks of lengths `li` ("w") and `lpi` ("p").  For each start s and
-    each block boundary from the first one at or after s, the window runs
-    to just before the next boundary (at most lr letters); it is checked
-    when longer than 4 li.  Returns the number of checks and the failures
-    as (start, length, count, alpha) tuples, ordered by start, then length.
+    blocks of lengths `li` ("w") and `lpi` ("p"), with boundaries b_m over
+    two laps.  For each start s and each boundary b_m >= s up to s + lr,
+    the window runs from s to b_(m+1) - 1 (to s + lr at most, the whole
+    word); it holds the c = m - f complete blocks from the first boundary
+    b_f >= s, and it is checked when longer than 4 li.  Returns the number
+    of checks and the failures as (start, length, count, alpha) tuples,
+    ordered by start, then length.
+
+    Only the last window of a start, of length lr, reaches s + lr, and it
+    is checked when lr > 4 li.  Every other window is checked when
+    s + 4 li + 1 < b_(m+1) <= s + lr and b_m >= s, so block m counts the
+    starts of an interval, and the checks are a sum over the blocks.
+
+    A window with c complete blocks lies inside c + 2 blocks, so it is
+    shorter than (c + 2) max(li, lpi).  When no block is longer than
+    2 li, alpha < 2c + 4 and no window can fail; every tower meets that,
+    since l'_i = l_i + l_(i-1) < 2 l_i.  Only a longer block runs the
+    test window by window.
     """
-    sizes = [li if s == "w" else lpi for s in seq]
-    # boundaries over three laps, so that bounds[m + 1] exists for every
-    # cell of the grid; a window never reaches past the second lap
-    bounds = np.concatenate(([0], np.cumsum(sizes * 3)))
-    starts = np.arange(lr)[:, None]
-    first = np.searchsorted(bounds, starts, side="left")
-    # a window of at most lr letters holds at most len(seq) complete blocks
-    count = np.arange(len(seq) + 1)[None, :]
-    m = first + count
-    valid = bounds[m] <= starts + lr
-    length = np.minimum(bounds[m + 1] - 1, starts + lr) - starts
-    checked = valid & (length > 4 * li)
-    alpha = length / li
-    bad = checked & (count < (alpha - 4) / 2 - 1e-12)
-    rows, cols = np.nonzero(bad)
-    failures = list(zip(rows.tolist(), length[rows, cols].tolist(),
-                        cols.tolist(), alpha[rows, cols].tolist()))
-    return int(checked.sum()), failures
+    bounds = list(accumulate([li if s == "w" else lpi for s in seq] * 2,
+                             initial=0))
+    capped = lr > 4 * li
+    checks = capped * lr + sum(
+        max(0, min(lr - 1, b0, b1 - 4 * li - 2) - max(0, b1 - lr) + 1)
+        for b0, b1 in zip(bounds, bounds[1:]))
+    failures = []
+    if lpi > 2 * li:
+        for s in range(lr):
+            f = bisect_left(bounds, s)
+            last = bisect_right(bounds, s + lr) - 1
+            reach = bisect_right(bounds, s + 4 * li + 1) - 1
+            for m in range(max(f, min(reach, last)), last + capped):
+                length = bounds[m + 1] - 1 - s if m < last else lr
+                alpha = length / li
+                if m - f < (alpha - 4) / 2 - 1e-12:
+                    failures.append((s, length, m - f, alpha))
+    return checks, failures
 
 
 def _bloc_suite(cap):

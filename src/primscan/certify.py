@@ -33,8 +33,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .geometry import (
     DEFAULT_DELTA,
     THIN_TRIANGLE_DELTA,
@@ -47,6 +45,7 @@ from .geometry import (
     fermi_coords,
     geodesic_metrics,
     mobius_boundary,
+    np,
     offset_distance,
 )
 

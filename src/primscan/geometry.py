@@ -26,11 +26,47 @@ from __future__ import annotations
 
 import cmath
 import functools
+import importlib.util
 import json
 import math
+import sys
+import types
 from typing import NamedTuple
 
-import numpy as np
+
+class _Unfound(types.ModuleType):
+    """A module that cannot be found: the first attribute read raises the
+    ModuleNotFoundError of a plain import."""
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self.__name__), attr)
+
+
+def _lazy_import(name):
+    """Module `name`, executed at the first read of one of its attributes.
+
+    As in importlib's LazyLoader recipe, the module is registered in
+    sys.modules at once, so a later plain `import name` returns it (and,
+    on Python 3.11 and later, loads it by reading its __spec__).  A module
+    already imported is returned as it is, never executed a second time."""
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        return _Unfound(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# numpy costs several times the import of the whole package, and the exact
+# commands (`verify-lemmas`, `enumerate`, `blocks`) never use it; `scans`
+# and `certify` take this binding, since their own `import numpy` would
+# load it
+np = _lazy_import("numpy")
 
 # ln(1 + sqrt 2) ~ 0.8814, the thin-triangle constant of H^2: the
 # certificates' inequalities need delta at least this

@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-import numpy as np
-
 from .blocks import farey_walk
 from .geometry import (
     INF,
@@ -45,6 +43,7 @@ from .geometry import (
     classify,
     fixed_points,
     mobius_boundary,
+    np,
     _loxodromic_length,
     _mul,
     _sinh_half_displacement,

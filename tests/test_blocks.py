@@ -803,6 +803,19 @@ def test_bloc_windows_match_reference_on_failing_inputs():
         assert all(type(x) is int for f in got[1] for x in f[:3])
         failing += bool(got[1])
     assert failing > 50
+    # l'_i = 2 l_i is the edge of the bound under which no window fails,
+    # and one letter more makes a window fail; the last two have
+    # 4 l_i + 1 >= l_r, where only the window of l_r letters can be
+    # checked and the last reaches past both laps of the boundaries
+    edges = {(("w", "p", "p", "p"), 2, 4): (34, False),
+             (("w", "p", "p", "p"), 2, 5): (49, True),
+             (("p",), 2, 9): (9, True),
+             (("p", "w"), 3, 7): (0, False)}
+    for (seq, li, lpi), (checks, fails) in edges.items():
+        lr = sum(li if s == "w" else lpi for s in seq)
+        got = blocks._bloc_windows(seq, li, lpi, lr)
+        assert got == _reference_bloc_windows(seq, li, lpi, lr)
+        assert (got[0], bool(got[1])) == (checks, fails)
 
 
 def test_bloc_suite_records_adapted_rotation_violation(monkeypatch):

@@ -644,6 +644,39 @@ def test_module_invocation():
     assert proc.stdout == "16382\n"
 
 
+def fresh_stdout(code, *args):
+    """The stdout of `code` in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_exact_commands_run_without_numpy():
+    # numpy loads at its first use, which the exact commands never reach;
+    # a numpy imported before the package is bound as it is
+    assert fresh_stdout(
+        "import sys, primscan.cli; "
+        "print([m for m in sys.modules if m.startswith('numpy.')])") == "[]\n"
+    assert fresh_stdout("import numpy, primscan.geometry as g; "
+                        "print(g.np is numpy)") == "True\n"
+    without_numpy = ("import sys; sys.modules['numpy'] = None; "
+                     "from primscan.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))")
+    for argv in (["verify-lemmas", "--max-den", "20", "--max-block-len", "20"],
+                 ["enumerate", "--max-den", "5"],
+                 ["blocks", "--slope", "7/5"]):
+        code, out = capture(argv)
+        assert code == 0 and out
+        assert fresh_stdout(without_numpy, *argv) == out
+    # where numpy is needed, its first use names it
+    assert fresh_stdout(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from primscan.geometry import as_matrix\n"
+        "try:\n    as_matrix([[1, 0], [0, 1]])\n"
+        "except ModuleNotFoundError as e:\n    print(e.name)") == "numpy\n"
+
+
 # ------------------------------------------------------------ public API
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -56,3 +56,36 @@ def test_unnamed_definitions_are_the_allowlist():
     trees = [ast.parse(p.read_text()) for p in paths]
     assert unnamed_definitions(trees) == set(UNNAMED_IN_SRC)
 
+
+
+def bound_names(tree):
+    """Every name a module reads, assigns or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_numpy_has_one_lazy_binding():
+    # the exact commands never load numpy: it is bound once, lazily, in
+    # `geometry`, which `scans` and `certify` import it from; a plain
+    # `import numpy` elsewhere would load it at import
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    imports, bindings = [], []
+    for name, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imports += [(name, a.name) for a in node.names
+                            if a.name.partition(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom):
+                if (node.module or "").partition(".")[0] == "numpy":
+                    imports.append((name, node.module))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "np"
+                    for t in node.targets):
+                bindings.append((name, ast.unparse(node.value)))
+    assert imports == []
+    assert bindings == [("geometry.py", "_lazy_import('numpy')")]
+    for name in ("blocks.py", "words.py", "cli.py"):
+        assert "np" not in set(bound_names(trees[name])), name
