@@ -57,7 +57,6 @@ def test_unnamed_definitions_are_the_allowlist():
     assert unnamed_definitions(trees) == set(UNNAMED_IN_SRC)
 
 
-
 def bound_names(tree):
     """Every name a module reads, assigns or imports."""
     for node in ast.walk(tree):
