@@ -801,17 +801,16 @@ def _bloc_windows(seq, li, lpi, lr):
     """
     bounds = list(accumulate([li if s == "w" else lpi for s in seq] * 2,
                              initial=0))
-    capped = lr > 4 * li
-    checks = capped * lr + sum(
+    checks = (lr if lr > 4 * li else 0) + sum(
         max(0, min(lr - 1, b0, b1 - 4 * li - 2) - max(0, b1 - lr) + 1)
         for b0, b1 in zip(bounds, bounds[1:]))
     failures = []
     if lpi > 2 * li:
+        # a window of at most 4 li letters has alpha <= 4 and cannot fail
         for s in range(lr):
             f = bisect_left(bounds, s)
             last = bisect_right(bounds, s + lr) - 1
-            reach = bisect_right(bounds, s + 4 * li + 1) - 1
-            for m in range(max(f, min(reach, last)), last + capped):
+            for m in range(f, last + 1):
                 length = bounds[m + 1] - 1 - s if m < last else lr
                 alpha = length / li
                 if m - f < (alpha - 4) / 2 - 1e-12:
