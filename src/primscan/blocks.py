@@ -789,24 +789,25 @@ def _bloc_windows(seq, li, lpi, lr):
     ordered by start, then length.
 
     Only the last window of a start, of length lr, reaches s + lr, and it
-    is checked when lr > 4 li.  Every other window is checked when
-    s + 4 li + 1 < b_(m+1) <= s + lr and b_m >= s, so block m counts the
-    starts of an interval, and the checks are a sum over the blocks.
+    is checked when lr > 4 li.  Every other window, of d - 1 letters, ends
+    a block of `size` letters at s + d, and it is checked exactly when
+    max(4 li + 2, size) <= d <= lr.  Every block end occurs once in
+    (s, s + lr], so each block adds max(0, lr + 1 - max(4 li + 2, size)).
 
     A window with c complete blocks lies inside c + 2 blocks, so it is
     shorter than (c + 2) max(li, lpi).  When no block is longer than
     2 li, alpha < 2c + 4 and no window can fail; every tower meets that,
-    since l'_i = l_i + l_(i-1) < 2 l_i.  Only a longer block runs the
-    test window by window.
+    since l'_i = l_i + l_(i-1) < 2 l_i.  Only a longer block builds the
+    boundaries and runs the test window by window.
     """
-    bounds = list(accumulate([li if s == "w" else lpi for s in seq] * 2,
-                             initial=0))
     checks = (lr if lr > 4 * li else 0) + sum(
-        max(0, min(lr - 1, b0, b1 - 4 * li - 2) - max(0, b1 - lr) + 1)
-        for b0, b1 in zip(bounds, bounds[1:]))
+        seq.count(s) * max(0, lr + 1 - max(4 * li + 2, size))
+        for s, size in (("w", li), ("p", lpi)))
     failures = []
     if lpi > 2 * li:
         # a window of at most 4 li letters has alpha <= 4 and cannot fail
+        bounds = list(accumulate(
+            [li if s == "w" else lpi for s in seq] * 2, initial=0))
         for s in range(lr):
             f = bisect_left(bounds, s)
             last = bisect_right(bounds, s + lr) - 1
@@ -826,41 +827,34 @@ def _bloc_suite(cap):
     the longest of them (same count, largest alpha), so only that
     maximal window is evaluated; the bound for all others follows.
 
-    The windows checked for rotation k depend on k only through the block
-    order of its adapted rotation: the rotated blocks keep the
-    lengths l_i and l'_i, and each window is cut from a word of length
-    l_r.  That order is the level-i block sequence in case 1 and the
-    sequence with its first block moved to the end in case 2, so a
-    level has at most two distinct orders.  The windows are therefore
-    evaluated once per distinct (order, l_i, l'_i), which also covers
-    the towers of p/q and q/p, identical up to the a <-> b swap, and the
-    checks and failures are repeated for every rotation sharing it.  The
-    rotation itself is still built for every k (`adapted_rotations`, once
-    per level), which re-checks its factorization; a violation there is
-    recorded as a failure.
+    Rotation k of level i factors w_r over blocks of lengths l_i and
+    l'_i, in the level-i block sequence (case 1, k <= (n_i - 1) l_(i-1))
+    or in that sequence with its first block moved to the end (case 2).
+    Both orders are rotations of the sequence by whole blocks, with the
+    same windows over every start, so a level's checks are one
+    `_bloc_windows` count, l_i times; only a failing level evaluates the
+    moved order too, for the records of its case-2 rotations.  The adapted
+    rotations are built and checked by perm-cycl alone.
     """
     failures, checks = [], 0
-    windows = {}
     for t in _towers_by_word_length(cap):
         lr = len(t.word)
         for i in range(1, t.depth + 1):
             li, lpi = t.l[i], t.lp[i]
             if lr <= 4 * li:
                 continue
-            for k, ar in enumerate(adapted_rotations(t, i)):
-                if isinstance(ar, LemmaViolation):
-                    failures.append({"p": t.p, "q": t.q, "i": i, "k": k,
-                                     "error": str(ar)})
-                    continue
-                key = (ar.blocks, li, lpi)
-                if key not in windows:
-                    windows[key] = _bloc_windows(ar.blocks, li, lpi, lr)
-                n, bad = windows[key]
-                checks += n
+            seq = block_sequence(t, i)
+            n, bad = _bloc_windows(seq, li, lpi, lr)
+            checks += li * n
+            if bad:
+                _, moved = _bloc_windows(seq[1:] + seq[:1], li, lpi, lr)
+                threshold = (t.cf[i - 1] - 1) * t.l[i - 1]
                 failures.extend(
                     {"p": t.p, "q": t.q, "i": i, "k": k, "start": s,
                      "length": length, "count": count, "alpha": alpha}
-                    for s, length, count, alpha in bad)
+                    for k in range(li)
+                    for s, length, count, alpha in (
+                        bad if k <= threshold else moved))
     return checks, failures
 
 
@@ -878,10 +872,11 @@ def run_suite(suite, cap):
 
     Every suite builds its towers one at a time on one level table and
     keeps none.  The recurrences suite checks each level of that table
-    once, and the string suites take one (tower, level) per call.
-    Checks and failures are still counted per tower and level (and per
-    start, rotation or window in the string suites), so a failing level
-    is reported for every tower that holds it.
+    once, the string suites take one (tower, level) per call, and only
+    perm-cycl builds the adapted rotations.  Checks and failures are
+    counted per tower and level (and per start, rotation or window in the
+    string suites), so a failing level is reported for every tower that
+    holds it.
     """
     runner = _SUITE_RUNNERS.get(suite)
     if runner is None:

@@ -81,8 +81,8 @@ _MAX_CLEARANCE = 700.0
 # about 0.65 of that worst case: 3,050-3,320 steps at K = 6 there, where
 # the bound is 4,878.
 _MAX_FAR_STEPS = 6000
-# step pairs in a far-regime path's first chunk of draws; each further
-# chunk is twice the last, up to the step cap
+# step pairs in a path's first chunk of draws, then twice the last, never
+# past the step budget (a near path's `segments`, 2-8, fit in the first)
 _FAR_CHUNK = 128
 
 
@@ -523,7 +523,7 @@ def _sample_detour_path(rng, K, C, delta, far):
     z, t = fermi_coords(u, rho, tanh_rho, side)
     zs, ts = [z], [t]
     budget = _MAX_FAR_STEPS if far else segments
-    chunk = _FAR_CHUNK if far else segments
+    chunk = _FAR_CHUNK
     bitgen = rng.bit_generator
     while len(zs) <= budget:    # len(zs) - 1 steps taken
         chunk = min(chunk, budget + 1 - len(zs))

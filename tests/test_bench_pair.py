@@ -1,5 +1,6 @@
-"""Tests for tools/bench_pair.py: seed lists, the paired summary and the
-refusal to pool runs of other revisions."""
+"""Tests for tools/bench_pair.py: seed lists, the paired summary, the
+refusal to pool runs of other revisions and the refusal of a workdir
+inside the checkout."""
 
 import importlib.util
 from pathlib import Path
@@ -132,6 +133,25 @@ def test_check_revs_refuses_runs_without_revisions():
     data = {"runs": [run(1, "parent", result(1.0, 10.0))]}
     with pytest.raises(SystemExit, match="unrecorded revisions"):
         bench_pair.check_revs(data, REVS)
+
+
+@pytest.mark.parametrize("inside", [".", "bench", "bench/../work",
+                                    "src/deeper"])
+def test_check_workdir_refuses_a_directory_inside_the_checkout(tmp_path,
+                                                               inside):
+    checkout = tmp_path / "repo"
+    workdir = checkout / inside
+    with pytest.raises(SystemExit) as refused:
+        bench_pair.check_workdir(workdir, checkout)
+    message = str(refused.value)
+    assert str(workdir.resolve()) in message
+    assert str(checkout.resolve()) in message
+
+
+@pytest.mark.parametrize("outside", ["work", "repo-bench", "repo/../work"])
+def test_check_workdir_accepts_a_directory_outside_the_checkout(tmp_path,
+                                                                outside):
+    bench_pair.check_workdir(tmp_path / outside, tmp_path / "repo")
 
 
 def test_child_env_drops_dontwritebytecode(monkeypatch):

@@ -792,17 +792,27 @@ def test_bloc_windows_match_reference_on_towers():
 
 def test_bloc_windows_match_reference_on_failing_inputs():
     rng = random.Random(0)
-    failing = 0
+    failing = long_blocks = 0
     for _ in range(500):
         seq = tuple(rng.choice("wp") for _ in range(rng.randint(1, 12)))
         li = rng.randint(1, 5)
-        lpi = rng.randint(1, 3 * li)
+        # up to 9 l_i, so that blocks longer than 4 l_i + 2 occur and the
+        # block size bounds the count of the windows that end with it
+        lpi = rng.randint(1, 9 * li)
         lr = sum(li if s == "w" else lpi for s in seq)
         got = blocks._bloc_windows(seq, li, lpi, lr)
         assert got == _reference_bloc_windows(seq, li, lpi, lr)
         assert all(type(x) is int for f in got[1] for x in f[:3])
         failing += bool(got[1])
-    assert failing > 50
+        long_blocks += "p" in seq and lpi > 4 * li + 2
+        # a rotation of the sequence by whole blocks has the same windows,
+        # which is why `_bloc_suite` evaluates one order per level
+        windows = sorted(f[1:] for f in got[1])
+        for m in range(1, len(seq)):
+            checks, bad = blocks._bloc_windows(seq[m:] + seq[:m], li, lpi,
+                                               lr)
+            assert (checks, sorted(f[1:] for f in bad)) == (got[0], windows)
+    assert failing > 50 and long_blocks > 50
     # l'_i = 2 l_i is the edge of the bound under which no window fails,
     # and one letter more makes a window fail; the last two have
     # 4 l_i + 1 >= l_r, where only the window of l_r letters can be
@@ -818,18 +828,66 @@ def test_bloc_windows_match_reference_on_failing_inputs():
         assert (got[0], bool(got[1])) == (checks, fails)
 
 
-def test_bloc_suite_records_adapted_rotation_violation(monkeypatch):
-    healthy = run_suite("bloc", 20)
-    tower = build_blocks(10, 9)
-    skipped, _ = blocks._bloc_windows(
-        adapted_permutation(tower, 1, 1).blocks, tower.l[1], tower.lp[1],
-        len(tower.word))
-    monkeypatch.setattr(blocks, "adapted_rotations",
-                        _inject_rotation_violation(10, 9, 1, 1))
-    report = run_suite("bloc", 20)
-    assert report.failures == [
-        {"p": 10, "q": 9, "i": 1, "k": 1, "error": "injected"}]
-    assert report.checks == healthy.checks - skipped
+def _reference_bloc_suite(cap):
+    """The per-rotation `_bloc_suite` that built every adapted rotation
+    and evaluated the windows once per distinct block order, before one
+    order per level was counted l_i times."""
+    failures, checks = [], 0
+    windows = {}
+    for t in blocks._towers_by_word_length(cap):
+        lr = len(t.word)
+        for i in range(1, t.depth + 1):
+            li, lpi = t.l[i], t.lp[i]
+            if lr <= 4 * li:
+                continue
+            for k, ar in enumerate(adapted_rotations(t, i)):
+                if isinstance(ar, LemmaViolation):
+                    failures.append({"p": t.p, "q": t.q, "i": i, "k": k,
+                                     "error": str(ar)})
+                    continue
+                key = (ar.blocks, li, lpi)
+                if key not in windows:
+                    windows[key] = blocks._bloc_windows(ar.blocks, li, lpi,
+                                                        lr)
+                n, bad = windows[key]
+                checks += n
+                failures.extend(
+                    {"p": t.p, "q": t.q, "i": i, "k": k, "start": s,
+                     "length": length, "count": count, "alpha": alpha}
+                    for s, length, count, alpha in bad)
+    return checks, failures
+
+
+def test_bloc_suite_matches_per_rotation_reference():
+    for cap in [*range(1, 41), 60, 80]:
+        assert blocks._bloc_suite(cap) == _reference_bloc_suite(cap), cap
+
+
+def test_bloc_suite_matches_per_rotation_reference_on_failing_windows(
+        monkeypatch):
+    # every level evaluated with l'_i = 2 l_i + 1, and the l_r of those
+    # block sizes: a consistent cyclic input whose windows fail
+    real = blocks._bloc_windows
+
+    def widened(seq, li, lpi, lr):
+        lpi = 2 * li + 1
+        return real(seq, li, lpi, sum(li if s == "w" else lpi for s in seq))
+
+    monkeypatch.setattr(blocks, "_bloc_windows", widened)
+    for cap, records in [(20, 300), (30, 3182), (40, 16182)]:
+        got = blocks._bloc_suite(cap)
+        assert got == _reference_bloc_suite(cap), cap
+        assert len(got[1]) == records
+
+
+def test_bloc_suite_builds_no_adapted_rotation(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the bloc suite built an adapted rotation")
+
+    monkeypatch.setattr(blocks, "adapted_rotations", refused)
+    monkeypatch.setattr(blocks, "_level_rotations", refused)
+    report = run_suite("bloc", 60)
+    assert (report.checks, report.failures) == (1832450, [])
 
 
 def _inject_rotation_violation(p, q, i, k):

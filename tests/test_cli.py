@@ -176,7 +176,7 @@ def test_verify_lemmas_all_suites_pass_at_small_caps():
     assert caps["recurrences"] == 30 and caps["bloc"] == 20
 
 
-def test_verify_lemmas_reports_bloc_rotation_violation(monkeypatch, capsys):
+def test_verify_lemmas_reports_perm_rotation_violation(monkeypatch, capsys):
     real = blocks.adapted_rotations
 
     def broken(t, i):
@@ -186,11 +186,12 @@ def test_verify_lemmas_reports_bloc_rotation_violation(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(blocks, "adapted_rotations", broken)
-    code = main(["verify-lemmas", "--suite", "bloc", "--max-block-len", "20"])
+    code = main(["verify-lemmas", "--suite", "perm-cycl",
+                 "--max-block-len", "20"])
     rows = lines_of(capsys.readouterr().out)
     assert code == 1
     assert rows[0]["failures"] == 1
-    assert rows[1] == {"suite": "bloc", "p": 10, "q": 9, "i": 1, "k": 1,
+    assert rows[1] == {"suite": "perm-cycl", "p": 10, "q": 9, "i": 1, "k": 1,
                        "error": "injected"}
     assert rows[2] == {"suites": 1, "checks": rows[0]["checks"],
                        "failures": 1}

@@ -6,7 +6,7 @@ Usage (from the root of a git checkout):
         --workload ps-scan --seeds 10-19 --workdir DIR --out BENCH_6.json
 
 Each revision is exported with `git archive` into DIR (which must lie
-outside the checkout) and benchmarked there with its own
+outside the checkout; one inside it is refused) and benchmarked there with its own
 `perfbench/run.py --trace 0`, so both sides run their committed files.
 For every seed the two sides run one after the other, and the side that
 runs first alternates from seed to seed.  Each run's result line, seed and
@@ -55,6 +55,19 @@ def export(rev, workdir):
         if archive.wait() != 0:
             raise SystemExit(f"bench_pair: git archive {full} failed")
     return full, tree
+
+
+def check_workdir(workdir, checkout):
+    """Refuse a workdir inside the checkout, where the exported trees
+    would fill the working tree and `git add -A` would stage them.
+
+    Both paths are resolved first.  Raises SystemExit naming both.
+    """
+    workdir, checkout = workdir.resolve(), checkout.resolve()
+    if workdir.is_relative_to(checkout):
+        raise SystemExit(
+            f"bench_pair: --workdir {workdir} lies inside the checkout "
+            f"{checkout}; give a directory outside it")
 
 
 def check_revs(data, revs):
@@ -165,6 +178,7 @@ def main():
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
 
+    check_workdir(args.workdir, Path(git("rev-parse", "--show-toplevel")))
     workdir = args.workdir.resolve()
     trees = {side: export(getattr(args, side), workdir) for side in SIDES}
     contract = json.loads((trees["change"][1] / "BENCHMARK.json").read_text())
