@@ -6,19 +6,20 @@ Usage (from the root of a git checkout):
         --workload ps-scan --seeds 10-19 --workdir DIR --out BENCH_6.json
 
 Each revision is exported with `git archive` into DIR (which must lie
-outside the checkout; one inside it is refused) and benchmarked there with its own
-`perfbench/run.py --trace 0`, so both sides run their committed files.
-For every seed the two sides run one after the other, and the side that
-runs first alternates from seed to seed.  Each run's result line, seed and
-order go into the output file, together with the revisions, the hashes of
-their `src` trees, the Python and numpy versions and `nproc`.  The runs
-never inherit PYTHONDONTWRITEBYTECODE, so the first one in a tree writes
-its bytecode cache; `meta` records whether it was set here.  Runs of
-further workloads or seeds of the same two revisions are appended to an
-existing output file (one that holds runs of other revisions is refused),
-and the summary (per side: median and quartiles of every end-to-end metric,
-the pairs each side won on each metric, and the runs that left no result
-line) is recomputed over all runs.
+outside the checkout; one inside it is refused) and benchmarked there
+with its own `perfbench/run.py --trace 0`, so both sides run their
+committed files.  For every seed the two sides run one after the other,
+and the side that runs first alternates from seed to seed.  Each run's
+result line, seed and order go into the output file, together with the
+revisions, the hashes of their `src` trees, the Python and numpy
+versions and `nproc`.  The runs never inherit PYTHONDONTWRITEBYTECODE,
+so the first one in a tree writes its bytecode cache; `meta` records
+whether it was set here.  Runs of further workloads or seeds of the same
+two revisions are appended to an existing output file (one that holds
+runs of other revisions is refused), and the summary (per side: median
+and quartiles of every end-to-end metric, the pairs each side won on
+each metric, and the runs that left no result line) is recomputed over
+all runs.
 
 The script records numbers; it gates nothing and exits 0 whatever they
 are.
