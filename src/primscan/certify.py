@@ -44,7 +44,6 @@ from .geometry import (
     distance,
     fermi_coords,
     geodesic_metrics,
-    mobius_boundary,
     np,
     offset_distance,
 )
@@ -194,13 +193,13 @@ def segment_gap(seg_a, seg_b):
     least candidate is the gap.
 
     The crossing and the perpendicular are found from ideal endpoints.
-    In the frame of `seg_b`'s geodesic (its `_norm`), that geodesic is the
-    vertical axis and `seg_b` spans the log-heights `_lo`..`_hi` (+
-    `_anchor_coord`).  There `seg_a`'s geodesic is the arc with real ideal
-    endpoints e1, e2: centre m = (e1 + e2)/2 and radius R = |e1 - e2|/2,
-    so m^2 - R^2 = e1 e2.  The geodesics cross when e1 e2 < 0, on the axis
-    at height sqrt(R^2 - m^2) = sqrt(-e1 e2).  They are ultraparallel when
-    e1 e2 > 0: the common perpendicular meets the axis at height
+    In the frame of `seg_b`'s geodesic, that geodesic is the vertical axis
+    (`Segment.ideal_ends`, `Segment.spans`).  There `seg_a`'s
+    geodesic is the arc with real ideal endpoints e1, e2: centre
+    m = (e1 + e2)/2 and radius R = |e1 - e2|/2, so m^2 - R^2 = e1 e2.
+    The geodesics cross when e1 e2 < 0, on the axis at height
+    sqrt(R^2 - m^2) = sqrt(-e1 e2).  They are ultraparallel when e1 e2 > 0:
+    the common perpendicular meets the axis at height
     sqrt(m^2 - R^2) = sqrt(e1 e2) and has length asinh(sqrt(k^2 - 1)),
     k = m/R (the stationary value of `_segment_clearance`).  The same
     test in the frame of `seg_a`'s geodesic places the point on `seg_a`.
@@ -214,10 +213,11 @@ def segment_gap(seg_a, seg_b):
                          "endpoint needs a real z")
     gap = min(dist_to_segment(seg_a.p, seg_b), dist_to_segment(seg_a.q, seg_b),
               dist_to_segment(seg_b.p, seg_a), dist_to_segment(seg_b.q, seg_a))
-    if seg_a._g is None or seg_b._g is None:
+    ends = seg_b.ideal_ends(seg_a), seg_a.ideal_ends(seg_b)
+    if ends[0] is None:    # a point has no geodesic
         return gap
-    e1, e2 = _ideal_ends(seg_b, seg_a)
-    f1, f2 = _ideal_ends(seg_a, seg_b)
+    (e1, e2), (f1, f2) = ([x if x is INF else x.real for x in pair]
+                          for pair in ends)
     if INF in (e1, e2, f1, f2):
         return gap
     on_b, on_a = e1 * e2, f1 * f2
@@ -227,23 +227,10 @@ def segment_gap(seg_a, seg_b):
         length = math.asinh(2.0 * math.sqrt(on_b) / abs(e1 - e2))
     else:
         return gap    # a shared ideal point, or rounding next to one
-    if _on_segment(seg_b, abs(on_b)) and _on_segment(seg_a, abs(on_a)):
+    if (seg_b.spans(0.5 * math.log(abs(on_b)))
+            and seg_a.spans(0.5 * math.log(abs(on_a)))):
         gap = min(gap, length)
     return gap
-
-
-def _ideal_ends(seg, other):
-    """The ideal endpoints of `other`'s geodesic in the frame where `seg`'s
-    is the vertical axis: real numbers, or INF."""
-    ends = [mobius_boundary(seg._g._norm, y) for y in other._g.endpoints]
-    return [x if x is INF else x.real for x in ends]
-
-
-def _on_segment(seg, height_sq):
-    """Whether the point of `seg`'s geodesic at height sqrt(height_sq) in
-    its frame lies on `seg`."""
-    coord = 0.5 * math.log(height_sq) - seg._g._anchor_coord
-    return min(seg._lo, seg._hi) <= coord <= max(seg._lo, seg._hi)
 
 
 @dataclass

@@ -24,9 +24,8 @@ from .certify import (
     path_lower_bound,
     quadrilateral_check,
 )
-from .geometry import NotLoxodromic, RepresentationError, parse_rep_file
+from .geometry import parse_rep_file
 from .scans import (
-    PreconditionError,
     bowditch_scan,
     excursion_profile,
     find_quasi_loops,
@@ -340,16 +339,15 @@ def run(args, stream=None):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The suites and scans allocate millions of short-lived tuples while
-    # holding every tower and record alive; at the default first-generation
-    # threshold of 700 that triggers full collections over all of them.
-    # The caller's threshold is restored on return.
+    # The scans allocate millions of short-lived tuples while holding
+    # every record alive; at the default first-generation threshold of 700
+    # that triggers full collections over all of them.  The caller's
+    # threshold is restored on return.
     thresholds = gc.get_threshold()
     gc.set_threshold(50_000)
     try:
         return run(args)
-    except (RepresentationError, PreconditionError, NotLoxodromic,
-            SamplerError, OSError, ValueError) as e:
+    except (SamplerError, OSError, ValueError) as e:
         print(f"primscan: error: {e}", file=sys.stderr)
         return 2
     finally:

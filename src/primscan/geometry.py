@@ -410,11 +410,18 @@ class Geodesic:
         self.endpoints = (forward, backward)
         self._norm = a, b, c, d = normalizer(backward, forward)
         self._inv = (d, -b, -c, a)    # the adjugate: det = 1
-        q = apply(self._norm, basepoint)
-        self._anchor_coord = math.log(math.hypot(q.z.real, q.z.imag, q.t))
+        self._anchor_coord = self._frame(basepoint)[1]
 
     def __repr__(self):
         return f"Geodesic({self.endpoints[0]!r}, {self.endpoints[1]!r})"
+
+    def _frame(self, p):
+        """p measured in the frame where this geodesic is the vertical
+        axis (0, INF): its distance to the geodesic, asinh(|z| / t), and
+        the log-height of its foot, ln sqrt(|z|^2 + t^2)."""
+        q = apply(self._norm, p)
+        return (math.asinh(abs(q.z) / q.t),
+                math.log(math.hypot(q.z.real, q.z.imag, q.t)))
 
     def point_at(self, h):
         """The point with signed coordinate h (arc length from the anchor)."""
@@ -430,23 +437,13 @@ class GeodesicMetrics(NamedTuple):
 def geodesic_metrics(p, g):
     """Distance from p to g, the foot of the projection, and its signed
     coordinate H(foot)."""
-    q = apply(g._norm, p)
-    dist = math.asinh(abs(q.z) / q.t)
-    coord = math.log(math.hypot(q.z.real, q.z.imag, q.t))
-    foot = apply(g._inv, HPoint(0.0, math.exp(coord)))
-    return GeodesicMetrics(dist, foot, coord - g._anchor_coord)
-
-
-def _coordinate(p, g):
-    """The signed coordinate H of the foot of p on g, without building
-    the foot."""
-    q = apply(g._norm, p)
-    return math.log(math.hypot(q.z.real, q.z.imag, q.t)) - g._anchor_coord
+    dist, height = g._frame(p)
+    foot = apply(g._inv, HPoint(0.0, math.exp(height)))
+    return GeodesicMetrics(dist, foot, height - g._anchor_coord)
 
 
 def dist_to_geodesic(p, g):
-    q = apply(g._norm, p)
-    return math.asinh(abs(q.z) / q.t)
+    return g._frame(p)[0]
 
 
 def fixed_points(M):
@@ -502,15 +499,7 @@ class Segment:
     __slots__ = ("p", "q", "length", "_g", "_lo", "_hi")
 
     def __init__(self, p, q):
-        self.p, self.q = p, q
-        self.length = distance(p, q)
-        if self.length < 1e-13:
-            self._g = None
-            self._lo = self._hi = 0.0
-        else:
-            self._g = geodesic_through(p, q)
-            self._lo = _coordinate(p, self._g)
-            self._hi = _coordinate(q, self._g)
+        self._place(p, q, distance(p, q), None)
 
     @classmethod
     def on_line(cls, line, mp, mq):
@@ -518,14 +507,37 @@ class Segment:
         mp and mq on it, from their coordinates: no new geodesic and no
         distance."""
         seg = cls.__new__(cls)
-        seg.p, seg.q = mp.foot, mq.foot
-        seg.length = abs(mq.coordinate - mp.coordinate)
-        if seg.length < 1e-13:
-            seg._g = None
-            seg._lo = seg._hi = 0.0
-        else:
-            seg._g, seg._lo, seg._hi = line, mp.coordinate, mq.coordinate
+        seg._place(mp.foot, mq.foot, abs(mq.coordinate - mp.coordinate),
+                   (line, mp.coordinate, mq.coordinate))
         return seg
+
+    def _place(self, p, q, length, frame):
+        """Set [p, q]: a point, with no geodesic, when shorter than 1e-13;
+        else on `frame` = (geodesic, coordinates of p and q), or, if None,
+        on the geodesic through p and q anchored at p, where H = 0."""
+        self.p, self.q, self.length = p, q, length
+        if length < 1e-13:
+            self._g, self._lo, self._hi = None, 0.0, 0.0
+        elif frame is None:
+            self._g = line = geodesic_through(p, q)
+            self._lo, self._hi = 0.0, line._frame(q)[1] - line._anchor_coord
+        else:
+            self._g, self._lo, self._hi = frame
+
+    def ideal_ends(self, other):
+        """The ideal endpoints of `other`'s geodesic in the frame where this
+        segment's geodesic is the vertical axis (0, INF): complex numbers
+        or INF.  None when either segment is a point."""
+        if self._g is None or other._g is None:
+            return None
+        return [mobius_boundary(self._g._norm, y) for y in other._g.endpoints]
+
+    def spans(self, log_height):
+        """Whether the point of the segment's geodesic at `log_height` in
+        the frame of `ideal_ends` lies on the segment; a NaN does."""
+        coord = log_height - self._g._anchor_coord
+        return not (coord < min(self._lo, self._hi)
+                    or coord > max(self._lo, self._hi))
 
     def point_at(self, s):
         """The point at arc length s from p (s clamped into [0, length])."""
@@ -548,13 +560,10 @@ def dist_to_segment(x, seg):
     distance to the nearer endpoint."""
     if seg._g is None:
         return distance(x, seg.p)
-    q = apply(seg._g._norm, x)
-    coord = (math.log(math.hypot(q.z.real, q.z.imag, q.t))
-             - seg._g._anchor_coord)
-    lo, hi = min(seg._lo, seg._hi), max(seg._lo, seg._hi)
-    if coord < lo or coord > hi:
+    dist, height = seg._g._frame(x)
+    if not seg.spans(height):
         return min(distance(x, seg.p), distance(x, seg.q))
-    return math.asinh(abs(q.z) / q.t)
+    return dist
 
 
 def minimize_convex(f, a, b):

@@ -1,8 +1,9 @@
 """Tests for tools/bench_pair.py: seed lists, the paired summary, the
-refusal to pool runs of other revisions and the refusal of a workdir
-inside the checkout."""
+refusal to pool runs of other revisions, the refusal of a workdir inside
+the checkout and of a run outside any checkout."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -164,3 +165,15 @@ def test_child_env_drops_dontwritebytecode(monkeypatch):
     assert bench_pair.os.environ["PYTHONDONTWRITEBYTECODE"] == "1"
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert "PYTHONDONTWRITEBYTECODE" not in bench_pair.child_env()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_checkout_root_refuses_a_directory_outside_any_checkout(
+        tmp_path, monkeypatch):
+    # git searches no directory above tmp_path, which holds no repository
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    for name in ("GIT_DIR", "GIT_WORK_TREE"):
+        monkeypatch.delenv(name, raising=False)
+    with pytest.raises(SystemExit, match="root of a git checkout"):
+        bench_pair.checkout_root()

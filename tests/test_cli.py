@@ -422,6 +422,15 @@ def test_csv_joins_lists_with_pipes(rep_file):
 
 # ------------------------------------------------------------- exit codes
 
+def test_input_errors_are_value_errors():
+    # `main` turns every ValueError into exit code 2, so the library's own
+    # input errors need no entry of their own
+    from primscan.geometry import NotLoxodromic, RepresentationError
+    from primscan.scans import PreconditionError
+    for error in (NotLoxodromic, RepresentationError, PreconditionError):
+        assert issubclass(error, ValueError)
+
+
 def test_missing_rep_file_exits_two(capsys):
     assert main(["scan-bowditch", "--rep", "/no/such/file.json"]) == 2
     assert "error" in capsys.readouterr().err

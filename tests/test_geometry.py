@@ -10,6 +10,7 @@ import pytest
 from primscan.geometry import (
     BASEPOINT,
     Geodesic,
+    GeodesicMetrics,
     HPoint,
     INF,
     NotLoxodromic,
@@ -36,7 +37,6 @@ from primscan.geometry import (
     power_displacement,
     translation_length,
     unimodularize,
-    _coordinate,
     _matrix,
 )
 
@@ -715,6 +715,42 @@ def test_segment_on_line_matches_the_segment_of_its_feet():
     assert point.length == 0.0 and point._g is None
 
 
+def test_segment_starts_at_coordinate_zero():
+    # the geodesic through p and q is anchored at p, so p's coordinate is
+    # its own log-height less itself: exactly 0, in H^2 and in H^3
+    rng = np.random.default_rng(83)
+    for real in (True, False):
+        for _ in range(200):
+            p, q = random_point(rng, real), random_point(rng, real)
+            seg = Segment(p, q)
+            assert seg._lo == 0.0
+            assert geodesic_metrics(p, seg._g).coordinate == 0.0
+            assert seg._hi == geodesic_metrics(q, seg._g).coordinate
+
+
+def test_segment_and_on_line_share_the_degenerate_rule():
+    # a segment shorter than 1e-13 is a point with no geodesic, however it
+    # is built; one of length 1e-13 is not
+    line = Geodesic(INF, 0.0)
+    start = geodesic_metrics(HPoint(0.0, 1.0), line)
+    for length in (0.0, math.nextafter(1e-13, 0.0), 1e-13,
+                   math.nextafter(1e-13, 1.0)):
+        end = GeodesicMetrics(0.0, HPoint(0.0, math.exp(length)), length)
+        seg = Segment.on_line(line, start, end)
+        assert seg.length == length
+        assert (seg._g is None) == (length < 1e-13)
+    built = [Segment(HPoint(0.0, 1.0), HPoint(0.0, 1.0 + k * 1e-14))
+             for k in range(16)]
+    assert min(s.length for s in built) < 1e-13 <= max(s.length
+                                                      for s in built)
+    for seg in built:
+        assert (seg._g is None) == (seg.length < 1e-13)
+    for seg in built + [Segment.on_line(line, start, start)]:
+        if seg._g is None:
+            assert (seg._lo, seg._hi) == (0.0, 0.0)
+            assert seg.interpolate(0.7) is seg.p
+
+
 def test_dist_to_segment_against_dense_sampling():
     rng = np.random.default_rng(67)
     for _ in range(40):
@@ -743,17 +779,19 @@ def test_dist_to_segment_endpoint_regimes():
 
 
 def test_log_heights_past_the_square_range():
-    # |z| = 1e200: |z|^2 overflows a Python float, which raises; the foot
-    # coordinate is ln hypot(|z|, t) = 200 ln 10 up to 1e-400
+    # |z| = 1e200: |z|^2 overflows a Python float, which raises; the
+    # foot's log-height in the frame of g, which is its coordinate, is
+    # ln hypot(|z|, t) = 200 ln 10 up to 1e-400
     p = HPoint(1e200, 1.0)
     g = Geodesic(INF, 0.0)
     want = 200 * math.log(10)
-    assert _coordinate(p, g) == pytest.approx(want, rel=1e-15)
+    assert g._frame(p)[1] == pytest.approx(want, rel=1e-15)
     # the foot lies above the segment's end (0, 2)
     assert dist_to_segment(p, Segment(HPoint(0, 1), HPoint(0, 2))) == (
         pytest.approx(distance(p, HPoint(0, 2)), rel=1e-15))
     high = Geodesic(INF, 0.0, basepoint=p)
-    assert _coordinate(HPoint(0, 1), high) == pytest.approx(-want, rel=1e-15)
+    assert geodesic_metrics(HPoint(0, 1), high).coordinate == (
+        pytest.approx(-want, rel=1e-15))
     # the foot (0, 1e200) itself is past the range of `apply`, whose t^2
     # overflows: a ValueError, which the CLI reports, not an OverflowError
     with pytest.raises(ValueError, match="height"):

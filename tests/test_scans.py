@@ -33,8 +33,8 @@ from primscan.geometry import (
     dist_to_geodesic,
     distance,
     parse_rep_file,
+    geodesic_metrics,
     translation_length,
-    _coordinate,
     _mul,
     _sinh_half_displacement,
 )
@@ -929,7 +929,8 @@ def frame_ps_records(rep, max_denominator):
     """`ps_scan`'s records from the frames of `rotation_frames`, the
     reference for its closed forms: the tube as the largest
     `dist_to_geodesic(o, axis)` and each foot increment as the
-    `_coordinate` of the end of its leaf edge on that axis."""
+    `geodesic_metrics` coordinate of the end of its leaf edge on that
+    axis."""
     records = []
     o = rep.basepoint
     edges = scans._leaf_edges(rep)
@@ -951,7 +952,8 @@ def frame_ps_records(rep, max_denominator):
         tube = max(dist_to_geodesic(o, line) for line, _ in frames)
         # the edge starts at o, the anchor of the line, whose coordinate
         # is 0
-        deltas = [_coordinate(edge.q, line) for line, edge in frames]
+        deltas = [geodesic_metrics(edge.q, line).coordinate
+                  for line, edge in frames]
         # e_m = s_m - m * rate for m < n, with s_0 = 0
         feet = itertools.accumulate(deltas[:-1], initial=0.0)
         offsets = [s - i * rate for i, s in enumerate(feet)]

@@ -88,3 +88,27 @@ def test_numpy_has_one_lazy_binding():
     assert bindings == [("geometry.py", "_lazy_import('numpy')")]
     for name in ("blocks.py", "words.py", "cli.py"):
         assert "np" not in set(bound_names(trees[name])), name
+
+
+def test_certify_reads_no_private_attribute_of_geodesics_and_segments():
+    # the frame of a geodesic, and where a segment lies in it, stay behind
+    # `Geodesic` and `Segment`: `certify` uses their public methods
+    geometry = ast.parse((SRC / "geometry.py").read_text())
+    private = set()
+    for node in geometry.body:
+        if isinstance(node, ast.ClassDef) and node.name in ("Geodesic",
+                                                            "Segment"):
+            for item in ast.walk(node):
+                if isinstance(item, ast.FunctionDef):
+                    private.add(item.name)
+                elif isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in item.targets):
+                    private.update(ast.literal_eval(item.value))
+    private = {name for name in private
+               if name.startswith("_") and not name.endswith("__")}
+    assert {"_g", "_norm", "_anchor_coord", "_lo", "_hi"} <= private
+    certify = ast.parse((SRC / "certify.py").read_text())
+    read = {node.attr for node in ast.walk(certify)
+            if isinstance(node, ast.Attribute)}
+    assert read & private == set()

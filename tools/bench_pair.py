@@ -43,6 +43,16 @@ def git(*args):
                           text=True).stdout.strip()
 
 
+def checkout_root():
+    """The top of the git checkout around the working directory.  Raises
+    SystemExit outside one."""
+    try:
+        return Path(git("rev-parse", "--show-toplevel"))
+    except subprocess.CalledProcessError:
+        raise SystemExit("bench_pair: run this tool from the root of a git "
+                         "checkout") from None
+
+
 def export(rev, workdir):
     """The committed files of rev in workdir/<full rev>; returns the path."""
     full = git("rev-parse", f"{rev}^{{commit}}")
@@ -179,7 +189,7 @@ def main():
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
 
-    check_workdir(args.workdir, Path(git("rev-parse", "--show-toplevel")))
+    check_workdir(args.workdir, checkout_root())
     workdir = args.workdir.resolve()
     trees = {side: export(getattr(args, side), workdir) for side in SIDES}
     contract = json.loads((trees["change"][1] / "BENCHMARK.json").read_text())
