@@ -72,34 +72,21 @@ def cf_expansion(p, q):
     return out
 
 
-@dataclass(unsafe_hash=True)
-class Slope:
-    """A slope p/q in lowest terms with q >= 0 (and p = 1 when q = 0).
-
-    `cf` is the canonical continued fraction of p/q; () encodes 1/0.  A
-    value type: compares and hashes by its fields; never mutate one.
-    """
-    p: int
-    q: int
-    cf: tuple
-
-    @classmethod
-    def from_pair(cls, p, q):
-        if (p, q) == (0, 0):
-            raise ValueError("slope of (0, 0) is undefined")
-        if q < 0 or (q == 0 and p < 0):
-            p, q = -p, -q
-        if gcd(abs(p), q) != 1:
-            raise ValueError(f"({p}, {q}) is not coprime")
-        cf = () if q == 0 else tuple(cf_expansion(p, q))
-        return cls(p, q, cf)
-
-    def __str__(self):
-        return f"{self.p}/{self.q}"
+def _canonical_slope(p, q):
+    """The slope p/q as the pair (p, q) in lowest terms with q >= 0, and
+    p = 1 when q = 0; raises ValueError for (0, 0) and a non-coprime pair."""
+    if (p, q) == (0, 0):
+        raise ValueError("slope of (0, 0) is undefined")
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    if gcd(abs(p), q) != 1:
+        raise ValueError(f"({p}, {q}) is not coprime")
+    return p, q
 
 
 def slope_of(w):
-    """Slope of a word's abelianization, canonicalized up to overall sign.
+    """Slope of a word's abelianization, canonicalized up to overall sign,
+    as the pair (p, q) with q >= 0.
 
     Defined whenever the image in Z^2 is a basis vector candidate
     (coprime coordinates); this does not by itself imply primitivity.
@@ -110,7 +97,7 @@ def slope_of(w):
         raise ValueError(f"{w!r} abelianizes to (0, 0)")
     if gcd(abs(p), abs(q)) != 1:
         raise ValueError(f"{w!r} abelianizes to non-coprime ({p}, {q})")
-    return Slope.from_pair(p, q)
+    return _canonical_slope(p, q)
 
 
 # --------------------------------------------------------------------------
@@ -131,32 +118,35 @@ _BASE_WORDS = {
 }
 
 
-def _tower_plan(slope):
-    """Recursion entries and substitution tag for a canonical slope.
+def _tower_plan(p, q):
+    """Recursion entries and substitution tag for a canonical slope p/q.
 
-    A slope p/q >= 1 recurses on its own expansion; 0 < p/q < 1 on that of
-    q/p, which is the tail [n2, ...] of p/q = [0; n2, ...].
+    The entries are the expansion of max(|p|, q)/min(|p|, q): of |p|/q
+    itself when |p| >= q, and otherwise of q/|p|, the tail [n2, ...] of
+    |p|/q = [0; n2, ...], on the a<->b swap.  A negative slope is the
+    mirror of |p|/q: the same entries, with b inverted.
     """
-    p, q = slope.p, slope.q
     if q == 0:
         return (), "none"
     if p == 0:
         return (), "ab"
+    a = abs(p)
+    entries = tuple(cf_expansion(max(a, q), min(a, q)))
     if p > 0:
-        return (slope.cf, "none") if p >= q else (slope.cf[1:], "ab")
-    entries, swap = _tower_plan(Slope.from_pair(-p, q))
-    return entries, "ab+bB" if swap == "ab" else "bB"
+        return entries, "none" if a >= q else "ab"
+    return entries, "bB" if a >= q else "ab+bB"
 
 
 @dataclass(unsafe_hash=True)
 class BlockTower:
-    """The block words and lengths for one slope.
+    """The block words for one slope.
 
-    `cf` holds the recursion entries — the continued fraction of p/q when
-    p/q >= 1, of the reciprocal when the a<->b swap applies.  `w[i]`/`wp[i]`
-    are w_i, w'_i on the substituted alphabet, so w[-1] is an actual class
-    representative of slope p/q.  Lengths: l'_i = l_i + l_{i-1},
-    l_i < l'_i < 2 l_i and n_i < l_i/l_{i-1} < n_i + 1 for i >= 1.
+    `cf` holds the recursion entries — the continued fraction of |p|/q
+    when |p| >= q, of the reciprocal when the a<->b swap applies.
+    `w[i]`/`wp[i]` are w_i, w'_i on the substituted alphabet, so w[-1] is
+    an actual class representative of slope p/q.  Lengths l_i = |w_i|,
+    l'_i = |w'_i|: l'_i = l_i + l_{i-1}, l_i < l'_i < 2 l_i and
+    n_i < l_i/l_{i-1} < n_i + 1 for i >= 1.
 
     A value type: compares and hashes by its fields; never mutate one.
     """
@@ -166,8 +156,6 @@ class BlockTower:
     swap: str
     w: tuple
     wp: tuple
-    l: tuple
-    lp: tuple
 
     @property
     def depth(self):
@@ -184,8 +172,8 @@ class BlockTower:
             "cf": list(self.cf),
             "w": list(self.w),
             "wp": list(self.wp),
-            "l": list(self.l),
-            "lp": list(self.lp),
+            "l": [len(x) for x in self.w],
+            "lp": [len(x) for x in self.wp],
             "swap": self.swap,
         }
 
@@ -196,32 +184,28 @@ def build_blocks(p, q):
     Raises ValueError when the class word, of |p| + q letters, is longer
     than a string can be (`sys.maxsize`).
     """
-    slope = Slope.from_pair(p, q)
-    length = abs(slope.p) + slope.q
+    p, q = _canonical_slope(p, q)
+    length = abs(p) + q
     if length > sys.maxsize:
-        raise ValueError(f"the class word of slope {slope} has {length} "
+        raise ValueError(f"the class word of slope {p}/{q} has {length} "
                          f"letters, more than a string holds "
                          f"({sys.maxsize})")
-    return _build_tower(slope, {})
+    return _build_tower(p, q, {})
 
 
-def _build_tower(slope, levels):
-    """The tower of `slope`, with its words looked up in and added to
-    `levels`, the level table of one enumeration (see `_tower_levels`)."""
-    entries, swap = _tower_plan(slope)
+def _build_tower(p, q, levels):
+    """The tower of the canonical slope p/q, with its words looked up in and
+    added to `levels`, the level table of one enumeration (`_tower_levels`)."""
+    entries, swap = _tower_plan(p, q)
     for n in entries:
         if n < 1:
-            raise LemmaViolation(f"tower entry {n} < 1 for slope {slope}")
+            raise LemmaViolation(f"tower entry {n} < 1 for slope {p}/{q}")
     w, wp = _tower_levels(swap, entries, levels)
-    tower = BlockTower(
-        p=slope.p, q=slope.q, cf=entries, swap=swap, w=w, wp=wp,
-        l=tuple(map(len, w)), lp=tuple(map(len, wp)),
-    )
-    pp, qq = abelianization(tower.word)
-    if (pp, qq) not in ((slope.p, slope.q), (-slope.p, -slope.q)):
+    pp, qq = abelianization(w[-1])
+    if (pp, qq) not in ((p, q), (-p, -q)):
         raise LemmaViolation(
-            f"tower word for {slope} abelianizes to ({pp}, {qq})")
-    return tower
+            f"tower word for {p}/{q} abelianizes to ({pp}, {qq})")
+    return BlockTower(p, q, entries, swap, w, wp)
 
 
 def _tower_levels(swap, entries, levels):
@@ -249,7 +233,7 @@ def _tower_levels(swap, entries, levels):
 
 
 def enumerate_primitive_classes(max_den):
-    """One (Slope, BlockTower) per slope with 0 <= p, q <= max_den, plus 1/0.
+    """One BlockTower per slope with 0 <= p, q <= max_den, plus 1/0.
 
     Deterministic order: by q, then p; so 1/0 comes first, then 0/1, 1/1,
     2/1, ...  The count is 2 + #{(p, q) : 1 <= p, q <= max_den, coprime}.
@@ -258,16 +242,15 @@ def enumerate_primitive_classes(max_den):
 
 
 def _class_towers(pairs, levels):
-    """Yield (Slope, BlockTower) for each (p, q) of `pairs`, in order, with
-    the towers built one at a time on the level table `levels`.
+    """Yield the BlockTower of each (p, q) of `pairs`, in order, built
+    one at a time on the level table `levels`.
 
     Read between two towers, len(levels) tells how many levels the last
     one added.  The pairs must be coprime and nonnegative, like those of
-    `_class_pairs`: the slopes are built without the from_pair checks.
+    `_class_pairs`: they skip the checks of `build_blocks`.
     """
     for p, q in pairs:
-        slope = Slope(p, q, tuple(cf_expansion(p, q)) if q else ())
-        yield slope, _build_tower(slope, levels)
+        yield _build_tower(p, q, levels)
 
 
 def _class_pairs(max_den):
@@ -473,7 +456,7 @@ def adapted_permutation(tower, i, k):
     """
     if not 1 <= i <= tower.depth:
         raise ValueError(f"level {i} outside [1, {tower.depth}]")
-    li = tower.l[i]
+    li = len(tower.w[i])
     if not 0 <= k < li:
         raise ValueError(f"rotation {k} outside [0, {li})")
     [ar] = _level_rotations(tower, i, (k,))
@@ -487,7 +470,7 @@ def adapted_rotations(tower, i):
     with a LemmaViolation returned, not raised, as the entry of its k."""
     if not 1 <= i <= tower.depth:
         raise ValueError(f"level {i} outside [1, {tower.depth}]")
-    return _level_rotations(tower, i, range(tower.l[i]))
+    return _level_rotations(tower, i, range(len(tower.w[i])))
 
 
 def _level_rotations(tower, i, ks):
@@ -499,7 +482,7 @@ def _level_rotations(tower, i, ks):
     a slice.  Each k still gets its own prefix/suffix test and its own
     joined factorization, compared with the rotated class word.
     """
-    lprev = tower.l[i - 1]
+    lprev = len(tower.w[i - 1])
     threshold = (tower.cf[i - 1] - 1) * lprev
     w, wp = tower.w[i], tower.wp[i]
     lw, lwp = len(w), len(wp)
@@ -571,7 +554,7 @@ def classify_magic_subword(tower, i, u):
     """
     if not 1 <= i <= tower.depth:
         raise ValueError(f"level {i} outside [1, {tower.depth}]")
-    li = tower.l[i]
+    li = len(tower.w[i])
     if len(u) != li:
         raise ValueError(f"subword length {len(u)} != l_{i} = {li}")
     if u not in tower.word * 2:
@@ -586,16 +569,15 @@ def _match_magic_subword(tower, i, u, ww):
     A u of length |w_i| is a rotation of w_i exactly when it occurs in
     `ww`, and its first occurrence is its first rotation index.
     """
-    if 2 * len(u) == len(ww):
-        hit = ww.find(u)
+    hit = ww.find(u)
+    if hit >= 0:
+        return MagicWitness(hit, "")    # positional: see _level_rotations
+    for c in sorted(set(tower.wp[0])):
+        if c == u[-1]:
+            continue
+        hit = ww.find(u[:-1] + c)
         if hit >= 0:
-            return MagicWitness(hit, "")    # positional: see _level_rotations
-        for c in sorted(set(tower.wp[0])):
-            if c == u[-1]:
-                continue
-            hit = ww.find(u[:-1] + c)
-            if hit >= 0:
-                return MagicWitness(hit, c)
+            return MagicWitness(hit, c)
     raise LemmaViolation(
         f"{u!r} is not a rotation of w_{i} at slope {tower.p}/{tower.q}, "
         f"even after a last-letter change")
@@ -624,7 +606,7 @@ def _towers_by_word_length(cap):
     time, in the order of `_class_pairs(cap)`."""
     # the class word of a slope p/q with p >= 0 has p + q letters
     pairs = [(p, q) for p, q in _class_pairs(cap) if p + q <= cap]
-    return (t for _, t in _class_towers(pairs, {}))
+    return _class_towers(pairs, {})
 
 
 def _recurrence_suite(cap):
@@ -643,7 +625,7 @@ def _recurrence_suite(cap):
     levels = {}
     failing = {}    # (swap, entries[:i]) -> `_check_level` messages
     size = 0
-    for _, t in _class_towers(_class_pairs(cap), levels):
+    for t in _class_towers(_class_pairs(cap), levels):
         new, size = len(levels) - size, len(levels)
         depth = t.depth
         for i in range(max(1, depth + 1 - new), depth + 1):
@@ -674,7 +656,7 @@ def _check_tower(t, level_failures, failures):
     def fail(what):
         failures.append({"p": t.p, "q": t.q, "check": what})
 
-    if not (t.l[0] == 1 and t.lp[0] == 2):
+    if not (len(t.w[0]) == 1 and len(t.wp[0]) == 2):
         fail("base lengths")
     if len(t.word) != abs(t.p) + t.q:
         fail("word length |p| + q")
@@ -698,8 +680,9 @@ def _check_level(t, i):
     (m+2) l_(i-1) inequality, which starts at level 2.  A message is
     formatted only when its check fails.
     """
-    w, wp, l, lp, cf = t.w, t.wp, t.l, t.lp, t.cf
+    w, wp, cf = t.w, t.wp, t.cf
     n = cf[i - 1]
+    lprev, li, lpi = len(w[i - 1]), len(w[i]), len(wp[i])
     own, inequality = [], []
     if w[i] != w[i - 1] * (n - 1) + wp[i - 1]:
         own.append(f"w recurrence at level {i}")
@@ -707,20 +690,20 @@ def _check_level(t, i):
         own.append(f"w' recurrence at level {i}")
     if wp[i] != w[i - 1] + w[i]:
         own.append(f"w' = w_(i-1) w_i at level {i}")
-    if lp[i] != l[i] + l[i - 1]:
+    if lpi != li + lprev:
         own.append(f"l' recurrence at level {i}")
-    if not l[i] < lp[i] < 2 * l[i]:
+    if not li < lpi < 2 * li:
         own.append(f"l < l' < 2l at level {i}")
-    if not i + 1 <= l[i]:
+    if not i + 1 <= li:
         own.append(f"l_i >= i + 1 at level {i}")
     if i == 1:
-        if l[1] != (n + 1) * l[0]:
+        if li != (n + 1) * lprev:
             own.append("l_1 = (n_1 + 1) l_0")
         return own, inequality
-    if not n * l[i - 1] < l[i] < (n + 1) * l[i - 1]:
+    if not n * lprev < li < (n + 1) * lprev:
         own.append(f"n l < l < (n+1) l at level {i}")
     m = cf[i - 2]
-    lhs, rhs = (m + 2) * l[i - 1], (m + 1) * l[i]
+    lhs, rhs = (m + 2) * lprev, (m + 1) * li
     if i >= 3 or n >= 2:
         if not lhs < rhs:
             inequality.append(f"(m+2) l_(i-1) < (m+1) l_i at level {i}")
@@ -743,7 +726,7 @@ def _magic_suite(cap):
         doubled = t.word * 2
         lr = len(t.word)
         for i in range(1, t.depth + 1):
-            li = t.l[i]
+            li = len(t.w[i])
             ww = t.w[i] * 2
             # slices of length l_i of w_r w_r at a level in [1, depth]:
             # every argument check of `classify_magic_subword` holds
@@ -840,7 +823,7 @@ def _bloc_suite(cap):
     for t in _towers_by_word_length(cap):
         lr = len(t.word)
         for i in range(1, t.depth + 1):
-            li, lpi = t.l[i], t.lp[i]
+            li, lpi = len(t.w[i]), len(t.wp[i])
             if lr <= 4 * li:
                 continue
             seq = block_sequence(t, i)
@@ -848,7 +831,7 @@ def _bloc_suite(cap):
             checks += li * n
             if bad:
                 _, moved = _bloc_windows(seq[1:] + seq[:1], li, lpi, lr)
-                threshold = (t.cf[i - 1] - 1) * t.l[i - 1]
+                threshold = (t.cf[i - 1] - 1) * len(t.w[i - 1])
                 failures.extend(
                     {"p": t.p, "q": t.q, "i": i, "k": k, "start": s,
                      "length": length, "count": count, "alpha": alpha}

@@ -91,12 +91,11 @@ def emit(records, aggregate, fmt, stream):
 # ------------------------------------------------------------- commands
 
 def _cmd_enumerate(args):
-    records = []
-    for slope, tower in enumerate_primitive_classes(args.max_den):
-        records.append({
-            "p": slope.p, "q": slope.q, "len": len(tower.word),
-            "cf": list(tower.cf), "swap": tower.swap, "word": tower.word,
-        })
+    records = [
+        {"p": t.p, "q": t.q, "len": len(t.word), "cf": list(t.cf),
+         "swap": t.swap, "word": t.word}
+        for t in enumerate_primitive_classes(args.max_den)
+    ]
     return records, {"classes": len(records)}, 0
 
 
@@ -105,7 +104,7 @@ def _cmd_blocks(args):
     tower = build_blocks(p, q)
     records = [
         {"i": i, "w": tower.w[i], "wp": tower.wp[i],
-         "l": tower.l[i], "lp": tower.lp[i]}
+         "l": len(tower.w[i]), "lp": len(tower.wp[i])}
         for i in range(tower.depth + 1)
     ]
     aggregate = {"p": tower.p, "q": tower.q, "cf": list(tower.cf),

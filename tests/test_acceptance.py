@@ -89,7 +89,7 @@ _RELABELINGS = [
 def _reference_primitive_words(max_len):
     """Every cyclically reduced primitive word of length <= max_len,
     built only from tower words, sign relabelings, inverses, rotations."""
-    base = [t.word for _, t in enumerate_primitive_classes(max_len)
+    base = [t.word for t in enumerate_primitive_classes(max_len)
             if len(t.word) <= max_len]
     out = set()
     for w in base:
@@ -272,7 +272,7 @@ def _seeded_small_rep(rng):
 
 
 def test_criterion_08_excursion_on_seeded_pairs():
-    slopes = [tower for _, tower in enumerate_primitive_classes(5)
+    slopes = [tower for tower in enumerate_primitive_classes(5)
               if 3 <= len(tower.word) <= 8]
     rng = np.random.default_rng(8)
     pairs = retrievals = 0

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -13,7 +14,6 @@ from primscan import blocks
 from primscan.blocks import (
     BlockTower,
     LemmaViolation,
-    Slope,
     adapted_permutation,
     adapted_rotations,
     alphabet_class,
@@ -104,21 +104,31 @@ def test_cf_examples():
 # --------------------------------------------------------------------------
 
 def test_slope_canonicalization():
-    assert Slope.from_pair(-3, -2) == Slope.from_pair(3, 2)
-    assert Slope.from_pair(-1, 0) == Slope.from_pair(1, 0)
-    assert Slope.from_pair(1, 0).cf == ()
-    assert Slope.from_pair(3, 2).cf == (1, 2)
-    assert str(Slope.from_pair(-3, 2)) == "-3/2"
-    with pytest.raises(ValueError):
-        Slope.from_pair(2, 4)
-    with pytest.raises(ValueError):
-        Slope.from_pair(0, 0)
+    canonical = blocks._canonical_slope
+    assert canonical(-3, -2) == canonical(3, 2) == (3, 2)
+    assert canonical(-1, 0) == canonical(1, 0) == (1, 0)
+    assert canonical(-3, 2) == canonical(3, -2) == (-3, 2)
+    assert build_blocks(-1, 0) == build_blocks(1, 0)
+    assert build_blocks(1, 0).cf == ()
+    assert build_blocks(3, -2) == build_blocks(-3, 2)
+    assert (build_blocks(-3, -2).p, build_blocks(-3, -2).q) == (3, 2)
+    assert build_blocks(3, 2).cf == (1, 2)
+    # the messages name the pair after the sign is fixed
+    for p, q, message in [(2, 4, "(2, 4) is not coprime"),
+                          (2, -4, "(-2, 4) is not coprime"),
+                          (0, 0, "slope of (0, 0) is undefined")]:
+        for call in (canonical, build_blocks):
+            with pytest.raises(ValueError) as raised:
+                call(p, q)
+            assert str(raised.value) == message
 
 
 def test_slope_of_words():
-    assert slope_of("aab") == Slope.from_pair(2, 1)
-    assert slope_of("ABB") == Slope.from_pair(1, 2)
-    assert slope_of("aB") == Slope.from_pair(-1, 1)
+    assert slope_of("aab") == (2, 1)
+    assert slope_of("ABB") == (1, 2)
+    assert slope_of("aB") == (-1, 1)
+    assert slope_of("Ab") == (-1, 1)
+    assert slope_of("abaab") == (3, 2)
     with pytest.raises(ValueError):
         slope_of("abAB")  # abelianizes to (0, 0)
     with pytest.raises(ValueError):
@@ -148,8 +158,8 @@ def test_tower_7_5_frozen():
     assert tower.cf == (1, 2, 2)
     assert tower.w == ("a", "ab", "abaab", "abaabababaab")
     assert tower.wp == ("ab", "aab", "ababaab", "abaababaabababaab")
-    assert tower.l == (1, 2, 5, 12)
-    assert tower.lp == (2, 3, 7, 17)
+    assert tuple(map(len, tower.w)) == (1, 2, 5, 12)
+    assert tuple(map(len, tower.wp)) == (2, 3, 7, 17)
     assert tower.word == "abaabababaab"
     assert tower.depth == 3
 
@@ -169,17 +179,17 @@ def test_tower_substitutions_frozen():
 
 
 def test_tower_words_have_their_slope():
-    for slope, tower in enumerate_primitive_classes(10):
-        assert slope_of(tower.word) == slope
+    for tower in enumerate_primitive_classes(10):
+        assert slope_of(tower.word) == (tower.p, tower.q)
     for p, q in [(-7, 5), (-1, 3), (-8, 1)]:
-        assert slope_of(build_blocks(p, q).word) == Slope.from_pair(p, q)
+        assert slope_of(build_blocks(p, q).word) == (p, q)
 
 
 def test_tower_length_recurrences_and_bounds():
-    towers = [t for _, t in enumerate_primitive_classes(12)]
+    towers = enumerate_primitive_classes(12)
     towers += [build_blocks(89, 55), build_blocks(-55, 89)]
     for t in towers:
-        l, lp, cf = t.l, t.lp, t.cf
+        l, lp, cf = tuple(map(len, t.w)), tuple(map(len, t.wp)), t.cf
         assert l[0] == 1 and lp[0] == 2
         assert len(t.word) == abs(t.p) + t.q
         for i in range(1, t.depth + 1):
@@ -208,7 +218,7 @@ def test_tower_length_recurrences_and_bounds():
 
 def test_min_li_bound_is_tight_at_level_two():
     t = build_blocks(*cf_value([1, 1, 2]))
-    assert (t.cf[0] + 2) * t.l[1] == (t.cf[0] + 1) * t.l[2]
+    assert (t.cf[0] + 2) * len(t.w[1]) == (t.cf[0] + 1) * len(t.w[2])
 
 
 # the letter substitutions of every swap tag, applied to whole words: an
@@ -220,10 +230,39 @@ _REFERENCE_SUBS = {
 }
 
 
-def _reference_tower(slope):
+def _reference_plan(p, q):
+    """The recursion entries and substitution tag of the canonical slope
+    p/q, planned as before slopes were plain pairs: p/q >= 1 on its own
+    expansion, 0 < p/q < 1 on the tail [n2, ...] of p/q = [0; n2, ...],
+    and a negative slope as the plan of -p/q with b inverted."""
+    if q == 0:
+        return (), "none"
+    if p == 0:
+        return (), "ab"
+    if p > 0:
+        cf = tuple(cf_expansion(p, q))
+        return (cf, "none") if p >= q else (cf[1:], "ab")
+    entries, swap = _reference_plan(-p, q)
+    return entries, "ab+bB" if swap == "ab" else "bB"
+
+
+def _canonical_slopes(cap):
+    """Every canonical slope p/q with |p|, q <= cap, on both signs."""
+    return [(p, q) for q in range(cap + 1) for p in range(-cap, cap + 1)
+            if gcd(abs(p), q) == 1 and (q > 0 or p == 1)]
+
+
+def test_tower_plan_matches_recursive_reference():
+    slopes = _canonical_slopes(300)
+    assert len(slopes) == 109_592
+    for p, q in slopes:
+        assert blocks._tower_plan(p, q) == _reference_plan(p, q), (p, q)
+
+
+def _reference_tower(p, q):
     """The per-slope loop that built every tower before towers shared a
     level table: all levels on {a, b}, then the letter substitution."""
-    entries, swap = blocks._tower_plan(slope)
+    entries, swap = _reference_plan(p, q)
     w, wp = ["a"], ["ab"]
     for n in entries:
         w.append(w[-1] * (n - 1) + wp[-1])
@@ -232,27 +271,22 @@ def _reference_tower(slope):
         table = _REFERENCE_SUBS[swap]
         w = [x.translate(table) for x in w]
         wp = [x.translate(table) for x in wp]
-    return BlockTower(p=slope.p, q=slope.q, cf=entries, swap=swap,
-                      w=tuple(w), wp=tuple(wp), l=tuple(map(len, w)),
-                      lp=tuple(map(len, wp)))
+    return BlockTower(p=p, q=q, cf=entries, swap=swap, w=tuple(w),
+                      wp=tuple(wp))
 
 
 def test_level_table_towers_match_per_slope_loop():
     classes = enumerate_primitive_classes(200)
     assert len(classes) == 24465
-    for slope, tower in classes:
-        assert tower == _reference_tower(slope), slope
+    for tower in classes:
+        assert tower == _reference_tower(tower.p, tower.q), tower
     # both signs and every substitution, sharing one table
     levels = {}
-    for p in range(-40, 41):
-        for q in range(41):
-            if gcd(abs(p), q) != 1:
-                continue
-            slope = Slope.from_pair(p, q)
-            want = _reference_tower(slope)
-            got = blocks._build_tower(slope, levels)
-            assert got == want and hash(got) == hash(want), slope
-            assert build_blocks(p, q) == want
+    for p, q in _canonical_slopes(40):
+        want = _reference_tower(p, q)
+        got = blocks._build_tower(p, q, levels)
+        assert got == want and hash(got) == hash(want), (p, q)
+        assert build_blocks(p, q) == want
 
 
 def test_tower_value_semantics():
@@ -263,8 +297,10 @@ def test_tower_value_semantics():
     broken = _break_word(tower, tower.depth)
     assert broken != tower
     assert dataclasses.replace(tower, p=-13).p == -13
-    assert len({tower, fresh, Slope.from_pair(13, 8),
-                Slope.from_pair(13, 8)}) == 2
+    assert len({tower, fresh, (13, 8), slope_of(tower.word)}) == 2
+    # a tower is its plan and its words; the lengths are read from those
+    assert [f.name for f in dataclasses.fields(BlockTower)] == \
+        ["p", "q", "cf", "swap", "w", "wp"]
 
 
 def test_enumeration_count_matches_totient_sum():
@@ -277,18 +313,18 @@ def test_enumeration_count_matches_totient_sum():
                     phi[m] -= phi[m] // k
         # coprime pairs in [1, N]^2 come in (p, q) / (q, p) twins except (1, 1)
         assert len(classes) == 2 + 2 * sum(phi[1:]) - 1
-        slopes = [s for s, _ in classes]
-        assert slopes[:2] == [Slope.from_pair(1, 0), Slope.from_pair(0, 1)]
-        assert slopes == sorted(slopes, key=lambda s: (s.q, s.p))
+        slopes = [(t.p, t.q) for t in classes]
+        assert slopes[:2] == [(1, 0), (0, 1)]
+        assert slopes == sorted(slopes, key=lambda s: (s[1], s[0]))
         assert len(set(slopes)) == len(slopes)
     with pytest.raises(ValueError):
         enumerate_primitive_classes(0)
 
 
 def test_enumerated_slopes_equal_their_checked_construction():
-    # enumeration builds its slopes without the gcd and sign checks
-    for slope, _ in enumerate_primitive_classes(200):
-        assert slope == Slope.from_pair(slope.p, slope.q)
+    # enumeration builds its towers without the gcd and sign checks
+    for t in enumerate_primitive_classes(200):
+        assert (t.p, t.q) == blocks._canonical_slope(t.p, t.q)
 
 
 def test_farey_walk_slopes_are_the_class_pairs():
@@ -342,12 +378,12 @@ def test_derivation_failures():
 
 
 def test_derivation_values_match_tower_entries():
-    for _, tower in enumerate_primitive_classes(9):
+    for tower in enumerate_primitive_classes(9):
         trace = derivation(tower.word)
         assert trace.primitive and trace.reason == ""
         assert trace.values == tower.cf
         # the value sequence is a conjugacy invariant
-        for k in (1, tower.l[-1] // 2):
+        for k in (1, len(tower.w[-1]) // 2):
             rotated = derivation(rotate(tower.word, k))
             assert rotated.primitive and rotated.values == tower.cf
 
@@ -363,7 +399,7 @@ _RELABELINGS = [
 def _reference_primitive_words(max_len):
     """All cyclically reduced primitive words of length <= max_len, built
     from towers, sign relabelings, inverses, and rotations only."""
-    base = [t.word for _, t in enumerate_primitive_classes(max_len)
+    base = [t.word for t in enumerate_primitive_classes(max_len)
             if len(t.word) <= max_len]
     out = set()
     for w in base:
@@ -411,7 +447,7 @@ def test_primitive_implies_coprime_abelianization(w):
 # --------------------------------------------------------------------------
 
 def test_block_sequence_reassembles_word():
-    for _, tower in enumerate_primitive_classes(8):
+    for tower in enumerate_primitive_classes(8):
         for i in range(tower.depth + 1):
             seq = block_sequence(tower, i)
             rebuilt = "".join(
@@ -425,7 +461,7 @@ def _brute_force_adapted_j(tower, i, k):
     j-rotation of w'_i."""
     rot_w = rotate(tower.w[i], k)
     out = set()
-    for j in range(tower.lp[i]):
+    for j in range(len(tower.wp[i])):
         rot_wp = rotate(tower.wp[i], j)
         if rot_wp.startswith(rot_w) or rot_wp.endswith(rot_w):
             out.add(j)
@@ -433,12 +469,12 @@ def _brute_force_adapted_j(tower, i, k):
 
 
 def test_adapted_rotations_exhaustive():
-    for _, tower in enumerate_primitive_classes(8):
+    for tower in enumerate_primitive_classes(8):
         word = tower.word
         for i in range(1, tower.depth + 1):
             seq = block_sequence(tower, i)
             n = tower.cf[i - 1]
-            for k in range(tower.l[i]):
+            for k in range(len(tower.w[i])):
                 ar = adapted_permutation(tower, i, k)
                 assert ar.block == rotate(tower.w[i], k)
                 assert ar.block_prime == rotate(tower.wp[i], ar.j)
@@ -449,12 +485,12 @@ def test_adapted_rotations_exhaustive():
                     assert ar.block_prime.endswith(ar.block)
                 assert ar.j in _brute_force_adapted_j(tower, i, k)
                 if ar.case == 1:
-                    assert k <= (n - 1) * tower.l[i - 1]
+                    assert k <= (n - 1) * len(tower.w[i - 1])
                     assert ar.j == k
                     assert ar.blocks == seq
                 else:
-                    assert k > (n - 1) * tower.l[i - 1]
-                    assert ar.j == k + tower.l[i - 1]
+                    assert k > (n - 1) * len(tower.w[i - 1])
+                    assert ar.j == k + len(tower.w[i - 1])
                     assert ar.blocks == seq[1:] + seq[:1]
                 rebuilt = "".join(ar.block if s == "w" else ar.block_prime
                                   for s in ar.blocks)
@@ -469,7 +505,7 @@ def test_adapted_rotation_validation():
     with pytest.raises(ValueError):
         adapted_permutation(tower, 4, 0)
     with pytest.raises(ValueError):
-        adapted_permutation(tower, 2, tower.l[2])
+        adapted_permutation(tower, 2, len(tower.w[2]))
     for i in (0, 4):
         with pytest.raises(ValueError):
             adapted_rotations(tower, i)
@@ -489,11 +525,11 @@ def _reference_adapted_permutation(tower, i, k):
     """The per-k construction of `adapted_permutation` before a level's
     rotations were built in one pass, without its argument checks."""
     n_i = tower.cf[i - 1]
-    threshold = (n_i - 1) * tower.l[i - 1]
+    threshold = (n_i - 1) * len(tower.w[i - 1])
     if k <= threshold:
         case, j = 1, k
     else:
-        case, j = 2, k + tower.l[i - 1]
+        case, j = 2, k + len(tower.w[i - 1])
     rot_w = rotate(tower.w[i], k)
     rot_wp = rotate(tower.wp[i], j)
     if case == 1:
@@ -541,7 +577,7 @@ def _assert_rotations_match_reference(tower):
     violations = 0
     for i in range(1, tower.depth + 1):
         got = adapted_rotations(tower, i)
-        assert len(got) == tower.l[i]
+        assert len(got) == len(tower.w[i])
         for k, entry in enumerate(got):
             try:
                 want = _reference_adapted_permutation(tower, i, k)
@@ -582,12 +618,12 @@ def test_level_rotations_match_per_k_reference_on_broken_towers():
 # --------------------------------------------------------------------------
 
 def test_magic_subwords_exhaustive():
-    for _, tower in enumerate_primitive_classes(8):
+    for tower in enumerate_primitive_classes(8):
         word = tower.word
         for i in range(1, tower.depth + 1):
             rots = rotations(tower.w[i])
             for start in range(len(word)):
-                u = (word + word)[start:start + tower.l[i]]
+                u = (word + word)[start:start + len(tower.w[i])]
                 wit = classify_magic_subword(tower, i, u)
                 if wit.changed_to == "":
                     assert u == rots[wit.rotation]
@@ -605,7 +641,7 @@ def _reference_magic_suite(towers):
     for t in towers:
         doubled = t.word + t.word
         for i in range(1, t.depth + 1):
-            li = t.l[i]
+            li = len(t.w[i])
             for s in range(len(t.word)):
                 checks += 1
                 try:
@@ -711,7 +747,7 @@ def test_match_magic_subword_matches_rotation_index_reference():
     for t in blocks._towers_by_word_length(40):
         doubled = t.word * 2
         for i in range(1, t.depth + 1):
-            li = t.l[i]
+            li = len(t.w[i])
             subwords = {doubled[s:s + li] for s in range(len(t.word))}
             for v in rotations(t.w[i]):
                 subwords.update(v[:-1] + c for c in "ab")
@@ -721,22 +757,6 @@ def test_match_magic_subword_matches_rotation_index_reference():
                 else "repair" if got.changed_to else "exact"
                 for got in _assert_match_is_reference(t, i, subwords))
     assert set(kinds) == {"exact", "repair", "violation"}
-
-
-def test_match_magic_subword_on_a_length_that_is_not_l_i():
-    # a tower whose l_2 disagrees with its w_2: a subword of the stated
-    # length is a proper substring of the doubled w_2 or longer than w_2,
-    # and is a rotation of nothing
-    tower = build_blocks(7, 5)
-    assert tower.l[2] == len(tower.w[2]) == 5
-    for li in (4, 6):
-        broken = dataclasses.replace(
-            tower, l=tower.l[:2] + (li,) + tower.l[3:])
-        u = (tower.word * 2)[:li]
-        assert u in tower.w[2] * 2 or li > 5
-        _assert_match_is_reference(broken, 2, [u])
-        with pytest.raises(LemmaViolation, match="not a rotation of w_2"):
-            classify_magic_subword(broken, 2, u)
 
 
 def test_magic_subword_validation():
@@ -775,16 +795,16 @@ def _reference_bloc_windows(seq, li, lpi, lr):
 
 def test_bloc_windows_match_reference_on_towers():
     keys = set()
-    for _, t in enumerate_primitive_classes(40):
+    for t in enumerate_primitive_classes(40):
         lr = len(t.word)
         if lr > 40:
             continue
         for i in range(1, t.depth + 1):
-            if lr <= 4 * t.l[i]:
+            if lr <= 4 * len(t.w[i]):
                 continue
-            for k in range(t.l[i]):
+            for k in range(len(t.w[i])):
                 seq = adapted_permutation(t, i, k).blocks
-                keys.add((seq, t.l[i], t.lp[i], lr))
+                keys.add((seq, len(t.w[i]), len(t.wp[i]), lr))
     assert len(keys) > 100
     for key in keys:
         assert blocks._bloc_windows(*key) == _reference_bloc_windows(*key)
@@ -837,7 +857,7 @@ def _reference_bloc_suite(cap):
     for t in blocks._towers_by_word_length(cap):
         lr = len(t.word)
         for i in range(1, t.depth + 1):
-            li, lpi = t.l[i], t.lp[i]
+            li, lpi = len(t.w[i]), len(t.wp[i])
             if lr <= 4 * li:
                 continue
             for k, ar in enumerate(adapted_rotations(t, i)):
@@ -926,7 +946,8 @@ def _reference_check_recurrences(t, failures):
     def fail(what):
         failures.append({"p": t.p, "q": t.q, "check": what})
 
-    w, wp, l, lp, cf = t.w, t.wp, t.l, t.lp, t.cf
+    w, wp, cf = t.w, t.wp, t.cf
+    l, lp = [len(x) for x in w], [len(x) for x in wp]
     checks = 2
     if not (l[0] == 1 and lp[0] == 2):
         fail("base lengths")
@@ -967,7 +988,7 @@ def _reference_check_recurrences(t, failures):
 def _reference_recurrence_suite(cap):
     failures = []
     checks = sum(_reference_check_recurrences(t, failures)
-                 for _, t in enumerate_primitive_classes(cap))
+                 for t in enumerate_primitive_classes(cap))
     return checks, failures
 
 
@@ -975,7 +996,7 @@ def _level_keys(cap):
     """The (swap, entries) keys of the level table of the towers to `cap`,
     level 0 left out, with the number of towers that hold each."""
     return collections.Counter(
-        (t.swap, t.cf[:i]) for _, t in enumerate_primitive_classes(cap)
+        (t.swap, t.cf[:i]) for t in enumerate_primitive_classes(cap)
         for i in range(1, t.depth + 1))
 
 
@@ -1037,45 +1058,84 @@ def _break_word(tower, n):
     return dataclasses.replace(tower, w=tuple(w))
 
 
-@pytest.mark.parametrize("tower, checks, messages", [
-    # w_2 broken, l_3 = 17 -> 20, l'_4 = 90 -> 2 l_4
-    (dataclasses.replace(_break_word(build_blocks(43, 30), 2),
-                         l=(1, 2, 5, 20, 73), lp=(2, 3, 7, 22, 146)),
-     33,
-     ["w recurrence at level 2",
-      "w' = w_(i-1) w_i at level 2",
-      "w recurrence at level 3",
-      "w' recurrence at level 3",
-      "w' = w_(i-1) w_i at level 3",
-      "l' recurrence at level 3",
-      "n l < l < (n+1) l at level 3",
-      "l' recurrence at level 4",
-      "l < l' < 2l at level 4",
-      "n l < l < (n+1) l at level 4"]),
-    (dataclasses.replace(build_blocks(7, 5), p=8, l=(2, 2, 2, 12)),
-     25,
-     ["base lengths",
-      "word length |p| + q",
-      "l' recurrence at level 1",
-      "l_1 = (n_1 + 1) l_0",
-      "l' recurrence at level 2",
-      "l < l' < 2l at level 2",
-      "l_i >= i + 1 at level 2",
-      "n l < l < (n+1) l at level 2",
-      "l' recurrence at level 3",
-      "n l < l < (n+1) l at level 3",
-      "(m+2) l_(i-1) < (m+1) l_i at level 2"]),
-    (dataclasses.replace(build_blocks(5, 3), l=(1, 2, 1, 8)),
-     25,
-     ["l' recurrence at level 2",
-      "l < l' < 2l at level 2",
-      "l_i >= i + 1 at level 2",
-      "n l < l < (n+1) l at level 2",
-      "l' recurrence at level 3",
-      "n l < l < (n+1) l at level 3",
-      "(m+2) l_(i-1) <= (m+1) l_i at level 2"]),
-], ids=["43/30", "7/5", "5/3"])
-def test_recurrence_failure_messages(tower, checks, messages):
+def _replace_words(tower, w=(), wp=(), **fields):
+    """The tower with w_i = w[i] and w'_i = wp[i] for the levels i that
+    the dicts `w` and `wp` name, and any other field replaced."""
+    w, wp = dict(w), dict(wp)
+    return dataclasses.replace(
+        tower, w=tuple(w.get(i, x) for i, x in enumerate(tower.w)),
+        wp=tuple(wp.get(i, x) for i, x in enumerate(tower.wp)), **fields)
+
+
+# Each case corrupts the words (or p) of a built tower, so its lengths
+# are those of the corrupted words.  Together they emit every kind of
+# message of `_check_level` and `_check_tower`.
+_RECURRENCE_FAILURES = {
+    # 43/30, entries (1, 2, 3, 4): w_2 broken, w_3 three letters longer
+    # (l_3 = 17 -> 20) and w'_4 56 letters longer (l'_4 = 90 -> 2 l_4)
+    "43/30": (
+        _replace_words(_break_word(build_blocks(43, 30), 2),
+                       w={3: build_blocks(43, 30).w[3] + "aab"},
+                       wp={4: build_blocks(43, 30).wp[4] + "ab" * 28}),
+        33,
+        ["w recurrence at level 2",
+         "w' = w_(i-1) w_i at level 2",
+         "w recurrence at level 3",
+         "w' recurrence at level 3",
+         "w' = w_(i-1) w_i at level 3",
+         "l' recurrence at level 3",
+         "n l < l < (n+1) l at level 3",
+         "w recurrence at level 4",
+         "w' recurrence at level 4",
+         "w' = w_(i-1) w_i at level 4",
+         "l' recurrence at level 4",
+         "l < l' < 2l at level 4",
+         "n l < l < (n+1) l at level 4"]),
+    # 7/5, entries (1, 2, 2): p = 8, w_0 = aa, and w_2 cut to ab
+    "7/5": (
+        _replace_words(build_blocks(7, 5), w={0: "aa", 2: "ab"}, p=8),
+        25,
+        ["base lengths",
+         "word length |p| + q",
+         "w' recurrence at level 1",
+         "w' = w_(i-1) w_i at level 1",
+         "l' recurrence at level 1",
+         "l_1 = (n_1 + 1) l_0",
+         "w recurrence at level 2",
+         "w' = w_(i-1) w_i at level 2",
+         "l' recurrence at level 2",
+         "l < l' < 2l at level 2",
+         "l_i >= i + 1 at level 2",
+         "n l < l < (n+1) l at level 2",
+         "w recurrence at level 3",
+         "w' recurrence at level 3",
+         "w' = w_(i-1) w_i at level 3",
+         "l' recurrence at level 3",
+         "n l < l < (n+1) l at level 3",
+         "(m+2) l_(i-1) < (m+1) l_i at level 2"]),
+    # 5/3, entries (1, 1, 2): w_2 cut to a, so l_2 = 1 and the level-2
+    # inequality, non-strict since n_2 = 1, fails
+    "5/3": (
+        _replace_words(build_blocks(5, 3), w={2: "a"}),
+        25,
+        ["w recurrence at level 2",
+         "w' = w_(i-1) w_i at level 2",
+         "l' recurrence at level 2",
+         "l < l' < 2l at level 2",
+         "l_i >= i + 1 at level 2",
+         "n l < l < (n+1) l at level 2",
+         "w recurrence at level 3",
+         "w' recurrence at level 3",
+         "w' = w_(i-1) w_i at level 3",
+         "l' recurrence at level 3",
+         "n l < l < (n+1) l at level 3",
+         "(m+2) l_(i-1) <= (m+1) l_i at level 2"]),
+}
+
+
+@pytest.mark.parametrize("case", ["43/30", "7/5", "5/3"])
+def test_recurrence_failure_messages(case):
+    tower, checks, messages = _RECURRENCE_FAILURES[case]
     failures = []
     found = [blocks._check_level(tower, i)
              for i in range(1, tower.depth + 1)]
@@ -1085,6 +1145,18 @@ def test_recurrence_failure_messages(tower, checks, messages):
     reference = []
     assert _reference_check_recurrences(tower, reference) == checks
     assert failures == reference
+
+
+def test_recurrence_failure_cases_emit_every_kind_of_message():
+    kinds = {re.sub(r" at level \d+$", "", m)
+             for _, _, messages in _RECURRENCE_FAILURES.values()
+             for m in messages}
+    assert kinds == {
+        "base lengths", "word length |p| + q", "w recurrence",
+        "w' recurrence", "w' = w_(i-1) w_i", "l' recurrence",
+        "l < l' < 2l", "l_i >= i + 1", "l_1 = (n_1 + 1) l_0",
+        "n l < l < (n+1) l", "(m+2) l_(i-1) < (m+1) l_i",
+        "(m+2) l_(i-1) <= (m+1) l_i"}
 
 
 def test_recurrence_suite_checks_each_level_once(monkeypatch):

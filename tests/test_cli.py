@@ -1,6 +1,8 @@
 import argparse
+import ast
 import csv
 import gc
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -10,6 +12,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -399,6 +402,40 @@ def test_seeded_commands_are_byte_identical(rep_file):
         assert first == second, argv
 
 
+# SHA-256 of the stdout of exact commands, recorded from a run of the
+# tree where towers still stored their lengths beside a separate slope
+# value: the outputs must not move when the towers change form.  They
+# hold integers and strings only, so the bytes are the same on every
+# supported Python and numpy.
+RECORDED_DIGESTS = {
+    ("enumerate", "--max-den", "60"):
+        "68e9c02c7f4b9e0647e5781aebe8f4f654244f2f87b65876eed30ec1f0bf6c53",
+    ("blocks", "--slope", "13/8"):
+        "12af30f109be96623ca13d8c2a776136a58713e377c1f187acfd1ffc815a41e8",
+    ("blocks", "--slope", "7/5"):
+        "1b1ad95928a81906f40560dce51a0d4639bae13e944a0d4ae424d7effc8ce98a",
+    ("blocks", "--slope", "-3/2"):
+        "7faff8f5d848a693aa90e077075e75a743ca39d7633a24ed1ee545e504f5eddd",
+    ("blocks", "--slope", "1/2"):
+        "e873f744da23111c0afbd802ada14eddeb8d275f7a07216447e8ea00779ed921",
+    ("blocks", "--slope", "-1/2"):
+        "78dfd2a3a15588ba92952cfe9653ba76a97a59300d4175b37d693967db51e04f",
+    ("blocks", "--slope", "0/1"):
+        "c4242a01dcd2a8a14132d399ac1432ca24a14f0d36f82bc98ad33518a7b05e7b",
+    ("blocks", "--slope", "1/0"):
+        "2488966af8d4c688dcb8c175f8e04b19090080a17597f8f55b851303662ae9b8",
+    ("verify-lemmas", "--max-den", "30", "--max-block-len", "40"):
+        "10c088723295b2e6dd168354ffcfb520ff35911df2d024a5f7ae8c8036343ed6",
+}
+
+
+def test_exact_commands_match_recorded_digests():
+    for argv, digest in RECORDED_DIGESTS.items():
+        code, out = capture(list(argv))
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 # -------------------------------------------------------------------- csv
 
 def test_csv_output_is_well_formed():
@@ -705,13 +742,43 @@ def test_tracer_targets_resolve():
         assert callable(obj)
 
 
-def test_flat_api_is_the_readme_tour():
+def _readme_tour():
+    """The python block of the README's library tour."""
     readme = (ROOT / "README.md").read_text()
     tour = readme.split("## Library tour", 1)[1].split("```python", 1)[1]
-    tour = tour.split("```", 1)[0]
+    return tour.split("```", 1)[0]
+
+
+def test_flat_api_is_the_readme_tour():
+    tour = _readme_tour()
     exceptions = {"LemmaViolation", "NotLoxodromic", "RepresentationError",
                   "SamplerError"}
     assert (set(re.findall(r"\bps\.(\w+)", tour)) | exceptions
             == set(primscan.__all__))
     for name in primscan.__all__:
         assert hasattr(primscan, name)
+
+
+def test_readme_tour_runs():
+    # every statement runs in order; an expression whose whole trailing
+    # comment is a Python literal must evaluate to that literal
+    tour = _readme_tour()
+    comments = {
+        tok.start[0]: tok.string[1:].strip()
+        for tok in tokenize.generate_tokens(io.StringIO(tour).readline)
+        if tok.type == tokenize.COMMENT}
+    namespace, checked = {}, 0
+    for stmt in ast.parse(tour).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                 namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md",
+                             "eval"), namespace)
+        try:
+            want = ast.literal_eval(comments.get(stmt.end_lineno, ""))
+        except (ValueError, SyntaxError):
+            continue
+        assert value == want, ast.unparse(stmt)
+        checked += 1
+    assert checked >= 4

@@ -82,10 +82,10 @@ def diagonal_rep():
 
 def test_class_matrix_matches_letterwise_product():
     rep = markoff()
-    for slope, tower in enumerate_primitive_classes(6):
+    for tower in enumerate_primitive_classes(6):
         got = class_matrix(rep, tower)
         want = rep.word_image(tower.word)
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-10), slope
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10), tower.word
 
 
 def test_deepest_class_at_cap_600_has_finite_length():
@@ -117,12 +117,13 @@ def random_h3_rep(seed, basepoint=HPoint(0, 1)):
 def test_class_matrix_matches_numpy_reduce(rep):
     # the tower recursion on the scalar kernel against a plain numpy
     # product of the letter images, for every class up to cap 30
-    for slope, tower in enumerate_primitive_classes(30):
+    for tower in enumerate_primitive_classes(30):
         got = class_matrix(rep, tower)
         want = functools.reduce(np.matmul,
                                 [rep.word_image(x) for x in tower.word])
         assert got.shape == (2, 2)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), slope
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
+            tower.word
 
 
 def test_class_matrix_deep_class_stays_unimodular_in_effect():
@@ -130,8 +131,8 @@ def test_class_matrix_deep_class_stays_unimodular_in_effect():
     # integer value predicted by the trace recursion.
     rep = markoff()
     oracle = fricke_traces(3.0, 3.0, 3.0, 20)
-    for slope, tower in enumerate_primitive_classes(20):
-        if (slope.p, slope.q) == (20, 19):
+    for tower in enumerate_primitive_classes(20):
+        if (tower.p, tower.q) == (20, 19):
             tr = complex(np.trace(class_matrix(rep, tower)))
             want = oracle[(20, 19)]
             assert tr.imag == pytest.approx(0.0, abs=1e-6)
@@ -230,7 +231,7 @@ def test_plan_image_refuses_an_entry_below_one(monkeypatch):
     # the tower still refuses a recursion entry below one; the scans read
     # no entries, so a broken plan leaves them as they were
     want = bowditch_scan(markoff(), 12)
-    monkeypatch.setattr(blocks, "_tower_plan", lambda slope: ((2, 0), "none"))
+    monkeypatch.setattr(blocks, "_tower_plan", lambda p, q: ((2, 0), "none"))
     with pytest.raises(blocks.LemmaViolation, match="entry 0 < 1"):
         build_blocks(2, 1)
     got = bowditch_scan(markoff(), 12)
@@ -375,7 +376,7 @@ def test_offset_minima_match_reference_loop(rep):
     # the shape local_global_scan passes, (word, n, n): every offset up to
     # the word length from every start, bit for bit as the reference loop
     # on the same kernel, and to MATMUL_RTOL as the np.matmul stacks
-    for _, tower in enumerate_primitive_classes(20):
+    for tower in enumerate_primitive_classes(20):
         gamma = tower.word
         n = len(gamma)
         got = _offset_minima(rep, gamma, n, n)
@@ -541,7 +542,7 @@ def test_excursion_seam_with_cancelling_fixed_point():
 def test_rotation_images_match_fresh_products():
     # prefix/suffix products against a fresh product of each rotated word
     rep = markoff()
-    words = [t.word for _, t in enumerate_primitive_classes(20)]
+    words = [t.word for t in enumerate_primitive_classes(20)]
     words.append(build_blocks(199, 200).word)
     for gamma in words:
         images = _rotation_images(rep, gamma)
@@ -563,7 +564,7 @@ def test_ps_scan_tube_is_the_excursion_maximum():
     # sample of a 1/16-step profile lies farther than the farthest vertex;
     # the vertices are samples too, so the two maxima agree up to rounding
     # (either side may be the larger by a few ulps)
-    towers = {(s.p, s.q): t for s, t in enumerate_primitive_classes(8)}
+    towers = {(t.p, t.q): t for t in enumerate_primitive_classes(8)}
     for rep in (markoff(), criterion_9_rep(0.1), random_h3_rep(3)):
         records = ps_scan(rep, 8).records
         assert len(records) == len(towers)
@@ -787,7 +788,7 @@ def test_fricke_traces_cover_all_classes():
     for cap in (4, 7, 12):
         classes = enumerate_primitive_classes(cap)
         oracle = fricke_traces(3.0, 3.0, 3.0, cap)
-        assert set(oracle) == {(s.p, s.q) for s, _ in classes}
+        assert set(oracle) == {(t.p, t.q) for t in classes}
 
 
 def test_fricke_traces_walk_past_the_recursion_limit():
@@ -1076,7 +1077,7 @@ def test_ps_scan_projection_bound_holds_for_every_pair(rep):
     # projection onto the axis is 1-Lipschitz, so d(v_i, v_j) >=
     # rate * (j - i) - osc for every pair of vertices, checked over three
     # periods against fresh subword products
-    towers = {(s.p, s.q): t for s, t in enumerate_primitive_classes(12)}
+    towers = {(t.p, t.q): t for t in enumerate_primitive_classes(12)}
     scan = ps_scan(rep, 12)
     for r in scan.records:
         gamma = towers[r["p"], r["q"]].word
