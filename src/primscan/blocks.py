@@ -611,15 +611,19 @@ def _towers_by_word_length(cap):
 
 def _recurrence_suite(cap):
     """The word and length recurrences and the length inequalities of
-    every tower of `enumerate_primitive_classes(cap)`.
+    every tower of `enumerate_primitive_classes(cap)`, in exact integer
+    and string arithmetic.
 
     The towers are built one at a time on one level table and dropped once
-    checked.  The checks of level i read levels i - 1 and i only, which
+    checked.  Each tower's own checks are its base lengths and its word
+    length.  The checks of level i read levels i - 1 and i only, which
     are the same in every tower that holds level i, so `_check_level` runs
     once per level of the table: in the tower that adds it, whose top
     levels, as many as the table grew by, are the new ones.  Checks and
     failures stay per (tower, level): a failing level's messages are
-    recorded again for every tower that holds it.
+    recorded again for every tower that holds it.  A tower's records are
+    its own failures, then its level checks by level, then its
+    (m+2) l_(i-1) inequalities by level.
     """
     failures, checks = [], 0
     levels = {}
@@ -638,37 +642,19 @@ def _recurrence_suite(cap):
                 found = failing.get((t.swap, t.cf[:i]))
                 if found:
                     held.append(found)
-        checks += _check_tower(t, held, failures)
+        messages = []
+        if not (len(t.w[0]) == 1 and len(t.wp[0]) == 2):
+            messages.append("base lengths")
+        if len(t.word) != abs(t.p) + t.q:
+            messages.append("word length |p| + q")
+        if messages or held:
+            messages += [m for level, _ in held for m in level]
+            messages += [m for _, inequality in held for m in inequality]
+            failures += [{"p": t.p, "q": t.q, "check": m} for m in messages]
+        # two checks of the tower, seven at every level, and the
+        # inequality from level 2 on
+        checks += 2 + 7 * depth + max(depth - 1, 0)
     return checks, failures
-
-
-def _check_tower(t, level_failures, failures):
-    """Record the failures of one tower, in exact integer arithmetic, and
-    return its number of checks, those of its levels included.
-
-    The tower's own checks are its base lengths and its word length.
-    `level_failures` holds the messages of `_check_level(t, i)`, in level
-    order, for the levels i that fail (passing ones may be included).  A
-    record is appended to `failures` for each failure: the tower's own,
-    then the level checks by level, then the (m+2) l_(i-1) inequalities
-    by level.
-    """
-    def fail(what):
-        failures.append({"p": t.p, "q": t.q, "check": what})
-
-    if not (len(t.w[0]) == 1 and len(t.wp[0]) == 2):
-        fail("base lengths")
-    if len(t.word) != abs(t.p) + t.q:
-        fail("word length |p| + q")
-    for own, _ in level_failures:
-        for what in own:
-            fail(what)
-    for _, inequality in level_failures:
-        for what in inequality:
-            fail(what)
-    # seven checks at every level, and the inequality from level 2 on
-    depth = t.depth
-    return 2 + 7 * depth + max(depth - 1, 0)
 
 
 def _check_level(t, i):

@@ -140,14 +140,6 @@ BASEPOINT = HPoint(0.0, 1.0)
 # matrices
 # --------------------------------------------------------------------------
 
-def as_matrix(entries):
-    """2x2 complex numpy array from any nested 2x2 structure."""
-    M = np.asarray(entries, dtype=complex)
-    if M.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {M.shape}")
-    return M
-
-
 # The scalar kernel: one 2x2 matrix as the 4-tuple (a, b, c, d) of Python
 # complex, row-major.  numpy-scalar arithmetic costs several times more per
 # operation, so every single-matrix path reads its entries once and works on
@@ -183,10 +175,22 @@ def det(M):
     return a * d - b * c
 
 
-def mat_inverse(M):
-    """Inverse via the adjugate; exact up to the det divide."""
-    a, b, c, d = _entries(M)
-    return _matrix((d, -b, -c, a)) / det(M)
+def _inverse(X):
+    """The inverse of a kernel 4-tuple whose det dr + i di is within
+    _DET_TOL of 1: its adjugate divided by the det.
+
+    Each entry is divided as numpy divides complex numbers (Smith's
+    method, for |dr| >= |di|): times 1 / (dr + di rat), with rat = di / dr.
+    Python's `/` rounds differently in the last bits; this way the letters
+    equal numpy's adjugate / det bit for bit.
+    """
+    a, b, c, d = X
+    dt = det(X)
+    rat = dt.imag / dt.real
+    scl = 1.0 / (dt.real + dt.imag * rat)
+    return tuple(complex((x.real + x.imag * rat) * scl,
+                         (x.imag - x.real * rat) * scl)
+                 for x in (d, -b, -c, a))
 
 
 def unimodularize(M):
@@ -617,21 +621,30 @@ def fermi_coords(u, rho, tanh_rho, side):
 
 class Representation:
     """A pair of unimodular matrices (images of the two generators), a
-    basepoint, and the ambient model data."""
+    basepoint, and the ambient model data.
 
-    __slots__ = ("model", "A", "B", "basepoint", "_letters", "c_prime")
+    The generators are held as kernel 4-tuples; `A` and `B` build their
+    2x2 arrays at each read.
+    """
+
+    __slots__ = ("model", "basepoint", "_letters", "_c_prime")
 
     def __init__(self, model, A, B, basepoint=BASEPOINT):
         if model not in ("H2", "H3"):
             raise RepresentationError(f"unknown model {model!r}")
-        A, B = as_matrix(A), as_matrix(B)
-        for name, M in (("A", A), ("B", B)):
-            if abs(det(M) - 1.0) > _DET_TOL:
+        A, B = _generator("A", A), _generator("B", B)
+        for name, X in (("A", A), ("B", B)):
+            for x in X:
+                if not cmath.isfinite(x):
+                    raise RepresentationError(
+                        f"matrix {name} has a non-finite entry: {x}")
+            # `not <=`: a det of inf - inf is NaN, which no bound holds
+            if not abs(det(X) - 1.0) <= _DET_TOL:
                 raise RepresentationError(
-                    f"matrix {name} is not unimodular: det = {det(M):.12g}")
+                    f"matrix {name} is not unimodular: det = {det(X):.12g}")
         if model == "H2":
-            for name, M in (("A", A), ("B", B)):
-                if abs(M.imag).max() > 0:
+            for name, X in (("A", A), ("B", B)):
+                if any(x.imag != 0 for x in X):
                     raise RepresentationError(
                         f"H2 representation requires real entries; "
                         f"matrix {name} has imaginary parts")
@@ -639,12 +652,26 @@ class Representation:
                 raise RepresentationError(
                     "H2 basepoint must have real horizontal coordinate")
         self.model = model
-        self.A, self.B = A, B
         self.basepoint = basepoint
         # each letter's image as a kernel 4-tuple
-        self._letters = {x: _entries(M) for x, M in (
-            ("a", A), ("A", mat_inverse(A)), ("b", B), ("B", mat_inverse(B)))}
-        self.c_prime = max(self.displacement("a"), self.displacement("b"))
+        self._letters = {"a": A, "A": _inverse(A), "b": B, "B": _inverse(B)}
+        self._c_prime = None
+
+    @property
+    def A(self):
+        return _matrix(self._letters["a"])
+
+    @property
+    def B(self):
+        return _matrix(self._letters["b"])
+
+    @property
+    def c_prime(self):
+        """max(d(a o, o), d(b o, o)), computed at its first read."""
+        if self._c_prime is None:
+            self._c_prime = max(self.displacement("a"),
+                                self.displacement("b"))
+        return self._c_prime
 
     def word_image(self, w):
         """The plain product of the letter images along w.
@@ -672,17 +699,34 @@ class Representation:
         return 2.0 * math.asinh(r)
 
 
+def _generator(name, M):
+    """The entries of the generator matrix `name` as a kernel 4-tuple: M
+    is one already, or anything numpy reads as a 2x2 array."""
+    if not (type(M) is tuple and len(M) == 4
+            and all(type(x) is complex for x in M)):
+        M = np.asarray(M, dtype=complex)
+        if M.shape != (2, 2):
+            raise RepresentationError(
+                f"matrix {name}: expected a 2x2 matrix, got shape {M.shape}")
+    return _entries(M)
+
+
 def _parse_matrix(name, field):
-    try:
-        arr = np.asarray(field, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise RepresentationError(f"matrix {name} is not numeric: {e}") from e
-    if arr.shape != (4, 2):
+    """The kernel 4-tuple of a matrix field of 4 [re, im] pairs, row-major.
+
+    Each entry is re + 1j * im in complex arithmetic, which sets the signs
+    of its zero parts: an imaginary -0.0 becomes 0.0, and a real -0.0
+    stays only where im is negative.
+    """
+    if not (type(field) is list and len(field) == 4
+            and all(type(x) is list and len(x) == 2 for x in field)):
         raise RepresentationError(
-            f"matrix {name} must be 4 [re, im] pairs row-major, "
-            f"got shape {arr.shape}")
-    entries = arr[:, 0] + 1j * arr[:, 1]
-    return entries.reshape(2, 2)
+            f"matrix {name} must be 4 [re, im] pairs row-major")
+    try:
+        pairs = [(float(re), float(im)) for re, im in field]
+    except (TypeError, ValueError, OverflowError) as e:
+        raise RepresentationError(f"matrix {name} is not numeric: {e}") from e
+    return tuple(complex(re + 0.0 * im, im + 0.0) for re, im in pairs)
 
 
 def parse_rep_file(path):

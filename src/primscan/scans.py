@@ -525,16 +525,18 @@ def bowditch_scan(rep, max_denominator):
     lox = [r for r in records if not r["flags"]]
     lsq = None
     if len({r["len"] for r in lox}) >= 2:
-        rate, intercept = np.polyfit([r["len"] for r in lox],
-                                     [r["tl"] for r in lox], 1)
-        lsq = [float(rate), float(intercept)]
+        # imported here: `statistics` loads `fractions` and `decimal`,
+        # which every other command would pay for at import
+        from statistics import linear_regression
+        lsq = linear_regression([r["len"] for r in lox],
+                                [r["tl"] for r in lox])
     aggregate = {
         "classes": len(records),
         "min_ratio": min_ratio,
         "min_trace": min(math.hypot(*r["tr"]) for r in records),
         "fitted_C": 1.0 / min_ratio if min_ratio > 0 else None,
-        "lsq_rate": lsq[0] if lsq else None,
-        "lsq_intercept": lsq[1] if lsq else None,
+        "lsq_rate": lsq.slope if lsq else None,
+        "lsq_intercept": lsq.intercept if lsq else None,
         "commutator_trace": [commutator.real, commutator.imag],
         "small_trace_count": sum(
             1 for r in records if math.hypot(*r["tr"]) <= 2.0 + 1e-12),

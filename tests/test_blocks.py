@@ -1069,7 +1069,8 @@ def _replace_words(tower, w=(), wp=(), **fields):
 
 # Each case corrupts the words (or p) of a built tower, so its lengths
 # are those of the corrupted words.  Together they emit every kind of
-# message of `_check_level` and `_check_tower`.
+# message of `_check_level` and of the tower's own checks in
+# `_recurrence_suite`.
 _RECURRENCE_FAILURES = {
     # 43/30, entries (1, 2, 3, 4): w_2 broken, w_3 three letters longer
     # (l_3 = 17 -> 20) and w'_4 56 letters longer (l'_4 = 90 -> 2 l_4)
@@ -1134,12 +1135,19 @@ _RECURRENCE_FAILURES = {
 
 
 @pytest.mark.parametrize("case", ["43/30", "7/5", "5/3"])
-def test_recurrence_failure_messages(case):
+def test_recurrence_failure_messages(monkeypatch, case):
     tower, checks, messages = _RECURRENCE_FAILURES[case]
-    failures = []
-    found = [blocks._check_level(tower, i)
-             for i in range(1, tower.depth + 1)]
-    assert blocks._check_tower(tower, found, failures) == checks
+
+    def one_tower(pairs, levels):
+        # the corrupted tower alone, with every level new to the table
+        levels.update(dict.fromkeys(
+            (tower.swap, tower.cf[:i]) for i in range(tower.depth + 1)))
+        yield tower
+
+    monkeypatch.setattr(blocks, "_class_towers", one_tower)
+    report = run_suite("recurrences", 1)
+    failures = report.failures
+    assert report.checks == checks
     assert failures == [{"p": tower.p, "q": tower.q, "check": m}
                         for m in messages]
     reference = []

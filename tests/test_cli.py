@@ -680,6 +680,42 @@ def test_bad_rep_payload_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_non_finite_entry_exits_two_naming_the_matrix(tmp_path, capsys,
+                                                      token, name):
+    # the JSON tokens parse to float nan and inf; every command that
+    # reads a rep refuses them before any scan
+    text = json.dumps(MARKOFF).replace(
+        f'"{name}": [[1, 0], ', f'"{name}": [[{token}, 0], ')
+    path = tmp_path / "rep.json"
+    path.write_text(text)
+    assert token in text
+    for argv in (["scan-bowditch", "--max-den", "5"], ["scan-ps"],
+                 ["excursion", "--slope", "1/1"]):
+        assert main([*argv, "--rep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"primscan: error: matrix {name} has a non-finite entry"
+                in captured.err)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('"x"', "is not numeric: could not convert string to float: 'x'"),
+    ("1" + "0" * 400, "is not numeric: int too large to convert to float"),
+    ("null", "is not numeric"),
+    ("[1]", "is not numeric"),
+])
+def test_non_numeric_entry_exits_two(tmp_path, capsys, entry, message):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(MARKOFF).replace('"A": [[1, 0], ',
+                                                f'"A": [[{entry}, 0], '))
+    assert main(["scan-bowditch", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"primscan: error: matrix A {message}" in captured.err
+
+
 # ------------------------------------------------------------ entry point
 
 def test_module_invocation():
@@ -716,12 +752,24 @@ def test_exact_commands_run_without_numpy():
         code, out = capture(argv)
         assert code == 0 and out
         assert fresh_stdout(without_numpy, *argv) == out
-    # where numpy is needed, its first use names it
+    # where numpy is needed, its first use names it: here the array read
+    # of a generator given as nested lists
     assert fresh_stdout(
         "import sys; sys.modules['numpy'] = None\n"
-        "from primscan.geometry import as_matrix\n"
-        "try:\n    as_matrix([[1, 0], [0, 1]])\n"
+        "from primscan.geometry import Representation\n"
+        "try:\n    Representation('H2', [[1, 1], [1, 2]], [[2, 1], [1, 1]])\n"
         "except ModuleNotFoundError as e:\n    print(e.name)") == "numpy\n"
+
+
+def test_scan_bowditch_runs_without_numpy(rep_file):
+    # a rep file parses to kernel tuples, and the line fit is the stdlib's
+    without_numpy = ("import sys; sys.modules['numpy'] = None; "
+                     "from primscan.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))")
+    argv = ["scan-bowditch", "--rep", rep_file(MARKOFF), "--max-den", "20"]
+    code, out = capture(argv)
+    assert code == 0 and out
+    assert fresh_stdout(without_numpy, *argv) == out
 
 
 # ------------------------------------------------------------ public API

@@ -18,7 +18,6 @@ from primscan.geometry import (
     RepresentationError,
     Segment,
     apply,
-    as_matrix,
     axis_of,
     classify,
     det,
@@ -29,7 +28,6 @@ from primscan.geometry import (
     fixed_points,
     geodesic_metrics,
     geodesic_through,
-    mat_inverse,
     minimize_convex,
     mobius_boundary,
     normalizer,
@@ -37,11 +35,28 @@ from primscan.geometry import (
     power_displacement,
     translation_length,
     unimodularize,
+    _entries,
+    _inverse,
     _matrix,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parents[1] / "src" / "primscan"
+
+
+def as_matrix(entries):
+    """The 2x2 complex numpy array of any nested 2x2 structure."""
+    M = np.asarray(entries, dtype=complex)
+    assert M.shape == (2, 2), M.shape
+    return M
+
+
+def mat_inverse(M):
+    """The reference inverse: the adjugate over the det, divided in
+    numpy."""
+    a, b, c, d = _entries(M)
+    return _matrix((d, -b, -c, a)) / det(M)
+
 
 MARKOFF_A = as_matrix([[1, 1], [1, 2]])
 MARKOFF_B = as_matrix([[1, -1], [-1, 2]])
@@ -828,6 +843,69 @@ def test_representation_markoff_cprime():
     assert rep.displacement("ab") > 0
     comm = rep.word_image("abAB")
     assert (comm[0, 0] + comm[1, 1]).real == pytest.approx(-2.0, abs=1e-12)
+
+
+def _bits(X):
+    """The parts of a kernel tuple's entries, bit for bit (the hex form
+    keeps the sign of a zero)."""
+    return [(x.real.hex(), x.imag.hex()) for x in X]
+
+
+def test_inverse_matches_numpy_adjugate_over_det():
+    rng = np.random.default_rng(30)
+    imaginary_dets = 0
+    for i in range(5000):
+        e = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if i % 5 == 1:
+            e[2] = 0    # c = 0
+        elif i % 5 == 2:
+            e[1] = 0    # b = 0
+        X = unimodularize(e.reshape(2, 2))
+        imaginary_dets += det(X).imag != 0
+        assert _bits(_inverse(X)) == _bits(_entries(mat_inverse(X))), X
+    # most rounded dets keep an imaginary part: the general division
+    assert imaginary_dets > 2500
+    # and exact ones, where the division is by a real 1
+    for X in ((2 + 0j, 1j, 0j, 0.5 + 0j), (1 + 0j, 0j, -3 + 0j, 1 + 0j)):
+        assert _bits(_inverse(X)) == _bits(_entries(mat_inverse(X)))
+
+
+def test_representation_holds_kernel_tuples():
+    nested = [[1, 1], [1, 2]], [[1, -1], [-1, 2]]
+    for A, B in (nested, (MARKOFF_A, MARKOFF_B),
+                 ((1 + 0j, 1 + 0j, 1 + 0j, 2 + 0j), MARKOFF_B)):
+        rep = Representation("H2", A, B)
+        assert rep._letters["a"] == (1 + 0j, 1 + 0j, 1 + 0j, 2 + 0j)
+        assert rep._letters["B"] == (2 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
+        assert type(rep.A) is np.ndarray and rep.A.shape == (2, 2)
+        assert abs(rep.A - MARKOFF_A).max() == 0
+        assert abs(rep.B - MARKOFF_B).max() == 0
+    # c' is computed at its first read, and kept
+    assert rep._c_prime is None
+    assert rep.c_prime == pytest.approx(math.acosh(3.5), abs=1e-12)
+    assert rep._c_prime == rep.c_prime
+    with pytest.raises(RepresentationError,
+                       match="matrix B: expected a 2x2 matrix, got shape"):
+        Representation("H2", MARKOFF_A, [1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0, math.nan)])
+def test_representation_refuses_non_finite_entries(bad):
+    for name in ("A", "B"):
+        M = [[1, 1], [1, 2]]
+        M[1][0] = bad
+        A, B = (M, MARKOFF_B) if name == "A" else (MARKOFF_A, M)
+        with pytest.raises(RepresentationError,
+                           match=f"matrix {name} has a non-finite entry"):
+            Representation("H3", A, B)
+
+
+def test_representation_refuses_a_nan_det():
+    # finite entries whose det is inf - inf
+    with pytest.raises(RepresentationError,
+                       match="matrix A is not unimodular: det = nan"):
+        Representation("H2", [[1e200, 1e200], [1e200, 1e200]], MARKOFF_B)
 
 
 def test_word_image_homomorphism():

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -882,6 +883,38 @@ def test_bowditch_h3_runs_clean():
     scan = bowditch_scan(rep, 4)
     assert scan.aggregate["classes"] == 13
     assert any(abs(r["tr"][1]) > 1e-9 for r in scan.records)
+
+
+def _exact_line_fit(xs, ys):
+    """The least-squares line (rate, intercept) through the points, in
+    exact rational arithmetic."""
+    xs, ys = list(map(Fraction, xs)), list(map(Fraction, ys))
+    xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+    rate = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+            / sum((x - xbar) ** 2 for x in xs))
+    return rate, ybar - rate * xbar
+
+
+def test_bowditch_line_fit_matches_the_exact_fit():
+    scan = bowditch_scan(parse_rep_file(
+        str(ROOT / "tests" / "data" / "markoff.json")), 200)
+    lox = [r for r in scan.records if not r["flags"]]
+    rate, intercept = _exact_line_fit([r["len"] for r in lox],
+                                      [r["tl"] for r in lox])
+    agg = scan.aggregate
+    assert agg["lsq_rate"] == pytest.approx(float(rate), rel=1e-12)
+    assert agg["lsq_intercept"] == pytest.approx(float(intercept), rel=1e-12)
+
+
+def test_bowditch_line_fit_is_flat_on_the_elliptic_fixture():
+    # every loxodromic class to cap 30 has the same translation length,
+    # so the exact rate is 0
+    scan = bowditch_scan(parse_rep_file(
+        str(ROOT / "tests" / "data" / "elliptic.json")), 30)
+    lox = [r for r in scan.records if not r["flags"]]
+    assert _exact_line_fit([r["len"] for r in lox],
+                           [r["tl"] for r in lox])[0] == 0
+    assert scan.aggregate["lsq_rate"] == 0.0
 
 
 # ----------------------------------------------------------------- ps scan
