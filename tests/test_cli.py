@@ -735,6 +735,12 @@ def fresh_stdout(code, *args):
     return proc.stdout
 
 
+# the CLI in a fresh interpreter where `import numpy` fails
+WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                 "from primscan.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))")
+
+
 def test_exact_commands_run_without_numpy():
     # numpy loads at its first use, which the exact commands never reach;
     # a numpy imported before the package is bound as it is
@@ -743,15 +749,12 @@ def test_exact_commands_run_without_numpy():
         "print([m for m in sys.modules if m.startswith('numpy.')])") == "[]\n"
     assert fresh_stdout("import numpy, primscan.geometry as g; "
                         "print(g.np is numpy)") == "True\n"
-    without_numpy = ("import sys; sys.modules['numpy'] = None; "
-                     "from primscan.cli import main; "
-                     "sys.exit(main(sys.argv[1:]))")
     for argv in (["verify-lemmas", "--max-den", "20", "--max-block-len", "20"],
                  ["enumerate", "--max-den", "5"],
                  ["blocks", "--slope", "7/5"]):
         code, out = capture(argv)
         assert code == 0 and out
-        assert fresh_stdout(without_numpy, *argv) == out
+        assert fresh_stdout(WITHOUT_NUMPY, *argv) == out
     # where numpy is needed, its first use names it: here the array read
     # of a generator given as nested lists
     assert fresh_stdout(
@@ -763,13 +766,10 @@ def test_exact_commands_run_without_numpy():
 
 def test_scan_bowditch_runs_without_numpy(rep_file):
     # a rep file parses to kernel tuples, and the line fit is the stdlib's
-    without_numpy = ("import sys; sys.modules['numpy'] = None; "
-                     "from primscan.cli import main; "
-                     "sys.exit(main(sys.argv[1:]))")
     argv = ["scan-bowditch", "--rep", rep_file(MARKOFF), "--max-den", "20"]
     code, out = capture(argv)
     assert code == 0 and out
-    assert fresh_stdout(without_numpy, *argv) == out
+    assert fresh_stdout(WITHOUT_NUMPY, *argv) == out
 
 
 # ------------------------------------------------------------ public API
