@@ -16,9 +16,11 @@ sizes n, n+1 is rewritten block-by-block (y^n x -> x, y^(n+1) x -> yx); a
 word is primitive iff repeated derivation reaches a single letter, and the
 run sizes recovered along the way are exactly the tower entries.
 
-`farey_walk` walks the slopes the other way, down the Farey tree: the
-class between Farey neighbours u and v is uv, so a caller's payload (an
-image, a word or a trace) costs one step per class.
+`farey_parents` reads the Farey tree off the same order: the two Farey
+parents u, v of a slope, and the region across their edge, come before
+it in `_class_pairs`, and the class between Farey neighbours u and v is
+uv, so a caller's payload (an image, a word or a trace) costs one step
+per class.
 
 Rotation bookkeeping for the towers (adapted rotations and the length-l_i
 subword classification) lives here too, with the exhaustive lemma suites,
@@ -265,35 +267,19 @@ def _class_pairs(max_den):
     return pairs
 
 
-def farey_walk(a, b, ab, combine, cap):
-    """Walk the half of the Farey tree between 0/1 and 1/0 down to the cap.
+def farey_parents(p, q):
+    """The Farey parents (u, v) of the slope p/q, for p, q >= 1.
 
-    Yields (p, q, x) for 1/0, 0/1 and 1/1, whose payloads x are `a`, `b`
-    and `ab`, and for every Farey mediant p/q with p, q <= cap: the slopes
-    of `_class_pairs(cap)`, each once, in depth-first order.  The mediant
-    of the edge between the regions u and v, across from the region w,
-    gets the payload `combine(u, v, w)`, with u the endpoint of larger
-    slope; its slope is the sum of theirs.  The class between Farey
-    neighbours u and v is uv, so `combine` may return an image or a word
-    of uv, or the Fricke trace tr u tr v - tr w.  A mediant past the cap
-    ends its branch: every mediant beneath it has a larger p and q.
+    The unique nonnegative pair with u + v = (p, q) and det(u, v) =
+    p_u q_v - q_u p_v = 1, so u is the parent of larger slope.  Both, and
+    the region across their edge, (|p_u - p_v|, |q_u - q_v|), come before
+    p/q in the order of `_class_pairs`, except that the region across the
+    edge of 1/1 is 1/1 itself (it is -1/1).
     """
-    if cap < 1:
-        raise ValueError("max_den must be >= 1")
-    yield 1, 0, a
-    yield 0, 1, b
-    yield 1, 1, ab
-    # the open edges, as (u, v, w, p_u, q_u, p_v, q_v)
-    stack = [(a, ab, b, 1, 0, 1, 1), (ab, b, a, 1, 1, 0, 1)]
-    while stack:
-        u, v, w, pu, qu, pv, qv = stack.pop()
-        p, q = pu + pv, qu + qv
-        if p > cap or q > cap:
-            continue
-        x = combine(u, v, w)
-        yield p, q, x
-        stack.append((x, v, u, p, q, pv, qv))
-        stack.append((u, x, v, pu, qu, p, q))
+    # q_v = p^-1 mod q; when q = 1, pow gives 0 and q_v is 1
+    qv = pow(p, -1, q) or 1
+    pv = (p * qv - 1) // q
+    return (p - pv, q - qv), (pv, qv)
 
 
 # --------------------------------------------------------------------------

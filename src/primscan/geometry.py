@@ -243,6 +243,9 @@ def apply(M, p):
         den = abs(w) * abs(w) + abs(c) * abs(c) * t2
     except OverflowError:
         den = math.inf    # the height below is 0, which HPoint refuses
+    if den == 0.0:    # underflowed: the height below would be infinite
+        raise ValueError(f"the image of {p!r} leaves the float range "
+                         f"(about 1.8e308)")
     z = ((a * p.z + b) * w.conjugate() + a * c.conjugate() * t2) / den
     return HPoint(z, p.t / den)
 

@@ -20,20 +20,19 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 - `perturbation_scan`: robustness of the minimum ratio under entrywise
   noise.
 
-Class images come from one walk of the Farey tree (`blocks.farey_walk`):
-the class between Farey neighbours u and v is uv, so each class costs one
-product on the scalar 2x2 kernel of `geometry` from two images the walk
-already holds.  The scans sort the walk into slope order; no word is
-built unless a scan walks it, and the trace oracle `fricke_traces` is
-the same walk on traces.
+Class images come in the order of `blocks._class_pairs`, each from its
+two Farey parents (`blocks.farey_parents`), which come before it: the
+class between Farey neighbours u and v is uv, so each class costs one
+product on the scalar 2x2 kernel of `geometry` from two images already
+held.  No word is built unless a scan reads it, and the trace oracle
+`fricke_traces` is the same loop on traces.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .blocks import farey_walk
+from .blocks import _class_pairs, farey_parents
 from .geometry import (
     INF,
     NotLoxodromic,
@@ -446,50 +445,56 @@ def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
     """Traces of the primitive classes of slope p/q with p, q >= 0 up to
     the cap (1/0, 0/1 and 1 <= p, q <= cap: the half of the Farey tree
     between 0/1 and 1/0) from the trace triple (tr A, tr B, tr AB), keyed
-    by (p, q): the trace payload of `blocks.farey_walk`, by the Fricke
-    recursion tr uv = tr u tr v - tr w.  Independent of any matrix
-    arithmetic."""
-    return {(p, q): t for p, q, t in farey_walk(
-        tr_a, tr_b, tr_ab, lambda u, v, w: u * v - w, max_denominator)}
+    by (p, q), by the Fricke recursion tr uv = tr u tr v - tr w over the
+    Farey parents u, v and the region w across their edge.  Independent
+    of any matrix arithmetic."""
+    pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
+    traces = _farey_table(max_denominator, tr_a, tr_b)
+    traces[1][1] = tr_ab
+    for p, q in pairs[3:]:    # after 1/0, 0/1 and 1/1
+        (pu, qu), (pv, qv) = farey_parents(p, q)
+        traces[q][p] = (traces[qu][pu] * traces[qv][pv]
+                        - traces[abs(qu - qv)][abs(pu - pv)])
+    return {(p, q): traces[q][p] for p, q in pairs}
 
 
-def _image(u, v, w):
-    """The walk's image payload: the image of the class uv."""
-    return _mul(u, v)
-
-
-def _image_and_word(u, v, w):
-    """The walk's image and word payload: the image and the word of the
-    class uv."""
-    return _mul(u[0], v[0]), u[1] + v[1]
+def _farey_table(max_denominator, a, b):
+    """A payload table indexed [q][p] up to the cap, holding `a` at 1/0
+    and `b` at 0/1."""
+    table = [[None] * (max_denominator + 1)
+             for _ in range(max_denominator + 1)]
+    table[0][1], table[1][0] = a, b
+    return table
 
 
 def _scanned_classes(rep, max_denominator, words):
     """The slopes p/q with p, q >= 0 up to the cap (the classes of
-    negative slope are not scanned), in the order of `blocks._class_pairs`
-    (by q, then p), as (gamma, kind, head): the class word when `words` is
-    true, else None; `classify` of the class image; and the record head
-    p, q, len, tr, tl.
+    negative slope are not scanned), in the order of `blocks._class_pairs`,
+    as (m, gamma, kind, head): the class image; the class word when
+    `words` is true, else None; `classify` of the image; and the record
+    head p, q, len, tr, tl.
 
-    Each image is one product along `blocks.farey_walk`: the class
-    between Farey neighbours u and v is uv, and both images are already
-    in hand.  The class words are the walk's u + v, each a cyclic rotation
-    of the `build_blocks` word; without `words` no word is built.  len is
-    p + q, the length of the class word.
+    Each image is one product of the images of its Farey parents u, v
+    (`blocks.farey_parents`), which come before it: the class between
+    Farey neighbours u and v is uv.  The class words are u + v, each a
+    cyclic rotation of the `build_blocks` word; without `words` no word is
+    built.  len is p + q, the length of the class word.
 
     Raises ValueError naming the first class, in that order, whose trace
     or translation length is not finite: its image has left the float
-    range.
+    range.  No later class is computed.
     """
-    a, b = rep._letters["a"], rep._letters["b"]
-    ab = _mul(a, b)
-    if words:
-        walk = farey_walk((a, "a"), (b, "b"), (ab, "ab"), _image_and_word,
-                          max_denominator)
-    else:
-        walk = ((p, q, (m, None)) for p, q, m
-                in farey_walk(a, b, ab, _image, max_denominator))
-    for p, q, (m, gamma) in sorted(walk, key=itemgetter(1, 0)):
+    pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
+    images = _farey_table(max_denominator, rep._letters["a"],
+                          rep._letters["b"])
+    names = _farey_table(max_denominator, "a", "b") if words else None
+    for p, q in pairs:
+        if p and q:
+            (pu, qu), (pv, qv) = farey_parents(p, q)
+            images[q][p] = _mul(images[qu][pu], images[qv][pv])
+            if words:
+                names[q][p] = names[qu][pu] + names[qv][pv]
+        m = images[q][p]
         tr = m[0] + m[3]
         kind = classify(m)
         # `translation_length`, without classifying the image again
@@ -499,7 +504,7 @@ def _scanned_classes(rep, max_denominator, words):
                 f"the trace or translation length of class {p}/{q} is "
                 f"not finite at max_den {max_denominator}: its image "
                 f"leaves the float range (about 1.8e308)")
-        yield gamma, kind, {
+        yield m, names[q][p] if words else None, kind, {
             "p": p, "q": q, "len": p + q,
             "tr": [tr.real, tr.imag], "tl": tl,
         }
@@ -511,7 +516,8 @@ def bowditch_scan(rep, max_denominator):
     non-loxodromic and low-ratio classes; fit C = 1 / ratio from the worst
     ratio."""
     records = []
-    for _, kind, head in _scanned_classes(rep, max_denominator, words=False):
+    for _, _, kind, head in _scanned_classes(rep, max_denominator,
+                                             words=False):
         ratio = head["tl"] / head["len"]
         flags = []
         if kind != "loxodromic":
@@ -568,8 +574,8 @@ def ps_scan(rep, max_denominator):
     ends = {x: apply(X, o) for x, X in rep._letters.items()}
     records, lox, images, points, refusal = [], [], [], [], None
     try:
-        for gamma, kind, head in _scanned_classes(rep, max_denominator,
-                                                  words=True):
+        for _, gamma, kind, head in _scanned_classes(rep, max_denominator,
+                                                     words=True):
             records.append({**head, "rate": head["tl"] / head["len"],
                             "osc": None, "period_error": None, "tube": None,
                             "flags": ["not-loxodromic"]})
@@ -746,9 +752,12 @@ def _perturb(rng, matrix, radius, model):
     if model == "H3":
         noise = noise + 1j * rng.uniform(-radius, radius, size=(2, 2))
     raw = matrix + noise
-    d = raw[0, 0] * raw[1, 1] - raw[0, 1] * raw[1, 0]
-    if model == "H2" and d.real <= 0.05:
-        raise ValueError("degenerate perturbation")
-    if abs(d) <= 0.05:
-        raise ValueError("degenerate perturbation")
-    return raw / np.sqrt(d)
+    # a draw past the float range gives a non-finite matrix, which
+    # `Representation` refuses and the caller draws again
+    with np.errstate(all="ignore"):
+        d = raw[0, 0] * raw[1, 1] - raw[0, 1] * raw[1, 0]
+        if model == "H2" and d.real <= 0.05:
+            raise ValueError("degenerate perturbation")
+        if abs(d) <= 0.05:
+            raise ValueError("degenerate perturbation")
+        return raw / np.sqrt(d)

@@ -23,7 +23,7 @@ from primscan.blocks import (
     classify_magic_subword,
     derivation,
     enumerate_primitive_classes,
-    farey_walk,
+    farey_parents,
     is_primitive,
     run_suite,
     slope_of,
@@ -327,23 +327,26 @@ def test_enumerated_slopes_equal_their_checked_construction():
         assert (t.p, t.q) == blocks._canonical_slope(t.p, t.q)
 
 
-def test_farey_walk_slopes_are_the_class_pairs():
-    # the payload is the slope itself: each mediant must be the sum of the
-    # edge it splits, with the larger slope first and the region across
-    # at their difference
-    def mediant(u, v, w):
-        assert u[0] * v[1] > v[0] * u[1]
-        assert w == (u[0] - v[0], u[1] - v[1]) or \
-            w == (v[0] - u[0], v[1] - u[1])
-        return u[0] + v[0], u[1] + v[1]
-
-    for cap in range(1, 61):
-        walk = list(farey_walk((1, 0), (0, 1), (1, 1), mediant, cap))
-        assert all(x == (p, q) for p, q, x in walk)
-        assert sorted(walk, key=lambda r: (r[1], r[0])) == \
-            [(p, q, (p, q)) for p, q in blocks._class_pairs(cap)]
+def test_farey_parents_come_before_their_class():
+    # the defining properties fix the parents: nonnegative, summing to the
+    # slope, with det(u, v) = 1 (u has the larger slope); both, and the
+    # region across their edge, come before the class in record order,
+    # save the region across 1/1, which is -1/1
+    pairs = blocks._class_pairs(200)
+    index = {pq: k for k, pq in enumerate(pairs)}
+    for k, (p, q) in enumerate(pairs[2:], 2):
+        u, v = farey_parents(p, q)
+        assert min(*u, *v) >= 0, (p, q)
+        assert (u[0] + v[0], u[1] + v[1]) == (p, q)
+        assert u[0] * v[1] - u[1] * v[0] == 1, (p, q)
+        w = abs(u[0] - v[0]), abs(u[1] - v[1])
+        assert index[u] < k and index[v] < k, (p, q)
+        assert index[w] < k or (p, q) == w == (1, 1), (p, q)
+    assert farey_parents(1, 1) == ((1, 0), (0, 1))
+    assert farey_parents(5, 1) == ((1, 0), (4, 1))
+    assert farey_parents(3, 5) == ((2, 3), (1, 2))
     with pytest.raises(ValueError):
-        next(farey_walk((1, 0), (0, 1), (1, 1), mediant, 0))
+        blocks._class_pairs(0)
 
 
 # --------------------------------------------------------------------------

@@ -281,6 +281,20 @@ def test_scan_ps_refuses_non_finite_axes(rep_file, capsys):
                 f"1.8e308) at max_den {cap}") in captured.err
 
 
+# rho(a) = diag(1e300, 1e-300): the height of rho(a) o would be 1e600
+TINY_HEIGHT = {**MARKOFF, "A": [[1e300, 0], [0, 0], [0, 0], [1e-300, 0]]}
+
+
+@pytest.mark.parametrize("argv", [["scan-ps", "--max-den", "5"],
+                                  ["excursion", "--slope", "1/1"]])
+def test_point_action_past_the_float_range_exits_two(rep_file, capsys, argv):
+    # the denominator of the point action underflows to 0
+    assert main([*argv, "--rep", rep_file(TINY_HEIGHT)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leaves the float range (about 1.8e308)" in captured.err
+
+
 def test_scan_ps_markoff(rep_file):
     code, out = capture(["scan-ps", "--rep", rep_file(MARKOFF),
                          "--max-den", "5"])
@@ -351,6 +365,21 @@ def test_perturb_zero_radius_matches_unperturbed(rep_file):
     assert code == 0
     assert agg["min"] == pytest.approx(agg["unperturbed"], abs=1e-12)
     assert [r["trial"] for r in rows[:-1]] == [0, 1, 2]
+
+
+def test_perturb_past_the_float_range_writes_no_warning(rep_file):
+    # every draw at radius 1e200 overflows the determinant and is drawn
+    # again until the retries run out: degenerate, and silent
+    proc = subprocess.run(
+        [sys.executable, "-m", "primscan.cli", "perturb", "--rep",
+         rep_file(MARKOFF), "--radius", "1e200", "--trials", "5",
+         "--seed", "3"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = lines_of(proc.stdout)
+    assert rows[:-1] == [{"trial": k, "min_ratio": None} for k in range(5)]
+    assert rows[-1] == {"radius": 1e200, "trials": 5,
+                        "unperturbed": 0.9624236501192069, "min": None,
+                        "median": None, "degenerate": 5}
 
 
 def test_detour_and_quadrilateral_pass():

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from primscan import blocks, geometry
 from primscan.blocks import (
     build_blocks,
     enumerate_primitive_classes,
-    farey_walk,
 )
 from primscan.geometry import (
     HPoint,
@@ -160,13 +160,12 @@ def benchmark_rep(seed, tmp_path):
     return parse_rep_file(str(path))
 
 
-def walk(rep, cap, combine=scans._image):
-    """The scans' walk of `rep` to the cap with the image payload, or with
-    the image and word payload of `ps_scan`."""
-    a, b = rep._letters["a"], rep._letters["b"]
-    if combine is scans._image:
-        return farey_walk(a, b, _mul(a, b), combine, cap)
-    return farey_walk((a, "a"), (b, "b"), (_mul(a, b), "ab"), combine, cap)
+def walk(rep, cap, words=False):
+    """The scans' class images of `rep` to the cap, in record order, as
+    (p, q, image), or as (p, q, (image, word)) with the words of
+    `ps_scan`."""
+    for m, gamma, _, head in scans._scanned_classes(rep, cap, words):
+        yield head["p"], head["q"], (m, gamma) if words else m
 
 
 def _bits(X):
@@ -182,8 +181,8 @@ def _rel_gap(got, want):
 def test_walk_images_match_their_word_products(tmp_path, which):
     # every class to cap 40, and at cap 200 the classes of length >= 360
     # or with p or q <= 3 (the deepest and the longest-power towers): the
-    # image payload against the plain product along the class word, and
-    # bit for bit against the image and word payload
+    # image of each class from its Farey parents against the plain product
+    # along the class word, and bit for bit with and without the words
     rep = {"fixture": lambda: parse_rep_file(
                str(ROOT / "tests" / "data" / "markoff.json")),
            "seed-3": lambda: benchmark_rep(3, tmp_path),
@@ -192,7 +191,7 @@ def test_walk_images_match_their_word_products(tmp_path, which):
                         (200, lambda p, q: p + q >= 360 or min(p, q) <= 3)):
         images = {(p, q): m for p, q, m in walk(rep, cap)}
         checked = 0
-        for p, q, (m, gamma) in walk(rep, cap, scans._image_and_word):
+        for p, q, (m, gamma) in walk(rep, cap, words=True):
             assert _bits(m) == _bits(images[p, q]), (p, q)
             if picked(p, q):
                 want = rep._product(gamma)
@@ -202,24 +201,34 @@ def test_walk_images_match_their_word_products(tmp_path, which):
 
 
 def test_walk_words_are_rotations_of_the_tower_words():
-    # the word payload of `ps_scan`: each class word is a cyclic rotation
-    # of the `build_blocks` word
-    seen = 0
-    for p, q, (_, gamma) in walk(markoff(), 40, scans._image_and_word):
+    # the words of `ps_scan`: each class word is a cyclic rotation of the
+    # `build_blocks` word, and the classes come in the order of
+    # `_class_pairs`
+    seen = []
+    for p, q, (_, gamma) in walk(markoff(), 40, words=True):
         word = build_blocks(p, q).word
         assert len(gamma) == len(word) and gamma in word + word, (p, q)
-        seen += 1
-    assert seen == 981
+        seen.append((p, q))
+    assert len(seen) == 981 and seen == blocks._class_pairs(40)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_scans_refuse_a_cap_below_one(cap):
+    for scan in (lambda: bowditch_scan(markoff(), cap),
+                 lambda: ps_scan(markoff(), cap),
+                 lambda: fricke_traces(3, 3, 3, cap)):
+        with pytest.raises(ValueError, match="max_den must be >= 1"):
+            scan()
 
 
 def test_plan_image_carries_the_abelianization():
     # every class of nonnegative slope to cap 12 (the scans skip the
-    # negative ones): the class word of the walk abelianizes to (p, q),
+    # negative ones): the class word of the scans abelianizes to (p, q),
     # and the image has the trace of the tower word's image, its conjugate
     rep = random_h3_rep(3)
     images = {(p, q): m for p, q, m in walk(rep, 12)}
     seen = 0
-    for p, q, (m, gamma) in walk(rep, 12, scans._image_and_word):
+    for p, q, (m, gamma) in walk(rep, 12, words=True):
         assert blocks.abelianization(gamma) == (p, q)
         assert _bits(m) == _bits(images[p, q]), (p, q)
         want = np.trace(class_matrix(rep, build_blocks(p, q)))
@@ -246,10 +255,19 @@ def test_bowditch_scan_builds_no_word(monkeypatch):
     want = bowditch_scan(markoff(), 40)
     for name in ("_tower_levels", "_build_tower"):
         monkeypatch.setattr(blocks, name, refuse)
-    monkeypatch.setattr(scans, "_image_and_word", refuse)
+    tables = []
+    table = scans._farey_table
+
+    def record(cap, a, b):
+        tables.append((a, b))
+        return table(cap, a, b)
+
+    monkeypatch.setattr(scans, "_farey_table", record)
     got = bowditch_scan(markoff(), 40)
     assert got.records == want.records and got.aggregate == want.aggregate
     assert got.aggregate["classes"] == 981
+    # one table, of images: none of words
+    assert len(tables) == 1 and ("a", "b") not in tables
 
 
 def test_ps_scan_builds_no_axis(monkeypatch):
@@ -847,6 +865,22 @@ def test_bowditch_matches_fricke_oracle():
         assert abs(r["tr"][1]) <= 1e-9 * max(1.0, abs(want))
 
 
+def test_bowditch_refuses_a_deep_cap_before_any_later_class():
+    # Markoff's traces leave the float range at 738/1, in the first row of
+    # the record order: the scan refuses there and computes no later
+    # class (built whole and then sorted, the classes of cap 740 peaked
+    # at 147.5 MB; 33.5 MB now, most of it the list of pairs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="class 738/1 is not finite at "
+                                             "max_den 740"):
+            bowditch_scan(markoff(), 740)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
 def test_bowditch_flags_elliptic_generator():
     rep = Representation("H2", MARKOFF_A, [[0, 1], [-1, 0]])
     scan = bowditch_scan(rep, 5)
@@ -968,8 +1002,8 @@ def frame_ps_records(rep, max_denominator):
     records = []
     o = rep.basepoint
     edges = scans._leaf_edges(rep)
-    for gamma, kind, head in scans._scanned_classes(rep, max_denominator,
-                                                    words=True):
+    for _, gamma, kind, head in scans._scanned_classes(rep, max_denominator,
+                                                       words=True):
         rate = head["tl"] / head["len"]
         frames = None
         if kind == "loxodromic":
