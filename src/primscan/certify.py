@@ -17,18 +17,18 @@ configurations and assert the inequalities outright.
 The detour harness runs on bare floats.  A sampled path is the pair of
 lists (zs, ts), the real horizontal coordinates and the heights of its
 vertices, with no point object per vertex; `measure_detour` takes the
-clearance minimum and the length of a path in one pass over them.  The
-sampler draws its steps' random pairs in chunks and gives the unused
-draws back, so the random stream and every bit of every record are those
-of one draw call and one point per step.
+clearance minimum and the length of a path in one pass over them.
 
-All sampling is seeded and deterministic.  delta = 1 is a valid thinness
-constant for H^2, and every verified inequality is monotone in delta, so
-the default is sound.  Below the thin-triangle constant ln(1 + sqrt 2) the
-inequalities need not hold, so the harnesses refuse such a delta.
+All sampling is seeded and deterministic.  The draws come from the
+standard library's `random.Random(seed)`, so neither harness loads numpy.
+delta = 1 is a valid thinness constant for H^2, and every verified
+inequality is monotone in delta, so the default is sound.  Below the
+thin-triangle constant ln(1 + sqrt 2) the inequalities need not hold, so
+the harnesses refuse such a delta.
 """
 
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -44,7 +44,6 @@ from .geometry import (
     distance,
     fermi_coords,
     geodesic_metrics,
-    np,
     offset_distance,
 )
 
@@ -80,9 +79,6 @@ _MAX_CLEARANCE = 700.0
 # about 0.65 of that worst case: 3,050-3,320 steps at K = 6 there, where
 # the bound is 4,878.
 _MAX_FAR_STEPS = 6000
-# step pairs in a path's first chunk of draws, then twice the last, never
-# past the step budget (a near path's `segments`, 2-8, fit in the first)
-_FAR_CHUNK = 128
 
 
 class SamplerError(RuntimeError):
@@ -306,18 +302,17 @@ def check_quadrilateral(x, y, line, delta=DEFAULT_DELTA):
 
 def _random_line(rng):
     if rng.random() < 0.15:
-        return Geodesic(INF, float(rng.normal(scale=2.0)))
+        return Geodesic(INF, rng.gauss(0.0, 2.0))
     while True:
-        a, b = rng.normal(scale=2.0, size=2)
+        a, b = rng.gauss(0.0, 2.0), rng.gauss(0.0, 2.0)
         if abs(a - b) > 0.2:
-            return Geodesic(float(a), float(b))
+            return Geodesic(a, b)
 
 
 def _random_point(rng, line):
     if rng.random() < 0.1:
-        return line.point_at(float(rng.normal(scale=3.0)))
-    return HPoint(float(rng.normal(scale=2.5)),
-                  math.exp(float(rng.normal(scale=1.2))))
+        return line.point_at(rng.gauss(0.0, 3.0))
+    return HPoint(rng.gauss(0.0, 2.5), math.exp(rng.gauss(0.0, 1.2)))
 
 
 def _check_thin_delta(delta):
@@ -328,6 +323,15 @@ def _check_thin_delta(delta):
             f"got {delta}")
 
 
+def _seeded(seed):
+    """The generator of a harness.  `random.Random` would seed with |seed|,
+    so a negative seed is refused rather than taken as its absolute
+    value."""
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return random.Random(seed)
+
+
 def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):
     """Monte-Carlo the quadrilateral dichotomies on random (x, y, line)
     configurations in H^2.  Every trial asserts the branch inequalities
@@ -336,7 +340,7 @@ def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_thin_delta(delta)
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     report = TrialReport()
     for _ in range(trials):
         line = _random_line(rng)
@@ -479,28 +483,19 @@ def _sample_detour_path(rng, K, C, delta, far):
 
     Far-regime paths ride the top of the clearance band (larger chords
     survive the dip toward the axis there) and stop just past the endpoint
-    separation that makes the closed-form bound nontrivial.
-
-    Each step takes one pair of draws, its clearance and its step
-    fraction, and the pairs come in chunks: rng.random(2k) is k calls of
-    rng.random(2).  A near path draws its `segments` pairs at once.  A far
-    path draws chunks of growing size, never past the step cap.  Where a
-    path stops inside a chunk, or leaves the float range, it restores the
-    generator state saved before that chunk and redraws the pairs it used.
-    So on every exit the stream stands where one draw per step leaves it.
-    (`bit_generator.advance` would not do: it drops the buffered 32-bit
-    half-draw that `rng.integers` leaves behind.)
+    separation that makes the closed-form bound nontrivial.  Each step
+    draws two uniforms, its clearance and its step fraction.
     """
     side = 1.0 if rng.random() < 0.5 else -1.0
     lo = K + 0.05 * min(1.0, C) + (0.6 * C if far else 0.0)
     hi = K + C
     # nontrivial closed form needs d > 2 max(Kx, Ky) + 18 delta
-    far_target = 2.0 * hi + 18.0 * delta + float(rng.uniform(1.0, 4.0))
+    far_target = 2.0 * hi + 18.0 * delta + rng.uniform(1.0, 4.0)
     step_lo, step_hi = (0.55, 0.95) if far else (0.25, 0.8)
-    segments = int(rng.integers(2, 9))
-    rho = rho0 = float(rng.uniform(lo, hi))
-    # Generator.uniform(a, b) is a + (b - a) * random(): a step scales its
-    # pair the same way, so the bits are those of two uniform draws
+    segments = rng.randrange(2, 9)
+    rho = rho0 = rng.uniform(lo, hi)
+    # rng.uniform(a, b) is a + (b - a) * random(): a step scales its two
+    # draws the same way, without the call
     rho_span, step_span = hi - lo, step_hi - step_lo
     # d(v0, v) <= rho0 + u + rho through the two feet on the axis: the
     # exact stop test cannot pass below that line
@@ -509,46 +504,29 @@ def _sample_detour_path(rng, K, C, delta, far):
     u = 0.0
     z, t = fermi_coords(u, rho, tanh_rho, side)
     zs, ts = [z], [t]
-    budget = _MAX_FAR_STEPS if far else segments
-    chunk = _FAR_CHUNK
-    bitgen = rng.bit_generator
-    while len(zs) <= budget:    # len(zs) - 1 steps taken
-        chunk = min(chunk, budget + 1 - len(zs))
-        state, before = bitgen.state, len(zs)
-        pairs = iter(rng.random(2 * chunk).tolist())
-        try:
-            for x, y in zip(pairs, pairs):
-                next_rho = lo + rho_span * x
-                tanh_next = math.tanh(next_rho)
-                # tanh of min(rho, next_rho)
-                limit = _chord_limit(
-                    tanh_rho if rho <= next_rho else tanh_next, tanh_k)
-                u += (step_lo + step_span * y) * limit
-                rho, tanh_rho = next_rho, tanh_next
-                z, t = fermi_coords(u, rho, tanh_rho, side)
-                zs.append(z)
-                ts.append(t)
-                if (far and rho0 + u + rho >= gate
-                        and distance(HPoint(zs[0], ts[0]),
-                                     HPoint(z, t)) > far_target):
-                    _give_back(rng, state, len(zs) - before)
-                    return zs, ts
-        except OverflowError:
-            # e^u past the float range: a far target beyond it (large
-            # delta) or chord limits too long for it (tiny K).  The failed
-            # step drew its pair too.
-            _give_back(rng, state, len(zs) + 1 - before)
-            raise SamplerError("detour path left the float range") from None
-        chunk *= 2
+    try:
+        for _ in range(_MAX_FAR_STEPS if far else segments):
+            next_rho = lo + rho_span * rng.random()
+            tanh_next = math.tanh(next_rho)
+            # tanh of min(rho, next_rho)
+            limit = _chord_limit(
+                tanh_rho if rho <= next_rho else tanh_next, tanh_k)
+            u += (step_lo + step_span * rng.random()) * limit
+            rho, tanh_rho = next_rho, tanh_next
+            z, t = fermi_coords(u, rho, tanh_rho, side)
+            zs.append(z)
+            ts.append(t)
+            if (far and rho0 + u + rho >= gate
+                    and distance(HPoint(zs[0], ts[0]),
+                                 HPoint(z, t)) > far_target):
+                return zs, ts
+    except OverflowError:
+        # e^u past the float range: a far target beyond it (large delta)
+        # or chord limits too long for it (tiny K)
+        raise SamplerError("detour path left the float range") from None
     if far:
         raise SamplerError("far-regime path failed to spread")
     return zs, ts
-
-
-def _give_back(rng, state, pairs):
-    """Rewind rng to `state` and draw `pairs` step pairs again."""
-    rng.bit_generator.state = state
-    rng.random(2 * pairs)
 
 
 def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
@@ -582,16 +560,16 @@ def detour_verify(trials, K=None, C=None, delta=DEFAULT_DELTA, seed=0):
             f"a far-regime path needs about e^K vertices and stops at "
             f"{_MAX_FAR_STEPS} steps; got K={far_k:g}"
             + (" (the far-regime draw)" if K is None else ""))
-    rng = np.random.default_rng(seed)
+    rng = _seeded(seed)
     report = TrialReport()
     for _ in range(trials):
-        k_target = float(rng.integers(1, 6)) if K is None else float(K)
-        c_target = float(rng.uniform(0.3, 2.0)) if C is None else float(C)
+        k_target = float(rng.randrange(1, 6)) if K is None else float(K)
+        c_target = rng.uniform(0.3, 2.0) if C is None else float(C)
         far = rng.random() < _FAR_FRACTION
         if far and K is None:
             k_target = 5.0  # the only draw with a nontrivial far bound
         if far and C is None:
-            c_target = float(rng.uniform(1.2, 2.0))
+            c_target = rng.uniform(1.2, 2.0)
         for attempt in range(_MAX_RETRIES):
             zs, ts = _sample_detour_path(rng, k_target, c_target, delta, far)
             m = measure_detour(zs, ts, delta=delta)

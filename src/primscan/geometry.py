@@ -64,8 +64,7 @@ def _lazy_import(name):
 
 # numpy costs several times the import of the whole package, and the exact
 # commands (`verify-lemmas`, `enumerate`, `blocks`) never use it; `scans`
-# and `certify` take this binding, since their own `import numpy` would
-# load it
+# takes this binding, since its own `import numpy` would load it
 np = _lazy_import("numpy")
 
 # ln(1 + sqrt 2) ~ 0.8814, the thin-triangle constant of H^2: the

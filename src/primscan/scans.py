@@ -112,10 +112,24 @@ def _rotation_images(rep, gamma):
     return images
 
 
+def _letter_ends(rep):
+    """The point rho(x) o for each letter x.  Raises ValueError naming the
+    first letter whose image leaves the float range."""
+    o, ends = rep.basepoint, {}
+    for x, X in rep._letters.items():
+        try:
+            ends[x] = apply(X, o)
+        except ValueError:
+            raise ValueError(
+                f"the image of the basepoint {o!r} under letter {x} leaves "
+                f"the float range (about 1.8e308)") from None
+    return ends
+
+
 def _leaf_edges(rep):
     """The segment [o, rho(x) o] for each letter x."""
     o = rep.basepoint
-    return {x: Segment(o, apply(X, o)) for x, X in rep._letters.items()}
+    return {x: Segment(o, p) for x, p in _letter_ends(rep).items()}
 
 
 def _rotation_axes(images):
@@ -568,10 +582,12 @@ def ps_scan(rep, max_denominator):
     of each rotation image X_j (`_rotation_axes`): the tube is
     `_axis_distance` at o, and the foot of (z, t) has the coordinate 1/2
     ln((|z - beta|^2 + t^2) / (|z - alpha|^2 + t^2)) + const.  Raises
-    ValueError naming the first class with a non-finite image, tube or foot.
+    ValueError naming the letter whose image of o leaves the float range
+    (`_letter_ends`), or the first class with a non-finite image, tube or
+    foot.
     """
     o = rep.basepoint
-    ends = {x: apply(X, o) for x, X in rep._letters.items()}
+    ends = _letter_ends(rep)
     records, lox, images, points, refusal = [], [], [], [], None
     try:
         for _, gamma, kind, head in _scanned_classes(rep, max_denominator,

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -440,6 +442,30 @@ def test_detour_verify_deterministic():
     assert a.records == b.records
 
 
+def test_detour_draws_pin_the_standard_library_stream():
+    # K is a randrange draw and C is 0.3 + 1.7 random(): no libm call
+    # feeds them, only the stream and how many draws each path took (all
+    # ten trials here take near paths, of 2 to 8 steps).  A change of
+    # CPython's random stream fails here first
+    report = detour_verify(10, seed=7)
+    assert [(r["K"], r["C"]) for r in report.records] == [
+        (3.0, 1.9113711130354074), (1.0, 0.7091271002159425),
+        (2.0, 0.7923357867638496), (1.0, 1.2765203074397407),
+        (5.0, 1.2741440984715526), (3.0, 0.33835697769450057),
+        (4.0, 0.43698821204023564), (3.0, 1.920266473392662),
+        (1.0, 0.3003965792323063), (5.0, 0.9190778471980801)]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_harnesses_refuse_a_seed_that_is_not_a_natural_number(seed):
+    # random.Random would take -1 as 1, a float or a string by its hash,
+    # and None as a seed from the system's entropy
+    for harness in (detour_verify, quadrilateral_check):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, "
+                                             f"got {re.escape(repr(seed))}"):
+            harness(1, seed=seed)
+
+
 def test_detour_verify_refuses_k_with_subnormal_tanh():
     # the smallest normal float is the smallest K whose tanh is normal
     smallest = 2.2250738585072014e-308
@@ -484,8 +510,8 @@ def test_detour_serves_every_accepted_k(C, delta):
         assert _chord_limit(math.tanh(K + 0.05 * min(1.0, C)),
                             math.tanh(K)) > 0.0
         for seed in range(2):
-            zs, ts = _sample_detour_path(np.random.default_rng(seed), K, C,
-                                         delta, True)
+            zs, ts = _sample_detour_path(random.Random(seed), K, C, delta,
+                                         True)
             m = measure_detour(zs, ts, delta=delta)
             assert m.satisfied and m.bound.regime == "far"
             # the far bound is vacuous exactly where its formula is
@@ -508,29 +534,28 @@ def test_detour_refuses_the_k_that_failed_to_spread():
 
 # ------------------------------------------- sampler against its reference
 #
-# The sampler draws its step pairs in chunks of rng.random(2k), gives the
-# unused ones back, keeps its vertices as floats and tests the far-regime
-# stop with the exact distance only past a triangle bound;
-# measure_detour takes the clearances and lengths in one pass over
-# floats, and the clearance takes its minimum without a candidate list.
-# The scalar versions below, one draw call and one HPoint per vertex, are
-# the references: both must give the same vertices, clearances, records
-# and stream position, bit for bit.
+# The sampler scales its step draws inline, keeps its vertices as floats
+# and tests the far-regime stop with the exact distance only past a
+# triangle bound; measure_detour takes the clearances and lengths in one
+# pass over floats, and the clearance takes its minimum without a
+# candidate list.  The scalar versions below, one rng.uniform call and one
+# HPoint per vertex, are the references: both must give the same
+# vertices, clearances, records and stream position, bit for bit.
 
 def _reference_sample_detour_path(rng, K, C, delta, far):
     side = 1.0 if rng.random() < 0.5 else -1.0
     lo = K + 0.05 * min(1.0, C) + (0.6 * C if far else 0.0)
     hi = K + C
-    far_target = 2.0 * hi + 18.0 * delta + float(rng.uniform(1.0, 4.0))
+    far_target = 2.0 * hi + 18.0 * delta + rng.uniform(1.0, 4.0)
     step_lo, step_hi = (0.55, 0.95) if far else (0.25, 0.8)
-    segments = int(rng.integers(2, 9))
-    rho = float(rng.uniform(lo, hi))
+    segments = rng.randrange(2, 9)
+    rho = rng.uniform(lo, hi)
     u = 0.0
     vertices = [fermi_point(u, rho, side)]
     while True:
-        next_rho = float(rng.uniform(lo, hi))
+        next_rho = rng.uniform(lo, hi)
         limit = _chord_limit(math.tanh(min(rho, next_rho)), math.tanh(K))
-        u += float(rng.uniform(step_lo, step_hi)) * limit
+        u += rng.uniform(step_lo, step_hi) * limit
         rho = next_rho
         vertices.append(fermi_point(u, rho, side))
         if far:
@@ -601,11 +626,9 @@ def _sampled_points(rng, K, C, delta, far):
 
 
 def _assert_same_stream(rng, ref_rng):
-    """The whole generator state, the buffered 32-bit half-draw of
-    rng.integers included, and the next draws agree.  A lost half-draw
-    never shows in rng.random(), which reads 64 bits."""
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert rng.integers(0, 1000) == ref_rng.integers(0, 1000)
+    """The whole generator state and the next draws agree."""
+    assert rng.getstate() == ref_rng.getstate()
+    assert rng.randrange(1000) == ref_rng.randrange(1000)
     assert rng.random() == ref_rng.random()
 
 
@@ -614,7 +637,7 @@ def _assert_same_stream(rng, ref_rng):
 @pytest.mark.parametrize("C", [0.3, 1.5])
 def test_sampler_matches_the_scalar_draw_reference(far, K, C):
     for seed in range(6 if far else 40):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
         got = _path_or_error(_sampled_points, rng, K, C, far)
         want = _path_or_error(_reference_sample_detour_path, ref_rng, K, C,
                               far)
@@ -631,10 +654,9 @@ def test_sampler_matches_the_scalar_draw_reference(far, K, C):
 
 @pytest.mark.parametrize("K, C", [(5.0, 1.5), (2.0, 1.0), (1.0, 0.3)])
 def test_consecutive_far_paths_keep_the_stream(K, C):
-    # one generator for several far paths: each path's rng.integers draw
-    # leaves a 32-bit half-draw buffered, which the next path's must find,
-    # so a give-back that dropped it would move every later draw
-    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    # one generator for several far paths: a path that took one draw too
+    # many or too few would move every later path
+    rng, ref_rng = random.Random(4), random.Random(4)
     for _ in range(6):
         got = _path_or_error(_sampled_points, rng, K, C, True)
         want = _path_or_error(_reference_sample_detour_path, ref_rng, K, C,
@@ -648,8 +670,7 @@ def test_sampler_keeps_the_stream_when_it_refuses():
     # front), and one whose first step leaves the float range
     for K, C in ((8.0, 1.5), (2.2250738585072014e-308, 1.0)):
         for far in (False, True):
-            rng, ref_rng = (np.random.default_rng(1),
-                            np.random.default_rng(1))
+            rng, ref_rng = random.Random(1), random.Random(1)
             got = _path_or_error(_sampled_points, rng, K, C, far)
             try:
                 want = _path_or_error(_reference_sample_detour_path, ref_rng,
@@ -671,8 +692,7 @@ def test_segment_clearance_matches_its_reference_on_random_pairs():
             assert _clearance(p, q) == _reference_segment_clearance(p, q)
 
 
-# a fixed K draws one rng.integers value per path, not two per trial, so
-# the 32-bit half-draws it buffers do not pair up
+# a fixed K takes no draw of its own per trial, only the path's draws
 @pytest.mark.parametrize("seed, K", [(0, None), (3, None), (8, None),
                                      (13, None), (2026, None), (4, 5.0)],
                          ids=["0", "3", "8", "13", "2026", "4-K5"])

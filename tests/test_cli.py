@@ -283,16 +283,22 @@ def test_scan_ps_refuses_non_finite_axes(rep_file, capsys):
 
 # rho(a) = diag(1e300, 1e-300): the height of rho(a) o would be 1e600
 TINY_HEIGHT = {**MARKOFF, "A": [[1e300, 0], [0, 0], [0, 0], [1e-300, 0]]}
+# rho(b) = diag(1e-300, 1e300): the height of rho(b) o would be 1e-600
+HUGE_DEN = {**MARKOFF, "B": [[1e-300, 0], [0, 0], [0, 0], [1e300, 0]]}
 
 
 @pytest.mark.parametrize("argv", [["scan-ps", "--max-den", "5"],
                                   ["excursion", "--slope", "1/1"]])
 def test_point_action_past_the_float_range_exits_two(rep_file, capsys, argv):
-    # the denominator of the point action underflows to 0
-    assert main([*argv, "--rep", rep_file(TINY_HEIGHT)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "leaves the float range (about 1.8e308)" in captured.err
+    # the denominator of the point action underflows to 0, or overflows
+    # and the image height rounds to 0; the refusal names the letter
+    for rep, letter in ((TINY_HEIGHT, "a"), (HUGE_DEN, "b")):
+        assert main([*argv, "--rep", rep_file(rep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"the image of the basepoint HPoint(z=0j, t=1.0) under "
+                f"letter {letter} leaves the float range (about 1.8e308)"
+                in captured.err)
 
 
 def test_scan_ps_markoff(rep_file):
@@ -584,6 +590,10 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
                  id="detour-delta-below-thin"),
     pytest.param(["detour", "--delta", "0.88"], "delta",
                  id="detour-delta-just-below-thin"),
+    pytest.param(["detour", "--seed", "-1"], "seed",
+                 id="detour-seed-negative"),
+    pytest.param(["quadrilateral", "--seed", "-1"], "seed",
+                 id="quadrilateral-seed-negative"),
     pytest.param(["quadrilateral", "--delta", "0.25"], "delta",
                  id="quadrilateral-delta-below-thin"),
     pytest.param(["quadrilateral", "--delta", "0.5"], "delta",
@@ -771,8 +781,9 @@ WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
 
 
 def test_exact_commands_run_without_numpy():
-    # numpy loads at its first use, which the exact commands never reach;
-    # a numpy imported before the package is bound as it is
+    # numpy loads at its first use, which the exact commands and the
+    # certificates, which draw from `random`, never reach; a numpy
+    # imported before the package is bound as it is
     assert fresh_stdout(
         "import sys, primscan.cli; "
         "print([m for m in sys.modules if m.startswith('numpy.')])") == "[]\n"
@@ -780,7 +791,9 @@ def test_exact_commands_run_without_numpy():
                         "print(g.np is numpy)") == "True\n"
     for argv in (["verify-lemmas", "--max-den", "20", "--max-block-len", "20"],
                  ["enumerate", "--max-den", "5"],
-                 ["blocks", "--slope", "7/5"]):
+                 ["blocks", "--slope", "7/5"],
+                 ["detour", "--trials", "20", "--seed", "5"],
+                 ["quadrilateral", "--trials", "20", "--seed", "5"]):
         code, out = capture(argv)
         assert code == 0 and out
         assert fresh_stdout(WITHOUT_NUMPY, *argv) == out

@@ -67,9 +67,9 @@ def bound_names(tree):
 
 
 def test_numpy_has_one_lazy_binding():
-    # the exact commands never load numpy: it is bound once, lazily, in
-    # `geometry`, which `scans` and `certify` import it from; a plain
-    # `import numpy` elsewhere would load it at import
+    # the exact commands and the certificates never load numpy: it is
+    # bound once, lazily, in `geometry`, which `scans` imports it from; a
+    # plain `import numpy` elsewhere would load it at import
     trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     imports, bindings = [], []
     for name, tree in sorted(trees.items()):
@@ -86,7 +86,7 @@ def test_numpy_has_one_lazy_binding():
                 bindings.append((name, ast.unparse(node.value)))
     assert imports == []
     assert bindings == [("geometry.py", "_lazy_import('numpy')")]
-    for name in ("blocks.py", "words.py", "cli.py"):
+    for name in ("blocks.py", "words.py", "cli.py", "certify.py"):
         assert "np" not in set(bound_names(trees[name])), name
 
 
