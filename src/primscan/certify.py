@@ -28,7 +28,6 @@ the harnesses refuse such a delta.
 """
 
 import math
-import random
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -45,6 +44,7 @@ from .geometry import (
     fermi_coords,
     geodesic_metrics,
     offset_distance,
+    _seeded,
 )
 
 REGIMES = ("near", "far", "close", "general")
@@ -321,15 +321,6 @@ def _check_thin_delta(delta):
             f"delta must be finite and at least ln(1 + sqrt 2) = "
             f"{THIN_TRIANGLE_DELTA:.4f}, the thin-triangle constant of H^2, "
             f"got {delta}")
-
-
-def _seeded(seed):
-    """The generator of a harness.  `random.Random` would seed with |seed|,
-    so a negative seed is refused rather than taken as its absolute
-    value."""
-    if not (isinstance(seed, int) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return random.Random(seed)
 
 
 def quadrilateral_check(trials, delta=DEFAULT_DELTA, seed=0):

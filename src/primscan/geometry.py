@@ -29,6 +29,7 @@ import functools
 import importlib.util
 import json
 import math
+import random
 import sys
 import types
 from typing import NamedTuple
@@ -758,3 +759,12 @@ def parse_rep_file(path):
         B=_parse_matrix("B", data["B"]),
         basepoint=basepoint,
     )
+
+
+def _seeded(seed):
+    """The generator of a seeded command.  `random.Random` would seed with
+    |seed|, so a negative seed is refused rather than taken as its
+    absolute value."""
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return random.Random(seed)

@@ -40,11 +40,14 @@ from .geometry import (
     Segment,
     apply,
     classify,
+    det,
     fixed_points,
     mobius_boundary,
     np,
+    unimodularize,
     _loxodromic_length,
     _mul,
+    _seeded,
     _sinh_half_displacement,
 )
 from .words import check_word, is_cyclically_reduced
@@ -650,7 +653,7 @@ def _local_global_word(rng, power_floor, target_len):
     parts = []
     total = 0
     while total < target_len:
-        run = power_floor + int(rng.integers(0, _RUN_SPREAD))
+        run = power_floor + rng.randrange(_RUN_SPREAD)
         parts.append("b" + "a" * run)
         total += 1 + run
     return "".join(parts)
@@ -688,7 +691,7 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
             f"B maps the attracting fixed point {attracting} of A to its "
             f"repelling fixed point {repelling}")
     if isinstance(sample_words, int):
-        rng = np.random.default_rng(seed)
+        rng = _seeded(seed)
         targets = np.linspace(10, 200, sample_words).round().astype(int)
         words = [_local_global_word(rng, power_floor, int(t))
                  for t in targets]
@@ -728,52 +731,48 @@ def perturbation_scan(rep, radius, trials, max_denominator, seed=0):
                          f"(below about 8.99e307), got {radius}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = _seeded(seed)
     base = bowditch_scan(rep, max_denominator)
-    children = np.random.SeedSequence(seed).spawn(trials)
     values = []
-    degenerate = 0
-    for child in children:
-        rng = np.random.default_rng(child)
+    for _ in range(trials):
         perturbed = None
         for _ in range(_PERTURB_RETRIES):
             try:
                 perturbed = Representation(
                     rep.model,
-                    _perturb(rng, rep.A, radius, rep.model),
-                    _perturb(rng, rep.B, radius, rep.model),
+                    _perturb(rng, rep._letters["a"], radius, rep.model),
+                    _perturb(rng, rep._letters["b"], radius, rep.model),
                     basepoint=rep.basepoint)
                 break
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 continue
         if perturbed is None:
-            degenerate += 1
             values.append(None)
             continue
         scan = bowditch_scan(perturbed, max_denominator)
         values.append(scan.aggregate["min_ratio"])
     valid = [v for v in values if v is not None]
+    from statistics import median    # not at the top: see bowditch_scan
     return {
         "radius": radius,
         "trials": trials,
         "unperturbed": base.aggregate["min_ratio"],
         "min": min(valid) if valid else None,
-        "median": float(np.median(valid)) if valid else None,
-        "degenerate": degenerate,
+        "median": median(valid) if valid else None,
+        "degenerate": trials - len(valid),
         "values": values,
     }
 
 
-def _perturb(rng, matrix, radius, model):
-    noise = rng.uniform(-radius, radius, size=(2, 2))
+def _perturb(rng, X, radius, model):
+    """The kernel 4-tuple X plus uniform noise in each entry, at det 1."""
+    raw = tuple(x + rng.uniform(-radius, radius) for x in X)
     if model == "H3":
-        noise = noise + 1j * rng.uniform(-radius, radius, size=(2, 2))
-    raw = matrix + noise
+        raw = tuple(x + 1j * rng.uniform(-radius, radius) for x in raw)
     # a draw past the float range gives a non-finite matrix, which
-    # `Representation` refuses and the caller draws again
-    with np.errstate(all="ignore"):
-        d = raw[0, 0] * raw[1, 1] - raw[0, 1] * raw[1, 0]
-        if model == "H2" and d.real <= 0.05:
-            raise ValueError("degenerate perturbation")
-        if abs(d) <= 0.05:
-            raise ValueError("degenerate perturbation")
-        return raw / np.sqrt(d)
+    # `Representation` refuses and the caller draws again; hypot, unlike
+    # abs(), does not raise where |d| passes the float range
+    d = det(raw)
+    if model == "H2" and d.real <= 0.05 or math.hypot(d.real, d.imag) <= 0.05:
+        raise ValueError("degenerate perturbation")
+    return unimodularize(raw)

@@ -388,6 +388,17 @@ def test_perturb_past_the_float_range_writes_no_warning(rep_file):
                         "median": None, "degenerate": 5}
 
 
+def test_perturb_near_the_float_range_on_h3_exits_zero(rep_file, capsys):
+    # at radius 1.2e154 a draw's complex determinant can be finite with a
+    # modulus past the float range, where abs() of a complex raises
+    argv = ["perturb", "--rep", rep_file({**MARKOFF, "model": "H3"}),
+            "--radius", "1.2e154", "--trials", "5", "--seed", "3"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert lines_of(captured.out)[-1]["degenerate"] == 0
+
+
 def test_detour_and_quadrilateral_pass():
     code, out = capture(["detour", "--trials", "40", "--seed", "5"])
     assert code == 0
@@ -430,6 +441,7 @@ def test_seeded_commands_are_byte_identical(rep_file):
         ["quadrilateral", "--trials", "30", "--seed", "11"],
         ["perturb", "--rep", markoff, "--radius", "1e-5",
          "--trials", "4", "--max-den", "4", "--seed", "11"],
+        ["local-global", "--rep", markoff, "--words", "3", "--seed", "11"],
         ["scan-bowditch", "--rep", markoff, "--max-den", "8"],
     ):
         first = capture(argv)
@@ -594,6 +606,10 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
                  id="detour-seed-negative"),
     pytest.param(["quadrilateral", "--seed", "-1"], "seed",
                  id="quadrilateral-seed-negative"),
+    pytest.param(["local-global", "--seed", "-1"], "seed",
+                 id="local-global-seed-negative"),
+    pytest.param(["perturb", "--radius", "1e-3", "--seed", "-1"], "seed",
+                 id="perturb-seed-negative"),
     pytest.param(["quadrilateral", "--delta", "0.25"], "delta",
                  id="quadrilateral-delta-below-thin"),
     pytest.param(["quadrilateral", "--delta", "0.5"], "delta",
@@ -780,10 +796,10 @@ WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
                  "sys.exit(main(sys.argv[1:]))")
 
 
-def test_exact_commands_run_without_numpy():
-    # numpy loads at its first use, which the exact commands and the
-    # certificates, which draw from `random`, never reach; a numpy
-    # imported before the package is bound as it is
+def test_exact_commands_run_without_numpy(rep_file):
+    # numpy loads at its first use, which the exact commands, the
+    # certificates and `perturb`, which draw from `random`, never reach; a
+    # numpy imported before the package is bound as it is
     assert fresh_stdout(
         "import sys, primscan.cli; "
         "print([m for m in sys.modules if m.startswith('numpy.')])") == "[]\n"
@@ -793,7 +809,9 @@ def test_exact_commands_run_without_numpy():
                  ["enumerate", "--max-den", "5"],
                  ["blocks", "--slope", "7/5"],
                  ["detour", "--trials", "20", "--seed", "5"],
-                 ["quadrilateral", "--trials", "20", "--seed", "5"]):
+                 ["quadrilateral", "--trials", "20", "--seed", "5"],
+                 ["perturb", "--rep", rep_file(MARKOFF), "--radius", "1e-3",
+                  "--trials", "5", "--max-den", "10", "--seed", "3"]):
         code, out = capture(argv)
         assert code == 0 and out
         assert fresh_stdout(WITHOUT_NUMPY, *argv) == out

@@ -11,6 +11,7 @@ import importlib.util
 import itertools
 import json
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -1227,7 +1228,7 @@ def test_local_global_generated_words_shape_and_rates():
 def test_local_global_word_generator_matches_contract():
     rep = Representation("H2", [[4, 0], [0, 0.25]], [[4, -3.75], [0, 0.25]])
     from primscan.scans import _local_global_word
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for target in (10, 50, 200):
         word = _local_global_word(rng, 3, target)
         assert re.fullmatch(r"(?:ba{3,6})+", word)
@@ -1261,6 +1262,13 @@ def test_local_global_deterministic():
     a = local_global_scan(rep, 3, 20, 4, seed=9)
     b = local_global_scan(rep, 3, 20, 4, seed=9)
     assert a.records == b.records
+
+
+def test_local_global_draws_pin_the_standard_library_stream():
+    # the word lengths are integers set by the run-length draws alone
+    rep = Representation("H2", [[4, 0], [0, 0.25]], [[4, -3.75], [0, 0.25]])
+    scan = local_global_scan(rep, 3, 20, 4, seed=7)
+    assert [r["len"] for r in scan.records] == [11, 76, 141, 203]
 
 
 def test_local_global_precondition_elliptic_generator():
@@ -1299,6 +1307,28 @@ def test_perturbation_deterministic():
     assert a["values"] == b["values"]
 
 
+def test_perturbation_draws_pin_the_standard_library_stream():
+    # the ratios pass through libm, so they are pinned to 1e-12 relative:
+    # far below the 1e-4 that a noise draw of radius 1e-3 moves them
+    report = perturbation_scan(markoff(), 1e-3, 3, 4, seed=7)
+    assert report["values"] == pytest.approx(
+        [0.9626560597305218, 0.9628790321761137, 0.9614813028090887],
+        rel=1e-12)
+
+
 def test_perturbation_rejects_negative_radius():
     with pytest.raises(ValueError):
         perturbation_scan(markoff(), -0.1, 2, 3)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_seeded_scans_refuse_a_seed_that_is_not_a_natural_number(seed):
+    # random.Random would take -1 as 1, a float or a string by its hash,
+    # and None as a seed from the system's entropy.  The perturbation
+    # scan checks its seed before its base scan, which here would refuse
+    # class 103/1 past the float range
+    message = f"seed must be an integer >= 0, got {re.escape(repr(seed))}"
+    with pytest.raises(ValueError, match=message):
+        perturbation_scan(trace_1001_rep(), 1e-3, 1, 110, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        local_global_scan(markoff(), 3, 10, 2, seed=seed)

@@ -90,6 +90,17 @@ def test_numpy_has_one_lazy_binding():
         assert "np" not in set(bound_names(trees[name])), name
 
 
+def test_seeded_commands_share_one_generator():
+    # every seeded command draws from `geometry._seeded`: no module reads
+    # numpy's generators, and only `geometry` builds a `random.Random`
+    generators = [
+        (p.name, ast.unparse(node)) for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute)
+        and ast.unparse(node) in ("np.random", "random.Random")]
+    assert generators == [("geometry.py", "random.Random")]
+
+
 def test_certify_reads_no_private_attribute_of_geodesics_and_segments():
     # the frame of a geodesic, and where a segment lies in it, stay behind
     # `Geodesic` and `Segment`: `certify` uses their public methods
