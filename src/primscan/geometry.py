@@ -455,23 +455,25 @@ def dist_to_geodesic(p, g):
 
 def fixed_points(M):
     """(attracting, repelling) boundary fixed points of a loxodromic M."""
-    a, b, c, d = M = _entries(M)
+    M = _entries(M)
     kind = classify(M)
     if kind != "loxodromic":
-        raise NotLoxodromic(f"{kind} isometry has no axis", trace=a + d)
-    if c == 0:
-        # fixed points b/(d - a) and INF; INF attracts iff |a| > |d|
-        other = b / (d - a)
-        if abs(a) > abs(d):
-            return INF, other
-        return other, INF
+        raise NotLoxodromic(f"{kind} isometry has no axis", trace=M[0] + M[3])
+    return tuple(INF if d == 0 else n / d for n, d in _fixed_pairs(M))
+
+
+def _fixed_pairs(M):
+    """The (attracting, repelling) fixed points of a loxodromic kernel
+    4-tuple as pairs (n, d) for n / d, so that INF (d = 0) needs no case:
+    the roots (a - d +- s) / 2c have the product -b/c, so with mu the
+    numerator that cannot cancel they are (mu, 2c) and (-2b, mu)."""
+    a, b, c, d = M
     s = _root_discriminant(a + d, det(M))
-    # the roots are (a - d +- s) / 2c with product -b/c: take the one
-    # whose numerator cannot cancel and the other by Vieta
-    att, rep = a - d + s, a - d - s
-    if abs(rep) > abs(att):
-        return -2 * b / rep, rep / (2 * c)
-    return att / (2 * c), -2 * b / att
+    mu = a - d + s
+    if abs(a - d - s) > abs(mu):
+        mu = a - d - s
+        return (-2 * b, mu), (mu, 2 * c)
+    return (mu, 2 * c), (-2 * b, mu)
 
 
 def axis_of(M, basepoint=BASEPOINT):

@@ -31,6 +31,8 @@ held.  No word is built unless a scan reads it, and the trace oracle
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import sub
 
 from .blocks import _class_pairs, farey_parents
 from .geometry import (
@@ -45,7 +47,9 @@ from .geometry import (
     mobius_boundary,
     np,
     unimodularize,
+    _ID,
     _loxodromic_length,
+    _fixed_pairs,
     _mul,
     _seeded,
     _sinh_half_displacement,
@@ -69,6 +73,11 @@ _PERIOD_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
 # find_quasi_loops searches O(|gamma|^2) windows: refuse longer words
 _MAX_QUASI_LOOP_LEN = 10_000
+# each excursion sample is one output record: refuse finer steps
+_MAX_EXCURSION_SAMPLES = 1_000_000
+# a leaf that backs away from its axis by osc costs the carried fixed
+# points up to e^osc ulps: past this, they come from the rotation images
+_MAX_CARRIED_OSC = 6.0
 # runs of power_floor + 0..3 letters keep random local-global words aperiodic
 _RUN_SPREAD = 4
 # noise draws per perturbation trial before it counts as degenerate
@@ -135,28 +144,76 @@ def _leaf_edges(rep):
     return {x: Segment(o, p) for x, p in _letter_ends(rep).items()}
 
 
-def _rotation_axes(images):
-    """(b, c, m, s, sign) of an (n, 4) array of rotation images: the roots
-    of `geometry.fixed_points` kept as the fractions m / 2c and -2b / m, so
-    that INF (c = 0) needs no case.  The attracting point alpha is m / 2c
-    if sign > 0, else -2b / m, and |alpha - beta| = |s / c|."""
-    a, b, c, d = images.T
-    tr = a + d
-    with np.errstate(all="ignore"):    # refused by the callers if not finite
-        s = np.sqrt(tr * tr - 4.0 * (a * d - b * c))
-        s = np.where(np.abs(tr + s) < np.abs(tr - s), -s, s)
-        sign = np.where(np.abs(a - d - s) > np.abs(a - d + s), -1.0, 1.0)
-        return b, c, a - d + sign * s, s, sign
+def _rotation_axes(rep, gamma, m):
+    """(na, da, nb, db, delta) for each rotation j of a word gamma with
+    loxodromic image m: the attracting and repelling fixed points of
+    rho(rotate(gamma, j)) as pairs (`geometry._fixed_pairs`), and the foot
+    increment from o to rho(gamma[j]) o on their axis.
+
+    Rotation j is P_j^-1 m P_j with P_j = rho(gamma[:j]), so alpha_j =
+    rho(gamma[j]) alpha_{j+1} backward from alpha_n = alpha, and beta_{j+1}
+    = rho(gamma[j])^-1 beta_j forward from beta_0 = beta: each runs where
+    its point attracts, so rounding errors shrink.  The foot of p lies at
+    ln(h_p(beta) / h_p(alpha)) + const (h_p the norm of `_carried` at p),
+    and h_{g o}(v) / h_{g o}(w) = h_o(g^-1 v) / h_o(g^-1 w), so delta is
+    ln(h_alpha h_beta), the norms divided out between rotations j, j + 1.
+
+    A rounding error made where the leaf backs away from the axis grows by
+    the backing off, up to e^osc.  Past _MAX_CARRIED_OSC the rows come
+    from the rotation images instead (`_image_axes`), as exact as their
+    products.
+    """
+    o, letters = rep.basepoint, rep._letters
+    alpha, beta = _fixed_pairs(m)
+    # the identity first divides each pair by its norm
+    alphas = _carried(o, alpha, [_ID, *map(letters.get, reversed(gamma))])
+    betas = _carried(o, beta, [_ID, *(letters[x.swapcase()] for x in gamma)])
+    alphas.reverse()
+    deltas = [math.log(a[2] * b[2]) for a, b in zip(alphas, betas[1:])]
+    rate = sum(deltas) / len(deltas)
+    feet = list(accumulate(map(sub, deltas, repeat(rate)), initial=0.0))
+    if max(feet) - min(feet) > _MAX_CARRIED_OSC:
+        return _image_axes(rep, gamma)
+    return [(na, da, nb, db, delta) for (na, da, _), (nb, db, _), delta
+            in zip(alphas, betas, deltas)]
 
 
-def _axis_distance(axes, z, t):
-    """d((z, t), axis) for each axis of `_rotation_axes`: sinh d =
-    |(z - alpha) conj(z - beta) + t^2| / (t |alpha - beta|), cleared."""
-    b, c, m, s, _ = axes
-    with np.errstate(all="ignore"):
-        return np.arcsinh(np.abs((2 * c * z - m) * np.conj(z * m + 2 * b)
-                                 + 2 * t * t * c * np.conj(m))
-                          / (2 * t * np.abs(s * m)))
+def _image_axes(rep, gamma):
+    """The rows of `_rotation_axes` from the fixed points of each rotation
+    image of `_rotation_images`: alpha_j is rho(gamma[j]) alpha_{j+1} and
+    beta_j that of image j, one step each, so h_alpha and h_beta are the
+    norms of those steps."""
+    o, letters = rep.basepoint, rep._letters
+    pairs = [_fixed_pairs(X) for X in _rotation_images(rep, gamma)]
+    rows = []
+    for j, x in enumerate(gamma):
+        _, (na, da, h_alpha) = _carried(o, pairs[(j + 1) % len(gamma)][0],
+                                        [_ID, letters[x]])
+        (nb, db, _), (_, _, h_beta) = _carried(
+            o, pairs[j][1], [_ID, letters[x.swapcase()]])
+        rows.append((na, da, nb, db, math.log(h_alpha * h_beta)))
+    return rows
+
+
+def _carried(o, pair, matrices):
+    """(n, d, h) after each kernel 4-tuple in turn carries the pair (n, d):
+    the image divided by its norm h = |(z d - n, t d)| at o = (z, t)."""
+    (n, d), z, t, out = pair, o.z, o.t, []
+    for a, b, c, e in matrices:
+        n, d = a * n + b * d, c * n + e * d
+        h = math.hypot(abs(z * d - n), t * abs(d))
+        n, d = n / h, d / h
+        out.append((n, d, h))
+    return out
+
+
+def _sinh_axis_distance(z, t, na, da, nb, db):
+    """sinh d((z, t), axis) for the axis between the points na / da and
+    nb / db: |(z - alpha) conj(z - beta) + t^2| / (t |alpha - beta|) with
+    the denominators cleared, for scalars or arrays alike."""
+    return (abs((z * da - na) * (z * db - nb).conjugate()
+                + t * t * da * db.conjugate())
+            / (t * abs(na * db - nb * da)))
 
 
 # matrices per displacement batch: bounds the memory of the offset grid
@@ -251,9 +308,11 @@ class ExcursionProfile:
                         fs.tolist()))
         points = {key: self.edges[key[0]].interpolate(key[1])
                   for key in dict.fromkeys(keys)}
-        values = _axis_distance([x[js] for x in self.axes],
-                                np.array([points[key].z for key in keys]),
-                                np.array([points[key].t for key in keys]))
+        with np.errstate(all="ignore"):    # refused below if not finite
+            values = np.arcsinh(_sinh_axis_distance(
+                np.array([points[key].z for key in keys]),
+                np.array([points[key].t for key in keys]),
+                *(x[js] for x in self.axes)))
         if not np.isfinite(values).all():
             raise ValueError(f"the axis of the {self.period}-letter word "
                              f"leaves the float range (about 1.8e308)")
@@ -351,14 +410,22 @@ def excursion_profile(rep, gamma, step=0.25):
     _check_scan_word(gamma, cyclic=True)
     if not 0.0 < step <= 1.0:
         raise ValueError("step must be in (0, 1]")
+    samples, cap = len(gamma) / step, _MAX_EXCURSION_SAMPLES
+    if samples > cap:
+        raise ValueError(f"step must be at least {len(gamma) / cap:.3g} on a "
+                         f"{len(gamma)}-letter word: {step} gives "
+                         f"{samples:.4g} samples, above the cap {cap}")
     m = rep._product(gamma)
     if classify(m) != "loxodromic":
         raise NotLoxodromic(f"image of {gamma!r} is {classify(m)}",
                             m[0] + m[3])
-    count = max(1, math.ceil(len(gamma) / step - 1e-9))
+    count = max(1, math.ceil(samples - 1e-9))
+    try:
+        axes = np.array(_rotation_axes(rep, gamma, m))[:, :4].T
+    except ArithmeticError:    # a modulus past the float range, or a
+        axes = np.full((4, len(gamma)), np.nan)    # zero pair: refused by _at
     return ExcursionProfile(
-        gamma, np.linspace(0.0, float(len(gamma)), count + 1),
-        _rotation_axes(np.array(_rotation_images(rep, gamma))),
+        gamma, np.linspace(0.0, float(len(gamma)), count + 1), axes,
         _leaf_edges(rep), rep.c_prime)
 
 
@@ -581,57 +648,47 @@ def ps_scan(rep, max_denominator):
     relative gap; NaN is flagged).  Distance to a geodesic is convex along
     leaf edges (ibid., Cor. II.2.5): `tube` = max_j d(o, axis X_j).
 
-    Both come from the fixed points alpha (attracting) and beta (repelling)
-    of each rotation image X_j (`_rotation_axes`): the tube is
-    `_axis_distance` at o, and the foot of (z, t) has the coordinate 1/2
-    ln((|z - beta|^2 + t^2) / (|z - alpha|^2 + t^2)) + const.  Raises
-    ValueError naming the letter whose image of o leaves the float range
-    (`_letter_ends`), or the first class with a non-finite image, tube or
-    foot.
+    Both come from `_rotation_axes`, one class at a time: the tube is the
+    largest `_sinh_axis_distance` at o.  Raises ValueError naming the
+    letter whose image of o leaves the float range (`_letter_ends`), or
+    the first class with a non-finite image, tube or foot.
     """
-    o = rep.basepoint
-    ends = _letter_ends(rep)
-    records, lox, images, points, refusal = [], [], [], [], None
-    try:
-        for _, gamma, kind, head in _scanned_classes(rep, max_denominator,
-                                                     words=True):
-            records.append({**head, "rate": head["tl"] / head["len"],
-                            "osc": None, "period_error": None, "tube": None,
-                            "flags": ["not-loxodromic"]})
-            if kind == "loxodromic":
-                lox.append(records[-1])
-                images.append(np.array(_rotation_images(rep, gamma)))
-                points += (ends[x] for x in gamma)
-    except ValueError as e:    # raised below unless an earlier class is
-        refusal = e
-    lens = np.array([r["len"] for r in lox], dtype=np.intp)
-    starts = np.cumsum(lens) - lens
-    b, c, m, _, sign = axes = _rotation_axes(
-        np.concatenate(images or [np.empty((0, 4))]))
-    with np.errstate(all="ignore"):    # refused below if not finite
-        # sign * the foot coordinates of o and rho(gamma[j]) o, up to const
-        feet = [np.log(np.hypot(np.abs(u * m + 2 * b), v * np.abs(m))
-                       / np.hypot(np.abs(2 * c * u - m), 2 * v * np.abs(c)))
-                for u, v in ((o.z, o.t), (np.array([p.z for p in points]),
-                                      np.array([p.t for p in points])))]
-        deltas = sign * (feet[1] - feet[0])
-        x = deltas - np.repeat([r["rate"] for r in lox], lens)
-        e = np.cumsum(x) - x    # e_m = s_m - m rate: the sum of x before m
-        oscs = np.maximum.reduceat(e, starts) - np.minimum.reduceat(e, starts)
-    for r, osc, period, tube in zip(
-            lox, oscs.tolist(), np.add.reduceat(deltas, starts).tolist(),
-            np.maximum.reduceat(_axis_distance(axes, o.z, o.t),
-                                starts).tolist()):
+    z, t = rep.basepoint.z, rep.basepoint.t
+    _letter_ends(rep)    # the leaf's vertices must be in the float range
+    records = []
+    for m, gamma, kind, head in _scanned_classes(rep, max_denominator,
+                                                 words=True):
+        rate = head["tl"] / head["len"]
+        r = {**head, "rate": rate, "osc": None, "period_error": None,
+             "tube": None, "flags": ["not-loxodromic"]}
+        records.append(r)
+        if kind != "loxodromic":
+            continue
+        e = low = high = period = top = 0.0    # e_m = s_m - m rate, m < n
+        try:
+            for na, da, nb, db, delta in _rotation_axes(rep, gamma, m):
+                sinh = _sinh_axis_distance(z, t, na, da, nb, db)
+                if sinh > top:
+                    top = sinh
+                period += delta
+                if e < low:
+                    low = e
+                elif e > high:
+                    high = e
+                e += delta - rate
+        except ArithmeticError:    # a zero pair, or abs() past the float
+            period = math.nan    # range or of a NaN after one (errno stays)
+        # a NaN axis makes the period NaN
+        osc, tube = high - low, math.asinh(top)
         if not math.isfinite(osc + period + tube):
             raise ValueError(
                 f"the axis of class {r['p']}/{r['q']} leaves the float range "
                 f"(about 1.8e308) at max_den {max_denominator}")
         period_error = abs(period - r["tl"]) / max(1.0, r["tl"])
-        low, off = r["rate"] < _LOW_RATIO, not period_error <= _PERIOD_TOL
+        low, off = rate < _LOW_RATIO, not period_error <= _PERIOD_TOL
         r.update(osc=osc, period_error=period_error, tube=tube,
                  flags=["low-ratio"] * low + ["period-error"] * off)
-    if refusal is not None:
-        raise refusal
+    lox = [r for r in records if r["tube"] is not None]
     return ScanReport(records, {
         "classes": len(records),
         "min_rate": min(r["rate"] for r in records),

@@ -281,6 +281,28 @@ def test_scan_ps_refuses_non_finite_axes(rep_file, capsys):
                 f"1.8e308) at max_den {cap}") in captured.err
 
 
+# the Markoff generators conjugated by diag(l, 1/l), l^2 = 7e307 (1 + i):
+# finite entries b = l^2 whose modulus passes the float range
+WIDE_B = 7e307
+WIDE = {"model": "H3",
+        "A": [[1, 0], [WIDE_B, WIDE_B], [0.5 / WIDE_B, -0.5 / WIDE_B],
+              [2, 0]],
+        "B": [[1, 0], [-WIDE_B, -WIDE_B], [-0.5 / WIDE_B, 0.5 / WIDE_B],
+              [2, 0]]}
+
+
+def test_scan_ps_refuses_axes_whose_modulus_passes_the_float_range(
+        rep_file, capsys):
+    # the fixed point -2b of rho(a) has a modulus past the float range,
+    # where abs() raises: the scan refuses and names the class, as for a
+    # non-finite axis
+    assert main(["scan-ps", "--rep", rep_file(WIDE), "--max-den", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("the axis of class 1/0 leaves the float range (about 1.8e308) "
+            "at max_den 1") in captured.err
+
+
 # rho(a) = diag(1e300, 1e-300): the height of rho(a) o would be 1e600
 TINY_HEIGHT = {**MARKOFF, "A": [[1e300, 0], [0, 0], [0, 0], [1e-300, 0]]}
 # rho(b) = diag(1e-300, 1e300): the height of rho(b) o would be 1e-600
@@ -632,6 +654,13 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
                  id="perturb-radius-1e308"),
     pytest.param(["perturb", "--radius", repr(sys.float_info.max)], "radius",
                  id="perturb-radius-float-max"),
+    # more samples than output records allowed, refused before any is made
+    pytest.param(["excursion", "--slope", "1/1", "--step", "1e-9"], "step",
+                 id="excursion-step-1e-9"),
+    pytest.param(["excursion", "--slope", "1/1", "--step", "1e-300"], "step",
+                 id="excursion-step-1e-300"),
+    pytest.param(["excursion", "--slope", "1/1", "--step", "5e-324"], "step",
+                 id="excursion-step-5e-324"),
 ])
 def test_out_of_range_inputs_exit_two(rep_file, capsys, argv, name):
     if argv[0] not in ("detour", "quadrilateral", "bounds"):
@@ -798,7 +827,8 @@ WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
 
 def test_exact_commands_run_without_numpy(rep_file):
     # numpy loads at its first use, which the exact commands, the
-    # certificates and `perturb`, which draw from `random`, never reach; a
+    # certificates and `perturb`, which draw from `random`, and `scan-ps`,
+    # which carries each class's fixed points in scalars, never reach; a
     # numpy imported before the package is bound as it is
     assert fresh_stdout(
         "import sys, primscan.cli; "
@@ -811,7 +841,8 @@ def test_exact_commands_run_without_numpy(rep_file):
                  ["detour", "--trials", "20", "--seed", "5"],
                  ["quadrilateral", "--trials", "20", "--seed", "5"],
                  ["perturb", "--rep", rep_file(MARKOFF), "--radius", "1e-3",
-                  "--trials", "5", "--max-den", "10", "--seed", "3"]):
+                  "--trials", "5", "--max-den", "10", "--seed", "3"],
+                 ["scan-ps", "--rep", rep_file(MARKOFF), "--max-den", "20"]):
         code, out = capture(argv)
         assert code == 0 and out
         assert fresh_stdout(WITHOUT_NUMPY, *argv) == out

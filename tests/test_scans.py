@@ -80,6 +80,14 @@ def diagonal_rep():
                           basepoint=HPoint(0, 1))
 
 
+def elliptic_rep():
+    """tests/data/elliptic.json: b is a half-turn about o, so the leaf of
+    a^k b a^m b runs k letters out along the axis of a and back, and its
+    osc is about k; its integer products are exact."""
+    return parse_rep_file(
+        str(Path(__file__).resolve().parent / "data" / "elliptic.json"))
+
+
 # ------------------------------------------------------------ class_matrix
 
 def test_class_matrix_matches_letterwise_product():
@@ -272,8 +280,8 @@ def test_bowditch_scan_builds_no_word(monkeypatch):
 
 
 def test_ps_scan_builds_no_axis(monkeypatch):
-    # the tube and the feet come from the entries of the rotation images:
-    # no `Geodesic` per rotation, nor any other
+    # the tube and the feet come from the carried fixed points: no
+    # `Geodesic` per rotation, nor any other
     def refuse(*args, **kwargs):
         raise AssertionError("ps_scan built an axis")
 
@@ -302,15 +310,20 @@ def test_ps_scan_builds_no_axis(monkeypatch):
 
 def test_ps_scan_walks_the_tower_words(monkeypatch):
     walked = []
-    images = scans._rotation_images
+    axes = scans._rotation_axes
 
-    def record(rep, gamma):
+    def record(rep, gamma, m):
         walked.append(gamma)
-        return images(rep, gamma)
+        return axes(rep, gamma, m)
 
-    monkeypatch.setattr(scans, "_rotation_images", record)
+    def refuse(rep, gamma):
+        raise AssertionError(f"{gamma} left the carried fixed points")
+
+    monkeypatch.setattr(scans, "_rotation_axes", record)
+    monkeypatch.setattr(scans, "_image_axes", refuse)
     scan = ps_scan(markoff(), 40)
-    # every class of the fixture is loxodromic, so every class is walked
+    # every class of the fixture is loxodromic, so every class is walked,
+    # and none backs away from its axis by _MAX_CARRIED_OSC
     assert len(walked) == len(scan.records) == 981
     for r, gamma in zip(scan.records, walked):
         word = build_blocks(r["p"], r["q"]).word
@@ -573,6 +586,18 @@ def test_rotation_images_match_fresh_products():
             assert err <= 1e-12 * np.abs(want).max(), (gamma, j)
 
 
+def test_ps_scan_memory_peak():
+    # one class's axes at a time: the records and the class table set the
+    # peak (86.6 MB with every rotation image of every class held at once)
+    tracemalloc.start()
+    try:
+        ps_scan(markoff(), 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
 # rounding allowance between the tube, measured at o, and the profile
 # samples, measured at o rebuilt by Segment.interpolate: a few ulps of
 # values below 5
@@ -695,6 +720,16 @@ def test_excursion_rejects_bad_inputs():
     elliptic = Representation("H2", MARKOFF_A, [[0, 1], [-1, 0]])
     with pytest.raises(NotLoxodromic):
         excursion_profile(elliptic, "b")
+
+
+def test_excursion_refuses_more_samples_than_the_cap(monkeypatch):
+    # checked before any sample is allocated; the cap is lowered here so
+    # that both of its sides run small
+    monkeypatch.setattr(scans, "_MAX_EXCURSION_SAMPLES", 8)
+    assert len(excursion_profile(markoff(), "ab", step=0.25).us) == 9
+    with pytest.raises(ValueError, match=r"step must be at least 0\.25 on a "
+                       r"2-letter word: 0\.2 gives 10 samples"):
+        excursion_profile(markoff(), "ab", step=0.2)
 
 
 # ------------------------------------------------------------- quasi-loops
@@ -975,7 +1010,7 @@ def test_ps_scan_markoff_clean():
 def rotation_frames(rep, gamma, edges):
     """Frame j of gamma for each rotation j: (axis of rho(rotate(gamma,
     j)), edges[gamma[j]]), with `edges` from `scans._leaf_edges`: one
-    `Geodesic` per rotation, the reference for the closed forms of
+    `Geodesic` per rotation, the reference for the carried fixed points of
     `scans._rotation_axes`.  Raises NotLoxodromic when a rotated image is
     not loxodromic."""
     return [(axis_of(X, basepoint=rep.basepoint), edges[x])
@@ -1051,12 +1086,14 @@ OFF_ORIGIN = HPoint(0.3 + 0.2j, 1.3)
 @pytest.mark.parametrize("rep", [
     markoff(), criterion_9_rep(0.1), criterion_9_rep(0.01),
     random_h3_rep(1, OFF_ORIGIN), random_h3_rep(2, OFF_ORIGIN),
-    random_h3_rep(5, OFF_ORIGIN), diagonal_rep()],
+    random_h3_rep(5, OFF_ORIGIN), diagonal_rep(), elliptic_rep()],
     ids=["markoff", "eta=0.1", "eta=0.01", "h3-1", "h3-2", "h3-5",
-         "diagonal"])
+         "diagonal", "elliptic"])
 def test_ps_scan_matches_the_frame_reference(rep):
     # every record at cap 20; on the diagonal rep every rotation image
-    # has c = 0, so one fixed point of each is INF
+    # has c = 0, so one fixed point of each is INF; on the elliptic rep
+    # the leaves with osc past _MAX_CARRIED_OSC take the rotation images
+    # (carried, 19/2 would have a tube of 1.4e-9 where the frames give 0)
     got = ps_scan(rep, 20).records
     want = frame_ps_records(rep, 20)
     assert len(got) == len(want) == 257
@@ -1073,9 +1110,9 @@ def test_ps_scan_matches_the_frame_reference(rep):
 
 # allowance between `excursion_profile` and its frame reference: both
 # evaluate at the same points of the leaf edges and differ only in the
-# axis (entry fractions against a normalized point action); the largest
-# gap measured on these reps, over every class word up to cap 12, is
-# 3.0e-15, about 30 times below this
+# axis (carried fixed points against a normalized point action); the
+# largest gap measured on these reps, over every class word up to cap 12,
+# is 1.4e-14, about 7 times below this
 EXCURSION_TOL = 1e-13
 MARKOFF_SLOPES = [(8, 5), (55, 34), (199, 200), (-5, 8)]
 
@@ -1085,9 +1122,10 @@ MARKOFF_SLOPES = [(8, 5), (55, 34), (199, 200), (-5, 8)]
     *[(rep, [(8, 5), (3, 2), (-5, 8)]) for rep in (
         criterion_9_rep(0.1), criterion_9_rep(0.01), diagonal_rep(),
         random_h3_rep(1, OFF_ORIGIN), random_h3_rep(2, OFF_ORIGIN),
-        random_h3_rep(5, OFF_ORIGIN))]],
+        random_h3_rep(5, OFF_ORIGIN))],
+    (elliptic_rep(), [(19, 2), (37, 2), (3, 8)])],
     ids=["markoff", "eta=0.1", "eta=0.01", "diagonal", "h3-1", "h3-2",
-         "h3-5"])
+         "h3-5", "elliptic"])
 def test_excursion_matches_the_frame_reference(rep, slopes):
     # every sample, a point off the grid in each edge and the seams; on
     # the diagonal rep every rotation image has c = 0
@@ -1103,32 +1141,34 @@ def test_excursion_matches_the_frame_reference(rep, slopes):
 
 
 def test_rotation_axes_are_the_fixed_points():
-    # the fractions m / 2c and -2b / m against `geometry.fixed_points`:
-    # m / 2c attracts when sign > 0, and it is INF where c = 0
-    rng = np.random.default_rng(22)
-    general = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
-    general /= np.sqrt(general[:, 0] * general[:, 3]
-                       - general[:, 1] * general[:, 2])[:, None]
-    upper = general.copy()
-    upper[:, 2], upper[:, 3] = 0.0, 1.0 / upper[:, 0]
-    for images in (general, upper):
-        b, c, m, s, sign = scans._rotation_axes(images)
-        for X, bj, cj, mj, sj, signj in zip(images.tolist(), b.tolist(),
-                                            c.tolist(), m.tolist(),
-                                            s.tolist(), sign.tolist()):
-            over_c = geometry.INF if cj == 0 else mj / (2 * cj)
-            roots = (over_c, -2 * bj / mj)
-            want = geometry.fixed_points(X)
-            got = roots if signj > 0 else roots[::-1]
-            for g, w in zip(got, want):
+    # each carried pair against `geometry.fixed_points` of a fresh product
+    # of the rotated word; on the diagonal rep every letter has c = 0, so
+    # one fixed point of every rotation is INF, carried as d = 0
+    words = [t.word for t in enumerate_primitive_classes(8)]
+    words += [build_blocks(-5, 8).word, build_blocks(-13, 8).word]
+    cases = [(rep, gamma) for rep in (
+        random_h3_rep(1, OFF_ORIGIN), random_h3_rep(2, OFF_ORIGIN),
+        random_h3_rep(5, OFF_ORIGIN), diagonal_rep()) for gamma in words]
+    cases.append((markoff(), build_blocks(199, 200).word))
+    # the leaves of osc past _MAX_CARRIED_OSC, from the rotation images
+    elliptic = elliptic_rep()
+    cases += [(elliptic, gamma) for gamma in words + [
+        build_blocks(37, 2).word] if geometry.classify(
+            elliptic._product(gamma)) == "loxodromic"]
+    infinite = 0
+    for rep, gamma in cases:
+        axes = scans._rotation_axes(rep, gamma, rep._product(gamma))
+        assert len(axes) == len(gamma)
+        for j, (na, da, nb, db, _) in enumerate(axes):
+            want = geometry.fixed_points(rep._product(rotate(gamma, j)))
+            for n, d, w in ((na, da, want[0]), (nb, db, want[1])):
                 if w is geometry.INF:
-                    assert g is geometry.INF, (X, got, want)
+                    assert d == 0, (gamma, j)
+                    infinite += 1
                 else:
-                    assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), \
-                        (X, got, want)
-            if cj != 0:    # |alpha - beta| = |s / c|
-                assert abs(got[0] - got[1]) == pytest.approx(abs(sj / cj),
-                                                             rel=1e-12)
+                    assert abs(n / d - w) <= 1e-12 * max(1.0, abs(w)), \
+                        (gamma, j, n / d, w)
+    assert infinite == sum(len(w) for w in words)
 
 
 # rounding allowance of the projection bound: rate * k - osc sums unit-scale
