@@ -192,46 +192,50 @@ def build_blocks(p, q):
         raise ValueError(f"the class word of slope {p}/{q} has {length} "
                          f"letters, more than a string holds "
                          f"({sys.maxsize})")
-    return _build_tower(p, q, {})
+    return _build_tower(p, q, {}, 0)[0]
 
 
-def _build_tower(p, q, levels):
-    """The tower of the canonical slope p/q, with its words looked up in and
-    added to `levels`, the level table of one enumeration (`_tower_levels`)."""
+def _build_tower(p, q, levels, cap):
+    """The tower of the canonical slope p/q and the number of levels it
+    built on the level table `levels` (`_tower_levels`).  Its abelianization
+    check reads the letter counts carried for w_r, which are the word's: the
+    base words' own, carried by the recurrence the suite string-checks."""
     entries, swap = _tower_plan(p, q)
     for n in entries:
         if n < 1:
             raise LemmaViolation(f"tower entry {n} < 1 for slope {p}/{q}")
-    w, wp = _tower_levels(swap, entries, levels)
-    pp, qq = abelianization(w[-1])
+    (w, wp, (pp, qq), _), built = _tower_levels(swap, entries, levels, cap)
     if (pp, qq) not in ((p, q), (-p, -q)):
         raise LemmaViolation(
             f"tower word for {p}/{q} abelianizes to ({pp}, {qq})")
-    return BlockTower(p, q, entries, swap, w, wp)
+    return BlockTower(p, q, entries, swap, w, wp), built
 
 
-def _tower_levels(swap, entries, levels):
+def _tower_levels(swap, entries, levels, cap):
     """The (w, w') tuples of the tower with recursion entries `entries` on
-    the `swap` alphabet.
+    the `swap` alphabet and the letter counts of their top words, and the
+    number of levels k >= 1 built.
 
-    `levels` maps (swap, entries) to those tuples.  The tower of
-    entries[:-1] holds every level but the last, so a new tower costs one
-    level once its prefix is in the table.  The substitution is applied to
-    w_0 and w'_0 only (see `_BASE_WORDS`).
-    """
-    key = (swap, entries)
-    found = levels.get(key)
-    if found is None:
-        if entries:
-            w, wp = _tower_levels(swap, entries[:-1], levels)
-            n = entries[-1]
-            found = (w + (w[-1] * (n - 1) + wp[-1],),
-                     wp + (w[-1] * n + wp[-1],))
-        else:
-            w0, wp0 = _BASE_WORDS[swap]
-            found = (w0,), (wp0,)
-        levels[key] = found
-    return found
+    `levels` maps (swap, entries) to these.  It keeps a level k >= 1 only
+    if its smallest extension, entries + (2,), with the letter counts
+    c(w_k) + c(w'_k) = 2 c(w_k) + c(w_(k-1)), is within `cap` (max(|p|, q)),
+    so a new tower costs one level once its prefix is in the table.  The
+    substitution is applied to w_0 and w'_0 only (see `_BASE_WORDS`)."""
+    found = levels.get((swap, entries))
+    if found is None and not entries:
+        w0, wp0 = base = _BASE_WORDS[swap]
+        found = levels[swap, ()] = (w0,), (wp0,), *map(abelianization, base)
+    if found is not None:
+        return found, 0
+    (w, wp, (a, b), (ap, bp)), built = _tower_levels(
+        swap, entries[:-1], levels, cap)
+    n = entries[-1]
+    ak, bk = (n - 1) * a + ap, (n - 1) * b + bp
+    found = (w + (w[-1] * (n - 1) + wp[-1],), wp + (w[-1] * n + wp[-1],),
+             (ak, bk), (a + ak, b + bk))
+    if max(abs(2 * ak + a), abs(2 * bk + b)) <= cap:
+        levels[swap, entries] = found
+    return found, built + 1
 
 
 def enumerate_primitive_classes(max_den):
@@ -240,19 +244,19 @@ def enumerate_primitive_classes(max_den):
     Deterministic order: by q, then p; so 1/0 comes first, then 0/1, 1/1,
     2/1, ...  The count is 2 + #{(p, q) : 1 <= p, q <= max_den, coprime}.
     """
-    return list(_class_towers(_class_pairs(max_den), {}))
+    return [t for t, _ in _class_towers(_class_pairs(max_den))]
 
 
-def _class_towers(pairs, levels):
-    """Yield the BlockTower of each (p, q) of `pairs`, in order, built
-    one at a time on the level table `levels`.
-
-    Read between two towers, len(levels) tells how many levels the last
-    one added.  The pairs must be coprime and nonnegative, like those of
-    `_class_pairs`: they skip the checks of `build_blocks`.
-    """
+def _class_towers(pairs):
+    """Yield the BlockTower of each (p, q) of the list `pairs`, in order,
+    and the number of levels it built, on one level table that keeps the
+    levels a tower within the largest max(p, q) can extend.  The pairs
+    must be coprime and nonnegative, like those of `_class_pairs`: they
+    skip the checks of `build_blocks`."""
+    cap = max(map(max, pairs), default=0)
+    levels = {}
     for p, q in pairs:
-        yield _build_tower(p, q, levels)
+        yield _build_tower(p, q, levels, cap)
 
 
 def _class_pairs(max_den):
@@ -592,7 +596,7 @@ def _towers_by_word_length(cap):
     time, in the order of `_class_pairs(cap)`."""
     # the class word of a slope p/q with p >= 0 has p + q letters
     pairs = [(p, q) for p, q in _class_pairs(cap) if p + q <= cap]
-    return _class_towers(pairs, {})
+    return (t for t, _ in _class_towers(pairs))
 
 
 def _recurrence_suite(cap):
@@ -600,25 +604,22 @@ def _recurrence_suite(cap):
     every tower of `enumerate_primitive_classes(cap)`, in exact integer
     and string arithmetic.
 
-    The towers are built one at a time on one level table and dropped once
-    checked.  Each tower's own checks are its base lengths and its word
-    length.  The checks of level i read levels i - 1 and i only, which
-    are the same in every tower that holds level i, so `_check_level` runs
-    once per level of the table: in the tower that adds it, whose top
-    levels, as many as the table grew by, are the new ones.  Checks and
-    failures stay per (tower, level): a failing level's messages are
-    recorded again for every tower that holds it.  A tower's records are
-    its own failures, then its level checks by level, then its
-    (m+2) l_(i-1) inequalities by level.
+    The towers are built one at a time on one level table, which keeps
+    only the levels a later tower is built on, and dropped once checked.  Each
+    tower's own checks are its base lengths and its word length.  The
+    checks of level i read levels i - 1 and i only, the same in every
+    tower that holds level i, so `_check_level` runs once per level built:
+    in the tower that builds it, whose top levels, as many as it built,
+    are the new ones.  Checks and failures stay per (tower, level): a
+    failing level's messages are recorded again for every tower that
+    holds it.  A tower's records are its own failures, then its level
+    checks by level, then its (m+2) l_(i-1) inequalities by level.
     """
     failures, checks = [], 0
-    levels = {}
     failing = {}    # (swap, entries[:i]) -> `_check_level` messages
-    size = 0
-    for t in _class_towers(_class_pairs(cap), levels):
-        new, size = len(levels) - size, len(levels)
+    for t, built in _class_towers(_class_pairs(cap)):
         depth = t.depth
-        for i in range(max(1, depth + 1 - new), depth + 1):
+        for i in range(depth + 1 - built, depth + 1):
             own, inequality = found = _check_level(t, i)
             if own or inequality:
                 failing[t.swap, t.cf[:i]] = found
@@ -825,8 +826,9 @@ def run_suite(suite, cap):
     class-word length bound (l_r <= cap) for the string suites
     "magic-len", "perm-cycl", and "bloc".
 
-    Every suite builds its towers one at a time on one level table and
-    keeps none.  The recurrences suite checks each level of that table
+    Every suite builds its towers one at a time on one level table, which
+    keeps the levels a later tower within the cap can be built on and no
+    other, and keeps no tower.  The recurrences suite checks each level built
     once, the string suites take one (tower, level) per call, and only
     perm-cycl builds the adapted rotations.  Checks and failures are
     counted per tower and level (and per start, rotation or window in the

@@ -139,9 +139,17 @@ def _letter_ends(rep):
 
 
 def _leaf_edges(rep):
-    """The segment [o, rho(x) o] for each letter x."""
-    o = rep.basepoint
-    return {x: Segment(o, p) for x, p in _letter_ends(rep).items()}
+    """The segment [o, rho(x) o] for each letter x.  Raises ValueError
+    naming the first letter whose segment leaves the float range."""
+    o, edges = rep.basepoint, {}
+    for x, p in _letter_ends(rep).items():
+        try:
+            edges[x] = Segment(o, p)
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"the segment from the basepoint {o!r} to its image under "
+                f"letter {x} leaves the float range (about 1.8e308)") from None
+    return edges
 
 
 def _rotation_axes(rep, gamma, m):

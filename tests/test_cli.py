@@ -303,6 +303,19 @@ def test_scan_ps_refuses_axes_whose_modulus_passes_the_float_range(
             "at max_den 1") in captured.err
 
 
+def test_excursion_refuses_leaf_edges_past_the_float_range(rep_file,
+                                                           capsys):
+    # rho(a) o is finite, but the geodesic through o and it is not: the
+    # leaf edge of letter a is refused by name, as its image would be
+    assert main(["excursion", "--rep", rep_file(WIDE),
+                 "--slope", "1/0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("the segment from the basepoint HPoint(z=0j, t=1.0) to its "
+            "image under letter a leaves the float range (about 1.8e308)"
+            ) in captured.err
+
+
 # rho(a) = diag(1e300, 1e-300): the height of rho(a) o would be 1e600
 TINY_HEIGHT = {**MARKOFF, "A": [[1e300, 0], [0, 0], [0, 0], [1e-300, 0]]}
 # rho(b) = diag(1e-300, 1e300): the height of rho(b) o would be 1e-600
@@ -495,6 +508,12 @@ RECORDED_DIGESTS = {
         "2488966af8d4c688dcb8c175f8e04b19090080a17597f8f55b851303662ae9b8",
     ("verify-lemmas", "--max-den", "30", "--max-block-len", "40"):
         "10c088723295b2e6dd168354ffcfb520ff35911df2d024a5f7ae8c8036343ed6",
+    # the benchmark's lemmas command, and the other reader of the towers'
+    # level table at its deepest cap
+    ("verify-lemmas",):
+        "1fb599628a291e0e72f668f6b4f58f2b163d4140571e665f7e7caaf9726cf561",
+    ("enumerate", "--max-den", "200"):
+        "ef385ecb011450e8fd86b15d5e72736e8cb70f2ac0a22a0347071fadd1cd37ca",
 }
 
 
