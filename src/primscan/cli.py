@@ -71,10 +71,20 @@ def _cell(value):
     return str(value)
 
 
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
 def emit(records, aggregate, fmt, stream):
     """Write the report: one record per line plus the aggregate last."""
     if fmt == "jsonl":
-        stream.writelines(json.dumps(r) + "\n" for r in [*records, aggregate])
+        for row in [*records, aggregate]:
+            try:
+                line = _encode(row)
+            except ValueError:    # strict JSON: no bare NaN or Infinity
+                raise ValueError(
+                    "the report holds a non-finite number (NaN or "
+                    "infinity), which cannot be written as JSON") from None
+            stream.write(line + "\n")
         return
     columns = []
     for row in [*records, aggregate]:
@@ -133,16 +143,8 @@ def _cmd_verify_lemmas(args):
     return records, aggregate, 1 if total_failures else 0
 
 
-def _cmd_scan_bowditch(args):
-    rep = parse_rep_file(args.rep)
-    scan = bowditch_scan(rep, args.max_den)
-    code = 1 if scan.aggregate["violations"] else 0
-    return scan.records, scan.aggregate, code
-
-
-def _cmd_scan_ps(args):
-    rep = parse_rep_file(args.rep)
-    scan = ps_scan(rep, args.max_den)
+def _cmd_scan(args):
+    scan = args.scan(parse_rep_file(args.rep), args.max_den)
     code = 1 if scan.aggregate["violations"] else 0
     return scan.records, scan.aggregate, code
 
@@ -260,13 +262,15 @@ def build_parser():
     p.add_argument("--max-den", type=int, default=200,
                    help="slope cap for the recurrences suite")
 
-    p = add("scan-bowditch", _cmd_scan_bowditch,
+    p = add("scan-bowditch", _cmd_scan,
             help="trace/translation-ratio scan over primitive classes")
+    p.set_defaults(scan=bowditch_scan)
     p.add_argument("--rep", required=True)
     p.add_argument("--max-den", type=int, default=20)
 
-    p = add("scan-ps", _cmd_scan_ps,
+    p = add("scan-ps", _cmd_scan,
             help="orbit-map quasi-geodesic scan over primitive classes")
+    p.set_defaults(scan=ps_scan)
     p.add_argument("--rep", required=True)
     p.add_argument("--max-den", type=int, default=10)
 

@@ -298,31 +298,24 @@ def _root_discriminant(tr, dt):
     return -s if abs(tr + s) < abs(tr - s) else s
 
 
-def _dominant_eigenvalue(M):
-    """The eigenvalue of larger modulus (ties possible only off the
-    loxodromic locus)."""
-    M = _entries(M)
-    tr = M[0] + M[3]
-    if abs(tr.real) > 1e8 or abs(tr.imag) > 1e8:
-        # lambda = tr (1 - 1/tr^2 - ...): the correction is below double
-        # precision, and tr^2 would overflow from |tr| ~ 1e154 on
-        return tr
-    return (tr + _root_discriminant(tr, det(M))) / 2.0
-
-
 def translation_length(M):
     """2 ln|lambda| for loxodromic M; 0 for elliptic/parabolic/identity."""
     M = _entries(M)
     if classify(M) != "loxodromic":
         return 0.0
-    return _loxodromic_length(M)
+    return _trace_length(M[0] + M[3], det(M))
 
 
-def _loxodromic_length(M):
-    """2 ln|lambda| of an M that `classify` already called loxodromic."""
-    # the real part of cmath.log is ln|lambda| even where |lambda| itself
-    # would overflow
-    return 2.0 * cmath.log(_dominant_eigenvalue(M)).real
+def _trace_length(tr, dt=1.0):
+    """2 ln|lambda|, lambda the eigenvalue of larger modulus of a
+    loxodromic matrix of trace tr and determinant dt."""
+    # past 1e8, lambda = tr (1 - dt/tr^2 - ...) to double precision, and
+    # tr^2 would overflow from |tr| ~ 1e154 on
+    lam = tr
+    if abs(tr.real) <= 1e8 and abs(tr.imag) <= 1e8:
+        lam = (tr + _root_discriminant(tr, dt)) / 2.0
+    # Re cmath.log is ln|lambda| even where |lambda| itself would overflow
+    return 2.0 * cmath.log(lam).real
 
 
 def _rescale(X, s):

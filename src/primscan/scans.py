@@ -9,10 +9,9 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 - `find_quasi_loops`: cyclic subwords with displacement at most eps times
   their length, plus greedy disjoint coverage and the contradiction test
   against a displacement-ratio constant.
-- `bowditch_scan`: per-class traces, translation lengths and
-  translation-per-letter ratios, the constant C fitted from the worst
-  ratio, and the trace cross-check data (Fricke recursion over the Farey
-  tree).
+- `bowditch_scan`: per-class traces (the Fricke recursion over the Farey
+  tree), translation lengths and translation-per-letter ratios, and the
+  constant C fitted from the worst ratio.
 - `ps_scan`: per-class quasi-geodesic constants of the orbit map from the
   projection onto the class axis, and tubular radii.
 - `local_global_scan`: local vs global quasi-geodesic constants over
@@ -20,21 +19,20 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 - `perturbation_scan`: robustness of the minimum ratio under entrywise
   noise.
 
-Class images come in the order of `blocks._class_pairs`, each from its
-two Farey parents (`blocks.farey_parents`), which come before it: the
-class between Farey neighbours u and v is uv, so each class costs one
-product on the scalar 2x2 kernel of `geometry` from two images already
-held.  No word is built unless a scan reads it, and the trace oracle
-`fricke_traces` is the same loop on traces.
+The classes come in the order of `blocks._class_pairs`, each from its two
+Farey parents u, v (`blocks.farey_parents`) and the region w across their
+edge, which come before it (`_farey_walk`): its trace is tr u tr v - tr w,
+one complex multiply.  Bowditch's condition reads traces alone; `ps_scan`
+also needs the fixed points, so it takes the class image uv, one product
+on the scalar 2x2 kernel of `geometry`, and the class word u + v.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import sub
 
-from .blocks import _class_pairs, farey_parents
+from .blocks import _class_pairs, build_blocks, farey_parents
 from .geometry import (
     INF,
     NotLoxodromic,
@@ -48,11 +46,12 @@ from .geometry import (
     np,
     unimodularize,
     _ID,
-    _loxodromic_length,
+    _TRACE_TOL,
     _fixed_pairs,
     _mul,
     _seeded,
     _sinh_half_displacement,
+    _trace_length,
 )
 from .words import check_word, is_cyclically_reduced
 
@@ -537,86 +536,89 @@ def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
     """Traces of the primitive classes of slope p/q with p, q >= 0 up to
     the cap (1/0, 0/1 and 1 <= p, q <= cap: the half of the Farey tree
     between 0/1 and 1/0) from the trace triple (tr A, tr B, tr AB), keyed
-    by (p, q), by the Fricke recursion tr uv = tr u tr v - tr w over the
-    Farey parents u, v and the region w across their edge.  Independent
-    of any matrix arithmetic."""
+    by (p, q): the scans' recursion, with no matrix arithmetic."""
     pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
-    traces = _farey_table(max_denominator, tr_a, tr_b)
-    traces[1][1] = tr_ab
+    return dict(zip(pairs, _farey_walk(pairs, max_denominator, tr_a, tr_b,
+                                       tr_ab, _fricke)))
+
+
+def _fricke(u, v, w):
+    """tr uv = tr u tr v - tr w, the Fricke recursion."""
+    return u * v - w
+
+
+def _farey_walk(pairs, max_denominator, a, b, ab, join):
+    """The payload of each class of `pairs` (`_class_pairs` to the cap), in
+    order, from those of 1/0, 0/1 and 1/1: join(u, v, w) of its Farey
+    parents u, v and the region w across their edge, one class at a time."""
+    table = [[None] * (max_denominator + 1)
+             for _ in range(max_denominator + 1)]    # indexed [q][p]
+    table[0][1], table[1][0], table[1][1] = a, b, ab
+    yield from (a, b, ab)
     for p, q in pairs[3:]:    # after 1/0, 0/1 and 1/1
         (pu, qu), (pv, qv) = farey_parents(p, q)
-        traces[q][p] = (traces[qu][pu] * traces[qv][pv]
-                        - traces[abs(qu - qv)][abs(pu - pv)])
-    return {(p, q): traces[q][p] for p, q in pairs}
+        x = table[q][p] = join(table[qu][pu], table[qv][pv],
+                               table[abs(qu - qv)][abs(pu - pv)])
+        yield x
 
 
-def _farey_table(max_denominator, a, b):
-    """A payload table indexed [q][p] up to the cap, holding `a` at 1/0
-    and `b` at 0/1."""
-    table = [[None] * (max_denominator + 1)
-             for _ in range(max_denominator + 1)]
-    table[0][1], table[1][0] = a, b
-    return table
-
-
-def _scanned_classes(rep, max_denominator, words):
-    """The slopes p/q with p, q >= 0 up to the cap (the classes of
-    negative slope are not scanned), in the order of `blocks._class_pairs`,
-    as (m, gamma, kind, head): the class image; the class word when
-    `words` is true, else None; `classify` of the image; and the record
-    head p, q, len, tr, tl.
-
-    Each image is one product of the images of its Farey parents u, v
-    (`blocks.farey_parents`), which come before it: the class between
-    Farey neighbours u and v is uv.  The class words are u + v, each a
-    cyclic rotation of the `build_blocks` word; without `words` no word is
-    built.  len is p + q, the length of the class word.
-
-    Raises ValueError naming the first class, in that order, whose trace
-    or translation length is not finite: its image has left the float
-    range.  No later class is computed.
-    """
+def _class_traces(rep, max_denominator):
+    """(p, q, tr, kind, tl) for the slopes p/q with p, q >= 0 up to the cap
+    (the negative ones are not scanned), in the order of `_class_pairs`:
+    the trace from the triple of `rep`, its kind in the windows of
+    `classify`, and tl from the trace with det 1.  A trace cannot tell the
+    identity from a parabolic: within _TRACE_TOL of +-2, the image of the
+    `build_blocks` word, a conjugate of the class, decides.  Raises
+    ValueError naming the first class whose trace is not finite; no later
+    class is computed."""
     pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
-    images = _farey_table(max_denominator, rep._letters["a"],
-                          rep._letters["b"])
-    names = _farey_table(max_denominator, "a", "b") if words else None
-    for p, q in pairs:
-        if p and q:
-            (pu, qu), (pv, qv) = farey_parents(p, q)
-            images[q][p] = _mul(images[qu][pu], images[qv][pv])
-            if words:
-                names[q][p] = names[qu][pu] + names[qv][pv]
-        m = images[q][p]
-        tr = m[0] + m[3]
-        kind = classify(m)
-        # `translation_length`, without classifying the image again
-        tl = _loxodromic_length(m) if kind == "loxodromic" else 0.0
-        if not (cmath.isfinite(tr) and math.isfinite(tl)):
-            raise ValueError(
-                f"the trace or translation length of class {p}/{q} is "
-                f"not finite at max_den {max_denominator}: its image "
-                f"leaves the float range (about 1.8e308)")
-        yield m, names[q][p] if words else None, kind, {
-            "p": p, "q": q, "len": p + q,
-            "tr": [tr.real, tr.imag], "tl": tl,
-        }
+    A, B = rep._letters["a"], rep._letters["b"]
+    AB, tol = _mul(A, B), _TRACE_TOL
+    for (p, q), tr in zip(pairs, _farey_walk(
+            pairs, max_denominator, A[0] + A[3], B[0] + B[3], AB[0] + AB[3],
+            _fricke)):
+        if abs(tr.imag) <= tol and abs(tr.real) <= 2.0 + tol:
+            if abs(tr.real) < 2.0 - tol:
+                yield p, q, tr, "elliptic", 0.0
+            elif classify(rep._product(build_blocks(p, q).word)) == "identity":
+                yield p, q, tr, "identity", 0.0
+            else:
+                yield p, q, tr, "parabolic", 0.0
+            continue
+        tl = _trace_length(tr)
+        if not math.isfinite(tl):    # nor is tr, whose log it is
+            raise ValueError(f"the trace of class {p}/{q} is not finite at "
+                             f"max_den {max_denominator}: it leaves the float "
+                             f"range (about 1.8e308)")
+        yield p, q, tr, "loxodromic", tl
+
+
+def _class_images(rep, max_denominator):
+    """(m, gamma) per class of `_class_traces`: the image uv and the word
+    u + v of its Farey parents u, v, a rotation of the `build_blocks` word."""
+    pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
+    A, B = rep._letters["a"], rep._letters["b"]
+    return _farey_walk(pairs, max_denominator, (A, "a"), (B, "b"),
+                       (_mul(A, B), "ab"),
+                       lambda u, v, w: (_mul(u[0], v[0]), u[1] + v[1]))
 
 
 def bowditch_scan(rep, max_denominator):
-    """Scan the primitive classes of `_scanned_classes`: trace,
-    translation length, and the ratio translation/|class|; flag
+    """Scan the primitive classes of `_class_traces`: trace, translation
+    length, and the ratio translation/|class| (|class| = p + q); flag
     non-loxodromic and low-ratio classes; fit C = 1 / ratio from the worst
-    ratio."""
+    ratio.  Every figure comes from the traces alone."""
     records = []
-    for _, _, kind, head in _scanned_classes(rep, max_denominator,
-                                             words=False):
-        ratio = head["tl"] / head["len"]
+    for p, q, tr, kind, tl in _class_traces(rep, max_denominator):
+        ratio = tl / (p + q)
         flags = []
         if kind != "loxodromic":
             flags.append(kind)
         elif ratio < _LOW_RATIO:
             flags.append("low-ratio")
-        records.append({**head, "ratio": ratio, "flags": flags})
+        records.append({"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
+                        "tl": tl, "ratio": ratio, "flags": flags})
+    sizes = [math.hypot(*r["tr"]) for r in records]    # |tr|, once each
     min_ratio = min(r["ratio"] for r in records)
     abAB = rep._product("abAB")
     commutator = abAB[0] + abAB[3]
@@ -631,20 +633,19 @@ def bowditch_scan(rep, max_denominator):
     aggregate = {
         "classes": len(records),
         "min_ratio": min_ratio,
-        "min_trace": min(math.hypot(*r["tr"]) for r in records),
+        "min_trace": min(sizes),
         "fitted_C": 1.0 / min_ratio if min_ratio > 0 else None,
         "lsq_rate": lsq.slope if lsq else None,
         "lsq_intercept": lsq.intercept if lsq else None,
         "commutator_trace": [commutator.real, commutator.imag],
-        "small_trace_count": sum(
-            1 for r in records if math.hypot(*r["tr"]) <= 2.0 + 1e-12),
-        "violations": sum(1 for r in records if r["flags"]),
+        "small_trace_count": sum(1 for s in sizes if s <= 2.0 + 1e-12),
+        "violations": len(records) - len(lox),
     }
     return ScanReport(records, aggregate)
 
 
 def ps_scan(rep, max_denominator):
-    """Quasi-geodesic constants and tubes of the leaves of `_scanned_classes`.
+    """Quasi-geodesic constants and tubes of the leaves of `_class_traces`.
 
     Lemma: with s_m the axis coordinate of the foot of leaf vertex v_m, l
     the translation length and n = |gamma|, e_m = s_m - m l / n is
@@ -659,15 +660,17 @@ def ps_scan(rep, max_denominator):
     Both come from `_rotation_axes`, one class at a time: the tube is the
     largest `_sinh_axis_distance` at o.  Raises ValueError naming the
     letter whose image of o leaves the float range (`_letter_ends`), or
-    the first class with a non-finite image, tube or foot.
+    the first class with a non-finite trace, tube or foot.
     """
     z, t = rep.basepoint.z, rep.basepoint.t
     _letter_ends(rep)    # the leaf's vertices must be in the float range
     records = []
-    for m, gamma, kind, head in _scanned_classes(rep, max_denominator,
-                                                 words=True):
-        rate = head["tl"] / head["len"]
-        r = {**head, "rate": rate, "osc": None, "period_error": None,
+    for (p, q, tr, kind, tl), (m, gamma) in zip(
+            _class_traces(rep, max_denominator),
+            _class_images(rep, max_denominator)):
+        rate = tl / (p + q)
+        r = {"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
+             "tl": tl, "rate": rate, "osc": None, "period_error": None,
              "tube": None, "flags": ["not-loxodromic"]}
         records.append(r)
         if kind != "loxodromic":
@@ -690,9 +693,9 @@ def ps_scan(rep, max_denominator):
         osc, tube = high - low, math.asinh(top)
         if not math.isfinite(osc + period + tube):
             raise ValueError(
-                f"the axis of class {r['p']}/{r['q']} leaves the float range "
+                f"the axis of class {p}/{q} leaves the float range "
                 f"(about 1.8e308) at max_den {max_denominator}")
-        period_error = abs(period - r["tl"]) / max(1.0, r["tl"])
+        period_error = abs(period - tl) / max(1.0, tl)
         low, off = rate < _LOW_RATIO, not period_error <= _PERIOD_TOL
         r.update(osc=osc, period_error=period_error, tube=tube,
                  flags=["low-ratio"] * low + ["period-error"] * off)

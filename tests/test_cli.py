@@ -36,6 +36,8 @@ ELLIPTIC_A = {
     "A": [[0, 0], [1, 0], [-1, 0], [0, 0]],
     "B": [[1, 0], [1, 0], [1, 0], [2, 0]],
 }
+MARKOFF_FILE = str(pathlib.Path(__file__).resolve().parent / "data"
+                   / "markoff.json")
 PARABOLIC = {
     "model": "H2",
     "A": [[1, 0], [1, 0], [0, 0], [1, 0]],
@@ -259,8 +261,27 @@ def test_scan_bowditch_refuses_non_finite_records(rep_file, capsys):
     assert main(["scan-bowditch", "--rep", path, "--max-den", "16"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("class 16/1 is not finite at max_den 16: its image leaves the "
-            "float range") in captured.err
+    assert ("the trace of class 16/1 is not finite at max_den 16: it leaves "
+            "the float range (about 1.8e308)") in captured.err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_number_is_refused_as_json(monkeypatch, rep_file,
+                                                capsys, value):
+    # every scan refuses a non-finite class before it returns, so only a
+    # defect hands `emit` a NaN or an infinity: it exits 2 at that line,
+    # after the lines before it, and writes no bare NaN or Infinity token
+    from primscan import cli
+    from primscan.scans import ScanReport
+    report = ScanReport([{"p": 1, "tl": 1.0}, {"p": 2, "tl": value}],
+                        {"violations": 0})
+    monkeypatch.setattr(cli, "bowditch_scan", lambda rep, cap: report)
+    assert main(["scan-bowditch", "--rep", rep_file(MARKOFF)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == '{"p": 1, "tl": 1.0}\n'
+    assert captured.err == (
+        "primscan: error: the report holds a non-finite number (NaN or "
+        "infinity), which cannot be written as JSON\n")
 
 
 def test_scan_ps_refuses_non_finite_axes(rep_file, capsys):
@@ -514,6 +535,11 @@ RECORDED_DIGESTS = {
         "1fb599628a291e0e72f668f6b4f58f2b163d4140571e665f7e7caaf9726cf561",
     ("enumerate", "--max-den", "200"):
         "ef385ecb011450e8fd86b15d5e72736e8cb70f2ac0a22a0347071fadd1cd37ca",
+    # the benchmark's bowditch-deep command on its seed-0 input, recorded
+    # once every trace matched the exact integer recursion to 1e-12
+    # relative
+    ("scan-bowditch", "--rep", MARKOFF_FILE, "--max-den", "200"):
+        "7ae9098c6a0de6ae89146ac075f62b61f047835bf95fd6664f71b7949d4fab78",
 }
 
 

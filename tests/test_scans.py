@@ -169,16 +169,12 @@ def benchmark_rep(seed, tmp_path):
     return parse_rep_file(str(path))
 
 
-def walk(rep, cap, words=False):
-    """The scans' class images of `rep` to the cap, in record order, as
-    (p, q, image), or as (p, q, (image, word)) with the words of
-    `ps_scan`."""
-    for m, gamma, _, head in scans._scanned_classes(rep, cap, words):
-        yield head["p"], head["q"], (m, gamma) if words else m
-
-
-def _bits(X):
-    return [(z.real.hex(), z.imag.hex()) for z in X]
+def walk(rep, cap):
+    """`ps_scan`'s class images and words of `rep` to the cap, in record
+    order, as (p, q, image, word)."""
+    for (p, q), (m, gamma) in zip(blocks._class_pairs(cap),
+                                  scans._class_images(rep, cap)):
+        yield p, q, m, gamma
 
 
 def _rel_gap(got, want):
@@ -191,17 +187,15 @@ def test_walk_images_match_their_word_products(tmp_path, which):
     # every class to cap 40, and at cap 200 the classes of length >= 360
     # or with p or q <= 3 (the deepest and the longest-power towers): the
     # image of each class from its Farey parents against the plain product
-    # along the class word, and bit for bit with and without the words
+    # along the class word
     rep = {"fixture": lambda: parse_rep_file(
                str(ROOT / "tests" / "data" / "markoff.json")),
            "seed-3": lambda: benchmark_rep(3, tmp_path),
            "random-h3": lambda: random_h3_rep(3)}[which]()
     for cap, picked in ((40, lambda p, q: True),
                         (200, lambda p, q: p + q >= 360 or min(p, q) <= 3)):
-        images = {(p, q): m for p, q, m in walk(rep, cap)}
         checked = 0
-        for p, q, (m, gamma) in walk(rep, cap, words=True):
-            assert _bits(m) == _bits(images[p, q]), (p, q)
+        for p, q, m, gamma in walk(rep, cap):
             if picked(p, q):
                 want = rep._product(gamma)
                 assert _rel_gap(m, want) <= 1e-12, (p, q)
@@ -214,7 +208,7 @@ def test_walk_words_are_rotations_of_the_tower_words():
     # `build_blocks` word, and the classes come in the order of
     # `_class_pairs`
     seen = []
-    for p, q, (_, gamma) in walk(markoff(), 40, words=True):
+    for p, q, _, gamma in walk(markoff(), 40):
         word = build_blocks(p, q).word
         assert len(gamma) == len(word) and gamma in word + word, (p, q)
         seen.append((p, q))
@@ -235,11 +229,9 @@ def test_plan_image_carries_the_abelianization():
     # negative ones): the class word of the scans abelianizes to (p, q),
     # and the image has the trace of the tower word's image, its conjugate
     rep = random_h3_rep(3)
-    images = {(p, q): m for p, q, m in walk(rep, 12)}
     seen = 0
-    for p, q, (m, gamma) in walk(rep, 12, words=True):
+    for p, q, m, gamma in walk(rep, 12):
         assert blocks.abelianization(gamma) == (p, q)
-        assert _bits(m) == _bits(images[p, q]), (p, q)
         want = np.trace(class_matrix(rep, build_blocks(p, q)))
         assert abs(m[0] + m[3] - want) <= 1e-12 * abs(want), (p, q)
         seen += 1
@@ -264,19 +256,20 @@ def test_bowditch_scan_builds_no_word(monkeypatch):
     want = bowditch_scan(markoff(), 40)
     for name in ("_tower_levels", "_build_tower"):
         monkeypatch.setattr(blocks, name, refuse)
-    tables = []
-    table = scans._farey_table
+    walks = []
+    farey_walk = scans._farey_walk
 
-    def record(cap, a, b):
-        tables.append((a, b))
-        return table(cap, a, b)
+    def record(pairs, cap, a, b, ab, join):
+        walks.append((a, b))
+        return farey_walk(pairs, cap, a, b, ab, join)
 
-    monkeypatch.setattr(scans, "_farey_table", record)
+    monkeypatch.setattr(scans, "_farey_walk", record)
     got = bowditch_scan(markoff(), 40)
     assert got.records == want.records and got.aggregate == want.aggregate
     assert got.aggregate["classes"] == 981
-    # one table, of images: none of words
-    assert len(tables) == 1 and ("a", "b") not in tables
+    # one walk, of traces: none of images or words
+    A, B = markoff()._letters["a"], markoff()._letters["b"]
+    assert walks == [(A[0] + A[3], B[0] + B[3])]
 
 
 def test_ps_scan_builds_no_axis(monkeypatch):
@@ -853,13 +846,19 @@ def test_fricke_traces_walk_past_the_recursion_limit():
     assert len(out) == len(pairs) and all(pq in out for pq in pairs)
 
 
-def test_fricke_traces_match_the_benchmark_oracle(monkeypatch):
-    # perfbench/validate.py walks the tree on its own, in integers
+def benchmark_validate(monkeypatch):
+    """perfbench/validate.py, which walks the tree on its own, in
+    integers."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spec = importlib.util.spec_from_file_location(
         "benchmark_validate", ROOT / "perfbench" / "validate.py")
     validate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(validate)
+    return validate
+
+
+def test_fricke_traces_match_the_benchmark_oracle(monkeypatch):
+    validate = benchmark_validate(monkeypatch)
     assert fricke_traces(3, 3, 3, 20) == validate.fricke_traces(3, 3, 3, 20)
 
 
@@ -892,13 +891,89 @@ def test_bowditch_ratio_times_length_is_translation_length():
         assert r["ratio"] * r["len"] == pytest.approx(r["tl"], abs=1e-9)
 
 
-def test_bowditch_matches_fricke_oracle():
-    scan = bowditch_scan(markoff(), 20)
-    oracle = fricke_traces(3.0, 3.0, 3.0, 20)
+def class_products(rep, cap):
+    """Each class image as the plain product along its `build_blocks` word
+    (`Representation._product`), keyed by (p, q): the reference of the
+    scans' traces, independent of their recursion."""
+    return {(t.p, t.q): rep._product(t.word)
+            for t in enumerate_primitive_classes(cap)}
+
+
+@pytest.mark.parametrize("which", ["fixture", "seed-3", "random-h3",
+                                   "eta=0.01"])
+def test_bowditch_matches_the_class_products(tmp_path, which):
+    # every class to cap 40; the largest gap measured on these reps is
+    # 1.5e-14 of max(1, |tr|)
+    rep = {"fixture": markoff, "seed-3": lambda: benchmark_rep(3, tmp_path),
+           "random-h3": lambda: random_h3_rep(3),
+           "eta=0.01": lambda: criterion_9_rep(0.01)}[which]()
+    reference = class_products(rep, 40)
+    scan = bowditch_scan(rep, 40)
+    assert len(scan.records) == len(reference) == 981
     for r in scan.records:
-        want = oracle[(r["p"], r["q"])]
-        assert r["tr"][0] == pytest.approx(want, rel=1e-9), (r["p"], r["q"])
-        assert abs(r["tr"][1]) <= 1e-9 * max(1.0, abs(want))
+        m = reference[r["p"], r["q"]]
+        want = m[0] + m[3]
+        assert abs(complex(*r["tr"]) - want) <= 1e-12 * max(1.0, abs(want)), \
+            (r["p"], r["q"])
+        assert r["tl"] == pytest.approx(translation_length(m), rel=1e-12)
+
+
+def test_bowditch_traces_match_the_integer_oracle_at_the_benchmark_cap(
+        tmp_path, monkeypatch):
+    # the benchmark's representations (the fixture and two seeded
+    # conjugates) at its cap of 200 against perfbench/validate.py's own
+    # integer recursion, well inside its 1e-9 gate: at most 8.1e-14
+    # relative is measured
+    exact = benchmark_validate(monkeypatch).fricke_traces(3, 3, 3, 200)
+    for rep in (markoff(), benchmark_rep(1, tmp_path),
+                benchmark_rep(7, tmp_path)):
+        scan = bowditch_scan(rep, 200)
+        assert scan.aggregate["classes"] == 24465
+        for r in scan.records:
+            want = exact[r["p"], r["q"]]
+            assert abs(complex(*r["tr"]) - want) <= 1e-12 * want, \
+                (r["p"], r["q"])
+
+
+def inverted_338_rep():
+    """The (3, 3, 8) representation of criterion 9's family with B
+    inverted: trace triple (3, 3, 3 * 3 - 8 = 1), so 589 of the classes to
+    cap 80 are elliptic, while the entries of their images grow."""
+    xi = 4.0 + math.sqrt(15.0)    # xi + 1/xi = 8
+    return Representation("H2", [[3.0, -1.0], [1.0, 0.0]],
+                          [[3.0, -xi], [1.0 / xi, 0.0]])
+
+
+def exact_fricke_traces(triple, cap):
+    """The Fricke recursion over the Farey tree in exact rational
+    arithmetic, on a trace triple of floats, keyed by (p, q)."""
+    traces = dict(zip([(1, 0), (0, 1), (1, 1)], map(Fraction, triple)))
+    for p, q in blocks._class_pairs(cap)[3:]:
+        (pu, qu), (pv, qv) = blocks.farey_parents(p, q)
+        traces[p, q] = (traces[pu, qu] * traces[pv, qv]
+                        - traces[abs(pu - pv), abs(qu - qv)])
+    return traces
+
+
+@pytest.mark.parametrize("cap, elliptic", [(20, 63), (40, 189), (80, 589)])
+def test_bowditch_elliptic_traces_match_the_exact_recursion(cap, elliptic):
+    # an elliptic trace stays below 2 while the entries of the class images
+    # grow: the traces of the Farey walk's image products are off by
+    # 1.8e-10, 7.5e-9 and 2.3e-7 at caps 20, 40 and 80, the float
+    # recursion by at most 1.4e-27, 2.3e-26 and 4.1e-25
+    rep = inverted_338_rep()
+    triple = [rep._product(w) for w in ("a", "b", "ab")]
+    assert all(m[0].imag == m[3].imag == 0.0 for m in triple)
+    exact = exact_fricke_traces([(m[0] + m[3]).real for m in triple], cap)
+    seen = 0
+    for r in bowditch_scan(rep, cap).records:
+        want = exact[r["p"], r["q"]]
+        if abs(want) < 2:
+            assert r["flags"] == ["elliptic"], (r["p"], r["q"])
+            assert r["tr"][1] == 0.0
+            assert abs(Fraction(r["tr"][0]) - want) <= 1e-11, (r["p"], r["q"])
+            seen += 1
+    assert seen == elliptic
 
 
 def test_bowditch_refuses_a_deep_cap_before_any_later_class():
@@ -939,6 +1014,23 @@ def test_bowditch_low_ratio_threshold(h, flagged):
     a = next(r for r in records if (r["p"], r["q"]) == (1, 0))
     assert a["ratio"] == pytest.approx(2 * h, rel=1e-6)
     assert a["flags"] == (["low-ratio"] if flagged else [])
+
+
+@pytest.mark.parametrize("b, kind", [
+    ([[0.5, 0.0], [0.0, 2.0]], "identity"),
+    ([[0.5, 0.5], [0.0, 2.0]], "parabolic")])
+def test_scans_tell_the_identity_from_a_parabolic(b, kind):
+    # with a = diag(2, 1/2), class p/q has trace 2^(p-q) + 2^(q-p), so only
+    # 1/1 has trace 2: ab is the identity when b = a^-1, and [[1, 1], [0, 1]]
+    # in the other rep.  A trace cannot tell the two apart; the image can
+    rep = Representation("H2", [[2.0, 0.0], [0.0, 0.5]], b)
+    scan = bowditch_scan(rep, 6)
+    assert {(r["p"], r["q"]): r["flags"] for r in scan.violations} == {
+        (1, 1): [kind]}
+    assert scan.aggregate["small_trace_count"] == 1
+    ps = ps_scan(rep, 6)
+    assert {(r["p"], r["q"]): (r["flags"], r["tube"])
+            for r in ps.violations} == {(1, 1): (["not-loxodromic"], None)}
 
 
 def test_bowditch_deterministic():
@@ -1038,9 +1130,13 @@ def frame_ps_records(rep, max_denominator):
     records = []
     o = rep.basepoint
     edges = scans._leaf_edges(rep)
-    for _, gamma, kind, head in scans._scanned_classes(rep, max_denominator,
-                                                       words=True):
-        rate = head["tl"] / head["len"]
+    for (p, q, tr, kind, tl), (_, gamma) in zip(
+            scans._class_traces(rep, max_denominator),
+            scans._class_images(rep, max_denominator)):
+        # the head is the scan's: its traces are `test_bowditch_*`'s to check
+        head = {"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
+                "tl": tl}
+        rate = tl / (p + q)
         frames = None
         if kind == "loxodromic":
             try:
