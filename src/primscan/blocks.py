@@ -8,7 +8,8 @@ continued-fraction entry n produces
     w_i = w_{i-1}^(n-1) * w'_{i-1},      w'_i = w_{i-1}^n * w'_{i-1},
 
 so w_r is a class representative, {w_i, w'_i} is a free basis at every
-level, and the lengths satisfy l'_i = l_i + l_{i-1}.
+level, and the lengths satisfy l'_i = l_i + l_{i-1}.  The towers of a
+cap share their first levels: `_tower_walk` builds each level once.
 
 The *derivation* goes the other way.  A cyclic word on {a, b} in which one
 letter is isolated and the other occurs in runs of only two consecutive
@@ -34,6 +35,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
+from operator import attrgetter, itemgetter
 
 from .words import (
     check_word,
@@ -181,7 +183,8 @@ class BlockTower:
 
 
 def build_blocks(p, q):
-    """Build the block tower for the slope p/q.
+    """Build the block tower for the slope p/q, one `_extend` per entry of
+    its plan; its abelianization check reads the counts carried for w_r.
 
     Raises ValueError when the class word, of |p| + q letters, is longer
     than a string can be (`sys.maxsize`).
@@ -192,50 +195,71 @@ def build_blocks(p, q):
         raise ValueError(f"the class word of slope {p}/{q} has {length} "
                          f"letters, more than a string holds "
                          f"({sys.maxsize})")
-    return _build_tower(p, q, {}, 0)[0]
-
-
-def _build_tower(p, q, levels, cap):
-    """The tower of the canonical slope p/q and the number of levels it
-    built on the level table `levels` (`_tower_levels`).  Its abelianization
-    check reads the letter counts carried for w_r, which are the word's: the
-    base words' own, carried by the recurrence the suite string-checks."""
     entries, swap = _tower_plan(p, q)
+    level = _base_level(swap)
     for n in entries:
         if n < 1:
             raise LemmaViolation(f"tower entry {n} < 1 for slope {p}/{q}")
-    (w, wp, (pp, qq), _), built = _tower_levels(swap, entries, levels, cap)
-    if (pp, qq) not in ((p, q), (-p, -q)):
+        level = _extend(level, n)
+    if level[2] not in ((p, q), (-p, -q)):
         raise LemmaViolation(
-            f"tower word for {p}/{q} abelianizes to ({pp}, {qq})")
-    return BlockTower(p, q, entries, swap, w, wp), built
+            f"tower word for {p}/{q} abelianizes to {level[2]}")
+    return BlockTower(p, q, entries, swap, *level[:2])
 
 
-def _tower_levels(swap, entries, levels, cap):
-    """The (w, w') tuples of the tower with recursion entries `entries` on
-    the `swap` alphabet and the letter counts of their top words, and the
-    number of levels k >= 1 built.
+def _base_level(swap):
+    """Level 0 on the `swap` alphabet, as `_extend` takes it."""
+    w0, wp0 = base = _BASE_WORDS[swap]
+    return (w0,), (wp0,), *map(abelianization, base)
 
-    `levels` maps (swap, entries) to these.  It keeps a level k >= 1 only
-    if its smallest extension, entries + (2,), with the letter counts
-    c(w_k) + c(w'_k) = 2 c(w_k) + c(w_(k-1)), is within `cap` (max(|p|, q)),
-    so a new tower costs one level once its prefix is in the table.  The
-    substitution is applied to w_0 and w'_0 only (see `_BASE_WORDS`)."""
-    found = levels.get((swap, entries))
-    if found is None and not entries:
-        w0, wp0 = base = _BASE_WORDS[swap]
-        found = levels[swap, ()] = (w0,), (wp0,), *map(abelianization, base)
-    if found is not None:
-        return found, 0
-    (w, wp, (a, b), (ap, bp)), built = _tower_levels(
-        swap, entries[:-1], levels, cap)
-    n = entries[-1]
+
+def _extend(level, n):
+    """The level after `level` = (w, wp, c(w[-1]), c(wp[-1])) on the
+    recursion entry n: w_k^(n-1) w'_k and w_k^n w'_k, and their counts."""
+    w, wp, (a, b), (ap, bp) = level
     ak, bk = (n - 1) * a + ap, (n - 1) * b + bp
-    found = (w + (w[-1] * (n - 1) + wp[-1],), wp + (w[-1] * n + wp[-1],),
-             (ak, bk), (a + ak, b + bk))
-    if max(abs(2 * ak + a), abs(2 * bk + b)) <= cap:
-        levels[swap, entries] = found
-    return found, built + 1
+    return (w + (w[-1] * (n - 1) + wp[-1],), wp + (w[-1] * n + wp[-1],),
+            (ak, bk), (a + ak, b + bk))
+
+
+def _tower_walk(cap, words=False):
+    """Every level of the towers of nonnegative slope within `cap` (>= 1),
+    each built once from its parent by `_extend`, depth first: (t, tower)
+    in preorder, t the level as a BlockTower, `tower` true when t is its
+    slope's tower (one entry, or a last entry >= 2; on "ab", not 1/1).
+
+    The cap bounds max(p, q) = h_k, or with `words` p + q = h_k + k_k, for
+    the convergents h_k = n_k h_(k-1) + h_(k-2) (k_k alike), which grow
+    with each entry: a level's children are entries + (n,) within the cap,
+    and one that is no tower is built only if entries + (n, 2) is.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    for swap in ("none", "ab"):
+        level = _base_level(swap)
+        yield BlockTower(*((1, 0) if swap == "none" else (0, 1)), (), swap,
+                         *level[:2]), True
+        # entries, level, convergents h_k, k_k, h_(k-1), k_(k-1), next entry
+        stack = [[(), level, 1, 0, 0, 1, 1]]
+        while stack:
+            entries, level, h, k, h1, k1, n = frame = stack[-1]
+            hn, kn = n * h + h1, n * k + k1
+            if (hn + kn if words else hn) > cap:
+                stack.pop()
+                continue
+            frame[6] = n + 1
+            tower = n >= 2 or not entries and swap == "none"
+            if not tower and (2 * (hn + kn) + h + k if words
+                              else 2 * hn + h) > cap:
+                continue
+            level = _extend(level, n)
+            p, q = (hn, kn) if swap == "none" else (kn, hn)
+            if level[2] != (p, q):
+                raise LemmaViolation(
+                    f"tower word for {p}/{q} abelianizes to {level[2]}")
+            entries += (n,)
+            yield BlockTower(p, q, entries, swap, *level[:2]), tower
+            stack.append([entries, level, hn, kn, h, k, 1])
 
 
 def enumerate_primitive_classes(max_den):
@@ -244,31 +268,22 @@ def enumerate_primitive_classes(max_den):
     Deterministic order: by q, then p; so 1/0 comes first, then 0/1, 1/1,
     2/1, ...  The count is 2 + #{(p, q) : 1 <= p, q <= max_den, coprime}.
     """
-    return [t for t, _ in _class_towers(_class_pairs(max_den))]
+    return _towers(max_den)
 
 
-def _class_towers(pairs):
-    """Yield the BlockTower of each (p, q) of the list `pairs`, in order,
-    and the number of levels it built, on one level table that keeps the
-    levels a tower within the largest max(p, q) can extend.  The pairs
-    must be coprime and nonnegative, like those of `_class_pairs`: they
-    skip the checks of `build_blocks`."""
-    cap = max(map(max, pairs), default=0)
-    levels = {}
-    for p, q in pairs:
-        yield _build_tower(p, q, levels, cap)
+def _towers(cap, words=False):
+    """The towers of `_tower_walk(cap, words)`, in `_class_pairs` order."""
+    return sorted((t for t, tower in _tower_walk(cap, words) if tower),
+                  key=attrgetter("q", "p"))
 
 
 def _class_pairs(max_den):
     """The (p, q) of `enumerate_primitive_classes(max_den)`, in its order."""
     if max_den < 1:
-        raise ValueError("max_den must be >= 1")
-    pairs = [(1, 0), (0, 1)]
-    for q in range(1, max_den + 1):
-        for p in range(1, max_den + 1):
-            if gcd(p, q) == 1:
-                pairs.append((p, q))
-    return pairs
+        raise ValueError(f"max_den must be >= 1, got {max_den}")
+    dens = range(1, max_den + 1)
+    return [(1, 0), (0, 1)] + [(p, q) for q in dens for p in dens
+                               if gcd(p, q) == 1]
 
 
 def farey_parents(p, q):
@@ -591,44 +606,28 @@ class SuiteReport:
         return not self.failures
 
 
-def _towers_by_word_length(cap):
-    """The towers whose class word has at most `cap` letters, one at a
-    time, in the order of `_class_pairs(cap)`."""
-    # the class word of a slope p/q with p >= 0 has p + q letters
-    pairs = [(p, q) for p, q in _class_pairs(cap) if p + q <= cap]
-    return (t for t, _ in _class_towers(pairs))
-
-
 def _recurrence_suite(cap):
     """The word and length recurrences and the length inequalities of
     every tower of `enumerate_primitive_classes(cap)`, in exact integer
     and string arithmetic.
 
-    The towers are built one at a time on one level table, which keeps
-    only the levels a later tower is built on, and dropped once checked.  Each
-    tower's own checks are its base lengths and its word length.  The
-    checks of level i read levels i - 1 and i only, the same in every
-    tower that holds level i, so `_check_level` runs once per level built:
-    in the tower that builds it, whose top levels, as many as it built,
-    are the new ones.  Checks and failures stay per (tower, level): a
-    failing level's messages are recorded again for every tower that
-    holds it.  A tower's records are its own failures, then its level
-    checks by level, then its (m+2) l_(i-1) inequalities by level.
+    The checks of level i read levels i - 1 and i only, so `_check_level`
+    runs once per level, as the walk builds it; the failing levels on its
+    path ride along, and are recorded for every tower that holds them.  A
+    tower's records are its own checks (base lengths, word length), its
+    level checks by level, then its (m+2) l_(i-1) inequalities by level.
     """
     failures, checks = [], 0
-    failing = {}    # (swap, entries[:i]) -> `_check_level` messages
-    for t, built in _class_towers(_class_pairs(cap)):
+    path = [()]    # path[i]: the failing levels' messages up to level i
+    for t, tower in _tower_walk(cap):
         depth = t.depth
-        for i in range(depth + 1 - built, depth + 1):
-            own, inequality = found = _check_level(t, i)
-            if own or inequality:
-                failing[t.swap, t.cf[:i]] = found
-        held = []
-        if failing:
-            for i in range(1, depth + 1):
-                found = failing.get((t.swap, t.cf[:i]))
-                if found:
-                    held.append(found)
+        if depth:
+            found = _check_level(t, depth)
+            del path[depth:]
+            path.append(path[-1] + (found,) if any(found) else path[-1])
+        if not tower:
+            continue
+        held = path[depth]
         messages = []
         if not (len(t.w[0]) == 1 and len(t.wp[0]) == 2):
             messages.append("base lengths")
@@ -641,6 +640,7 @@ def _recurrence_suite(cap):
         # two checks of the tower, seven at every level, and the
         # inequality from level 2 on
         checks += 2 + 7 * depth + max(depth - 1, 0)
+    failures.sort(key=itemgetter("q", "p"))    # `_class_pairs` order
     return checks, failures
 
 
@@ -695,7 +695,7 @@ def _magic_suite(cap):
     where it occurs; checks and failures stay per start.
     """
     failures, checks = [], 0
-    for t in _towers_by_word_length(cap):
+    for t in _towers(cap, words=True):
         doubled = t.word * 2
         lr = len(t.word)
         for i in range(1, t.depth + 1):
@@ -721,7 +721,7 @@ def _magic_suite(cap):
 
 def _perm_suite(cap):
     failures, checks = [], 0
-    for t in _towers_by_word_length(cap):
+    for t in _towers(cap, words=True):
         for i in range(1, t.depth + 1):
             rotations_i = adapted_rotations(t, i)
             checks += len(rotations_i)
@@ -793,7 +793,7 @@ def _bloc_suite(cap):
     rotations are built and checked by perm-cycl alone.
     """
     failures, checks = [], 0
-    for t in _towers_by_word_length(cap):
+    for t in _towers(cap, words=True):
         lr = len(t.word)
         for i in range(1, t.depth + 1):
             li, lpi = len(t.w[i]), len(t.wp[i])
@@ -826,17 +826,14 @@ def run_suite(suite, cap):
     class-word length bound (l_r <= cap) for the string suites
     "magic-len", "perm-cycl", and "bloc".
 
-    Every suite builds its towers one at a time on one level table, which
-    keeps the levels a later tower within the cap can be built on and no
-    other, and keeps no tower.  The recurrences suite checks each level built
-    once, the string suites take one (tower, level) per call, and only
-    perm-cycl builds the adapted rotations.  Checks and failures are
-    counted per tower and level (and per start, rotation or window in the
-    string suites), so a failing level is reported for every tower that
-    holds it.
+    Every suite builds each level of its towers once, by `_tower_walk`:
+    the recurrences suite checks each level as it is built and keeps none,
+    and the string suites take one (tower, level) per call; only perm-cycl
+    builds the adapted rotations.  Checks and failures are counted per
+    tower and level (and per start, rotation or window in the string
+    suites), so a failing level is reported for every tower that holds it.
     """
     runner = _SUITE_RUNNERS.get(suite)
     if runner is None:
         raise ValueError(f"unknown suite {suite!r}")
-    checks, failures = runner(cap)
-    return SuiteReport(suite, cap, checks, failures)
+    return SuiteReport(suite, cap, *runner(cap))

@@ -100,11 +100,17 @@ def emit(records, aggregate, fmt, stream):
 
 # ------------------------------------------------------------- commands
 
+def _cap(flag, cap):
+    if cap < 1:
+        raise ValueError(f"{flag} must be >= 1, got {cap}")
+    return cap
+
+
 def _cmd_enumerate(args):
     records = [
         {"p": t.p, "q": t.q, "len": len(t.word), "cf": list(t.cf),
          "swap": t.swap, "word": t.word}
-        for t in enumerate_primitive_classes(args.max_den)
+        for t in enumerate_primitive_classes(_cap("--max-den", args.max_den))
     ]
     return records, {"classes": len(records)}, 0
 
@@ -124,14 +130,11 @@ def _cmd_blocks(args):
 
 def _cmd_verify_lemmas(args):
     suites = SUITES if args.suite == "all" else (args.suite,)
-    caps = {suite: ("--max-den", args.max_den) if suite == "recurrences"
-            else ("--max-block-len", args.max_block_len) for suite in suites}
-    for flag, cap in caps.values():
-        if cap < 1:
-            raise ValueError(f"{flag} must be >= 1, got {cap}")
+    caps = {suite: _cap("--max-den", args.max_den) if suite == "recurrences"
+            else _cap("--max-block-len", args.max_block_len)
+            for suite in suites}
     records, total_checks, total_failures = [], 0, 0
-    for suite in suites:
-        cap = caps[suite][1]
+    for suite, cap in caps.items():
         report = run_suite(suite, cap)
         records.append({"suite": suite, "cap": cap, "checks": report.checks,
                         "failures": len(report.failures)})
@@ -144,7 +147,7 @@ def _cmd_verify_lemmas(args):
 
 
 def _cmd_scan(args):
-    scan = args.scan(parse_rep_file(args.rep), args.max_den)
+    scan = args.scan(parse_rep_file(args.rep), _cap("--max-den", args.max_den))
     code = 1 if scan.aggregate["violations"] else 0
     return scan.records, scan.aggregate, code
 
@@ -225,8 +228,8 @@ def _cmd_local_global(args):
 
 def _cmd_perturb(args):
     rep = parse_rep_file(args.rep)
-    report = perturbation_scan(rep, args.radius, args.trials, args.max_den,
-                               seed=args.seed)
+    report = perturbation_scan(rep, args.radius, args.trials,
+                               _cap("--max-den", args.max_den), seed=args.seed)
     records = [{"trial": i, "min_ratio": v}
                for i, v in enumerate(report["values"])]
     aggregate = {k: v for k, v in report.items() if k != "values"}

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from primscan.blocks import (
+    build_blocks,
     enumerate_primitive_classes,
     is_primitive,
     run_suite,
@@ -155,6 +156,19 @@ def test_criterion_04_markoff_traces_and_cap_growth():
     for record in scans[20].records:
         expected = oracle[(record["p"], record["q"])]
         assert complex(*record["tr"]) == pytest.approx(expected, rel=1e-9)
+    # an oracle that shares no code with the scan's Farey walk: the trace
+    # of the exact integer product of the Markoff letters along the
+    # `build_blocks` word
+    letters = {"a": ((1, 1), (1, 2)), "b": ((1, -1), (-1, 2))}
+    for record in scans[20].records:
+        m = ((1, 0), (0, 1))
+        for x in build_blocks(record["p"], record["q"]).word:
+            (a, b), (c, d) = m
+            (e, f), (g, h) = letters[x]
+            m = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+        exact = m[0][0] + m[1][1]
+        assert record["tr"][1] == 0.0
+        assert abs(record["tr"][0] - exact) <= 1e-12 * abs(exact), record
 
     ratios = [scans[cap].aggregate["min_ratio"] for cap in (5, 10, 15, 20)]
     assert all(r > 0 for r in ratios)

@@ -259,10 +259,10 @@ def test_tower_plan_matches_recursive_reference():
         assert blocks._tower_plan(p, q) == _reference_plan(p, q), (p, q)
 
 
-def _reference_tower(p, q):
-    """The per-slope loop that built every tower before towers shared a
-    level table: all levels on {a, b}, then the letter substitution."""
-    entries, swap = _reference_plan(p, q)
+def _reference_words(entries, swap):
+    """The (w, w') tuples of the recursion entries on the `swap` alphabet,
+    by the per-slope loop: all levels on {a, b}, then the letter
+    substitution."""
     w, wp = ["a"], ["ab"]
     for n in entries:
         w.append(w[-1] * (n - 1) + wp[-1])
@@ -271,22 +271,88 @@ def _reference_tower(p, q):
         table = _REFERENCE_SUBS[swap]
         w = [x.translate(table) for x in w]
         wp = [x.translate(table) for x in wp]
-    return BlockTower(p=p, q=q, cf=entries, swap=swap, w=tuple(w),
-                      wp=tuple(wp))
+    return tuple(w), tuple(wp)
+
+
+def _reference_tower(p, q):
+    """The per-slope loop that built every tower before towers shared
+    their levels."""
+    entries, swap = _reference_plan(p, q)
+    w, wp = _reference_words(entries, swap)
+    return BlockTower(p=p, q=q, cf=entries, swap=swap, w=w, wp=wp)
 
 
 def test_level_table_towers_match_per_slope_loop():
+    # the towers of the walk, and those of `build_blocks`
     classes = enumerate_primitive_classes(200)
     assert len(classes) == 24465
     for tower in classes:
         assert tower == _reference_tower(tower.p, tower.q), tower
-    # both signs and every substitution, sharing one table
-    levels = {}
+    # both signs and every substitution
     for p, q in _canonical_slopes(40):
         want = _reference_tower(p, q)
-        got, _ = blocks._build_tower(p, q, levels, 40)
+        got = build_blocks(p, q)
         assert got == want and hash(got) == hash(want), (p, q)
-        assert build_blocks(p, q) == want
+
+
+def _walk_slope_pairs(cap, words):
+    """The (p, q) of the towers of `_tower_walk(cap, words)`, in order."""
+    return [(t.p, t.q) for t, tower in blocks._tower_walk(cap, words)
+            if tower]
+
+
+@pytest.mark.parametrize("words", [False, True])
+def test_walk_yields_each_class_pair_once(words):
+    # the slope bound max(p, q) <= cap is that of `_class_pairs`; the word
+    # bound keeps its pairs with p + q <= cap
+    for cap in range(1, 61):
+        want = [(p, q) for p, q in blocks._class_pairs(cap)
+                if not words or p + q <= cap]
+        got = _walk_slope_pairs(cap, words)
+        assert len(got) == len(set(got)), cap
+        assert set(got) == set(want), cap
+    for t, tower in blocks._tower_walk(60, words):
+        if tower:
+            assert t == _reference_tower(t.p, t.q), (t.p, t.q)
+
+
+@pytest.mark.parametrize("words", [False, True])
+def test_walk_yields_each_level_after_its_parent(words):
+    # preorder: a level's parent is the last level yielded one level down,
+    # and every level holds its parent's words
+    for cap in (1, 2, 7, 60):
+        last = {}
+        for t, _ in blocks._tower_walk(cap, words):
+            if t.depth:
+                parent = last[t.depth - 1]
+                assert (parent.swap, parent.cf) == (t.swap, t.cf[:-1])
+                assert (parent.w, parent.wp) == (t.w[:-1], t.wp[:-1])
+            assert (t.w, t.wp) == _reference_words(t.cf, t.swap)
+            last[t.depth] = t
+
+
+def test_string_suites_build_the_levels_their_towers_hold():
+    # the word bound builds a level only if a tower within the bound holds
+    # it, and once: 1,246 levels at cap 60, level 0 left out, of which 366,
+    # with level 0, are extended by another (where a table that kept the
+    # levels a tower could extend held 582)
+    for cap in range(1, 61):
+        built = [(t.swap, t.cf) for t, _ in blocks._tower_walk(cap, True)
+                 if t.depth]
+        held = {(t.swap, t.cf[:i]) for t in blocks._towers(cap, words=True)
+                for i in range(1, t.depth + 1)}
+        assert len(built) == len(set(built)), cap
+        assert set(built) == held, cap
+    assert len(built) == 1246
+    assert len({(swap, cf[:-1]) for swap, cf in built}) == 366
+
+
+def test_walk_refuses_a_cap_below_one():
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+            enumerate_primitive_classes(cap)
+        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+            run_suite("magic-len", cap)
 
 
 def test_tower_value_semantics():
@@ -345,7 +411,7 @@ def test_farey_parents_come_before_their_class():
     assert farey_parents(1, 1) == ((1, 0), (0, 1))
     assert farey_parents(5, 1) == ((1, 0), (4, 1))
     assert farey_parents(3, 5) == ((2, 3), (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_den must be >= 1, got 0"):
         blocks._class_pairs(0)
 
 
@@ -656,7 +722,7 @@ def _reference_magic_suite(towers):
 
 
 def test_magic_suite_matches_per_start_loop():
-    towers = blocks._towers_by_word_length(40)
+    towers = blocks._towers(40, words=True)
     assert blocks._magic_suite(40) == _reference_magic_suite(towers)
 
 
@@ -664,8 +730,7 @@ def test_magic_suite_matches_per_start_loop_on_broken_towers(monkeypatch):
     broken = [_break_word(build_blocks(p, q), n)
               for p, q, n in [(43, 30, 2), (13, 8, 3), (7, 5, 1),
                               (21, 13, 5), (11, 3, 1)]]
-    monkeypatch.setattr(blocks, "_towers_by_word_length",
-                        lambda cap: broken)
+    monkeypatch.setattr(blocks, "_towers", lambda cap, words: broken)
     got = blocks._magic_suite(None)
     assert got == _reference_magic_suite(broken)
     checks, failures = got
@@ -689,7 +754,7 @@ def test_magic_suite_classifies_each_distinct_subword_once(monkeypatch):
     checks, failures = blocks._magic_suite(21)
     assert len(calls) == len(set(calls)) < checks
     assert checks == _reference_magic_suite(
-        blocks._towers_by_word_length(21))[0]
+        blocks._towers(21, words=True))[0]
     doubled = build_blocks(13, 8).word * 2
     assert failures == [
         {"p": 13, "q": 8, "i": 2, "position": s, "error": "injected"}
@@ -747,7 +812,7 @@ def test_match_magic_subword_matches_rotation_index_reference():
     # with its first or its last letter set to each letter, so exact
     # matches, last-letter repairs and violations all occur
     kinds = collections.Counter()
-    for t in blocks._towers_by_word_length(40):
+    for t in blocks._towers(40, words=True):
         doubled = t.word * 2
         for i in range(1, t.depth + 1):
             li = len(t.w[i])
@@ -857,7 +922,7 @@ def _reference_bloc_suite(cap):
     order per level was counted l_i times."""
     failures, checks = [], 0
     windows = {}
-    for t in blocks._towers_by_word_length(cap):
+    for t in blocks._towers(cap, words=True):
         lr = len(t.word)
         for i in range(1, t.depth + 1):
             li, lpi = len(t.w[i]), len(t.wp[i])
@@ -1003,26 +1068,24 @@ def _level_keys(cap):
         for i in range(1, t.depth + 1))
 
 
-def _corrupt_level(key, corrupt, kept):
-    """A `_tower_levels` that builds corrupt(w_i, w'_i) in place of the top
-    words of the level `key` = (swap, entries), and holds them in the level
-    table when the table keeps that level: every tower that holds the
+def _corrupt_level(key, corrupt, builds):
+    """An `_extend` that builds corrupt(w_i, w'_i) in place of the top
+    words of the level `key` = (swap, entries): every tower that holds the
     level, and every level built on it, reads the corrupted words.  Each
-    time it builds `key`, it appends to `kept` whether the table kept it."""
-    real = blocks._tower_levels
+    time it builds `key`, it appends `key` to `builds`."""
+    real = blocks._extend
+    swap, entries = key
+    parent = _reference_words(entries[:-1], swap)
 
-    def corrupted(swap, entries, levels, cap):
-        fresh = (swap, entries) not in levels
-        found, built = real(swap, entries, levels, cap)
-        if fresh and (swap, entries) == key:
+    def corrupted(level, n):
+        found = real(level, n)
+        if n == entries[-1] and level[:2] == parent:
             w, wp, counts, counts_p = found
             top_w, top_wp = corrupt(w[-1], wp[-1])
             found = (w[:-1] + (top_w,), wp[:-1] + (top_wp,), counts,
                      counts_p)
-            kept.append(key in levels)
-            if key in levels:
-                levels[key] = found
-        return found, built
+            builds.append(key)
+        return found
 
     return corrupted
 
@@ -1040,7 +1103,7 @@ _CORRUPTIONS = {
 @pytest.mark.parametrize("kind", sorted(_CORRUPTIONS))
 def test_recurrence_suite_matches_per_tower_reference(monkeypatch, kind):
     shared = 0
-    kept = []
+    builds = []
     for cap in range(1, 41):
         held = _level_keys(cap)
         keys = sorted(held)
@@ -1049,20 +1112,22 @@ def test_recurrence_suite_matches_per_tower_reference(monkeypatch, kind):
             keys = several    # even caps: a level of several towers
         key = random.Random(cap).choice(keys)
         with monkeypatch.context() as patch:
-            patch.setattr(blocks, "_tower_levels",
-                          _corrupt_level(key, _CORRUPTIONS[kind], kept))
+            patch.setattr(blocks, "_extend",
+                          _corrupt_level(key, _CORRUPTIONS[kind], builds))
+            before = len(builds)
             report = run_suite("recurrences", cap)
+            assert builds[before:] == [key], (cap, key)
             checks, failures = _reference_recurrence_suite(cap)
+            assert builds[before:] == [key, key], (cap, key)
         assert failures, (cap, key)
         assert report.checks == checks, (cap, key)
         assert report.failures == failures, (cap, key)
         shared += len({(f["p"], f["q"]) for f in failures}) > 1
     # the failures of a shared level are recorded for several towers
     assert shared >= 20
-    # the corrupted level was built, once in each run, both where the
-    # table keeps it and where it drops it with its tower
-    assert len(kept) == 80
-    assert kept.count(True) >= 20 and kept.count(False) >= 5
+    # the corrupted level was built once in each run: by the suite's walk,
+    # then by the reference's enumeration
+    assert len(builds) == 80
 
 
 def _break_word(tower, n):
@@ -1152,11 +1217,15 @@ _RECURRENCE_FAILURES = {
 def test_recurrence_failure_messages(monkeypatch, case):
     tower, checks, messages = _RECURRENCE_FAILURES[case]
 
-    def one_tower(pairs):
-        # the corrupted tower alone, with every level built for it
-        yield tower, tower.depth
+    def one_tower(cap, words=False):
+        # the corrupted tower alone, each of its levels as the walk yields
+        # them: the tower last, after every level under it
+        for i in range(tower.depth + 1):
+            level = dataclasses.replace(tower, cf=tower.cf[:i],
+                                        w=tower.w[:i + 1], wp=tower.wp[:i + 1])
+            yield level, i == tower.depth
 
-    monkeypatch.setattr(blocks, "_class_towers", one_tower)
+    monkeypatch.setattr(blocks, "_tower_walk", one_tower)
     report = run_suite("recurrences", 1)
     failures = report.failures
     assert report.checks == checks
@@ -1180,9 +1249,9 @@ def test_recurrence_failure_cases_emit_every_kind_of_message():
 
 
 def test_recurrence_suite_checks_each_level_once(monkeypatch):
-    # each level built is checked once, also where the table drops it
-    # with its tower: the small caps pin the keep rule at the base levels
-    # and at entries that end in 1
+    # each level is checked once, as the walk builds it, and the walk
+    # builds the levels the towers hold and no other: the small caps pin
+    # its rule at the base levels and at entries that end in 1
     real = blocks._check_level
     calls = []
 
@@ -1202,18 +1271,17 @@ def test_recurrence_suite_checks_each_level_once(monkeypatch):
 
 
 def test_recurrence_suite_memory_peak():
-    # the towers are dropped once checked, and the level table keeps only
-    # the levels a later tower can extend (8,164 of the 27,730 built at cap
-    # 200, base levels included): 7.8 MB on Python 3.11, where the table of
-    # every level peaked at 26.8 MB and every tower kept in one list at
-    # 36.8 MB
+    # the walk holds the levels on its path and no other, and the towers
+    # are dropped once checked: under 0.02 MB on Python 3.11, where a table
+    # of the levels a later tower could extend peaked at 7.8 MB and every
+    # tower kept in one list at 36.8 MB
     tracemalloc.start()
     try:
         run_suite("recurrences", 200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 1e6
 
 
 def test_tower_abelianization_mismatch_raises(monkeypatch):

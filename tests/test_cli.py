@@ -620,6 +620,16 @@ def test_verify_lemmas_names_the_cap_at_fault(capsys, flag, other, value):
     assert other not in captured.err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "scan-bowditch", "scan-ps"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_den_refusal_names_the_flag_and_value(capsys, command, value):
+    rep = [] if command == "enumerate" else ["--rep", MARKOFF_FILE]
+    assert main([command, *rep, "--max-den", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--max-den must be >= 1, got {value}" in captured.err
+
+
 # explicit ids: a row keeps its id when another is added or deleted; the
 # argvN-name ids are those the positional ids gave the table
 @pytest.mark.parametrize("argv, name", [

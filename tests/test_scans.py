@@ -254,7 +254,7 @@ def test_bowditch_scan_builds_no_word(monkeypatch):
         raise AssertionError("bowditch_scan built a word")
 
     want = bowditch_scan(markoff(), 40)
-    for name in ("_tower_levels", "_build_tower"):
+    for name in ("_extend", "_tower_walk"):
         monkeypatch.setattr(blocks, name, refuse)
     walks = []
     farey_walk = scans._farey_walk
