@@ -28,11 +28,9 @@ subword classification) lives here too, with the exhaustive lemma suites,
 among them the block count in windows.
 """
 
-from __future__ import annotations
-
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from math import gcd
 from operator import attrgetter, itemgetter
@@ -48,6 +46,30 @@ from .words import (
 class LemmaViolation(RuntimeError):
     """An internal consistency check failed; the combinatorial machinery
     produced something the theory says cannot happen."""
+
+
+class _Value:
+    """A value type over its `__slots__`: compares equal to an instance of
+    its own class with equal fields, hashes by its fields, and reprs as
+    Name(field=value, ...); never mutate one."""
+
+    __slots__ = ()
+
+    def _astuple(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 # --------------------------------------------------------------------------
@@ -141,8 +163,7 @@ def _tower_plan(p, q):
     return entries, "bB" if a >= q else "ab+bB"
 
 
-@dataclass(unsafe_hash=True)
-class BlockTower:
+class BlockTower(_Value):
     """The block words for one slope.
 
     `cf` holds the recursion entries — the continued fraction of |p|/q
@@ -154,12 +175,16 @@ class BlockTower:
 
     A value type: compares and hashes by its fields; never mutate one.
     """
-    p: int
-    q: int
-    cf: tuple
-    swap: str
-    w: tuple
-    wp: tuple
+
+    __slots__ = ("p", "q", "cf", "swap", "w", "wp")
+
+    def __init__(self, p, q, cf, swap, w, wp):
+        self.p = p
+        self.q = q
+        self.cf = cf
+        self.swap = swap
+        self.w = w
+        self.wp = wp
 
     @property
     def depth(self):
@@ -321,22 +346,19 @@ def alphabet_class(w):
 _POSITIVE_TABLE = str.maketrans("AB", "ab")
 
 
-@dataclass(frozen=True)
-class DerivationStep:
-    word: str      # the cyclic word, rotated to start on a run boundary
-    isolated: str  # the isolated letter
-    value: int     # smallest run size of the companion letter
-    derived: str
+# word: the cyclic word, rotated to start on a run boundary; isolated: the
+# isolated letter; value: smallest run size of the companion letter
+DerivationStep = namedtuple("DerivationStep",
+                            "word isolated value derived")
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
-    word: str       # input word
-    core: str       # its cyclic reduction
-    positive: str   # sign-normalized core on {a, b} ("" if empty or mixed)
-    steps: tuple
-    primitive: bool
-    reason: str     # "" when primitive
+class DerivationTrace(namedtuple(
+        "DerivationTrace", "word core positive steps primitive reason")):
+    """`word` is the input, `core` its cyclic reduction, `positive` the
+    sign-normalized core on {a, b} ("" if empty or mixed), and `reason`
+    "" when primitive."""
+
+    __slots__ = ()
 
     @property
     def values(self):
@@ -430,8 +452,7 @@ def block_sequence(tower, i):
     return seq_w
 
 
-@dataclass(unsafe_hash=True)
-class AdaptedRotation:
+class AdaptedRotation(_Value):
     """A rotated basis pair over which a rotation of the class word factors.
 
     Rotating w_i by k letters pairs with rotating w'_i by j letters so that
@@ -440,15 +461,21 @@ class AdaptedRotation:
     the order given by `blocks`.  A value type: compares and hashes by its
     fields; never mutate one.
     """
-    i: int
-    k: int
-    j: int
-    case: int            # 1: k <= (n_i - 1) l_{i-1};  2: otherwise
-    relation: str        # "prefix" or "suffix"
-    block: str           # rotate(w_i, k)
-    block_prime: str     # rotate(w'_i, j)
-    word_rotation: int
-    blocks: tuple
+
+    __slots__ = ("i", "k", "j", "case", "relation", "block", "block_prime",
+                 "word_rotation", "blocks")
+
+    def __init__(self, i, k, j, case, relation, block, block_prime,
+                 word_rotation, blocks):
+        self.i = i
+        self.k = k
+        self.j = j
+        self.case = case    # 1: k <= (n_i - 1) l_{i-1};  2: otherwise
+        self.relation = relation    # "prefix" or "suffix"
+        self.block = block    # rotate(w_i, k)
+        self.block_prime = block_prime    # rotate(w'_i, j)
+        self.word_rotation = word_rotation
+        self.blocks = blocks
 
 
 def adapted_permutation(tower, i, k):
@@ -540,14 +567,17 @@ def _level_rotations(tower, i, ks):
     return out
 
 
-@dataclass(unsafe_hash=True)
-class MagicWitness:
+class MagicWitness(_Value):
     """How a length-l_i cyclic subword of w_r matches a rotation of w_i.
 
     A value type: compares and hashes by its fields; never mutate one.
     """
-    rotation: int
-    changed_to: str    # "" when the subword is already a rotation
+
+    __slots__ = ("rotation", "changed_to")
+
+    def __init__(self, rotation, changed_to):
+        self.rotation = rotation
+        self.changed_to = changed_to    # "" when already a rotation
 
 
 def classify_magic_subword(tower, i, u):
@@ -592,14 +622,11 @@ def _match_magic_subword(tower, i, u, ww):
 # exhaustive lemma suites
 # --------------------------------------------------------------------------
 
-@dataclass
-class SuiteReport:
+class SuiteReport(namedtuple("SuiteReport", "suite cap checks failures")):
     """Outcome of one exhaustive suite: how many checks ran and every
     failure with enough context to reproduce it."""
-    suite: str
-    cap: int
-    checks: int
-    failures: list
+
+    __slots__ = ()
 
     @property
     def passed(self):

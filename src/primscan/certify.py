@@ -29,8 +29,7 @@ the harnesses refuse such a delta.
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .geometry import (
     DEFAULT_DELTA,
@@ -85,7 +84,9 @@ class SamplerError(RuntimeError):
     """The random path sampler exhausted its retry budget."""
 
 
-class PathBound(NamedTuple):
+class PathBound(namedtuple(
+        "PathBound", "regime bound n chain_bound diameter_cap",
+        defaults=(None, None, None))):
     """A lower bound on the length of a path avoiding N_K(geodesic).
 
     `bound` is the main bound for the regime; negative formula values are
@@ -95,11 +96,7 @@ class PathBound(NamedTuple):
     endpoint distance is capped by `diameter_cap` = 18*n*delta + 2K + 2C.
     """
 
-    regime: str
-    bound: float
-    n: Optional[int] = None
-    chain_bound: Optional[float] = None
-    diameter_cap: Optional[float] = None
+    __slots__ = ()
 
 
 def _doubling(exponent, delta):
@@ -229,14 +226,14 @@ def segment_gap(seg_a, seg_b):
     return gap
 
 
-@dataclass
 class TrialReport:
     """Outcome of a seeded Monte-Carlo verification run."""
 
-    trials: int = 0
-    records: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    branches: dict = field(default_factory=dict)
+    def __init__(self):
+        self.trials = 0
+        self.records = []
+        self.violations = []
+        self.branches = {}
 
     @property
     def passed(self):
@@ -387,18 +384,15 @@ def _segment_clearance(zp, tp, zq, tq):
     return math.asinh(best)
 
 
-class DetourMeasurement(NamedTuple):
+class DetourMeasurement(namedtuple(
+        "DetourMeasurement",
+        "d length clearance excess k_x k_y bound satisfied")):
     """Re-measured constants of a piecewise-geodesic path near the
-    vertical axis, with the applicable length bound."""
+    vertical axis, with the applicable length bound (a `PathBound`):
+    `clearance` is the measured min distance to the axis over the path,
+    and `excess` the max endpoint clearance minus that min."""
 
-    d: float
-    length: float
-    clearance: float        # measured min distance to the axis over the path
-    excess: float           # max endpoint clearance minus the min clearance
-    k_x: float
-    k_y: float
-    bound: PathBound
-    satisfied: bool
+    __slots__ = ()
 
 
 def measure_detour(zs, ts, delta=DEFAULT_DELTA):

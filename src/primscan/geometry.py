@@ -22,8 +22,6 @@ explicit log-scale bookkeeping so that n ~ 10^4 (matrix entries ~ e^9600)
 stays in double precision.
 """
 
-from __future__ import annotations
-
 import cmath
 import functools
 import importlib.util
@@ -32,7 +30,7 @@ import math
 import random
 import sys
 import types
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class _Unfound(types.ModuleType):
@@ -428,10 +426,7 @@ class Geodesic:
         return apply(self._inv, HPoint(0.0, math.exp(self._anchor_coord + h)))
 
 
-class GeodesicMetrics(NamedTuple):
-    dist: float
-    foot: HPoint
-    coordinate: float
+GeodesicMetrics = namedtuple("GeodesicMetrics", "dist foot coordinate")
 
 
 def geodesic_metrics(p, g):

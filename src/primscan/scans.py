@@ -28,11 +28,11 @@ on the scalar 2x2 kernel of `geometry`, and the class word u + v.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, repeat
 from operator import sub
 
-from .blocks import _class_pairs, build_blocks, farey_parents
+from .blocks import _class_pairs, farey_parents
 from .geometry import (
     INF,
     NotLoxodromic,
@@ -455,12 +455,9 @@ class QuasiLoop:
                 f"eps={self.eps}, displacement={self.displacement:.6g})")
 
 
-@dataclass
-class QuasiLoopReport:
-    loops: list
-    packed: list
-    coverage: float
-    contradiction: dict | None
+# contradiction: a dict, or None when it was not evaluated
+QuasiLoopReport = namedtuple("QuasiLoopReport",
+                             "loops packed coverage contradiction")
 
 
 def find_quasi_loops(rep, gamma, eps, min_len=1, C=None):
@@ -516,12 +513,10 @@ def find_quasi_loops(rep, gamma, eps, min_len=1, C=None):
 
 # ----------------------------------------------------------------- scans
 
-@dataclass
-class ScanReport:
+class ScanReport(namedtuple("ScanReport", "records aggregate")):
     """Per-class records (in slope order) and the aggregate summary."""
 
-    records: list
-    aggregate: dict
+    __slots__ = ()
 
     @property
     def violations(self):
@@ -567,20 +562,28 @@ def _class_traces(rep, max_denominator):
     (the negative ones are not scanned), in the order of `_class_pairs`:
     the trace from the triple of `rep`, its kind in the windows of
     `classify`, and tl from the trace with det 1.  A trace cannot tell the
-    identity from a parabolic: within _TRACE_TOL of +-2, the image of the
-    `build_blocks` word, a conjugate of the class, decides.  Raises
-    ValueError naming the first class whose trace is not finite; no later
-    class is computed."""
+    identity from a parabolic: within _TRACE_TOL of +-2, the class image
+    uv of its Farey parents, a conjugate of the class, decides.  One walk
+    of images gives it, started at the first such class and advanced one
+    product per class from there.  Raises ValueError naming the first
+    class whose trace is not finite; no later class is computed."""
     pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
     A, B = rep._letters["a"], rep._letters["b"]
     AB, tol = _mul(A, B), _TRACE_TOL
+    images = None
     for (p, q), tr in zip(pairs, _farey_walk(
             pairs, max_denominator, A[0] + A[3], B[0] + B[3], AB[0] + AB[3],
             _fricke)):
         if abs(tr.imag) <= tol and abs(tr.real) <= 2.0 + tol:
             if abs(tr.real) < 2.0 - tol:
                 yield p, q, tr, "elliptic", 0.0
-            elif classify(rep._product(build_blocks(p, q).word)) == "identity":
+                continue
+            if images is None:
+                images = zip(pairs, _farey_walk(
+                    pairs, max_denominator, A, B, AB,
+                    lambda u, v, w: _mul(u, v)))
+            m = next(image for pq, image in images if pq == (p, q))
+            if classify(m) == "identity":
                 yield p, q, tr, "identity", 0.0
             else:
                 yield p, q, tr, "parabolic", 0.0

@@ -10,8 +10,6 @@ entry points validate their input with `check_word`; tight inner loops
 elsewhere in the package call the underlying helpers directly.
 """
 
-from __future__ import annotations
-
 ALPHABET = "aAbB"
 _ALPHABET_SET = frozenset(ALPHABET)
 

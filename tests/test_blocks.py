@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import random
 import re
@@ -362,11 +361,53 @@ def test_tower_value_semantics():
     assert repr(tower) == repr(fresh)
     broken = _break_word(tower, tower.depth)
     assert broken != tower
-    assert dataclasses.replace(tower, p=-13).p == -13
+    assert _replace(tower, p=-13).p == -13
     assert len({tower, fresh, (13, 8), slope_of(tower.word)}) == 2
     # a tower is its plan and its words; the lengths are read from those
-    assert [f.name for f in dataclasses.fields(BlockTower)] == \
-        ["p", "q", "cf", "swap", "w", "wp"]
+    assert BlockTower.__slots__ == ("p", "q", "cf", "swap", "w", "wp")
+
+
+# the reprs of the value types, as recorded from their former dataclasses
+_TOWER_13_8_REPR = (
+    "BlockTower(p=13, q=8, cf=(1, 1, 1, 1, 2), swap='none', "
+    "w=('a', 'ab', 'aab', 'abaab', 'aababaab', 'aababaababaabaababaab'), "
+    "wp=('ab', 'aab', 'abaab', 'aababaab', 'abaabaababaab', "
+    "'aababaabaababaababaabaababaab'))")
+_ROTATION_REPR = (
+    "AdaptedRotation(i=3, k=2, j=5, case=2, relation='suffix', "
+    "block='aabab', block_prime='aabaabab', word_rotation=5, "
+    "blocks=('w', 'p', 'p'))")
+_DERIVATION_REPR = (
+    "DerivationTrace(word='aab', core='aab', positive='aab', "
+    "steps=(DerivationStep(word='aab', isolated='b', value=2, "
+    "derived='b'),), primitive=True, reason='')")
+
+
+def test_value_types_compare_hash_and_repr_by_field():
+    tower = build_blocks(13, 8)
+    pairs = [
+        (tower, build_blocks(13, 8)),
+        (adapted_permutation(tower, 3, 2),
+         adapted_permutation(build_blocks(13, 8), 3, 2)),
+        (classify_magic_subword(tower, 2, "aba"), blocks.MagicWitness(1, "")),
+        (derivation("aab").steps[0],
+         blocks.DerivationStep("aab", "b", 2, "b")),
+        (derivation("aab"), derivation("aab")),
+    ]
+    for x, y in pairs:
+        assert x is not y and x == y and hash(x) == hash(y), x
+    for (x, _), (y, _) in itertools.combinations(pairs, 2):
+        assert x != y and y != x
+    assert blocks.MagicWitness(1, "") != (1, "")
+    assert blocks.MagicWitness(1, "") != blocks.MagicWitness(1, "a")
+    assert adapted_permutation(tower, 3, 2) != adapted_permutation(tower, 3, 1)
+    assert derivation("aab") != derivation("abb")
+    assert len({tower, build_blocks(13, 8), build_blocks(8, 13)}) == 2
+    assert repr(tower) == _TOWER_13_8_REPR
+    assert repr(adapted_permutation(tower, 3, 2)) == _ROTATION_REPR
+    assert repr(derivation("aab")) == _DERIVATION_REPR
+    assert repr(blocks.MagicWitness(1, "")) == \
+        "MagicWitness(rotation=1, changed_to='')"
 
 
 def test_enumeration_count_matches_totient_sum():
@@ -1130,18 +1171,24 @@ def test_recurrence_suite_matches_per_tower_reference(monkeypatch, kind):
     assert len(builds) == 80
 
 
+def _replace(tower, **fields):
+    """The tower with the named fields replaced."""
+    return BlockTower(**{name: fields.get(name, getattr(tower, name))
+                         for name in BlockTower.__slots__})
+
+
 def _break_word(tower, n):
     """The tower with the last letter of w_n changed."""
     w = list(tower.w)
     w[n] = w[n][:-1] + ("a" if w[n][-1] == "b" else "b")
-    return dataclasses.replace(tower, w=tuple(w))
+    return _replace(tower, w=tuple(w))
 
 
 def _replace_words(tower, w=(), wp=(), **fields):
     """The tower with w_i = w[i] and w'_i = wp[i] for the levels i that
     the dicts `w` and `wp` name, and any other field replaced."""
     w, wp = dict(w), dict(wp)
-    return dataclasses.replace(
+    return _replace(
         tower, w=tuple(w.get(i, x) for i, x in enumerate(tower.w)),
         wp=tuple(wp.get(i, x) for i, x in enumerate(tower.wp)), **fields)
 
@@ -1221,8 +1268,8 @@ def test_recurrence_failure_messages(monkeypatch, case):
         # the corrupted tower alone, each of its levels as the walk yields
         # them: the tower last, after every level under it
         for i in range(tower.depth + 1):
-            level = dataclasses.replace(tower, cf=tower.cf[:i],
-                                        w=tower.w[:i + 1], wp=tower.wp[:i + 1])
+            level = _replace(tower, cf=tower.cf[:i],
+                             w=tower.w[:i + 1], wp=tower.wp[:i + 1])
             yield level, i == tower.depth
 
     monkeypatch.setattr(blocks, "_tower_walk", one_tower)

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -872,6 +873,25 @@ def fresh_stdout(code, *args):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # the import is most of a short command's time: the value types are
+    # slotted classes and the records namedtuples, so neither `dataclasses`
+    # (which loads `inspect`, `ast`, `dis` and `tokenize`) nor `typing`
+    # loads; -S keeps the imports of site-packages' .pth files out
+    code = ("import sys, primscan.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', "
+            "'__future__') if m in sys.modules)); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('primscan.')))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", str(
+        [f"primscan.{m}" for m in ("blocks", "certify", "cli", "geometry",
+                                   "scans", "words")])]
 
 
 # the CLI in a fresh interpreter where `import numpy` fails

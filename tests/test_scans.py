@@ -1033,6 +1033,37 @@ def test_scans_tell_the_identity_from_a_parabolic(b, kind):
             for r in ps.violations} == {(1, 1): (["not-loxodromic"], None)}
 
 
+def test_identity_classes_take_one_image_walk(monkeypatch):
+    # with a = b = identity every trace is 2: the class images uv decide,
+    # from one walk of products (one per class) next to the trace walk,
+    # and no class word is built
+    def refuse(*args):
+        raise AssertionError("the scan built a word")
+
+    for name in ("_extend", "_tower_walk"):
+        monkeypatch.setattr(blocks, name, refuse)
+    walks, products = [], []
+    farey_walk, mul = scans._farey_walk, scans._mul
+
+    def record(pairs, cap, a, b, ab, join):
+        walks.append(a)
+        return farey_walk(pairs, cap, a, b, ab, join)
+
+    def count(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(scans, "_farey_walk", record)
+    monkeypatch.setattr(scans, "_mul", count)
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    rep = Representation("H2", identity, identity)
+    scan = bowditch_scan(rep, 40)
+    assert scan.aggregate["classes"] == 981
+    assert {tuple(r["flags"]) for r in scan.records} == {("identity",)}
+    assert walks == [2.0, rep._letters["a"]]    # traces, then images
+    assert len(products) <= 981
+
+
 def test_bowditch_deterministic():
     a = bowditch_scan(markoff(), 8)
     b = bowditch_scan(markoff(), 8)
