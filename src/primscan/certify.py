@@ -20,7 +20,7 @@ vertices, with no point object per vertex; `measure_detour` takes the
 clearance minimum and the length of a path in one pass over them.
 
 All sampling is seeded and deterministic.  The draws come from the
-standard library's `random.Random(seed)`, so neither harness loads numpy.
+standard library's `random.Random(seed)`.
 delta = 1 is a valid thinness constant for H^2, and every verified
 inequality is monotone in delta, so the default is sound.  Below the
 thin-triangle constant ln(1 + sqrt 2) the inequalities need not hold, so

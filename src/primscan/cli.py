@@ -167,8 +167,7 @@ def _cmd_excursion(args):
     if lipschitz > 1e-6 * prof.step:
         raise ValueError(f"Lipschitz defect {lipschitz:.3g} exceeds "
                          f"the bound 1e-06 * step = {1e-6 * prof.step:.3g}")
-    records = [{"u": float(u), "E": float(v)}
-               for u, v in zip(prof.us, prof.values)]
+    records = [{"u": u, "E": v} for u, v in zip(prof.us, prof.values)]
     aggregate = {
         "gamma": gamma, "period": prof.period, "step": prof.step,
         "max": prof.max_excursion, "min": prof.min_excursion,

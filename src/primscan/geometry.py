@@ -24,47 +24,11 @@ stays in double precision.
 
 import cmath
 import functools
-import importlib.util
 import json
 import math
 import random
-import sys
-import types
 from collections import namedtuple
 
-
-class _Unfound(types.ModuleType):
-    """A module that cannot be found: the first attribute read raises the
-    ModuleNotFoundError of a plain import."""
-
-    def __getattr__(self, attr):
-        return getattr(importlib.import_module(self.__name__), attr)
-
-
-def _lazy_import(name):
-    """Module `name`, executed at the first read of one of its attributes.
-
-    As in importlib's LazyLoader recipe, the module is registered in
-    sys.modules at once, so a later plain `import name` returns it (and,
-    on Python 3.11 and later, loads it by reading its __spec__).  A module
-    already imported is returned as it is, never executed a second time."""
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        return _Unfound(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# numpy costs several times the import of the whole package, and the exact
-# commands (`verify-lemmas`, `enumerate`, `blocks`) never use it; `scans`
-# takes this binding, since its own `import numpy` would load it
-np = _lazy_import("numpy")
 
 # ln(1 + sqrt 2) ~ 0.8814, the thin-triangle constant of H^2: the
 # certificates' inequalities need delta at least this
@@ -139,27 +103,30 @@ BASEPOINT = HPoint(0.0, 1.0)
 # --------------------------------------------------------------------------
 
 # The scalar kernel: one 2x2 matrix as the 4-tuple (a, b, c, d) of Python
-# complex, row-major.  numpy-scalar arithmetic costs several times more per
-# operation, so every single-matrix path reads its entries once and works on
-# the tuple; the public matrix type stays the 2x2 array.  Unlike numpy's,
-# Python's abs() raises OverflowError when the modulus of a finite complex
-# exceeds the float range, so the kernel catches it where entries can be
-# that large.
+# complex, row-major.  Every path reads a matrix's entries once and works
+# on the tuple; the public matrix type is its rows ((a, b), (c, d)), and
+# any 2x2 rows (nested lists, a numpy array) are read as input.  Python's
+# abs() raises OverflowError when the modulus of a finite complex exceeds
+# the float range, so the kernel catches it, or takes math.hypot of the
+# parts, where entries can be that large.
 
 _ID = (1 + 0j, 0j, 0j, 1 + 0j)
 
 
 def _entries(M):
-    """The entries (a, b, c, d) of a 2x2 matrix as Python complex; a
-    kernel 4-tuple passes through unchanged."""
-    if type(M) is tuple:
+    """The entries (a, b, c, d) of a 2x2 matrix as Python complex: a
+    kernel 4-tuple passes through unchanged, anything else is read as two
+    rows of two entries."""
+    if type(M) is tuple and len(M) == 4:
         return M
-    return tuple(np.asarray(M, dtype=complex).ravel().tolist())
+    (a, b), (c, d) = M
+    return complex(a), complex(b), complex(c), complex(d)
 
 
-def _matrix(X):
-    """The 2x2 array of a kernel 4-tuple."""
-    return np.array(X, dtype=complex).reshape(2, 2)
+def _rows(X):
+    """The rows ((a, b), (c, d)) of a kernel 4-tuple."""
+    a, b, c, d = X
+    return (a, b), (c, d)
 
 
 def _mul(X, Y):
@@ -324,22 +291,22 @@ def _rescale(X, s):
 
 
 def _sinh_half_displacement(X, o):
-    """sinh(d(M o, o) / 2) for M = (a, b, c, d) in SL(2, C): a kernel
-    4-tuple, or four arrays of entries for a stack of matrices.
+    """sinh(d(M o, o) / 2) for the kernel 4-tuple X = (a, b, c, d) of M
+    in SL(2, C).
 
     N = [[sqrt t, z / sqrt t], [0, 1 / sqrt t]] maps (0, 1) to o = (z, t),
     and X = N^-1 M N has 4 sinh^2(d/2) = |X11 - conj X22|^2 +
     |X12 + conj X21|^2 = |u|^2 + |v|^2.  Linear in the entries, it never
     forms the image point and is finite while they are; e^s M gives e^s
-    times the value.  det M is taken as 1, as in `apply`.
+    times the value.  det M is taken as 1, as in `apply`.  Past the float
+    range the value is inf (or NaN), never an OverflowError.
     """
     a, b, c, d = X
     z, t = o.z, o.t
-    with np.errstate(all="ignore"):    # a product past the float range
-        w = c * z + d
-        u = a - c * z - np.conj(w)
-        v = (a * z + b - z * w) / t + np.conj(c) * t
-        return 0.5 * np.hypot(np.abs(u), np.abs(v))
+    w = c * z + d
+    u = a - c * z - w.conjugate()
+    v = (a * z + b - z * w) / t + c.conjugate() * t
+    return 0.5 * math.hypot(u.real, u.imag, v.real, v.imag)
 
 
 def power_displacement(M, n, o=BASEPOINT):
@@ -365,7 +332,7 @@ def power_displacement(M, n, o=BASEPOINT):
         if n:
             base = _rescale(_mul(base[0], base[0]), 2.0 * base[1])
     Y, s = acc
-    r = float(_sinh_half_displacement(Y, o))
+    r = _sinh_half_displacement(Y, o)
     if r == 0.0:
         return 0.0
     log_r = s + math.log(r)
@@ -616,8 +583,8 @@ class Representation:
     """A pair of unimodular matrices (images of the two generators), a
     basepoint, and the ambient model data.
 
-    The generators are held as kernel 4-tuples; `A` and `B` build their
-    2x2 arrays at each read.
+    The generators are held as kernel 4-tuples; `A` and `B` read as their
+    rows ((a, b), (c, d)).
     """
 
     __slots__ = ("model", "basepoint", "_letters", "_c_prime")
@@ -652,11 +619,11 @@ class Representation:
 
     @property
     def A(self):
-        return _matrix(self._letters["a"])
+        return _rows(self._letters["a"])
 
     @property
     def B(self):
-        return _matrix(self._letters["b"])
+        return _rows(self._letters["b"])
 
     @property
     def c_prime(self):
@@ -674,7 +641,7 @@ class Representation:
         error of about |w| eps, while the floating determinant of a
         large-entry matrix is cancellation noise.
         """
-        return _matrix(self._product(w))
+        return _rows(self._product(w))
 
     def _product(self, w):
         """word_image as a kernel 4-tuple."""
@@ -694,14 +661,15 @@ class Representation:
 
 def _generator(name, M):
     """The entries of the generator matrix `name` as a kernel 4-tuple: M
-    is one already, or anything numpy reads as a 2x2 array."""
-    if not (type(M) is tuple and len(M) == 4
-            and all(type(x) is complex for x in M)):
-        M = np.asarray(M, dtype=complex)
-        if M.shape != (2, 2):
-            raise RepresentationError(
-                f"matrix {name}: expected a 2x2 matrix, got shape {M.shape}")
-    return _entries(M)
+    is one already, or two rows of two numbers (`_entries`)."""
+    try:
+        X = _entries(M)
+        if all(type(x) is complex for x in X):
+            return X
+    except (TypeError, ValueError):
+        pass
+    raise RepresentationError(f"matrix {name}: expected 2x2 rows or a "
+                              f"kernel 4-tuple of complex, got {M!r}")
 
 
 def _parse_matrix(name, field):

@@ -43,7 +43,6 @@ from .geometry import (
     det,
     fixed_points,
     mobius_boundary,
-    np,
     unimodularize,
     _ID,
     _TRACE_TOL,
@@ -217,70 +216,56 @@ def _carried(o, pair, matrices):
 def _sinh_axis_distance(z, t, na, da, nb, db):
     """sinh d((z, t), axis) for the axis between the points na / da and
     nb / db: |(z - alpha) conj(z - beta) + t^2| / (t |alpha - beta|) with
-    the denominators cleared, for scalars or arrays alike."""
+    the denominators cleared."""
     return (abs((z * da - na) * (z * db - nb).conjugate()
                 + t * t * da * db.conjugate())
             / (t * abs(na * db - nb * da)))
 
 
-# matrices per displacement batch: bounds the memory of the offset grid
-# of a long word
-_GRID_ROWS = 1 << 16
-
-
 def _offset_grid(rep, letters, kmax, starts):
-    """The orbit pair distances d(v_m, v_{m+k}) of a word for the offsets
-    k = 1..kmax and the starts m < min(starts, n - k + 1), in batches.
-
-    Yields (k0, bounds, disps): offset k0 + i fills disps[bounds[i]:
-    bounds[i + 1]] (the last block runs to the end), in order of m.
+    """The orbit pair distances d(v_m, v_{m+k}) of a word: for each offset
+    k = 1..kmax in turn, the list over the starts m < min(starts, n - k +
+    1), in order of m.
 
     d(v_m, v_{m+k}) is the basepoint displacement of the subword
     letters[m:m+k] (`geometry._sinh_half_displacement`, which is finite
     while the product is), so each value comes from a fresh k-letter product
     instead of coordinates accumulated from a single frame (whose pair
-    differences lose all precision at depth ~ 35).  The products are four
-    entry arrays, one element per start, multiplied on the kernel `_mul`
-    one letter per offset, left to right, so the starts m and m + period
-    of a periodic word give bit-identical values, and starts = period
-    covers every residue.  Raises ValueError, naming the shortest such
-    subword length, once a displacement is not finite.
+    differences lose all precision at depth ~ 35).  Row k of products is
+    row k - 1 times one letter each, on the kernel `_mul`, left to right,
+    so the starts m and m + period of a periodic word give bit-identical
+    values, and starts = period covers every residue.  Raises ValueError,
+    naming the shortest such subword length, once a displacement is not
+    finite.
     """
-    n = len(letters)
-    kmax = min(kmax, n)
-    # column j holds the entries of the image of letters[j]
-    cols = np.array([rep._letters[x] for x in letters]).T.copy()
-    W = None
-    k = 0
-    while k < kmax:
-        stacks, bounds, k0 = [], [0], k + 1
-        # one error state per batch, left before the batch is yielded so
-        # that the caller's state holds while the generator is suspended
-        with np.errstate(all="ignore"):    # refused below if not finite
-            while k < kmax and bounds[-1] < _GRID_ROWS:
-                k += 1
-                rows = min(starts, n - k + 1)
-                X = cols[:, k - 1:k - 1 + rows]
-                W = X if W is None else _mul([w[:rows] for w in W], X)
-                stacks.append(W)
-                bounds.append(bounds[-1] + rows)
-        entries = [np.concatenate(x) for x in zip(*stacks)]
-        disps = 2.0 * np.arcsinh(
-            _sinh_half_displacement(entries, rep.basepoint))
-        bad = np.flatnonzero(~np.isfinite(disps))
-        if bad.size:
-            length = k0 + int(np.searchsorted(bounds, bad[0], "right")) - 1
+    n, o = len(letters), rep.basepoint
+    images = [rep._letters[x] for x in letters]
+    row = images[:starts]
+    for k in range(1, min(kmax, n) + 1):
+        if k > 1:    # map stops at the shorter: min(starts, n - k + 1)
+            row = list(map(_mul, row, images[k - 1:]))
+        disps = [2.0 * math.asinh(_sinh_half_displacement(W, o))
+                 for W in row]
+        if not all(map(math.isfinite, disps)):
             raise ValueError(
-                f"the displacement of a {length}-letter subword is not "
+                f"the displacement of a {k}-letter subword is not "
                 f"finite: its computation leaves the float range "
                 f"(about 1.8e308)")
-        yield k0, bounds[:-1], disps
+        yield disps
 
 
 def _offset_minima(rep, letters, kmax, starts):
     """min over m of d(v_m, v_{m+k}) for k = 1..kmax (see _offset_grid)."""
-    return [d for _, bounds, disps in _offset_grid(rep, letters, kmax, starts)
-            for d in np.minimum.reduceat(disps, bounds).tolist()]
+    return list(map(min, _offset_grid(rep, letters, kmax, starts)))
+
+
+def _linspace(start, stop, num):
+    """numpy's linspace(start, stop, num) as a list, bit for bit: start +
+    i (stop - start) / (num - 1), the last point exactly stop."""
+    if num == 1:
+        return [float(start)]
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [float(stop)]
 
 
 class ExcursionProfile:
@@ -299,51 +284,54 @@ class ExcursionProfile:
 
     def __init__(self, gamma, us, axes, edges, cprime):
         self.gamma, self.period, self.us = gamma, len(gamma), us
-        self.step = float(us[1] - us[0])
+        self.step = us[1] - us[0]
         self.axes, self.edges, self.cprime = axes, edges, cprime
-        js = np.floor(us).astype(np.intp)
-        self.values = self._at(js, us - js)
+        js = list(map(math.floor, us))
+        self.values = self._at(js, map(sub, us, js))
 
     def _at(self, js, fs):
-        """E(j + f) for the arrays js and fs: the distance from fraction f
-        of the edge of letter gamma[j] to the axis of rotation j (j mod the
-        period).  Raises ValueError once a value is not finite."""
-        js = js % self.period
+        """E(j + f) for each j of js and f of fs: the distance from
+        fraction f of the edge of letter gamma[j] to the axis of rotation j
+        (j mod the period).  Raises ValueError once a value is not finite."""
         # a sample's point depends only on its letter and fraction: each
         # distinct pair is interpolated once
-        keys = list(zip(map(self.gamma.__getitem__, js.tolist()),
-                        fs.tolist()))
-        points = {key: self.edges[key[0]].interpolate(key[1])
-                  for key in dict.fromkeys(keys)}
-        with np.errstate(all="ignore"):    # refused below if not finite
-            values = np.arcsinh(_sinh_axis_distance(
-                np.array([points[key].z for key in keys]),
-                np.array([points[key].t for key in keys]),
-                *(x[js] for x in self.axes)))
-        if not np.isfinite(values).all():
-            raise ValueError(f"the axis of the {self.period}-letter word "
-                             f"leaves the float range (about 1.8e308)")
+        points, values = {}, []
+        for j, f in zip(js, fs):
+            j %= self.period
+            key = self.gamma[j], f
+            p = points.get(key)
+            if p is None:
+                p = points[key] = self.edges[key[0]].interpolate(f)
+            try:
+                value = math.asinh(_sinh_axis_distance(p.z, p.t,
+                                                       *self.axes[j]))
+            except ArithmeticError:    # abs() past the float range, or a
+                value = math.nan    # zero distance between the axis ends
+            if not math.isfinite(value):
+                raise ValueError(f"the axis of the {self.period}-letter word "
+                                 f"leaves the float range (about 1.8e308)")
+            values.append(value)
         return values
 
     def value(self, u):
         """E at an arbitrary parameter."""
         j = math.floor(u)
-        return float(self._at(np.array([j]), np.array([u - j]))[0])
+        return self._at([j], [u - j])[0]
 
     @property
     def min_excursion(self):
-        return float(self.values.min())
+        return min(self.values)
 
     @property
     def max_excursion(self):
-        return float(self.values.max())
+        return max(self.values)
 
     def _circular(self):
         """Samples over [0, period), rolled so a global minimum leads:
         then no run at a threshold above the minimum wraps around."""
         vals = self.values[:-1]
-        shift = int(np.argmin(vals))
-        return np.roll(vals, -shift), shift
+        shift = vals.index(min(vals))
+        return vals[shift:] + vals[:shift], shift
 
     def _runs(self, vals, threshold):
         """Half-open sample-index runs where vals >= threshold."""
@@ -382,7 +370,7 @@ class ExcursionProfile:
         lo, hi = a - slack, 2.0 * a + slack
         vals, shift = self._circular()
         best = None
-        for threshold in sorted(set(vals.tolist())):
+        for threshold in sorted(set(vals)):
             for start, end in self._runs(vals, threshold):
                 length = self._run_span(start, end, len(vals))
                 if lo <= length <= hi and (best is None or length > best[3]):
@@ -398,15 +386,17 @@ class ExcursionProfile:
         j - 1 at fraction 1 against rotation j at fraction 0 (j = 0 is the
         wrap u = period).  The two agree in exact arithmetic, so this
         measures the precision of the closed form."""
-        js = np.arange(self.period)
-        ends = self._at(js - 1, np.ones(self.period))
-        return float(np.abs(ends - self._at(js, np.zeros(self.period))).max())
+        n = self.period
+        ends = self._at(range(-1, n - 1), [1.0] * n)
+        starts = self._at(range(n), [0.0] * n)
+        return max(map(abs, map(sub, ends, starts)))
 
     def lipschitz_defect(self):
         """max |E(u_{i+1}) - E(u_i)| - C' * step (negative when the
         Lipschitz bound holds on the grid)."""
-        jumps = np.abs(np.diff(self.values))
-        return float(jumps.max() - self.cprime * self.step)
+        values = self.values
+        jump = max(map(abs, map(sub, values[1:], values)))
+        return jump - self.cprime * self.step
 
 
 def excursion_profile(rep, gamma, step=0.25):
@@ -428,11 +418,11 @@ def excursion_profile(rep, gamma, step=0.25):
                             m[0] + m[3])
     count = max(1, math.ceil(samples - 1e-9))
     try:
-        axes = np.array(_rotation_axes(rep, gamma, m))[:, :4].T
+        axes = [row[:4] for row in _rotation_axes(rep, gamma, m)]
     except ArithmeticError:    # a modulus past the float range, or a
-        axes = np.full((4, len(gamma)), np.nan)    # zero pair: refused by _at
+        axes = [(math.nan,) * 4] * len(gamma)    # zero pair: refused by _at
     return ExcursionProfile(
-        gamma, np.linspace(0.0, float(len(gamma)), count + 1), axes,
+        gamma, _linspace(0.0, float(len(gamma)), count + 1), axes,
         _leaf_edges(rep), rep.c_prime)
 
 
@@ -481,23 +471,24 @@ def find_quasi_loops(rep, gamma, eps, min_len=1, C=None):
             f"|gamma| = {n} exceeds the cap {_MAX_QUASI_LOOP_LEN}")
     doubled = gamma + gamma
     loops = []
-    # every offset has all n starts, so entry i of a batch is the subword
-    # of length k0 + i // n at position i % n
-    for k0, _, disps in _offset_grid(rep, doubled, n, n):
-        lengths = k0 + np.arange(len(disps)) // n
-        hits = (disps <= eps * lengths) & (lengths >= min_len)
-        for i in np.nonzero(hits)[0].tolist():
-            length, position = k0 + i // n, i % n
-            loops.append(QuasiLoop(doubled[position:position + length],
-                                   position, eps, float(disps[i])))
-    packed = []
-    occupied = np.zeros(n, dtype=bool)
+    # every offset has all n starts: entry m of row k is the subword of
+    # length k at position m
+    for k, disps in enumerate(_offset_grid(rep, doubled, n, n), 1):
+        if k >= min_len:
+            bound = eps * k
+            loops += [QuasiLoop(doubled[m:m + k], m, eps, d)
+                      for m, d in enumerate(disps) if d <= bound]
+    packed, occupied = [], bytearray(n)
     for loop in sorted(loops, key=lambda l: (-len(l.word), l.position)):
-        cells = [(loop.position + i) % n for i in range(len(loop.word))]
-        if not occupied[cells].any():
-            occupied[cells] = True
+        # the cells [start, end) mod n: one run, or two once it wraps
+        start = loop.position
+        end = start + len(loop.word)
+        runs = (start, min(end, n)), (0, max(end - n, 0))
+        if all(occupied.find(1, a, b) < 0 for a, b in runs):
+            for a, b in runs:
+                occupied[a:b] = b"\1" * (b - a)
             packed.append(loop)
-    coverage = float(occupied.sum()) / n
+    coverage = occupied.count(1) / n
     contradiction = None
     if C is not None and rep.c_prime > 0:
         threshold = 1.0 - (1.0 / C - eps) / rep.c_prime
@@ -557,43 +548,49 @@ def _farey_walk(pairs, max_denominator, a, b, ab, join):
         yield x
 
 
-def _class_traces(rep, max_denominator):
-    """(p, q, tr, kind, tl) for the slopes p/q with p, q >= 0 up to the cap
-    (the negative ones are not scanned), in the order of `_class_pairs`:
-    the trace from the triple of `rep`, its kind in the windows of
-    `classify`, and tl from the trace with det 1.  A trace cannot tell the
-    identity from a parabolic: within _TRACE_TOL of +-2, the class image
-    uv of its Farey parents, a conjugate of the class, decides.  One walk
-    of images gives it, started at the first such class and advanced one
-    product per class from there.  Raises ValueError naming the first
-    class whose trace is not finite; no later class is computed."""
+def _class_traces(rep, max_denominator, walk=None):
+    """(p, q, tr, kind, tl, entry) for the slopes p/q with p, q >= 0 up to
+    the cap (the negative ones are not scanned), in the order of
+    `_class_pairs`: the trace from the triple of `rep`, its kind in the
+    windows of `classify`, tl from the trace with det 1, and the class's
+    entry of `walk`, a `_class_images` walk that the caller takes along
+    (None without one).  A trace cannot tell the identity from a
+    parabolic: within _TRACE_TOL of +-2, the class image uv of its Farey
+    parents, a conjugate of the class, decides.  The walk's gives it;
+    without a walk, one walk of images, started at the first such class
+    and advanced one product per class from there.  Raises ValueError
+    naming the first class whose trace is not finite; no later class is
+    computed."""
     pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
     A, B = rep._letters["a"], rep._letters["b"]
     AB, tol = _mul(A, B), _TRACE_TOL
     images = None
-    for (p, q), tr in zip(pairs, _farey_walk(
+    for (p, q), tr, entry in zip(pairs, _farey_walk(
             pairs, max_denominator, A[0] + A[3], B[0] + B[3], AB[0] + AB[3],
-            _fricke)):
+            _fricke), repeat(None) if walk is None else walk):
         if abs(tr.imag) <= tol and abs(tr.real) <= 2.0 + tol:
             if abs(tr.real) < 2.0 - tol:
-                yield p, q, tr, "elliptic", 0.0
+                yield p, q, tr, "elliptic", 0.0, entry
                 continue
-            if images is None:
-                images = zip(pairs, _farey_walk(
-                    pairs, max_denominator, A, B, AB,
-                    lambda u, v, w: _mul(u, v)))
-            m = next(image for pq, image in images if pq == (p, q))
-            if classify(m) == "identity":
-                yield p, q, tr, "identity", 0.0
+            if entry is not None:
+                m = entry[0]
             else:
-                yield p, q, tr, "parabolic", 0.0
+                if images is None:
+                    images = zip(pairs, _farey_walk(
+                        pairs, max_denominator, A, B, AB,
+                        lambda u, v, w: _mul(u, v)))
+                m = next(image for pq, image in images if pq == (p, q))
+            if classify(m) == "identity":
+                yield p, q, tr, "identity", 0.0, entry
+            else:
+                yield p, q, tr, "parabolic", 0.0, entry
             continue
         tl = _trace_length(tr)
         if not math.isfinite(tl):    # nor is tr, whose log it is
             raise ValueError(f"the trace of class {p}/{q} is not finite at "
                              f"max_den {max_denominator}: it leaves the float "
                              f"range (about 1.8e308)")
-        yield p, q, tr, "loxodromic", tl
+        yield p, q, tr, "loxodromic", tl, entry
 
 
 def _class_images(rep, max_denominator):
@@ -612,7 +609,7 @@ def bowditch_scan(rep, max_denominator):
     non-loxodromic and low-ratio classes; fit C = 1 / ratio from the worst
     ratio.  Every figure comes from the traces alone."""
     records = []
-    for p, q, tr, kind, tl in _class_traces(rep, max_denominator):
+    for p, q, tr, kind, tl, _ in _class_traces(rep, max_denominator):
         ratio = tl / (p + q)
         flags = []
         if kind != "loxodromic":
@@ -668,9 +665,8 @@ def ps_scan(rep, max_denominator):
     z, t = rep.basepoint.z, rep.basepoint.t
     _letter_ends(rep)    # the leaf's vertices must be in the float range
     records = []
-    for (p, q, tr, kind, tl), (m, gamma) in zip(
-            _class_traces(rep, max_denominator),
-            _class_images(rep, max_denominator)):
+    for p, q, tr, kind, tl, (m, gamma) in _class_traces(
+            rep, max_denominator, _class_images(rep, max_denominator)):
         rate = tl / (p + q)
         r = {"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
              "tl": tl, "rate": rate, "osc": None, "period_error": None,
@@ -763,9 +759,8 @@ def local_global_scan(rep, power_floor, window, sample_words, seed=0):
             f"repelling fixed point {repelling}")
     if isinstance(sample_words, int):
         rng = _seeded(seed)
-        targets = np.linspace(10, 200, sample_words).round().astype(int)
-        words = [_local_global_word(rng, power_floor, int(t))
-                 for t in targets]
+        words = [_local_global_word(rng, power_floor, round(t))
+                 for t in _linspace(10, 200, sample_words)]
     else:
         words = sample_words
     records = []

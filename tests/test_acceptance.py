@@ -30,7 +30,6 @@ from primscan.geometry import (
     power_displacement,
     translation_length,
     unimodularize,
-    _matrix,
 )
 from primscan.scans import (
     bowditch_scan,
@@ -229,7 +228,7 @@ def _random_isometry(rng, model):
             entries = entries + 1j * rng.normal(size=(2, 2))
         m = np.asarray(entries, dtype=complex)
         if abs(np.linalg.det(m)) > 0.1:
-            return _matrix(unimodularize(m))
+            return np.reshape(unimodularize(m), (2, 2))
 
 
 def _random_point(rng, model):

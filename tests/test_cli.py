@@ -900,34 +900,42 @@ WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
                  "sys.exit(main(sys.argv[1:]))")
 
 
-def test_exact_commands_run_without_numpy(rep_file):
-    # numpy loads at its first use, which the exact commands, the
-    # certificates and `perturb`, which draw from `random`, and `scan-ps`,
-    # which carries each class's fixed points in scalars, never reach; a
-    # numpy imported before the package is bound as it is
+def test_every_command_runs_without_numpy(rep_file, capsys):
+    # primscan runs on the standard library alone: importing the CLI loads
+    # no numpy, and every subcommand, once each at a small size, exits as
+    # in-process and prints the same bytes where `import numpy` fails
     assert fresh_stdout(
-        "import sys, primscan.cli; "
-        "print([m for m in sys.modules if m.startswith('numpy.')])") == "[]\n"
-    assert fresh_stdout("import numpy, primscan.geometry as g; "
-                        "print(g.np is numpy)") == "True\n"
-    for argv in (["verify-lemmas", "--max-den", "20", "--max-block-len", "20"],
-                 ["enumerate", "--max-den", "5"],
-                 ["blocks", "--slope", "7/5"],
-                 ["detour", "--trials", "20", "--seed", "5"],
-                 ["quadrilateral", "--trials", "20", "--seed", "5"],
-                 ["perturb", "--rep", rep_file(MARKOFF), "--radius", "1e-3",
-                  "--trials", "5", "--max-den", "10", "--seed", "3"],
-                 ["scan-ps", "--rep", rep_file(MARKOFF), "--max-den", "20"]):
-        code, out = capture(argv)
-        assert code == 0 and out
-        assert fresh_stdout(WITHOUT_NUMPY, *argv) == out
-    # where numpy is needed, its first use names it: here the array read
-    # of a generator given as nested lists
-    assert fresh_stdout(
-        "import sys; sys.modules['numpy'] = None\n"
-        "from primscan.geometry import Representation\n"
-        "try:\n    Representation('H2', [[1, 1], [1, 2]], [[2, 1], [1, 1]])\n"
-        "except ModuleNotFoundError as e:\n    print(e.name)") == "numpy\n"
+        "import sys, primscan.cli; print([m for m in sys.modules "
+        "if m.partition('.')[0] == 'numpy'])") == "[]\n"
+    markoff = rep_file(MARKOFF)
+    runs = (["enumerate", "--max-den", "5"],
+            ["blocks", "--slope", "7/5"],
+            ["verify-lemmas", "--max-den", "20", "--max-block-len", "20"],
+            ["scan-bowditch", "--rep", rep_file(ELLIPTIC_B, "elliptic.json"),
+             "--max-den", "8"],
+            ["scan-ps", "--rep", markoff, "--max-den", "20"],
+            ["excursion", "--rep", markoff, "--slope", "3/2"],
+            ["quasi-loops", "--rep", rep_file(PARABOLIC, "parabolic.json"),
+             "--slope", "1/0", "--eps", "0.97", "--C", "1.0"],
+            ["bounds", "--d", "40", "--cprime", "1"],
+            ["detour", "--trials", "20", "--seed", "5"],
+            ["quadrilateral", "--trials", "20", "--seed", "5"],
+            ["local-global", "--rep", markoff, "--words", "3", "--seed", "2"],
+            ["perturb", "--rep", markoff, "--radius", "1e-3", "--trials", "5",
+             "--max-den", "10", "--seed", "3"])
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in runs) == sorted(sub.choices)
+    codes = set()
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert out, argv
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+        codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_scan_bowditch_runs_without_numpy(rep_file):

@@ -37,11 +37,15 @@ from primscan.geometry import (
     unimodularize,
     _entries,
     _inverse,
-    _matrix,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parents[1] / "src" / "primscan"
+
+
+def _matrix(X):
+    """The 2x2 complex numpy array of a kernel 4-tuple or of 2x2 rows."""
+    return np.array(X, dtype=complex).reshape(2, 2)
 
 
 def as_matrix(entries):
@@ -842,7 +846,7 @@ def test_representation_markoff_cprime():
     assert rep.displacement("a") == pytest.approx(math.acosh(3.5), abs=1e-12)
     assert rep.displacement("ab") > 0
     comm = rep.word_image("abAB")
-    assert (comm[0, 0] + comm[1, 1]).real == pytest.approx(-2.0, abs=1e-12)
+    assert (comm[0][0] + comm[1][1]).real == pytest.approx(-2.0, abs=1e-12)
 
 
 def _bits(X):
@@ -877,16 +881,21 @@ def test_representation_holds_kernel_tuples():
         rep = Representation("H2", A, B)
         assert rep._letters["a"] == (1 + 0j, 1 + 0j, 1 + 0j, 2 + 0j)
         assert rep._letters["B"] == (2 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
-        assert type(rep.A) is np.ndarray and rep.A.shape == (2, 2)
-        assert abs(rep.A - MARKOFF_A).max() == 0
-        assert abs(rep.B - MARKOFF_B).max() == 0
+        # the rows of the kernel tuples, which numpy reads as the arrays
+        assert rep.A == ((1 + 0j, 1 + 0j), (1 + 0j, 2 + 0j))
+        assert rep.B == ((1 + 0j, -1 + 0j), (-1 + 0j, 2 + 0j))
+        assert _bits(_entries(np.array(rep.A))) == _bits(_entries(MARKOFF_A))
+        assert _bits(_entries(np.array(rep.B))) == _bits(_entries(MARKOFF_B))
     # c' is computed at its first read, and kept
     assert rep._c_prime is None
     assert rep.c_prime == pytest.approx(math.acosh(3.5), abs=1e-12)
     assert rep._c_prime == rep.c_prime
-    with pytest.raises(RepresentationError,
-                       match="matrix B: expected a 2x2 matrix, got shape"):
-        Representation("H2", MARKOFF_A, [1, 0, 0, 1])
+    for bad in ([1, 0, 0, 1], (1, 0, 0, 1), [[1, 0, 0], [0, 1, 0]],
+                np.eye(3), "abcd", 1.0):
+        with pytest.raises(RepresentationError,
+                           match="matrix B: expected 2x2 rows or a kernel "
+                                 "4-tuple of complex, got"):
+            Representation("H2", MARKOFF_A, bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
@@ -910,10 +919,10 @@ def test_representation_refuses_a_nan_det():
 
 def test_word_image_homomorphism():
     rep = Representation("H2", MARKOFF_A, MARKOFF_B)
-    lhs = rep.word_image("abAB")
-    rhs = rep.word_image("ab") @ rep.word_image("AB")
+    lhs = _matrix(rep.word_image("abAB"))
+    rhs = _matrix(rep.word_image("ab")) @ _matrix(rep.word_image("AB"))
     assert abs(lhs - rhs).max() < 1e-12
-    assert abs(rep.word_image("aA") - np.eye(2)).max() < 1e-12
+    assert abs(_matrix(rep.word_image("aA")) - np.eye(2)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [20, 300])

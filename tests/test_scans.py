@@ -37,6 +37,7 @@ from primscan.geometry import (
     parse_rep_file,
     geodesic_metrics,
     translation_length,
+    _entries,
     _mul,
     _sinh_half_displacement,
 )
@@ -128,9 +129,10 @@ def test_class_matrix_matches_numpy_reduce(rep):
     # the tower recursion on the scalar kernel against a plain numpy
     # product of the letter images, for every class up to cap 30
     for tower in enumerate_primitive_classes(30):
-        got = class_matrix(rep, tower)
+        got = np.array(class_matrix(rep, tower))
         want = functools.reduce(np.matmul,
-                                [rep.word_image(x) for x in tower.word])
+                                [np.array(rep.word_image(x))
+                                 for x in tower.word])
         assert got.shape == (2, 2)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
             tower.word
@@ -327,24 +329,24 @@ def test_ps_scan_walks_the_tower_words(monkeypatch):
 
 
 def kernel_displacements(W, o):
-    """d(W[i] o, o) for a stacked (n, 2, 2) array, from the kernel."""
-    return 2.0 * np.arcsinh(_sinh_half_displacement(W.reshape(-1, 4).T, o))
+    """d(M o, o) for each 2x2 matrix M of W (say, an (n, 2, 2) stack),
+    from the kernel."""
+    return [2.0 * math.asinh(_sinh_half_displacement(_entries(M), o))
+            for M in W]
 
 
 def reference_pair_distances(rep, letters, kmax):
-    """The per-offset loop that `_offset_grid` batches: entry k-1 is the
-    array d(v_m, v_{m+k}) for every start m = 0..n-k, from the entry
-    arrays of the subword products on `_mul`, each offset in its own
-    `_sinh_half_displacement` call."""
+    """The per-offset loop of `_offset_grid` with every start, written
+    apart: entry k-1 is the list d(v_m, v_{m+k}) for m = 0..n-k, from the
+    product of letters[m:m+k] taken left to right, one `_mul` per
+    letter."""
     n = len(letters)
-    cols = [np.array([rep._letters[x][i] for x in letters]) for i in range(4)]
-    W = cols
-    out = []
+    images = [rep._letters[x] for x in letters]
+    W, out = images, []
     for k in range(1, min(kmax, n) + 1):
         if k > 1:
-            W = _mul([w[:n - k + 1] for w in W], [c[k - 1:] for c in cols])
-        out.append(2.0 * np.arcsinh(
-            _sinh_half_displacement(W, rep.basepoint)))
+            W = [_mul(W[m], images[m + k - 1]) for m in range(n - k + 1)]
+        out.append(kernel_displacements(W, rep.basepoint))
     return out
 
 
@@ -352,7 +354,7 @@ def matmul_pair_distances(rep, letters, kmax):
     """`reference_pair_distances` from an independent product: (n, 2, 2)
     numpy stacks of the letter images, multiplied with np.matmul."""
     n = len(letters)
-    mats = np.stack([rep.word_image(x) for x in letters])
+    mats = np.array([rep.word_image(x) for x in letters])
     W = mats
     out = []
     for k in range(1, min(kmax, n) + 1):
@@ -363,11 +365,8 @@ def matmul_pair_distances(rep, letters, kmax):
 
 
 def grid_by_offset(rep, letters, kmax, starts):
-    """`_offset_grid` split back into one array per offset."""
-    out = []
-    for _, bounds, disps in _offset_grid(rep, letters, kmax, starts):
-        out += np.split(disps, bounds[1:])
-    return out
+    """`_offset_grid` as a list of its rows, one per offset."""
+    return list(_offset_grid(rep, letters, kmax, starts))
 
 
 def test_vectorized_displacements_match_scalar_action():
@@ -401,75 +400,32 @@ MATMUL_RTOL = 1e-12
 def test_offset_minima_match_reference_loop(rep):
     # the shape local_global_scan passes, (word, n, n): every offset up to
     # the word length from every start, bit for bit as the reference loop
-    # on the same kernel, and to MATMUL_RTOL as the np.matmul stacks
+    # on the same kernel, and every row of the grid to MATMUL_RTOL as the
+    # np.matmul stacks
     for tower in enumerate_primitive_classes(20):
         gamma = tower.word
         n = len(gamma)
         got = _offset_minima(rep, gamma, n, n)
-        want = [float(d.min()) for d in reference_pair_distances(rep, gamma, n)]
+        want = [min(d) for d in reference_pair_distances(rep, gamma, n)]
         assert got == want, gamma
-        independent = [d.min() for d in matmul_pair_distances(rep, gamma, n)]
-        assert np.allclose(got, independent, rtol=MATMUL_RTOL, atol=0), gamma
+        grid = grid_by_offset(rep, gamma, n, n)
+        independent = matmul_pair_distances(rep, gamma, n)
+        assert len(grid) == len(independent) == n
+        for k, (row, ref) in enumerate(zip(grid, independent), 1):
+            assert np.allclose(row, ref, rtol=MATMUL_RTOL, atol=0), (gamma, k)
 
 
 @pytest.mark.parametrize("word, starts", [("abaab" * 3, 5), ("abaab" * 3, 15),
                                           ("aabAb" * 4, 20)])
-def test_offset_grid_batches_match_reference_loop(monkeypatch, word, starts):
-    # batches of a few rows split the grid inside and between offsets, on
-    # H2 and on H3
+def test_offset_grid_batches_match_reference_loop(word, starts):
+    # each row the grid yields, one per offset, holds the first `starts`
+    # of the reference row (all of them once fewer are left), on H2 and
+    # on H3
     for rep in (markoff(), random_h3_rep(3)):
         want = [d[:starts] for d in reference_pair_distances(rep, word,
                                                              len(word))]
-        for rows in (7, 60, scans._GRID_ROWS):
-            monkeypatch.setattr(scans, "_GRID_ROWS", rows)
-            got = grid_by_offset(rep, word, len(word), starts)
-            assert len(got) == len(want)
-            for k, (g, w) in enumerate(zip(got, want), 1):
-                assert np.array_equal(g, w), (rep.model, rows, k)
-
-
-@pytest.mark.parametrize("rows", [scans._GRID_ROWS, 50])
-def test_offset_grid_enters_the_error_state_once_per_batch(monkeypatch, rows):
-    # the products of a batch share one error state; the displacement
-    # kernel enters its own
-    rep = markoff()
-    entries = []
-    real = np.errstate
-
-    def counted(**kwargs):
-        entries.append(kwargs)
-        return real(**kwargs)
-
-    monkeypatch.setattr(np, "errstate", counted)
-    monkeypatch.setattr(scans, "_GRID_ROWS", rows)
-    batches = 0
-    for _ in _offset_grid(rep, "ab" * 200, 300, 2):
-        assert len(entries) <= 2
-        entries.clear()
-        batches += 1
-    # 300 offsets of 2 starts each
-    assert batches == math.ceil(600 / rows)
-
-
-def test_offset_grid_yields_in_the_callers_error_state(monkeypatch):
-    monkeypatch.setattr(scans, "_GRID_ROWS", 50)
-    with np.errstate(all="raise"):
-        caller = np.geterr()
-        batches = 0
-        for _ in _offset_grid(markoff(), "ab" * 200, 300, 2):
-            assert np.geterr() == caller
-            batches += 1
-    assert batches > 1
-
-
-def test_quasi_loops_do_not_depend_on_batching(monkeypatch):
-    rep = Representation("H2", [[1, 1], [0, 1]], [[1, 0], [1, 1]])
-    want = find_quasi_loops(rep, "a" * 12, 0.6, min_len=8).loops
-    monkeypatch.setattr(scans, "_GRID_ROWS", 5)
-    got = find_quasi_loops(rep, "a" * 12, 0.6, min_len=8).loops
-    assert {len(l.word) for l in want} == set(range(8, 13))
-    assert [(l.word, l.position, l.displacement) for l in got] == \
-        [(l.word, l.position, l.displacement) for l in want]
+        assert grid_by_offset(rep, word, len(word), starts) == want, \
+            rep.model
 
 
 def test_displacements_keep_small_distances():
@@ -623,6 +579,31 @@ def test_excursion_grid_covers_period_exactly():
     assert len(prof.values) == n + 1
 
 
+@pytest.mark.parametrize("slope, step", [
+    ((3, 2), 0.25), ((2, 1), 0.4), ((5, 3), 0.7), ((1, 0), 1.0),
+    ((13, 8), 0.1), ((89, 55), 0.013)])
+def test_excursion_samples_are_numpys_linspace(slope, step):
+    # u_i = i (period / count), the last exactly the period: numpy's
+    # linspace(0, period, count + 1), bit for bit
+    word = build_blocks(*slope).word
+    prof = excursion_profile(markoff(), word, step=step)
+    count = len(prof.us) - 1
+    assert count == max(1, math.ceil(len(word) / step - 1e-9))
+    want = np.linspace(0, prof.period, count + 1).tolist()
+    assert [u.hex() for u in prof.us] == [u.hex() for u in want]
+    assert prof.us == [i * (prof.period / count)
+                       for i in range(count)] + [float(prof.period)]
+
+
+def test_local_global_targets_are_numpys_rounded_linspace():
+    # the word lengths local_global_scan draws toward
+    for num in range(1, 60):
+        want = np.linspace(10, 200, num)
+        assert scans._linspace(10, 200, num) == want.tolist(), num
+        assert [round(t) for t in scans._linspace(10, 200, num)] == \
+            want.round().astype(int).tolist(), num
+
+
 def _brute_circular_runs(vals, K, step, period):
     """(start_index, inner_length) of maximal circular runs with
     vals >= K, by direct scanning of the doubled mask."""
@@ -663,7 +644,7 @@ def test_sub_excursion_against_brute_force():
         if K > prof.max_excursion:
             continue
         u0, u1, length = sub_excursion(prof, float(K))
-        oracle = _brute_circular_runs(grid.tolist(), float(K), prof.step,
+        oracle = _brute_circular_runs(grid, float(K), prof.step,
                                       prof.period)
         assert length == pytest.approx(max(l for _, l in oracle), abs=1e-12)
         assert u1 - u0 == pytest.approx(length, abs=1e-12)
@@ -758,6 +739,11 @@ def test_quasi_loops_parabolic_powers_and_contradiction():
     assert report.contradiction["displacement"] == pytest.approx(
         2.0 * math.asinh(8.0), rel=1e-12)
     assert report.contradiction["bound"] == pytest.approx(16 / 1.5, rel=1e-12)
+    # min_len drops the shorter loops and leaves the others as they were
+    loops = find_quasi_loops(rep, gamma, 0.5, min_len=12).loops
+    assert [(l.word, l.position, l.displacement) for l in loops] == [
+        (l.word, l.position, l.displacement) for l in report.loops
+        if len(l.word) >= 12]
 
 
 def test_quasi_loop_inequality_recomputed():
@@ -1036,7 +1022,7 @@ def test_scans_tell_the_identity_from_a_parabolic(b, kind):
 def test_identity_classes_take_one_image_walk(monkeypatch):
     # with a = b = identity every trace is 2: the class images uv decide,
     # from one walk of products (one per class) next to the trace walk,
-    # and no class word is built
+    # in both scans, and no class word is built
     def refuse(*args):
         raise AssertionError("the scan built a word")
 
@@ -1061,6 +1047,15 @@ def test_identity_classes_take_one_image_walk(monkeypatch):
     assert scan.aggregate["classes"] == 981
     assert {tuple(r["flags"]) for r in scan.records} == {("identity",)}
     assert walks == [2.0, rep._letters["a"]]    # traces, then images
+    assert len(products) <= 981
+    # `ps_scan` takes along a walk of images and words from the first
+    # class, and classifies from its images: no second walk (it made 1,958
+    # products here with one)
+    walks.clear()
+    products.clear()
+    scan = ps_scan(rep, 40)
+    assert {tuple(r["flags"]) for r in scan.records} == {("not-loxodromic",)}
+    assert walks == [(rep._letters["a"], "a"), 2.0]    # images and words
     assert len(products) <= 981
 
 
@@ -1161,9 +1156,8 @@ def frame_ps_records(rep, max_denominator):
     records = []
     o = rep.basepoint
     edges = scans._leaf_edges(rep)
-    for (p, q, tr, kind, tl), (_, gamma) in zip(
-            scans._class_traces(rep, max_denominator),
-            scans._class_images(rep, max_denominator)):
+    for p, q, tr, kind, tl, (_, gamma) in scans._class_traces(
+            rep, max_denominator, scans._class_images(rep, max_denominator)):
         # the head is the scan's: its traces are `test_bowditch_*`'s to check
         head = {"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
                 "tl": tl}
@@ -1260,7 +1254,7 @@ def test_excursion_matches_the_frame_reference(rep, slopes):
         gamma = build_blocks(p, q).word
         prof = excursion_profile(rep, gamma, step=0.25)
         off_grid = np.arange(prof.period) + 0.3
-        got = [*prof.values.tolist(), *(prof.value(u) for u in off_grid)]
+        got = [*prof.values, *(prof.value(u) for u in off_grid)]
         want = frame_excursion_values(rep, gamma, [*prof.us, *off_grid])
         for u, g, w in zip([*prof.us, *off_grid], got, want):
             assert abs(g - w) <= EXCURSION_TOL * max(1.0, w), (p, q, u, g, w)
@@ -1319,7 +1313,7 @@ def test_ps_scan_projection_bound_holds_for_every_pair(rep):
         n = len(gamma)
         for k, d in enumerate(grid_by_offset(rep, gamma * 3, 3 * n, 3 * n),
                               1):
-            assert (r["rate"] * k - r["osc"] <= d + PROJECTION_SLACK).all(), \
+            assert r["rate"] * k - r["osc"] <= min(d) + PROJECTION_SLACK, \
                 (gamma, k)
     # the rate is bowditch_scan's ratio, bit for bit
     min_ratio = bowditch_scan(rep, 12).aggregate["min_ratio"]

@@ -66,28 +66,24 @@ def bound_names(tree):
             yield node.asname or node.name
 
 
-def test_numpy_has_one_lazy_binding():
-    # the exact commands and the certificates never load numpy: it is
-    # bound once, lazily, in `geometry`, which `scans` imports it from; a
-    # plain `import numpy` elsewhere would load it at import
-    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
-    imports, bindings = [], []
-    for name, tree in sorted(trees.items()):
+def test_no_module_imports_numpy():
+    # primscan has no runtime dependency: no module imports numpy, by a
+    # statement or by its name as a string, and none binds `np`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                imports += [(name, a.name) for a in node.names
-                            if a.name.partition(".")[0] == "numpy"]
+                found += [(path.name, a.name) for a in node.names
+                          if a.name.partition(".")[0] == "numpy"]
             elif isinstance(node, ast.ImportFrom):
                 if (node.module or "").partition(".")[0] == "numpy":
-                    imports.append((name, node.module))
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "np"
-                    for t in node.targets):
-                bindings.append((name, ast.unparse(node.value)))
-    assert imports == []
-    assert bindings == [("geometry.py", "_lazy_import('numpy')")]
-    for name in ("blocks.py", "words.py", "cli.py", "certify.py"):
-        assert "np" not in set(bound_names(trees[name])), name
+                    found.append((path.name, node.module))
+            elif isinstance(node, ast.Constant) and node.value == "numpy":
+                found.append((path.name, repr(node.value)))
+        if "np" in set(bound_names(tree)):
+            found.append((path.name, "np"))
+    assert found == []
 
 
 def test_seeded_commands_share_one_generator():
