@@ -31,7 +31,7 @@ among them the block count in windows.
 import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 from operator import attrgetter, itemgetter
 
@@ -303,12 +303,13 @@ def _towers(cap, words=False):
 
 
 def _class_pairs(max_den):
-    """The (p, q) of `enumerate_primitive_classes(max_den)`, in its order."""
+    """The (p, q) of `enumerate_primitive_classes(max_den)`, in its order,
+    one at a time; the cap is checked at the call."""
     if max_den < 1:
         raise ValueError(f"max_den must be >= 1, got {max_den}")
     dens = range(1, max_den + 1)
-    return [(1, 0), (0, 1)] + [(p, q) for q in dens for p in dens
-                               if gcd(p, q) == 1]
+    return chain(((1, 0), (0, 1)), ((p, q) for q in dens for p in dens
+                                    if gcd(p, q) == 1))
 
 
 def farey_parents(p, q):

@@ -193,8 +193,9 @@ def segment_gap(seg_a, seg_b):
     The geodesics cross when e1 e2 < 0, on the axis at height
     sqrt(R^2 - m^2) = sqrt(-e1 e2).  They are ultraparallel when e1 e2 > 0:
     the common perpendicular meets the axis at height
-    sqrt(m^2 - R^2) = sqrt(e1 e2) and has length asinh(sqrt(k^2 - 1)),
-    k = m/R (the stationary value of `_segment_clearance`).  The same
+    sqrt(m^2 - R^2) = sqrt(e1 e2) and has length asinh(sqrt(e1 e2)/R) =
+    asinh(2 sqrt(e1 e2)/|e1 - e2|), the ideal-end form that
+    `_segment_clearance` takes for its foot as well.  The same
     test in the frame of `seg_a`'s geodesic places the point on `seg_a`.
     Geodesics that share an ideal point (e1 e2 = 0, or an endpoint sent to
     INF) are asymptotic, and only the endpoint distances count.
@@ -343,45 +344,34 @@ def _segment_clearance(zp, tp, zq, tq):
     """Minimum distance to the vertical axis from the segment of H^2
     between the points (zp, tp) and (zq, tq), z real and t the height.
 
-    Closed form: along the circular arc (center m, radius R on the real
-    axis) the clearance satisfies sinh(c) = (m/R + cos(theta))/sin(theta),
-    which is stationary only at cos(theta) = -R/m, where it equals
-    sqrt((m/R)^2 - 1).
+    Closed form on the ideal ends e1, e2 of the chord's geodesic, as in
+    `segment_gap`: sinh of the distance is |z|/t at each end and
+    2 sqrt(e1 e2)/|e1 - e2| at the foot z = e1 e2/m of the common
+    perpendicular (m the centre), the least value on the whole geodesic,
+    which counts only when e1 e2 > 0 and the foot lies strictly between
+    zp and zq.  With D = zq - zp,
+        e1 e2 = zp zq - tp^2 + zp (tq - tp)(tq + tp)/D,
+        |e1 - e2| = |p - q| |p - conj(q)|/|D|,
+    every difference taken once, from the lower end p, in units of zp (a
+    dilation keeps every distance), so no scale overflows and short
+    chords keep their digits.
     """
-    if zp == 0.0 and zq == 0.0:
-        return 0.0
-    if zp * zq <= 0.0:
-        return 0.0  # the chord meets the axis
     if zp < 0.0:    # mirror to the z > 0 side
         zp, zq = -zp, -zq
-    if abs(zp - zq) <= 1e-14 * (tp + tq):
-        return math.asinh(0.5 * (zp + zq) / max(tp, tq))
-    m = (zq * zq + tq * tq - zp * zp - tp * tp) / (2.0 * (zq - zp))
-    radius = math.hypot(zp - m, tp)
-    lo = math.atan2(tp, zp - m)
-    hi = math.atan2(tq, zq - m)
-    if hi < lo:
-        lo, hi = hi, lo
-    k = m / radius
-    stationary = math.inf
-    if k <= 1.0:
-        # the full circle reaches the axis; if the crossing angle lies
-        # inside the arc the segment touches it
-        crossing = math.acos(max(-1.0, min(1.0, -k)))
-        if lo - 1e-15 <= crossing <= hi + 1e-15:
-            return 0.0
-    elif lo <= math.acos(-1.0 / k) <= hi:
-        stationary = math.sqrt(k * k - 1.0)
-    # min(stationary, at lo, at hi) without building its argument tuple:
-    # the same comparisons, in the same order, as `min`
-    best = stationary
-    c = (k + math.cos(lo)) / math.sin(lo)
-    if c < best:
-        best = c
-    c = (k + math.cos(hi)) / math.sin(hi)
-    if c < best:
-        best = c
-    return math.asinh(best)
+    if not (zp > 0.0 and zq > 0.0):
+        return 0.0    # an end on the axis, or the chord meets it
+    if tq < tp:
+        zp, tp, zq, tq = zq, tq, zp, tp
+    if zq != zp:
+        dz, dt, a, w = (zq - zp) / zp, (tq - tp) / zp, tp / zp, zq / zp
+        s = a + tq / zp
+        ends = w - a * a + dt * s / dz    # e1 e2
+        m = 0.5 * (ends + 1.0 + a * a)    # e1 e2 = 2 m zp - |p|^2
+        # e1 e2 > 0, and the foot e1 e2/m lies between 1 and w
+        if ends > 0.0 and (ends - m) * (ends - w * m) < 0.0:
+            return math.asinh(2.0 * abs(dz) * math.sqrt(
+                ends / ((dz * dz + dt * dt) * (dz * dz + s * s))))
+    return math.asinh(min(zp / tp, zq / tq))
 
 
 class DetourMeasurement(namedtuple(

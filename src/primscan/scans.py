@@ -29,7 +29,7 @@ on the scalar 2x2 kernel of `geometry`, and the class word u + v.
 
 import math
 from collections import namedtuple
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import sub
 
 from .blocks import _class_pairs, farey_parents
@@ -523,9 +523,8 @@ def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
     the cap (1/0, 0/1 and 1 <= p, q <= cap: the half of the Farey tree
     between 0/1 and 1/0) from the trace triple (tr A, tr B, tr AB), keyed
     by (p, q): the scans' recursion, with no matrix arithmetic."""
-    pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
-    return dict(zip(pairs, _farey_walk(pairs, max_denominator, tr_a, tr_b,
-                                       tr_ab, _fricke)))
+    return {(p, q): tr for p, q, tr in _farey_walk(
+        max_denominator, tr_a, tr_b, tr_ab, _fricke)}
 
 
 def _fricke(u, v, w):
@@ -533,19 +532,21 @@ def _fricke(u, v, w):
     return u * v - w
 
 
-def _farey_walk(pairs, max_denominator, a, b, ab, join):
-    """The payload of each class of `pairs` (`_class_pairs` to the cap), in
-    order, from those of 1/0, 0/1 and 1/1: join(u, v, w) of its Farey
-    parents u, v and the region w across their edge, one class at a time."""
+def _farey_walk(max_denominator, a, b, ab, join):
+    """(p, q, payload) for each class of `_class_pairs` to the cap, in
+    order, from the payloads a, b, ab of 1/0, 0/1 and 1/1: join(u, v, w) of
+    its Farey parents u, v and the region w across their edge, one class at
+    a time."""
+    pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
     table = [[None] * (max_denominator + 1)
              for _ in range(max_denominator + 1)]    # indexed [q][p]
     table[0][1], table[1][0], table[1][1] = a, b, ab
-    yield from (a, b, ab)
-    for p, q in pairs[3:]:    # after 1/0, 0/1 and 1/1
+    yield from ((1, 0, a), (0, 1, b), (1, 1, ab))
+    for p, q in islice(pairs, 3, None):    # after 1/0, 0/1 and 1/1
         (pu, qu), (pv, qv) = farey_parents(p, q)
         x = table[q][p] = join(table[qu][pu], table[qv][pv],
                                table[abs(qu - qv)][abs(pu - pv)])
-        yield x
+        yield p, q, x
 
 
 def _class_traces(rep, max_denominator, walk=None):
@@ -561,12 +562,11 @@ def _class_traces(rep, max_denominator, walk=None):
     and advanced one product per class from there.  Raises ValueError
     naming the first class whose trace is not finite; no later class is
     computed."""
-    pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
     A, B = rep._letters["a"], rep._letters["b"]
     AB, tol = _mul(A, B), _TRACE_TOL
     images = None
-    for (p, q), tr, entry in zip(pairs, _farey_walk(
-            pairs, max_denominator, A[0] + A[3], B[0] + B[3], AB[0] + AB[3],
+    for (p, q, tr), entry in zip(_farey_walk(
+            max_denominator, A[0] + A[3], B[0] + B[3], AB[0] + AB[3],
             _fricke), repeat(None) if walk is None else walk):
         if abs(tr.imag) <= tol and abs(tr.real) <= 2.0 + tol:
             if abs(tr.real) < 2.0 - tol:
@@ -576,10 +576,9 @@ def _class_traces(rep, max_denominator, walk=None):
                 m = entry[0]
             else:
                 if images is None:
-                    images = zip(pairs, _farey_walk(
-                        pairs, max_denominator, A, B, AB,
-                        lambda u, v, w: _mul(u, v)))
-                m = next(image for pq, image in images if pq == (p, q))
+                    images = _farey_walk(max_denominator, A, B, AB,
+                                         lambda u, v, w: _mul(u, v))
+                m = next(x for i, j, x in images if (i, j) == (p, q))
             if classify(m) == "identity":
                 yield p, q, tr, "identity", 0.0, entry
             else:
@@ -596,11 +595,10 @@ def _class_traces(rep, max_denominator, walk=None):
 def _class_images(rep, max_denominator):
     """(m, gamma) per class of `_class_traces`: the image uv and the word
     u + v of its Farey parents u, v, a rotation of the `build_blocks` word."""
-    pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
     A, B = rep._letters["a"], rep._letters["b"]
-    return _farey_walk(pairs, max_denominator, (A, "a"), (B, "b"),
-                       (_mul(A, B), "ab"),
-                       lambda u, v, w: (_mul(u[0], v[0]), u[1] + v[1]))
+    return (x for _, _, x in _farey_walk(
+        max_denominator, (A, "a"), (B, "b"), (_mul(A, B), "ab"),
+        lambda u, v, w: (_mul(u[0], v[0]), u[1] + v[1])))
 
 
 def bowditch_scan(rep, max_denominator):

@@ -439,7 +439,7 @@ def test_farey_parents_come_before_their_class():
     # slope, with det(u, v) = 1 (u has the larger slope); both, and the
     # region across their edge, come before the class in record order,
     # save the region across 1/1, which is -1/1
-    pairs = blocks._class_pairs(200)
+    pairs = list(blocks._class_pairs(200))
     index = {pq: k for k, pq in enumerate(pairs)}
     for k, (p, q) in enumerate(pairs[2:], 2):
         u, v = farey_parents(p, q)

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import re
@@ -537,10 +538,11 @@ def test_detour_refuses_the_k_that_failed_to_spread():
 # The sampler scales its step draws inline, keeps its vertices as floats
 # and tests the far-regime stop with the exact distance only past a
 # triangle bound; measure_detour takes the clearances and lengths in one
-# pass over floats, and the clearance takes its minimum without a
-# candidate list.  The scalar versions below, one rng.uniform call and one
+# pass over floats.  The scalar versions below, one rng.uniform call and one
 # HPoint per vertex, are the references: both must give the same
-# vertices, clearances, records and stream position, bit for bit.
+# vertices, records and stream position, bit for bit, save the clearance
+# and what it feeds.  The clearance's reference is a 60-digit evaluation
+# of another closed form, rounded once.
 
 def _reference_sample_detour_path(rng, K, C, delta, far):
     side = 1.0 if rng.random() < 0.5 else -1.0
@@ -568,38 +570,84 @@ def _reference_sample_detour_path(rng, K, C, delta, far):
     return vertices
 
 
-def _reference_segment_clearance(p, q):
-    zp, zq = p.z.real, q.z.real
-    tp, tq = p.t, q.t
-    if zp == 0.0 and zq == 0.0:
-        return 0.0
-    if zp * zq <= 0.0:
-        return 0.0
-    if zp < 0.0:
-        zp, zq = -zp, -zq
-    if abs(zp - zq) <= 1e-14 * (tp + tq):
-        return math.asinh(0.5 * (zp + zq) / max(tp, tq))
-    m = (zq * zq + tq * tq - zp * zp - tp * tp) / (2.0 * (zq - zp))
-    radius = math.hypot(zp - m, tp)
-    lo, hi = sorted((math.atan2(tp, zp - m), math.atan2(tq, zq - m)))
-    k = m / radius
-    if k <= 1.0:
-        crossing = math.acos(max(-1.0, min(1.0, -k)))
-        if lo - 1e-15 <= crossing <= hi + 1e-15:
-            return 0.0
-        candidates = []
-    else:
-        stationary = math.acos(-1.0 / k)
-        candidates = [math.sqrt(k * k - 1.0)] if lo <= stationary <= hi else []
-    candidates += [(k + math.cos(th)) / math.sin(th) for th in (lo, hi)]
-    return math.asinh(min(candidates))
+# 60 significant digits: the reference below cancels none of them away
+# (at 250 digits it agrees to 1e-59 on these tests' chords), and a float
+# needs 17
+_DIGITS = decimal.Context(prec=60)
+
+
+def _reference_sinh2_chords(zs, ts):
+    """sinh^2 of each chord's least distance to the vertical axis, for a
+    path through the points (zs, ts) on one side of the axis, in Decimal at
+    the context's precision.
+
+    Along a chord of length L from p to q, sinh of the distance to the axis
+    solves y'' = y: y(s) = S_p cosh s + beta sinh s, with S = |z|/t at each
+    end and beta sinh L = S_q - S_p cosh L.  It dips below both ends
+    exactly when S_p cosh L > S_q and S_q cosh L > S_p, to
+    S_p^2 - beta^2 = (2 S_p S_q h - (S_q - S_p)^2)/(h (h + 2)), where
+    h = cosh L - 1 = |p - q|^2/(2 t_p t_q) is rational in the ends.  That
+    numerator is at most twice the difference it takes, so no digits
+    cancel however deep the dip."""
+    zs = [decimal.Decimal(abs(z)) for z in zs]
+    ts = list(map(decimal.Decimal, ts))
+    ss = [z / t for z, t in zip(zs, ts)]
+    for zp, tp, sp, z, t, s in zip(zs, ts, ss, zs[1:], ts[1:], ss[1:]):
+        d, dz, dt = s - sp, z - zp, t - tp
+        h = (dz * dz + dt * dt) / (2 * tp * t)
+        if sp * h > d and s * h > -d:
+            yield (2 * sp * s * h - d * d) / (h * (h + 2))
+        else:
+            yield min(sp, s) ** 2
+
+
+def _reference_path_clearance(zs, ts):
+    """The least distance to the vertical axis over the path through the
+    points (zs, ts): the least of `_reference_sinh2_chords` and its asinh,
+    at 60 digits, rounded once."""
+    if not (all(z > 0.0 for z in zs) or all(z < 0.0 for z in zs)):
+        return 0.0    # a vertex on the axis, or a chord across it
+    with decimal.localcontext(_DIGITS):
+        x = min(_reference_sinh2_chords(zs, ts)).sqrt()
+        if x < decimal.Decimal("1e-20"):    # 1 + x would keep too few digits
+            return float(x - x * x * x / 6)
+        return float((x + (x * x + 1).sqrt()).ln())
+
+
+def _close(got, want, rel):
+    """Equal, or both floats within `rel` relative of `want`."""
+    return got == want or (got is not None and want is not None
+                           and abs(got - want) <= rel * abs(want))
+
+
+# the fields of a detour record, or of a measurement (diameter_cap), that
+# the clearance feeds
+_FROM_CLEARANCE = ("clearance", "excess", "bound", "chain_bound",
+                   "diameter_cap")
+
+
+def _fields(m):
+    """A `DetourMeasurement` as one dict, its bound's fields in place of
+    the bound."""
+    return {**m._asdict(), **m.bound._asdict()}
+
+
+def _assert_records_agree(got, want):
+    """Every field equal, save those the clearance feeds: within 1e-13
+    relative."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for key in g.keys() | w.keys():
+            if key in _FROM_CLEARANCE:
+                assert _close(g[key], w[key], 1e-13), (key, g, w)
+            else:
+                assert g[key] == w[key], (key, g, w)
 
 
 def _reference_measure_detour(vertices, delta):
     k_x = math.asinh(abs(vertices[0].z) / vertices[0].t)
     k_y = math.asinh(abs(vertices[-1].z) / vertices[-1].t)
-    clearance = min(_reference_segment_clearance(p, q)
-                    for p, q in zip(vertices, vertices[1:]))
+    clearance = _reference_path_clearance(*_floats(vertices))
     excess = max(k_x, k_y) - clearance
     d = distance(vertices[0], vertices[-1])
     length = sum(distance(p, q) for p, q in zip(vertices, vertices[1:]))
@@ -643,11 +691,16 @@ def test_sampler_matches_the_scalar_draw_reference(far, K, C):
                               far)
         assert got == want
         if not isinstance(got, str):
-            pairs = list(zip(got, got[1:]))
-            assert ([_clearance(p, q) for p, q in pairs]
-                    == [_reference_segment_clearance(p, q) for p, q in pairs])
-            assert (_measure(got, delta=1.0)
-                    == _reference_measure_detour(want, delta=1.0))
+            # each chord as sinh^2: an asinh at 60 digits per chord would
+            # take most of the test
+            with decimal.localcontext(_DIGITS):
+                sinh2 = list(_reference_sinh2_chords(*_floats(got)))
+            for p, q, want2 in zip(got, got[1:], sinh2):
+                assert _close(math.sinh(_clearance(p, q)) ** 2, float(want2),
+                              1e-13)
+            _assert_records_agree(
+                [_fields(_measure(got, delta=1.0))],
+                [_fields(_reference_measure_detour(want, delta=1.0))])
         # the next draws pin the stream position
         _assert_same_stream(rng, ref_rng)
 
@@ -681,15 +734,63 @@ def test_sampler_keeps_the_stream_when_it_refuses():
             _assert_same_stream(rng, ref_rng)
 
 
+def _chord_sweep(rng, n):
+    """n chords (zp, tp, zq, tq) at log-uniform scales 10^s, s in
+    [-250, 250]: each z within 6 decades of the scale and each t within e^9
+    of it, both ends on one side of the axis (one chord in 20 crosses it).
+    A tenth of the chords are vertical, a tenth near-vertical (zq/zp - 1
+    down to 1e-16), and a fifth are cut from a geodesic around the foot of
+    its perpendicular to the axis, down to 1e-12 of the way to an ideal
+    end, on geodesics with e2/e1 - 1 from 1e-8 to 1e8."""
+    def spread():
+        return 10.0 ** rng.uniform(-6.0, 6.0)
+
+    for _ in range(n):
+        scale = 10.0 ** rng.uniform(-250.0, 250.0)
+        zp, zq = scale * spread(), scale * spread()
+        tp, tq = (scale * math.exp(rng.uniform(-9.0, 9.0)) for _ in range(2))
+        kind = rng.random()
+        if kind < 0.1:
+            zq = zp
+        elif kind < 0.2:
+            zq = zp * (1.0 + rng.choice((-1.0, 1.0))
+                       * 10.0 ** rng.uniform(-16.0, -1.0))
+        elif kind < 0.4:
+            e1 = scale * spread()
+            e2 = e1 * (1.0 + 10.0 ** rng.uniform(-8.0, 8.0))
+            foot = 2.0 / (1.0 / e1 + 1.0 / e2)
+            zp = foot - (foot - e1) * 10.0 ** -rng.uniform(0.3, 12.0)
+            zq = foot + (e2 - foot) * 10.0 ** -rng.uniform(0.3, 12.0)
+            tp, tq = (math.sqrt(z - e1) * math.sqrt(e2 - z) for z in (zp, zq))
+            if rng.random() < 0.5:
+                zp, tp, zq, tq = zq, tq, zp, tp
+        side = rng.choice((-1.0, 1.0))
+        yield side * zp, tp, side * zq * (-1.0 if kind > 0.95 else 1.0), tq
+
+
 def test_segment_clearance_matches_its_reference_on_random_pairs():
-    rng = np.random.default_rng(17)
-    zs = rng.normal(scale=2.0, size=(20_000, 2))
-    ts = np.exp(rng.normal(scale=1.5, size=(20_000, 2)))
-    for (zp, zq), (tp, tq) in zip(zs.tolist(), ts.tolist()):
-        for p, q in ((HPoint(zp, tp), HPoint(zq, tq)),
-                     (HPoint(abs(zp), tp), HPoint(abs(zq), tq)),
-                     (HPoint(zp, tp), HPoint(zp, tq))):
-            assert _clearance(p, q) == _reference_segment_clearance(p, q)
+    # on these chords the angle form of the clearance was up to 3.6 times
+    # too large, non-finite on 1,042 (inf past |z| ~ 1e154) and raised
+    # ZeroDivisionError on 3
+    for zp, tp, zq, tq in _chord_sweep(random.Random(17), 6000):
+        got = _segment_clearance(zp, tp, zq, tq)
+        want = _reference_path_clearance([zp, zq], [tp, tq])
+        assert math.isfinite(got), (zp, tp, zq, tq)
+        assert abs(got - want) <= 2e-15 * want, (zp, tp, zq, tq)
+
+
+@pytest.mark.parametrize("chord, want", [
+    ((1e16, 1.0, 1.0, 1.0), 2.0e-8),
+    ((8.476310010123355e10, 0.43511046858424185, 1.2744541092691186e-12,
+      12846.862462332423), 9.92e-17),
+    ((3e-200, 1e-200, 4e-200, 1e-200), 1.808),    # zp zq underflows
+    ((1e237, 1e235, 1.1e237, 2e235), 3.690)],     # the far paths' scale
+    ids=["long-chord", "near-end", "tiny-scale", "huge-scale"])
+def test_segment_clearance_where_the_angle_form_failed(chord, want):
+    # the angle form gave 0.0, 7.3e-10, 0.0 and inf here
+    reference = _reference_path_clearance(chord[::2], chord[1::2])
+    assert reference == pytest.approx(want, rel=1e-3)
+    assert abs(_segment_clearance(*chord) - reference) <= 2e-15 * reference
 
 
 # a fixed K takes no draw of its own per trial, only the path's draws
@@ -706,7 +807,32 @@ def test_detour_verify_records_match_the_reference_sampler(monkeypatch,
         certify, "measure_detour",
         lambda zs, ts, delta: _reference_measure_detour(_points(zs, ts),
                                                         delta))
-    assert got == detour_verify(200, K=K, seed=seed).records
+    _assert_records_agree(got, detour_verify(200, K=K, seed=seed).records)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_far_detour_records_hold_their_path_clearance(monkeypatch, seed):
+    # at delta = 30 the far paths reach |z| ~ 1e237: the angle form's
+    # clearance was inf on 20,077 chords of seed 1, which fell out of the
+    # path's minimum, and a record read 3.0466 where its path's clearance
+    # is 3.0432
+    measured = []
+    measure = certify.measure_detour
+
+    def keep(zs, ts, delta):
+        m = measure(zs, ts, delta=delta)
+        measured.append((zs, ts, m.clearance))
+        return m
+
+    monkeypatch.setattr(certify, "measure_detour", keep)
+    report = detour_verify(200, K=3.0, delta=30.0, seed=seed)
+    assert report.passed and "far" in report.branches
+    for zs, ts, clearance in measured:
+        want = _reference_path_clearance(zs, ts)
+        assert abs(clearance - want) <= 1e-13 * want
+    # a trial's record is its last path, the first to clear K
+    kept = [clearance for _, _, clearance in measured if clearance >= 3.0]
+    assert kept == [r["clearance"] for r in report.records]
 
 
 @given(rho0=st.floats(0.0, 350.0), u=st.floats(-340.0, 340.0),

@@ -214,7 +214,7 @@ def test_walk_words_are_rotations_of_the_tower_words():
         word = build_blocks(p, q).word
         assert len(gamma) == len(word) and gamma in word + word, (p, q)
         seen.append((p, q))
-    assert len(seen) == 981 and seen == blocks._class_pairs(40)
+    assert len(seen) == 981 and seen == list(blocks._class_pairs(40))
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -237,7 +237,7 @@ def test_plan_image_carries_the_abelianization():
         want = np.trace(class_matrix(rep, build_blocks(p, q)))
         assert abs(m[0] + m[3] - want) <= 1e-12 * abs(want), (p, q)
         seen += 1
-    assert seen == len(blocks._class_pairs(12))
+    assert seen == len(list(blocks._class_pairs(12)))
 
 
 def test_plan_image_refuses_an_entry_below_one(monkeypatch):
@@ -261,9 +261,9 @@ def test_bowditch_scan_builds_no_word(monkeypatch):
     walks = []
     farey_walk = scans._farey_walk
 
-    def record(pairs, cap, a, b, ab, join):
+    def record(cap, a, b, ab, join):
         walks.append((a, b))
-        return farey_walk(pairs, cap, a, b, ab, join)
+        return farey_walk(cap, a, b, ab, join)
 
     monkeypatch.setattr(scans, "_farey_walk", record)
     got = bowditch_scan(markoff(), 40)
@@ -827,7 +827,7 @@ def test_fricke_traces_cover_all_classes():
 
 def test_fricke_traces_walk_past_the_recursion_limit():
     # a recursive descent raised RecursionError from cap 1000 on
-    pairs = blocks._class_pairs(1000)
+    pairs = list(blocks._class_pairs(1000))
     out = fricke_traces(3.0, 3.0, 3.0, 1000)
     assert len(out) == len(pairs) and all(pq in out for pq in pairs)
 
@@ -934,7 +934,7 @@ def exact_fricke_traces(triple, cap):
     """The Fricke recursion over the Farey tree in exact rational
     arithmetic, on a trace triple of floats, keyed by (p, q)."""
     traces = dict(zip([(1, 0), (0, 1), (1, 1)], map(Fraction, triple)))
-    for p, q in blocks._class_pairs(cap)[3:]:
+    for p, q in list(blocks._class_pairs(cap))[3:]:
         (pu, qu), (pv, qv) = blocks.farey_parents(p, q)
         traces[p, q] = (traces[pu, qu] * traces[pv, qv]
                         - traces[abs(pu - pv), abs(qu - qv)])
@@ -966,7 +966,8 @@ def test_bowditch_refuses_a_deep_cap_before_any_later_class():
     # Markoff's traces leave the float range at 738/1, in the first row of
     # the record order: the scan refuses there and computes no later
     # class (built whole and then sorted, the classes of cap 740 peaked
-    # at 147.5 MB; 33.5 MB now, most of it the list of pairs)
+    # at 147.5 MB, and at 35.9 MB with the pairs in a list of 333,361; the
+    # walk takes them one at a time, and peaks at 4.9 MB)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="class 738/1 is not finite at "
@@ -975,7 +976,7 @@ def test_bowditch_refuses_a_deep_cap_before_any_later_class():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50e6
+    assert peak < 10e6
 
 
 def test_bowditch_flags_elliptic_generator():
@@ -1031,9 +1032,9 @@ def test_identity_classes_take_one_image_walk(monkeypatch):
     walks, products = [], []
     farey_walk, mul = scans._farey_walk, scans._mul
 
-    def record(pairs, cap, a, b, ab, join):
+    def record(cap, a, b, ab, join):
         walks.append(a)
-        return farey_walk(pairs, cap, a, b, ab, join)
+        return farey_walk(cap, a, b, ab, join)
 
     def count(x, y):
         products.append((x, y))
