@@ -17,12 +17,6 @@ sizes n, n+1 is rewritten block-by-block (y^n x -> x, y^(n+1) x -> yx); a
 word is primitive iff repeated derivation reaches a single letter, and the
 run sizes recovered along the way are exactly the tower entries.
 
-`farey_parents` reads the Farey tree off the same order: the two Farey
-parents u, v of a slope, and the region across their edge, come before
-it in `_class_pairs`, and the class between Farey neighbours u and v is
-uv, so a caller's payload (an image, a word or a trace) costs one step
-per class.
-
 Rotation bookkeeping for the towers (adapted rotations and the length-l_i
 subword classification) lives here too, with the exhaustive lemma suites,
 among them the block count in windows.
@@ -31,7 +25,7 @@ among them the block count in windows.
 import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import gcd
 from operator import attrgetter, itemgetter
 
@@ -194,18 +188,6 @@ class BlockTower(_Value):
     def word(self):
         return self.w[-1]
 
-    def to_json_dict(self):
-        return {
-            "p": self.p,
-            "q": self.q,
-            "cf": list(self.cf),
-            "w": list(self.w),
-            "wp": list(self.wp),
-            "l": [len(x) for x in self.w],
-            "lp": [len(x) for x in self.wp],
-            "swap": self.swap,
-        }
-
 
 def build_blocks(p, q):
     """Build the block tower for the slope p/q, one `_extend` per entry of
@@ -297,34 +279,9 @@ def enumerate_primitive_classes(max_den):
 
 
 def _towers(cap, words=False):
-    """The towers of `_tower_walk(cap, words)`, in `_class_pairs` order."""
+    """The towers of `_tower_walk(cap, words)`, by q, then p."""
     return sorted((t for t, tower in _tower_walk(cap, words) if tower),
                   key=attrgetter("q", "p"))
-
-
-def _class_pairs(max_den):
-    """The (p, q) of `enumerate_primitive_classes(max_den)`, in its order,
-    one at a time; the cap is checked at the call."""
-    if max_den < 1:
-        raise ValueError(f"max_den must be >= 1, got {max_den}")
-    dens = range(1, max_den + 1)
-    return chain(((1, 0), (0, 1)), ((p, q) for q in dens for p in dens
-                                    if gcd(p, q) == 1))
-
-
-def farey_parents(p, q):
-    """The Farey parents (u, v) of the slope p/q, for p, q >= 1.
-
-    The unique nonnegative pair with u + v = (p, q) and det(u, v) =
-    p_u q_v - q_u p_v = 1, so u is the parent of larger slope.  Both, and
-    the region across their edge, (|p_u - p_v|, |q_u - q_v|), come before
-    p/q in the order of `_class_pairs`, except that the region across the
-    edge of 1/1 is 1/1 itself (it is -1/1).
-    """
-    # q_v = p^-1 mod q; when q = 1, pow gives 0 and q_v is 1
-    qv = pow(p, -1, q) or 1
-    pv = (p * qv - 1) // q
-    return (p - pv, q - qv), (pv, qv)
 
 
 # --------------------------------------------------------------------------
@@ -668,7 +625,7 @@ def _recurrence_suite(cap):
         # two checks of the tower, seven at every level, and the
         # inequality from level 2 on
         checks += 2 + 7 * depth + max(depth - 1, 0)
-    failures.sort(key=itemgetter("q", "p"))    # `_class_pairs` order
+    failures.sort(key=itemgetter("q", "p"))    # the towers' order
     return checks, failures
 
 

@@ -19,20 +19,21 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 - `perturbation_scan`: robustness of the minimum ratio under entrywise
   noise.
 
-The classes come in the order of `blocks._class_pairs`, each from its two
-Farey parents u, v (`blocks.farey_parents`) and the region w across their
-edge, which come before it (`_farey_walk`): its trace is tr u tr v - tr w,
-one complex multiply.  Bowditch's condition reads traces alone; `ps_scan`
-also needs the fixed points, so it takes the class image uv, one product
-on the scalar 2x2 kernel of `geometry`, and the class word u + v.
+The classes come from one depth-first walk of the Farey tree on an
+explicit stack (`_farey_walk`), each from its two Farey parents u, v and
+the region w across their edge, which the walk carries down to it: its
+trace is tr u tr v - tr w, one complex multiply.  Bowditch's condition
+reads traces alone; `ps_scan` also needs the fixed points, so it takes
+the class image uv, one product on the scalar 2x2 kernel of `geometry`,
+and the class word u + v.  The scans put their records back in the
+order by q, then p.
 """
 
 import math
 from collections import namedtuple
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from operator import sub
 
-from .blocks import _class_pairs, farey_parents
 from .geometry import (
     INF,
     NotLoxodromic,
@@ -533,26 +534,34 @@ def _fricke(u, v, w):
 
 
 def _farey_walk(max_denominator, a, b, ab, join):
-    """(p, q, payload) for each class of `_class_pairs` to the cap, in
-    order, from the payloads a, b, ab of 1/0, 0/1 and 1/1: join(u, v, w) of
-    its Farey parents u, v and the region w across their edge, one class at
-    a time."""
-    pairs = _class_pairs(max_denominator)    # first: it refuses a cap < 1
-    table = [[None] * (max_denominator + 1)
-             for _ in range(max_denominator + 1)]    # indexed [q][p]
-    table[0][1], table[1][0], table[1][1] = a, b, ab
+    """(p, q, payload) for each class p/q with p, q >= 0 up to the cap:
+    1/0, 0/1 and 1/1 with the payloads a, b, ab, then the Stern-Brocot
+    tree below 1/1 in preorder, larger slope first, on an explicit stack.
+    A class is the mediant of its Farey parents u, v (u of larger slope),
+    and its payload join(u, v, w) of theirs and of the region w across
+    their edge; its children are the frames (u, x, v) and (x, v, u).  Both
+    p and q grow down every branch, so a child past the cap is cut with
+    its subtree."""
+    if max_denominator < 1:
+        raise ValueError(f"max_den must be >= 1, got {max_denominator}")
     yield from ((1, 0, a), (0, 1, b), (1, 1, ab))
-    for p, q in islice(pairs, 3, None):    # after 1/0, 0/1 and 1/1
-        (pu, qu), (pv, qv) = farey_parents(p, q)
-        x = table[q][p] = join(table[qu][pu], table[qv][pv],
-                               table[abs(qu - qv)][abs(pu - pv)])
+    # (p, q) of u and of v, and the payloads of u, v and w
+    stack = [(1, 1, 0, 1, ab, b, a), (1, 0, 1, 1, a, ab, b)]
+    while stack:
+        pu, qu, pv, qv, u, v, w = stack.pop()
+        p, q = pu + pv, qu + qv
+        if p > max_denominator or q > max_denominator:
+            continue
+        x = join(u, v, w)
         yield p, q, x
+        stack.append((p, q, pv, qv, x, v, u))
+        stack.append((pu, qu, p, q, u, x, v))    # popped first
 
 
 def _class_traces(rep, max_denominator, walk=None):
     """(p, q, tr, kind, tl, entry) for the slopes p/q with p, q >= 0 up to
     the cap (the negative ones are not scanned), in the order of
-    `_class_pairs`: the trace from the triple of `rep`, its kind in the
+    `_farey_walk`: the trace from the triple of `rep`, its kind in the
     windows of `classify`, tl from the trace with det 1, and the class's
     entry of `walk`, a `_class_images` walk that the caller takes along
     (None without one).  A trace cannot tell the identity from a
@@ -560,8 +569,8 @@ def _class_traces(rep, max_denominator, walk=None):
     parents, a conjugate of the class, decides.  The walk's gives it;
     without a walk, one walk of images, started at the first such class
     and advanced one product per class from there.  Raises ValueError
-    naming the first class whose trace is not finite; no later class is
-    computed."""
+    naming the first class in walk order whose trace is not finite; no
+    later class is computed."""
     A, B = rep._letters["a"], rep._letters["b"]
     AB, tol = _mul(A, B), _TRACE_TOL
     images = None
@@ -601,22 +610,43 @@ def _class_images(rep, max_denominator):
         lambda u, v, w: (_mul(u[0], v[0]), u[1] + v[1])))
 
 
+def _record_rows(rows):
+    """(q, row) for each row of `rows`, in which a scan keeps a tuple
+    (p, ...) per class of denominator q in walk order, with the row sorted
+    (by p, which no two of its tuples share) and dropped from `rows`: the
+    scans' records come by q, then p.  In the walk, the row of q >= 2 is
+    one run of decreasing p, and the row of q = 1 one of increasing p, so
+    each sort is linear."""
+    for q, row in enumerate(rows):
+        rows[q] = None
+        row.sort()
+        yield q, row
+
+
 def bowditch_scan(rep, max_denominator):
     """Scan the primitive classes of `_class_traces`: trace, translation
     length, and the ratio translation/|class| (|class| = p + q); flag
     non-loxodromic and low-ratio classes; fit C = 1 / ratio from the worst
     ratio.  Every figure comes from the traces alone."""
-    records = []
+    rows = [[] for _ in range(max_denominator + 1)]
     for p, q, tr, kind, tl, _ in _class_traces(rep, max_denominator):
-        ratio = tl / (p + q)
-        flags = []
-        if kind != "loxodromic":
-            flags.append(kind)
-        elif ratio < _LOW_RATIO:
-            flags.append("low-ratio")
-        records.append({"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
-                        "tl": tl, "ratio": ratio, "flags": flags})
-    sizes = [math.hypot(*r["tr"]) for r in records]    # |tr|, once each
+        rows[q].append((p, tr, kind, tl))
+    records, min_trace, small = [], math.inf, 0    # least |tr|, |tr| <= 2
+    for q, row in _record_rows(rows):
+        for p, tr, kind, tl in row:
+            ratio = tl / (p + q)
+            flags = []
+            if kind != "loxodromic":
+                flags.append(kind)
+            elif ratio < _LOW_RATIO:
+                flags.append("low-ratio")
+            records.append({"p": p, "q": q, "len": p + q,
+                            "tr": [tr.real, tr.imag], "tl": tl,
+                            "ratio": ratio, "flags": flags})
+            size = math.hypot(tr.real, tr.imag)
+            if size < min_trace:
+                min_trace = size
+            small += size <= 2.0 + 1e-12
     min_ratio = min(r["ratio"] for r in records)
     abAB = rep._product("abAB")
     commutator = abAB[0] + abAB[3]
@@ -631,12 +661,12 @@ def bowditch_scan(rep, max_denominator):
     aggregate = {
         "classes": len(records),
         "min_ratio": min_ratio,
-        "min_trace": min(sizes),
+        "min_trace": min_trace,
         "fitted_C": 1.0 / min_ratio if min_ratio > 0 else None,
         "lsq_rate": lsq.slope if lsq else None,
         "lsq_intercept": lsq.intercept if lsq else None,
         "commutator_trace": [commutator.real, commutator.imag],
-        "small_trace_count": sum(1 for s in sizes if s <= 2.0 + 1e-12),
+        "small_trace_count": small,
         "violations": len(records) - len(lox),
     }
     return ScanReport(records, aggregate)
@@ -662,15 +692,13 @@ def ps_scan(rep, max_denominator):
     """
     z, t = rep.basepoint.z, rep.basepoint.t
     _letter_ends(rep)    # the leaf's vertices must be in the float range
-    records = []
+    rows = [[] for _ in range(max_denominator + 1)]
     for p, q, tr, kind, tl, (m, gamma) in _class_traces(
             rep, max_denominator, _class_images(rep, max_denominator)):
         rate = tl / (p + q)
-        r = {"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
-             "tl": tl, "rate": rate, "osc": None, "period_error": None,
-             "tube": None, "flags": ["not-loxodromic"]}
-        records.append(r)
         if kind != "loxodromic":
+            rows[q].append((p, tr, tl, rate, None, None, None,
+                            ["not-loxodromic"]))
             continue
         e = low = high = period = top = 0.0    # e_m = s_m - m rate, m < n
         try:
@@ -694,8 +722,13 @@ def ps_scan(rep, max_denominator):
                 f"(about 1.8e308) at max_den {max_denominator}")
         period_error = abs(period - tl) / max(1.0, tl)
         low, off = rate < _LOW_RATIO, not period_error <= _PERIOD_TOL
-        r.update(osc=osc, period_error=period_error, tube=tube,
-                 flags=["low-ratio"] * low + ["period-error"] * off)
+        rows[q].append((p, tr, tl, rate, osc, period_error, tube,
+                        ["low-ratio"] * low + ["period-error"] * off))
+    records = [{"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
+                "tl": tl, "rate": rate, "osc": osc,
+                "period_error": period_error, "tube": tube, "flags": flags}
+               for q, row in _record_rows(rows)
+               for p, tr, tl, rate, osc, period_error, tube, flags in row]
     lox = [r for r in records if r["tube"] is not None]
     return ScanReport(records, {
         "classes": len(records),

@@ -96,23 +96,3 @@ def substitute(w, sub):
         "B": invert(sub["b"]),
     }
     return reduce("".join(table[c] for c in w))
-
-
-def enumerate_reduced(max_len, min_len=0):
-    """Yield every freely reduced word with min_len <= len <= max_len.
-
-    Deterministic order: by length, then lexicographically in the letter
-    order 'a' < 'A' < 'b' < 'B'.  There are 4 * 3**(n-1) words of each
-    length n >= 1.
-    """
-    if min_len <= 0:
-        yield ""
-    level = [c for c in ALPHABET]
-    n = 1
-    while n <= max_len:
-        if n >= min_len:
-            yield from level
-        if n == max_len:
-            break
-        level = [w + c for w in level for c in ALPHABET if c != w[-1].swapcase()]
-        n += 1

@@ -39,11 +39,12 @@ from primscan.scans import (
 )
 from primscan.words import (
     cyclic_reduce,
-    enumerate_reduced,
     invert,
     rotations,
     substitute,
 )
+
+from references import enumerate_reduced
 
 
 def markoff_rep():

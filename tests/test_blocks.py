@@ -22,7 +22,6 @@ from primscan.blocks import (
     classify_magic_subword,
     derivation,
     enumerate_primitive_classes,
-    farey_parents,
     is_primitive,
     run_suite,
     slope_of,
@@ -30,13 +29,14 @@ from primscan.blocks import (
 from primscan.words import (
     abelianization,
     cyclic_reduce,
-    enumerate_reduced,
     invert,
     reduce,
     rotate,
     rotations,
     substitute,
 )
+
+from references import class_pairs, enumerate_reduced, farey_parents
 
 
 # --------------------------------------------------------------------------
@@ -139,8 +139,10 @@ def test_slope_of_words():
 # --------------------------------------------------------------------------
 
 def test_tower_3_2_frozen():
-    tower = build_blocks(3, 2)
-    assert tower.to_json_dict() == {
+    t = build_blocks(3, 2)
+    assert {"p": t.p, "q": t.q, "cf": list(t.cf), "w": list(t.w),
+            "wp": list(t.wp), "l": [len(x) for x in t.w],
+            "lp": [len(x) for x in t.wp], "swap": t.swap} == {
         "p": 3,
         "q": 2,
         "cf": [1, 2],
@@ -302,10 +304,10 @@ def _walk_slope_pairs(cap, words):
 
 @pytest.mark.parametrize("words", [False, True])
 def test_walk_yields_each_class_pair_once(words):
-    # the slope bound max(p, q) <= cap is that of `_class_pairs`; the word
+    # the slope bound max(p, q) <= cap is that of `class_pairs`; the word
     # bound keeps its pairs with p + q <= cap
     for cap in range(1, 61):
-        want = [(p, q) for p, q in blocks._class_pairs(cap)
+        want = [(p, q) for p, q in class_pairs(cap)
                 if not words or p + q <= cap]
         got = _walk_slope_pairs(cap, words)
         assert len(got) == len(set(got)), cap
@@ -439,7 +441,7 @@ def test_farey_parents_come_before_their_class():
     # slope, with det(u, v) = 1 (u has the larger slope); both, and the
     # region across their edge, come before the class in record order,
     # save the region across 1/1, which is -1/1
-    pairs = list(blocks._class_pairs(200))
+    pairs = list(class_pairs(200))
     index = {pq: k for k, pq in enumerate(pairs)}
     for k, (p, q) in enumerate(pairs[2:], 2):
         u, v = farey_parents(p, q)
@@ -453,7 +455,7 @@ def test_farey_parents_come_before_their_class():
     assert farey_parents(5, 1) == ((1, 0), (4, 1))
     assert farey_parents(3, 5) == ((2, 3), (1, 2))
     with pytest.raises(ValueError, match="max_den must be >= 1, got 0"):
-        blocks._class_pairs(0)
+        class_pairs(0)
 
 
 # --------------------------------------------------------------------------

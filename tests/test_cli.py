@@ -39,6 +39,8 @@ ELLIPTIC_A = {
 }
 MARKOFF_FILE = str(pathlib.Path(__file__).resolve().parent / "data"
                    / "markoff.json")
+ELLIPTIC_FILE = str(pathlib.Path(__file__).resolve().parent / "data"
+                    / "elliptic.json")
 PARABOLIC = {
     "model": "H2",
     "A": [[1, 0], [1, 0], [0, 0], [1, 0]],
@@ -303,6 +305,20 @@ def test_scan_ps_refuses_non_finite_axes(rep_file, capsys):
                 f"1.8e308) at max_den {cap}") in captured.err
 
 
+def test_scan_ps_refusal_names_the_first_class_in_walk_order(capsys):
+    # on elliptic.json the axes of the odd classes p/2 from 41/2 on leave
+    # the float range; the Farey walk meets the row of q = 2 in decreasing
+    # p, after the whole row of q = 1, so the refusal names the largest
+    # such p within the cap, where the records' order would name 41/2
+    for cap, name in (("41", "41/2"), ("80", "79/2")):
+        assert main(["scan-ps", "--rep", ELLIPTIC_FILE, "--max-den",
+                     cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"the axis of class {name} leaves the float range (about "
+                f"1.8e308) at max_den {cap}") in captured.err
+
+
 # the Markoff generators conjugated by diag(l, 1/l), l^2 = 7e307 (1 + i):
 # finite entries b = l^2 whose modulus passes the float range
 WIDE_B = 7e307
@@ -508,9 +524,9 @@ def test_seeded_commands_are_byte_identical(rep_file):
 
 # SHA-256 of the stdout of exact commands, recorded from a run of the
 # tree where towers still stored their lengths beside a separate slope
-# value: the outputs must not move when the towers change form.  They
-# hold integers and strings only, so the bytes are the same on every
-# supported Python and numpy.
+# value: the outputs must not move when the towers change form.  The
+# tower commands hold integers and strings only, so their bytes are the
+# same on every supported Python; the two scans at the end hold floats.
 RECORDED_DIGESTS = {
     ("enumerate", "--max-den", "60"):
         "68e9c02c7f4b9e0647e5781aebe8f4f654244f2f87b65876eed30ec1f0bf6c53",
@@ -541,6 +557,11 @@ RECORDED_DIGESTS = {
     # relative
     ("scan-bowditch", "--rep", MARKOFF_FILE, "--max-den", "200"):
         "7ae9098c6a0de6ae89146ac075f62b61f047835bf95fd6664f71b7949d4fab78",
+    # the benchmark's ps-scan command on its seed-0 input, recorded while
+    # the scan's classes still came in the records' order, before the
+    # Farey walk went depth first: the records must not move with it
+    ("scan-ps", "--rep", MARKOFF_FILE, "--max-den", "20"):
+        "363f2424a0d853b093a0b74b3ac3c2f203a9dd0c8bd1d25bc28d69d72ccf0ff6",
 }
 
 

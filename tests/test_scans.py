@@ -58,6 +58,8 @@ from primscan.scans import (
 )
 from primscan.words import rotate
 
+from references import class_pairs, farey_parents
+
 MARKOFF_A = [[1, 1], [1, 2]]
 MARKOFF_B = [[1, -1], [-1, 2]]
 # tl of a trace-3 element: 2 arccosh(3/2).
@@ -172,11 +174,17 @@ def benchmark_rep(seed, tmp_path):
 
 
 def walk(rep, cap):
-    """`ps_scan`'s class images and words of `rep` to the cap, in record
+    """`ps_scan`'s class images and words of `rep` to the cap, in walk
     order, as (p, q, image, word)."""
-    for (p, q), (m, gamma) in zip(blocks._class_pairs(cap),
-                                  scans._class_images(rep, cap)):
+    for (p, q, _), (m, gamma) in zip(
+            scans._farey_walk(cap, None, None, None, lambda u, v, w: None),
+            scans._class_images(rep, cap)):
         yield p, q, m, gamma
+
+
+def record_order(pairs):
+    """The (p, q) of `pairs` by q, then p: the order of the records."""
+    return sorted(pairs, key=lambda pq: (pq[1], pq[0]))
 
 
 def _rel_gap(got, want):
@@ -207,14 +215,13 @@ def test_walk_images_match_their_word_products(tmp_path, which):
 
 def test_walk_words_are_rotations_of_the_tower_words():
     # the words of `ps_scan`: each class word is a cyclic rotation of the
-    # `build_blocks` word, and the classes come in the order of
-    # `_class_pairs`
+    # `build_blocks` word, and the walk meets each class once
     seen = []
     for p, q, _, gamma in walk(markoff(), 40):
         word = build_blocks(p, q).word
         assert len(gamma) == len(word) and gamma in word + word, (p, q)
         seen.append((p, q))
-    assert len(seen) == 981 and seen == list(blocks._class_pairs(40))
+    assert len(seen) == 981 and record_order(seen) == list(class_pairs(40))
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -237,7 +244,7 @@ def test_plan_image_carries_the_abelianization():
         want = np.trace(class_matrix(rep, build_blocks(p, q)))
         assert abs(m[0] + m[3] - want) <= 1e-12 * abs(want), (p, q)
         seen += 1
-    assert seen == len(list(blocks._class_pairs(12)))
+    assert seen == len(list(class_pairs(12)))
 
 
 def test_plan_image_refuses_an_entry_below_one(monkeypatch):
@@ -320,7 +327,11 @@ def test_ps_scan_walks_the_tower_words(monkeypatch):
     # every class of the fixture is loxodromic, so every class is walked,
     # and none backs away from its axis by _MAX_CARRIED_OSC
     assert len(walked) == len(scan.records) == 981
-    for r, gamma in zip(scan.records, walked):
+    # walked in walk order: each word's slope finds its record
+    by_slope = {blocks.abelianization(gamma): gamma for gamma in walked}
+    assert len(by_slope) == 981
+    for r in scan.records:
+        gamma = by_slope[r["p"], r["q"]]
         word = build_blocks(r["p"], r["q"]).word
         # a cyclic rotation of the tower word
         assert len(gamma) == len(word) and gamma in word + word, \
@@ -827,9 +838,37 @@ def test_fricke_traces_cover_all_classes():
 
 def test_fricke_traces_walk_past_the_recursion_limit():
     # a recursive descent raised RecursionError from cap 1000 on
-    pairs = list(blocks._class_pairs(1000))
+    pairs = list(class_pairs(1000))
     out = fricke_traces(3.0, 3.0, 3.0, 1000)
     assert len(out) == len(pairs) and all(pq in out for pq in pairs)
+
+
+def test_farey_walk_joins_each_class_from_its_farey_parents():
+    # each class after 1/1 is joined from the Farey parents u, v that the
+    # reference names (u of larger slope) and the region across their
+    # edge; the walk meets each class of the cap once, and the row of
+    # each q in one run of p, increasing for q <= 1 and decreasing beyond:
+    # the runs that `_record_rows` sorts
+    cap = 60
+    triples = {}
+
+    def join(u, v, w):
+        x = u[0] + v[0], u[1] + v[1]
+        triples[x] = u, v, w
+        return x
+
+    seen = []
+    for p, q, x in scans._farey_walk(cap, (1, 0), (0, 1), (1, 1), join):
+        assert x == (p, q)
+        seen.append(x)
+    assert record_order(seen) == list(class_pairs(cap))
+    assert len(triples) == len(seen) - 3
+    for (p, q), (u, v, w) in triples.items():
+        assert (u, v) == farey_parents(p, q)
+        assert w == (abs(u[0] - v[0]), abs(u[1] - v[1])), (p, q)
+    for q in range(cap + 1):
+        row = [p for p, r in seen if r == q]
+        assert row == sorted(row, reverse=q >= 2), q
 
 
 def benchmark_validate(monkeypatch):
@@ -934,8 +973,8 @@ def exact_fricke_traces(triple, cap):
     """The Fricke recursion over the Farey tree in exact rational
     arithmetic, on a trace triple of floats, keyed by (p, q)."""
     traces = dict(zip([(1, 0), (0, 1), (1, 1)], map(Fraction, triple)))
-    for p, q in list(blocks._class_pairs(cap))[3:]:
-        (pu, qu), (pv, qv) = blocks.farey_parents(p, q)
+    for p, q in list(class_pairs(cap))[3:]:
+        (pu, qu), (pv, qv) = farey_parents(p, q)
         traces[p, q] = (traces[pu, qu] * traces[pv, qv]
                         - traces[abs(pu - pv), abs(qu - qv)])
     return traces
@@ -963,11 +1002,11 @@ def test_bowditch_elliptic_traces_match_the_exact_recursion(cap, elliptic):
 
 
 def test_bowditch_refuses_a_deep_cap_before_any_later_class():
-    # Markoff's traces leave the float range at 738/1, in the first row of
-    # the record order: the scan refuses there and computes no later
-    # class (built whole and then sorted, the classes of cap 740 peaked
-    # at 147.5 MB, and at 35.9 MB with the pairs in a list of 333,361; the
-    # walk takes them one at a time, and peaks at 4.9 MB)
+    # Markoff's traces leave the float range at 738/1, on the row of q = 1
+    # that the Farey walk meets first: the scan refuses there and computes
+    # no later class.  The walk holds one frame per level of its path and
+    # no table (one of 741^2 cells would take 4.4 MB alone): the peak is
+    # 0.2 MB
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="class 738/1 is not finite at "
@@ -976,7 +1015,7 @@ def test_bowditch_refuses_a_deep_cap_before_any_later_class():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 1e6
 
 
 def test_bowditch_flags_elliptic_generator():
@@ -1149,12 +1188,12 @@ def frame_excursion_values(rep, gamma, us):
 
 
 def frame_ps_records(rep, max_denominator):
-    """`ps_scan`'s records from the frames of `rotation_frames`, the
-    reference for its closed forms: the tube as the largest
+    """`ps_scan`'s records from the frames of `rotation_frames`, keyed by
+    (p, q), the reference for its closed forms: the tube as the largest
     `dist_to_geodesic(o, axis)` and each foot increment as the
     `geodesic_metrics` coordinate of the end of its leaf edge on that
     axis."""
-    records = []
+    records = {}
     o = rep.basepoint
     edges = scans._leaf_edges(rep)
     for p, q, tr, kind, tl, (_, gamma) in scans._class_traces(
@@ -1170,10 +1209,10 @@ def frame_ps_records(rep, max_denominator):
             except NotLoxodromic:
                 pass
         if frames is None:
-            records.append({
+            records[p, q] = {
                 **head, "rate": rate, "osc": None, "period_error": None,
                 "tube": None, "flags": ["not-loxodromic"],
-            })
+            }
             continue
         tube = max(dist_to_geodesic(o, line) for line, _ in frames)
         # the edge starts at o, the anchor of the line, whose coordinate
@@ -1190,10 +1229,10 @@ def frame_ps_records(rep, max_denominator):
             flags.append("low-ratio")
         if not period_error <= scans._PERIOD_TOL:
             flags.append("period-error")
-        records.append({
+        records[p, q] = {
             **head, "rate": rate, "osc": osc, "period_error": period_error,
             "tube": tube, "flags": flags,
-        })
+        }
     return records
 
 
@@ -1219,7 +1258,8 @@ def test_ps_scan_matches_the_frame_reference(rep):
     got = ps_scan(rep, 20).records
     want = frame_ps_records(rep, 20)
     assert len(got) == len(want) == 257
-    for g, w in zip(got, want):
+    for g in got:
+        w = want[g["p"], g["q"]]
         head = ("p", "q", "len", "tr", "tl", "rate", "flags")
         assert {k: g[k] for k in head} == {k: w[k] for k in head}
         for k in ("osc", "period_error", "tube"):

@@ -16,14 +16,12 @@ UNNAMED_IN_SRC = {
                               "magic-subword matcher",
     "dist_to_geodesic": "tracer target; test reference for the "
                         "per-rotation frames",
-    "enumerate_reduced": "test reference: all reduced words of a length",
     "fermi_point": "tracer target",
     "minimize_convex": "tracer target; test reference for the line searches",
     "power_displacement": "test reference: criterion 7 reads it",
     "rotations": "tracer target; test reference for cyclic words",
     "sub_excursion_in": "public API: the README's excursion example",
     "substitute": "test reference: letter substitutions of words",
-    "to_json_dict": "test reference: the frozen towers",
 }
 
 

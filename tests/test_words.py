@@ -5,8 +5,10 @@ from primscan import words
 from primscan.words import (
     reduce, invert, cyclic_reduce, is_reduced,
     is_cyclically_reduced, rotate, rotations,
-    abelianization, substitute, enumerate_reduced, check_word,
+    abelianization, substitute, check_word,
 )
+
+from references import enumerate_reduced
 
 raw_words = st.text(alphabet="aAbB", max_size=40)
 
