@@ -452,7 +452,7 @@ def adapted_permutation(tower, i, k):
     [ar] = _level_rotations(tower, i, (k,))
     if isinstance(ar, LemmaViolation):
         raise ar
-    return ar
+    return AdaptedRotation(i, *ar)
 
 
 def adapted_rotations(tower, i):
@@ -460,11 +460,14 @@ def adapted_rotations(tower, i):
     with a LemmaViolation returned, not raised, as the entry of its k."""
     if not 1 <= i <= tower.depth:
         raise ValueError(f"level {i} outside [1, {tower.depth}]")
-    return _level_rotations(tower, i, range(len(tower.w[i])))
+    return [ar if isinstance(ar, LemmaViolation) else AdaptedRotation(i, *ar)
+            for ar in _level_rotations(tower, i, range(len(tower.w[i])))]
 
 
 def _level_rotations(tower, i, ks):
-    """The adapted rotation, or its LemmaViolation, of every k in `ks`.
+    """The adapted rotation of every k in `ks`, as the fields that follow
+    i in `AdaptedRotation`, (k, j, case, relation, block, block_prime,
+    word_rotation, blocks), or its LemmaViolation.
 
     The level is read once: l_{i-1}, the case threshold, the block
     sequence and its order with the first block moved to the end, and the
@@ -479,9 +482,12 @@ def _level_rotations(tower, i, ks):
     ww, wpwp = w + w, wp + wp
     seq = block_sequence(tower, i)
     moved = seq[1:] + seq[:1]
-    # the blocks as indexes into (rotated w_i, rotated w'_i)
-    order = [0 if s == "w" else 1 for s in seq]
-    moved_order = order[1:] + order[:1]
+    # each order takes its blocks from (rotated w_i, rotated w'_i) in one
+    # call; `itemgetter` of one index returns the bare block, so a
+    # one-block order (the top level's ("w",)) takes a slice of length 1
+    pick, moved_pick = [
+        itemgetter(*x) if len(x) > 1 else itemgetter(slice(x[0], x[0] + 1))
+        for x in [["wp".index(s) for s in order] for order in (seq, moved)]]
     first_is_w = seq[0] == "w"
     doubled = tower.word * 2
     lr = len(tower.word)
@@ -499,7 +505,7 @@ def _level_rotations(tower, i, ks):
                 out.append(LemmaViolation(
                     f"no prefix/suffix relation {where}{k}"))
                 continue
-            case, out_seq, indexes, word_rotation = 1, seq, order, k
+            case, out_seq, get, word_rotation = 1, seq, pick, k
         else:
             j = k + lprev
             rot_w, rot_wp = ww[k:k + lw], wpwp[j:j + lwp]
@@ -511,17 +517,15 @@ def _level_rotations(tower, i, ks):
                 out.append(LemmaViolation(
                     f"no prefix/suffix relation {where}{k}"))
                 continue
-            case, out_seq, indexes = 2, moved, moved_order
+            case, out_seq, get = 2, moved, moved_pick
             word_rotation = k if first_is_w else j
-        pair = (rot_w, rot_wp)
         r = word_rotation % lr
-        if "".join([pair[x] for x in indexes]) != doubled[r:r + lr]:
+        if "".join(get((rot_w, rot_wp))) != doubled[r:r + lr]:
             out.append(LemmaViolation(
                 f"rotated factorization mismatch {where}{k}"))
             continue
-        # positional: keyword arguments would double the cost of a call
-        out.append(AdaptedRotation(i, k, j, case, relation, rot_w, rot_wp,
-                                   word_rotation, out_seq))
+        out.append((k, j, case, relation, rot_w, rot_wp, word_rotation,
+                    out_seq))
     return out
 
 
@@ -552,25 +556,25 @@ def classify_magic_subword(tower, i, u):
         raise ValueError(f"subword length {len(u)} != l_{i} = {li}")
     if u not in tower.word * 2:
         raise ValueError(f"{u!r} is not a cyclic subword of the class word")
-    return _match_magic_subword(tower, i, u, tower.w[i] * 2)
+    return MagicWitness(*_match_magic_subword(tower, i, u, tower.w[i] * 2))
 
 
 def _match_magic_subword(tower, i, u, ww):
-    """The witness of `classify_magic_subword` for a checked subword u,
-    with `ww` the doubled w_i.
+    """The fields of the witness of `classify_magic_subword`, (rotation,
+    changed_to), for a checked subword u, with `ww` the doubled w_i.
 
     A u of length |w_i| is a rotation of w_i exactly when it occurs in
     `ww`, and its first occurrence is its first rotation index.
     """
     hit = ww.find(u)
     if hit >= 0:
-        return MagicWitness(hit, "")    # positional: see _level_rotations
+        return hit, ""
     for c in sorted(set(tower.wp[0])):
         if c == u[-1]:
             continue
         hit = ww.find(u[:-1] + c)
         if hit >= 0:
-            return MagicWitness(hit, c)
+            return hit, c
     raise LemmaViolation(
         f"{u!r} is not a rotation of w_{i} at slope {tower.p}/{tower.q}, "
         f"even after a last-letter change")
@@ -605,7 +609,7 @@ def _recurrence_suite(cap):
     failures, checks = [], 0
     path = [()]    # path[i]: the failing levels' messages up to level i
     for t, tower in _tower_walk(cap):
-        depth = t.depth
+        depth = len(t.cf)    # not `t.depth`: one call fewer per level
         if depth:
             found = _check_level(t, depth)
             del path[depth:]
@@ -616,7 +620,7 @@ def _recurrence_suite(cap):
         messages = []
         if not (len(t.w[0]) == 1 and len(t.wp[0]) == 2):
             messages.append("base lengths")
-        if len(t.word) != abs(t.p) + t.q:
+        if len(t.w[-1]) != abs(t.p) + t.q:
             messages.append("word length |p| + q")
         if messages or held:
             messages += [m for level, _ in held for m in level]
@@ -705,10 +709,13 @@ def _magic_suite(cap):
 
 
 def _perm_suite(cap):
+    """The adapted rotation of every k-rotation of w_i, every level: one
+    check per (tower, level, k), one `_level_rotations` call per level,
+    and no `AdaptedRotation` built; a failing k records its message."""
     failures, checks = [], 0
     for t in _towers(cap, words=True):
         for i in range(1, t.depth + 1):
-            rotations_i = adapted_rotations(t, i)
+            rotations_i = _level_rotations(t, i, range(len(t.w[i])))
             checks += len(rotations_i)
             for k, ar in enumerate(rotations_i):
                 if isinstance(ar, LemmaViolation):

@@ -39,7 +39,6 @@ from .geometry import (
     INF,
     Segment,
     dist_to_segment,
-    distance,
     fermi_coords,
     geodesic_metrics,
     offset_distance,
@@ -492,8 +491,8 @@ def _sample_detour_path(rng, K, C, delta, far):
             zs.append(z)
             ts.append(t)
             if (far and rho0 + u + rho >= gate
-                    and distance(HPoint(zs[0], ts[0]),
-                                 HPoint(z, t)) > far_target):
+                    and offset_distance(zs[0] - z, 0.0, ts[0], t)
+                    > far_target):
                 return zs, ts
     except OverflowError:
         # e^u past the float range: a far target beyond it (large delta)

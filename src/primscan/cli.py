@@ -11,7 +11,6 @@ the report); 2 — bad input or a failed precondition (message on stderr).
 """
 
 import argparse
-import csv
 import gc
 import json
 import re
@@ -91,6 +90,7 @@ def emit(records, aggregate, fmt, stream):
         for key in row:
             if key not in columns:
                 columns.append(key)
+    import csv    # here: the JSON-lines commands would pay for it at import
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["kind", *columns])
     for record in records:

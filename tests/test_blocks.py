@@ -838,13 +838,17 @@ def _outcome(match, *args):
         return str(e)
 
 
+def _witness_of_match(tower, i, u, ww):
+    """`_match_magic_subword`'s fields as the `MagicWitness` they name."""
+    return blocks.MagicWitness(*blocks._match_magic_subword(tower, i, u, ww))
+
+
 def _assert_match_is_reference(tower, i, subwords):
     """The outcomes of `_match_magic_subword` on `subwords`, each
     asserted equal to the reference's."""
     rots = _reference_rotation_index(tower.w[i])
     ww = tower.w[i] * 2
-    got = [_outcome(blocks._match_magic_subword, tower, i, u, ww)
-           for u in subwords]
+    got = [_outcome(_witness_of_match, tower, i, u, ww) for u in subwords]
     assert got == [_outcome(_reference_match, tower, i, u, rots)
                    for u in subwords], (tower, i)
     return got
@@ -1022,12 +1026,12 @@ def test_bloc_suite_builds_no_adapted_rotation(monkeypatch):
 
 
 def _inject_rotation_violation(p, q, i, k):
-    """`adapted_rotations` with entry k of level i of the slope p/q
-    replaced by an injected LemmaViolation."""
-    real = blocks.adapted_rotations
+    """`_level_rotations` with the entry of rotation k of level i of the
+    slope p/q replaced by an injected LemmaViolation."""
+    real = blocks._level_rotations
 
-    def broken(t, level):
-        out = real(t, level)
+    def broken(t, level, ks):
+        out = real(t, level, ks)
         if (t.p, t.q, level) == (p, q, i):
             out[k] = LemmaViolation("injected")
         return out
@@ -1038,12 +1042,63 @@ def _inject_rotation_violation(p, q, i, k):
 def test_perm_suite_records_adapted_rotation_violation(monkeypatch):
     healthy = run_suite("perm-cycl", 20)
     assert healthy.passed
-    monkeypatch.setattr(blocks, "adapted_rotations",
+    monkeypatch.setattr(blocks, "_level_rotations",
                         _inject_rotation_violation(10, 9, 1, 1))
     report = run_suite("perm-cycl", 20)
     assert report.failures == [
         {"p": 10, "q": 9, "i": 1, "k": 1, "error": "injected"}]
     assert report.checks == healthy.checks
+
+
+def _reference_perm_suite(towers):
+    """perm-cycl as a loop over the public `adapted_permutation`, one
+    call per (tower, level, k)."""
+    failures, checks = [], 0
+    for t in towers:
+        for i in range(1, t.depth + 1):
+            for k in range(len(t.w[i])):
+                checks += 1
+                try:
+                    adapted_permutation(t, i, k)
+                except LemmaViolation as e:
+                    failures.append({"p": t.p, "q": t.q, "i": i, "k": k,
+                                     "error": str(e)})
+    return checks, failures
+
+
+def test_perm_suite_matches_per_rotation_loop_on_broken_towers(monkeypatch):
+    broken = [_break_word(build_blocks(p, q), n)
+              for p, q, n in [(43, 30, 2), (13, 8, 3), (7, 5, 1),
+                              (21, 13, 5), (11, 3, 1)]]
+    monkeypatch.setattr(blocks, "_towers", lambda cap, words: broken)
+    got = blocks._perm_suite(None)
+    assert got == _reference_perm_suite(broken)
+    checks, failures = got
+    assert checks == sum(len(t.w[i]) for t in broken
+                         for i in range(1, t.depth + 1))
+    assert failures
+
+
+def test_string_suites_build_no_witness_objects(monkeypatch):
+    built = collections.Counter()
+    for cls in (blocks.AdaptedRotation, blocks.MagicWitness):
+        def counted(self, *args, real=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert run_suite("perm-cycl", 60).checks == 61226
+    assert run_suite("magic-len", 60).checks == 138502
+    assert not built
+    # the public functions still return the value types
+    tower = build_blocks(13, 8)
+    assert type(adapted_permutation(tower, 3, 2)) is blocks.AdaptedRotation
+    assert {type(ar) for ar in adapted_rotations(tower, 3)} \
+        == {blocks.AdaptedRotation}
+    assert type(classify_magic_subword(tower, 2, "aba")) \
+        is blocks.MagicWitness
+    assert built == {"AdaptedRotation": 1 + len(tower.w[3]),
+                     "MagicWitness": 1}
 
 
 # --------------------------------------------------------------------------

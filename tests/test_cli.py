@@ -185,15 +185,15 @@ def test_verify_lemmas_all_suites_pass_at_small_caps():
 
 
 def test_verify_lemmas_reports_perm_rotation_violation(monkeypatch, capsys):
-    real = blocks.adapted_rotations
+    real = blocks._level_rotations
 
-    def broken(t, i):
-        out = real(t, i)
+    def broken(t, i, ks):
+        out = real(t, i, ks)
         if (t.p, t.q, i) == (10, 9, 1):
             out[1] = blocks.LemmaViolation("injected")
         return out
 
-    monkeypatch.setattr(blocks, "adapted_rotations", broken)
+    monkeypatch.setattr(blocks, "_level_rotations", broken)
     code = main(["verify-lemmas", "--suite", "perm-cycl",
                  "--max-block-len", "20"])
     rows = lines_of(capsys.readouterr().out)
@@ -900,10 +900,11 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     # the import is most of a short command's time: the value types are
     # slotted classes and the records namedtuples, so neither `dataclasses`
     # (which loads `inspect`, `ast`, `dis` and `tokenize`) nor `typing`
-    # loads; -S keeps the imports of site-packages' .pth files out
+    # loads; `csv` is imported by `--out csv` alone; -S keeps the imports
+    # of site-packages' .pth files out
     code = ("import sys, primscan.cli; "
             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', "
-            "'__future__') if m in sys.modules)); "
+            "'__future__', 'csv') if m in sys.modules)); "
             "print(sorted(m for m in sys.modules "
             "if m.startswith('primscan.')))")
     proc = subprocess.run(

@@ -11,6 +11,8 @@ SRC = pathlib.Path(__file__).parents[1] / "src" / "primscan"
 UNNAMED_IN_SRC = {
     "adapted_permutation": "tracer target; test reference for "
                            "adapted_rotations",
+    "adapted_rotations": "a level's adapted rotations as values; test "
+                         "reference for the bloc suite",
     "axis_of": "tracer target; test reference for the per-rotation frames",
     "classify_magic_subword": "tracer target; the checked entry to the "
                               "magic-subword matcher",
