@@ -455,15 +455,6 @@ def adapted_permutation(tower, i, k):
     return AdaptedRotation(i, *ar)
 
 
-def adapted_rotations(tower, i):
-    """`adapted_permutation(tower, i, k)` for k = 0 .. l_i - 1, in order,
-    with a LemmaViolation returned, not raised, as the entry of its k."""
-    if not 1 <= i <= tower.depth:
-        raise ValueError(f"level {i} outside [1, {tower.depth}]")
-    return [ar if isinstance(ar, LemmaViolation) else AdaptedRotation(i, *ar)
-            for ar in _level_rotations(tower, i, range(len(tower.w[i])))]
-
-
 def _level_rotations(tower, i, ks):
     """The adapted rotation of every k in `ks`, as the fields that follow
     i in `AdaptedRotation`, (k, j, case, relation, block, block_prime,

@@ -235,8 +235,9 @@ def mobius_boundary(M, x):
 # --------------------------------------------------------------------------
 
 def classify(M):
-    """One of "identity", "elliptic", "parabolic", "loxodromic"; a trace
-    within _TRACE_TOL of +-2 is parabolic."""
+    """One of "identity", "elliptic", "parabolic", "loxodromic": "identity"
+    for +-I to within _TRACE_TOL in each entry, else the kind of the trace
+    (`_trace_kind`)."""
     a, b, c, d = _entries(M)
     tol = _TRACE_TOL
     try:
@@ -245,9 +246,14 @@ def classify(M):
             or (abs(a + 1) <= tol and abs(d + 1) <= tol))
     except OverflowError:
         identity = False    # an entry past the float range
-    if identity:
-        return "identity"
-    tr = a + d
+    return "identity" if identity else _trace_kind(a + d)
+
+
+def _trace_kind(tr):
+    """One of "elliptic", "parabolic", "loxodromic" for the trace tr of a
+    matrix of det 1: within _TRACE_TOL of +-2 is parabolic (the identity's
+    trace lies there too), and a trace that is not finite is loxodromic."""
+    tol = _TRACE_TOL
     if abs(tr.imag) <= tol:
         x = abs(tr.real)
         if x < 2.0 - tol:

@@ -22,11 +22,12 @@ isometries of H^2 or H^3 against quantitative stability certificates:
 The classes come from one depth-first walk of the Farey tree on an
 explicit stack (`_farey_walk`), each from its two Farey parents u, v and
 the region w across their edge, which the walk carries down to it: its
-trace is tr u tr v - tr w, one complex multiply.  Bowditch's condition
-reads traces alone; `ps_scan` also needs the fixed points, so it takes
-the class image uv, one product on the scalar 2x2 kernel of `geometry`,
-and the class word u + v.  The scans put their records back in the
-order by q, then p.
+trace is tr u tr v - tr w, one complex multiply, and its kind comes
+from the trace (`geometry._trace_kind`).  Bowditch's condition reads
+traces alone; `ps_scan` also needs the fixed points, so its one walk
+(`_class_walk`) carries with each trace the class image uv, one product
+on the scalar 2x2 kernel of `geometry`, and the class word u + v.  The
+scans put their records back in the order by q, then p.
 """
 
 import math
@@ -46,11 +47,11 @@ from .geometry import (
     mobius_boundary,
     unimodularize,
     _ID,
-    _TRACE_TOL,
     _fixed_pairs,
     _mul,
     _seeded,
     _sinh_half_displacement,
+    _trace_kind,
     _trace_length,
 )
 from .words import check_word, is_cyclically_reduced
@@ -514,10 +515,6 @@ class ScanReport(namedtuple("ScanReport", "records aggregate")):
     def violations(self):
         return [r for r in self.records if r["flags"]]
 
-    @property
-    def passed(self):
-        return not self.violations
-
 
 def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
     """Traces of the primitive classes of slope p/q with p, q >= 0 up to
@@ -558,56 +555,23 @@ def _farey_walk(max_denominator, a, b, ab, join):
         stack.append((pu, qu, p, q, u, x, v))    # popped first
 
 
-def _class_traces(rep, max_denominator, walk=None):
-    """(p, q, tr, kind, tl, entry) for the slopes p/q with p, q >= 0 up to
-    the cap (the negative ones are not scanned), in the order of
-    `_farey_walk`: the trace from the triple of `rep`, its kind in the
-    windows of `classify`, tl from the trace with det 1, and the class's
-    entry of `walk`, a `_class_images` walk that the caller takes along
-    (None without one).  A trace cannot tell the identity from a
-    parabolic: within _TRACE_TOL of +-2, the class image uv of its Farey
-    parents, a conjugate of the class, decides.  The walk's gives it;
-    without a walk, one walk of images, started at the first such class
-    and advanced one product per class from there.  Raises ValueError
-    naming the first class in walk order whose trace is not finite; no
-    later class is computed."""
+def _class_walk(rep, max_denominator):
+    """`_farey_walk` of (tr, m, gamma) per class: the trace tr u tr v - tr w
+    (as `_fricke`), the image uv and the word u + v of its Farey parents u,
+    v, a rotation of the `build_blocks` word."""
     A, B = rep._letters["a"], rep._letters["b"]
-    AB, tol = _mul(A, B), _TRACE_TOL
-    images = None
-    for (p, q, tr), entry in zip(_farey_walk(
-            max_denominator, A[0] + A[3], B[0] + B[3], AB[0] + AB[3],
-            _fricke), repeat(None) if walk is None else walk):
-        if abs(tr.imag) <= tol and abs(tr.real) <= 2.0 + tol:
-            if abs(tr.real) < 2.0 - tol:
-                yield p, q, tr, "elliptic", 0.0, entry
-                continue
-            if entry is not None:
-                m = entry[0]
-            else:
-                if images is None:
-                    images = _farey_walk(max_denominator, A, B, AB,
-                                         lambda u, v, w: _mul(u, v))
-                m = next(x for i, j, x in images if (i, j) == (p, q))
-            if classify(m) == "identity":
-                yield p, q, tr, "identity", 0.0, entry
-            else:
-                yield p, q, tr, "parabolic", 0.0, entry
-            continue
-        tl = _trace_length(tr)
-        if not math.isfinite(tl):    # nor is tr, whose log it is
-            raise ValueError(f"the trace of class {p}/{q} is not finite at "
-                             f"max_den {max_denominator}: it leaves the float "
-                             f"range (about 1.8e308)")
-        yield p, q, tr, "loxodromic", tl, entry
+    AB = _mul(A, B)
+    return _farey_walk(
+        max_denominator, (A[0] + A[3], A, "a"), (B[0] + B[3], B, "b"),
+        (AB[0] + AB[3], AB, "ab"),
+        lambda u, v, w: (u[0] * v[0] - w[0], _mul(u[1], v[1]), u[2] + v[2]))
 
 
-def _class_images(rep, max_denominator):
-    """(m, gamma) per class of `_class_traces`: the image uv and the word
-    u + v of its Farey parents u, v, a rotation of the `build_blocks` word."""
-    A, B = rep._letters["a"], rep._letters["b"]
-    return (x for _, _, x in _farey_walk(
-        max_denominator, (A, "a"), (B, "b"), (_mul(A, B), "ab"),
-        lambda u, v, w: (_mul(u[0], v[0]), u[1] + v[1])))
+def _trace_refusal(p, q, max_denominator):
+    """A scan's ValueError for the class p/q, whose trace is not finite."""
+    return ValueError(f"the trace of class {p}/{q} is not finite at max_den "
+                      f"{max_denominator}: it leaves the float range (about "
+                      f"1.8e308)")
 
 
 def _record_rows(rows):
@@ -624,12 +588,32 @@ def _record_rows(rows):
 
 
 def bowditch_scan(rep, max_denominator):
-    """Scan the primitive classes of `_class_traces`: trace, translation
-    length, and the ratio translation/|class| (|class| = p + q); flag
-    non-loxodromic and low-ratio classes; fit C = 1 / ratio from the worst
-    ratio.  Every figure comes from the traces alone."""
+    """Scan the primitive classes p/q with p, q >= 0 up to the cap: the
+    trace (the Fricke recursion on the trace triple of `rep`), translation
+    length and ratio translation/|class| (|class| = p + q), each from the
+    trace alone (`geometry._trace_kind`); flag non-loxodromic and
+    low-ratio classes; fit C = 1 / ratio from the worst ratio.  Near +-2 a
+    trace cannot tell the identity from a parabolic: the class image uv
+    decides, from one `_class_walk` started at the first such class and
+    advanced along the trace walk.  Raises ValueError naming the first
+    class in walk order whose trace is not finite; no later class is
+    computed."""
+    A, B = rep._letters["a"], rep._letters["b"]
+    AB = _mul(A, B)
     rows = [[] for _ in range(max_denominator + 1)]
-    for p, q, tr, kind, tl, _ in _class_traces(rep, max_denominator):
+    images = None
+    for p, q, tr in _farey_walk(max_denominator, A[0] + A[3], B[0] + B[3],
+                                AB[0] + AB[3], _fricke):
+        kind = _trace_kind(tr)
+        tl = _trace_length(tr) if kind == "loxodromic" else 0.0
+        if not math.isfinite(tl):    # nor is tr, whose log it is
+            raise _trace_refusal(p, q, max_denominator)
+        if kind == "parabolic":
+            if images is None:
+                images = _class_walk(rep, max_denominator)
+            m = next(x[1] for i, j, x in images if (i, j) == (p, q))
+            if classify(m) == "identity":
+                kind = "identity"
         rows[q].append((p, tr, kind, tl))
     records, min_trace, small = [], math.inf, 0    # least |tr|, |tr| <= 2
     for q, row in _record_rows(rows):
@@ -673,7 +657,10 @@ def bowditch_scan(rep, max_denominator):
 
 
 def ps_scan(rep, max_denominator):
-    """Quasi-geodesic constants and tubes of the leaves of `_class_traces`.
+    """Quasi-geodesic constants and tubes of the leaves of the primitive
+    classes of `_class_walk`, with p, q >= 0 up to the cap.  A class whose
+    trace is not loxodromic (`geometry._trace_kind`) is flagged
+    `not-loxodromic`.
 
     Lemma: with s_m the axis coordinate of the foot of leaf vertex v_m, l
     the translation length and n = |gamma|, e_m = s_m - m l / n is
@@ -693,8 +680,11 @@ def ps_scan(rep, max_denominator):
     z, t = rep.basepoint.z, rep.basepoint.t
     _letter_ends(rep)    # the leaf's vertices must be in the float range
     rows = [[] for _ in range(max_denominator + 1)]
-    for p, q, tr, kind, tl, (m, gamma) in _class_traces(
-            rep, max_denominator, _class_images(rep, max_denominator)):
+    for p, q, (tr, m, gamma) in _class_walk(rep, max_denominator):
+        kind = _trace_kind(tr)
+        tl = _trace_length(tr) if kind == "loxodromic" else 0.0
+        if not math.isfinite(tl):    # nor is tr, whose log it is
+            raise _trace_refusal(p, q, max_denominator)
         rate = tl / (p + q)
         if kind != "loxodromic":
             rows[q].append((p, tr, tl, rate, None, None, None,

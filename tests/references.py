@@ -4,6 +4,7 @@ apart from the package, which does not use them."""
 from itertools import chain
 from math import gcd
 
+from primscan import blocks
 from primscan.words import ALPHABET
 
 
@@ -31,6 +32,18 @@ def farey_parents(p, q):
     qv = pow(p, -1, q) or 1
     pv = (p * qv - 1) // q
     return (p - pv, q - qv), (pv, qv)
+
+
+def adapted_rotations(tower, i):
+    """`blocks.adapted_permutation(tower, i, k)` for k = 0 .. l_i - 1, in
+    order, with a LemmaViolation returned, not raised, as the entry of its
+    k: the adapted rotations of a level as values."""
+    if not 1 <= i <= tower.depth:
+        raise ValueError(f"level {i} outside [1, {tower.depth}]")
+    return [ar if isinstance(ar, blocks.LemmaViolation)
+            else blocks.AdaptedRotation(i, *ar)
+            for ar in blocks._level_rotations(tower, i,
+                                              range(len(tower.w[i])))]
 
 
 def enumerate_reduced(max_len, min_len=0):

@@ -14,7 +14,6 @@ from primscan.blocks import (
     BlockTower,
     LemmaViolation,
     adapted_permutation,
-    adapted_rotations,
     alphabet_class,
     block_sequence,
     build_blocks,
@@ -36,7 +35,12 @@ from primscan.words import (
     substitute,
 )
 
-from references import class_pairs, enumerate_reduced, farey_parents
+from references import (
+    adapted_rotations,
+    class_pairs,
+    enumerate_reduced,
+    farey_parents,
+)
 
 
 # --------------------------------------------------------------------------
@@ -1019,7 +1023,6 @@ def test_bloc_suite_builds_no_adapted_rotation(monkeypatch):
     def refused(*args):
         raise AssertionError("the bloc suite built an adapted rotation")
 
-    monkeypatch.setattr(blocks, "adapted_rotations", refused)
     monkeypatch.setattr(blocks, "_level_rotations", refused)
     report = run_suite("bloc", 60)
     assert (report.checks, report.failures) == (1832450, [])

@@ -176,9 +176,7 @@ def benchmark_rep(seed, tmp_path):
 def walk(rep, cap):
     """`ps_scan`'s class images and words of `rep` to the cap, in walk
     order, as (p, q, image, word)."""
-    for (p, q, _), (m, gamma) in zip(
-            scans._farey_walk(cap, None, None, None, lambda u, v, w: None),
-            scans._class_images(rep, cap)):
+    for p, q, (_, m, gamma) in scans._class_walk(rep, cap):
         yield p, q, m, gamma
 
 
@@ -894,7 +892,7 @@ def test_bowditch_markoff_aggregate():
     agg = scan.aggregate
     assert agg["classes"] == 257
     assert agg["violations"] == 0
-    assert scan.passed
+    assert not scan.violations
     assert agg["commutator_trace"][0] == pytest.approx(-2.0, abs=1e-9)
     assert agg["commutator_trace"][1] == pytest.approx(0.0, abs=1e-9)
     assert agg["min_ratio"] == pytest.approx(math.acosh(1.5), rel=1e-12)
@@ -1024,7 +1022,7 @@ def test_bowditch_flags_elliptic_generator():
     by_slope = {(r["p"], r["q"]): r for r in scan.records}
     assert by_slope[(0, 1)]["flags"] == ["elliptic"]
     assert by_slope[(0, 1)]["ratio"] == 0.0
-    assert not scan.passed
+    assert scan.violations
     assert scan.aggregate["violations"] >= 1
     assert scan.aggregate["min_ratio"] == 0.0
     assert scan.aggregate["fitted_C"] is None
@@ -1060,9 +1058,9 @@ def test_scans_tell_the_identity_from_a_parabolic(b, kind):
 
 
 def test_identity_classes_take_one_image_walk(monkeypatch):
-    # with a = b = identity every trace is 2: the class images uv decide,
-    # from one walk of products (one per class) next to the trace walk,
-    # in both scans, and no class word is built
+    # with a = b = identity every trace is 2: `bowditch_scan`'s class
+    # images uv decide, from one walk of products (one per class) next to
+    # its trace walk, and `ps_scan` takes one walk; no tower is built
     def refuse(*args):
         raise AssertionError("the scan built a word")
 
@@ -1086,17 +1084,46 @@ def test_identity_classes_take_one_image_walk(monkeypatch):
     scan = bowditch_scan(rep, 40)
     assert scan.aggregate["classes"] == 981
     assert {tuple(r["flags"]) for r in scan.records} == {("identity",)}
-    assert walks == [2.0, rep._letters["a"]]    # traces, then images
+    # traces, then the class walk of traces, images and words
+    assert walks == [2.0, (2.0, rep._letters["a"], "a")]
     assert len(products) <= 981
-    # `ps_scan` takes along a walk of images and words from the first
-    # class, and classifies from its images: no second walk (it made 1,958
-    # products here with one)
+    # `ps_scan` walks once, the class walk, and flags each class from its
+    # trace: it classifies no image, and takes no second walk of images
+    # (1,958 products here with one)
     walks.clear()
     products.clear()
     scan = ps_scan(rep, 40)
     assert {tuple(r["flags"]) for r in scan.records} == {("not-loxodromic",)}
-    assert walks == [(rep._letters["a"], "a"), 2.0]    # images and words
+    assert walks == [(2.0, rep._letters["a"], "a")]
     assert len(products) <= 981
+
+
+@pytest.mark.parametrize("which", [
+    "fixture", "elliptic", "identity", "parabolic", "random-h3", "seed-1",
+    "seed-7"])
+def test_ps_scan_heads_match_bowditch_scan_bit_for_bit(tmp_path, which):
+    # the two scans walk the tree apart, `ps_scan` on its class walk and
+    # `bowditch_scan` on its trace walk: record by record, the traces,
+    # translation lengths and rates must agree bit for bit, and a class is
+    # not loxodromic to the one exactly when it is to the other
+    rep = {"fixture": lambda: parse_rep_file(
+               str(ROOT / "tests" / "data" / "markoff.json")),
+           "elliptic": elliptic_rep,
+           "identity": lambda: Representation(
+               "H2", [[2.0, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 2.0]]),
+           "parabolic": lambda: Representation(
+               "H2", [[2.0, 0.0], [0.0, 0.5]], [[0.5, 0.5], [0.0, 2.0]]),
+           "random-h3": lambda: random_h3_rep(3),
+           "seed-1": lambda: benchmark_rep(1, tmp_path),
+           "seed-7": lambda: benchmark_rep(7, tmp_path)}[which]()
+    ps, bowditch = ps_scan(rep, 20).records, bowditch_scan(rep, 20).records
+    assert len(ps) == len(bowditch) == 257
+    for g, w in zip(ps, bowditch):
+        assert (g["p"], g["q"]) == (w["p"], w["q"])
+        assert [x.hex() for x in (*g["tr"], g["tl"], g["rate"])] \
+            == [x.hex() for x in (*w["tr"], w["tl"], w["ratio"])], (g, w)
+        assert ("not-loxodromic" in g["flags"]) == bool(
+            {"elliptic", "parabolic", "identity"} & set(w["flags"])), (g, w)
 
 
 def test_bowditch_deterministic():
@@ -1196,8 +1223,9 @@ def frame_ps_records(rep, max_denominator):
     records = {}
     o = rep.basepoint
     edges = scans._leaf_edges(rep)
-    for p, q, tr, kind, tl, (_, gamma) in scans._class_traces(
-            rep, max_denominator, scans._class_images(rep, max_denominator)):
+    for p, q, (tr, _, gamma) in scans._class_walk(rep, max_denominator):
+        kind = geometry._trace_kind(tr)
+        tl = geometry._trace_length(tr) if kind == "loxodromic" else 0.0
         # the head is the scan's: its traces are `test_bowditch_*`'s to check
         head = {"p": p, "q": q, "len": p + q, "tr": [tr.real, tr.imag],
                 "tl": tl}

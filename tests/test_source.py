@@ -9,10 +9,9 @@ SRC = pathlib.Path(__file__).parents[1] / "src" / "primscan"
 # stays; a new entry needs a reason, and an entry whose last user goes
 # must go with it
 UNNAMED_IN_SRC = {
-    "adapted_permutation": "tracer target; test reference for "
-                           "adapted_rotations",
-    "adapted_rotations": "a level's adapted rotations as values; test "
-                         "reference for the bloc suite",
+    "adapted_permutation": "tracer target; one checked adapted rotation as "
+                           "a value, the per-rotation reference of the "
+                           "perm-cycl suite",
     "axis_of": "tracer target; test reference for the per-rotation frames",
     "classify_magic_subword": "tracer target; the checked entry to the "
                               "magic-subword matcher",
