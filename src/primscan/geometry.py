@@ -708,6 +708,11 @@ def parse_rep_file(path):
             data = json.load(fh)
         except json.JSONDecodeError as e:
             raise RepresentationError(f"invalid JSON in {path}: {e}") from e
+    if not isinstance(data, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean",
+                type(None): "null"}.get(type(data), "a number")
+        raise RepresentationError(
+            f"the top level of {path} must be a JSON object, got {kind}")
     for field in ("model", "A", "B"):
         if field not in data:
             raise RepresentationError(f"missing field {field!r} in {path}")

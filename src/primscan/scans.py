@@ -59,8 +59,7 @@ from .words import check_word, is_cyclically_reduced
 __all__ = [
     "ExcursionProfile", "PreconditionError", "QuasiLoop", "QuasiLoopReport",
     "ScanReport", "bowditch_scan", "class_matrix", "excursion_profile",
-    "find_quasi_loops", "fricke_traces", "local_global_scan",
-    "perturbation_scan", "ps_scan",
+    "find_quasi_loops", "local_global_scan", "perturbation_scan", "ps_scan",
 ]
 
 
@@ -506,23 +505,9 @@ def find_quasi_loops(rep, gamma, eps, min_len=1, C=None):
 
 # ----------------------------------------------------------------- scans
 
-class ScanReport(namedtuple("ScanReport", "records aggregate")):
-    """Per-class records (in slope order) and the aggregate summary."""
-
-    __slots__ = ()
-
-    @property
-    def violations(self):
-        return [r for r in self.records if r["flags"]]
-
-
-def fricke_traces(tr_a, tr_b, tr_ab, max_denominator):
-    """Traces of the primitive classes of slope p/q with p, q >= 0 up to
-    the cap (1/0, 0/1 and 1 <= p, q <= cap: the half of the Farey tree
-    between 0/1 and 1/0) from the trace triple (tr A, tr B, tr AB), keyed
-    by (p, q): the scans' recursion, with no matrix arithmetic."""
-    return {(p, q): tr for p, q, tr in _farey_walk(
-        max_denominator, tr_a, tr_b, tr_ab, _fricke)}
+# a scan's records (per class by q then p; per word in local_global_scan)
+# and its aggregate summary
+ScanReport = namedtuple("ScanReport", "records aggregate")
 
 
 def _fricke(u, v, w):
@@ -556,15 +541,16 @@ def _farey_walk(max_denominator, a, b, ab, join):
 
 
 def _class_walk(rep, max_denominator):
-    """`_farey_walk` of (tr, m, gamma) per class: the trace tr u tr v - tr w
-    (as `_fricke`), the image uv and the word u + v of its Farey parents u,
-    v, a rotation of the `build_blocks` word."""
+    """`_farey_walk` of (tr, m, gamma) per class: the trace (`_fricke`),
+    the image uv and the word u + v of its Farey parents u, v, a rotation
+    of the `build_blocks` word."""
     A, B = rep._letters["a"], rep._letters["b"]
     AB = _mul(A, B)
     return _farey_walk(
         max_denominator, (A[0] + A[3], A, "a"), (B[0] + B[3], B, "b"),
         (AB[0] + AB[3], AB, "ab"),
-        lambda u, v, w: (u[0] * v[0] - w[0], _mul(u[1], v[1]), u[2] + v[2]))
+        lambda u, v, w: (_fricke(u[0], v[0], w[0]), _mul(u[1], v[1]),
+                         u[2] + v[2]))
 
 
 def _trace_refusal(p, q, max_denominator):

@@ -1,7 +1,7 @@
 """Reference enumerations that the tests check `primscan` against, kept
 apart from the package, which does not use them."""
 
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 
 from primscan import blocks
@@ -32,6 +32,20 @@ def farey_parents(p, q):
     qv = pow(p, -1, q) or 1
     pv = (p * qv - 1) // q
     return (p - pv, q - qv), (pv, qv)
+
+
+def exact_fricke_traces(triple, cap):
+    """The trace of each class of `class_pairs(cap)` from the trace triple
+    (tr a, tr b, tr ab), keyed by (p, q): tr u tr v - tr w for the Farey
+    parents u, v of `farey_parents` and the region w across their edge.
+    It computes in the triple's own number type: ints and Fractions
+    exactly, floats with the roundings of the scans' walk."""
+    traces = dict(zip([(1, 0), (0, 1), (1, 1)], triple))
+    for p, q in islice(class_pairs(cap), 3, None):
+        (pu, qu), (pv, qv) = farey_parents(p, q)
+        traces[p, q] = (traces[pu, qu] * traces[pv, qv]
+                        - traces[abs(pu - pv), abs(qu - qv)])
+    return traces
 
 
 def adapted_rotations(tower, i):

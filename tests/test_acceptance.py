@@ -34,7 +34,6 @@ from primscan.geometry import (
 from primscan.scans import (
     bowditch_scan,
     excursion_profile,
-    fricke_traces,
     ps_scan,
 )
 from primscan.words import (
@@ -44,7 +43,7 @@ from primscan.words import (
     substitute,
 )
 
-from references import enumerate_reduced
+from references import enumerate_reduced, exact_fricke_traces
 
 
 def markoff_rep():
@@ -151,7 +150,7 @@ def test_criterion_04_markoff_traces_and_cap_growth():
     assert agg20["commutator_trace"][1] == pytest.approx(0.0, abs=1e-9)
     assert agg20["min_trace"] == pytest.approx(3.0, abs=1e-9)
 
-    oracle = fricke_traces(3.0, 3.0, 3.0, 20)
+    oracle = exact_fricke_traces((3.0, 3.0, 3.0), 20)
     assert min(abs(t) for t in oracle.values()) == pytest.approx(3.0, abs=1e-9)
     for record in scans[20].records:
         expected = oracle[(record["p"], record["q"])]

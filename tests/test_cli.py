@@ -834,11 +834,26 @@ def test_local_global_precondition_exits_two(rep_file, capsys):
     assert capsys.readouterr().err
 
 
-def test_bad_rep_payload_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("payload, error", [
+    ({"model": "H4"}, "missing field 'A'"),
+    (5, "must be a JSON object, got a number"),
+    (3.5, "must be a JSON object, got a number"),
+    (True, "must be a JSON object, got a boolean"),
+    (None, "must be a JSON object, got null"),
+    ("model A B", "must be a JSON object, got a string"),
+    ([1, 2], "must be a JSON object, got an array"),
+], ids=["model-only", "int", "float", "true", "null", "string", "array"])
+def test_bad_rep_payload_exits_two(tmp_path, capsys, payload, error):
+    # a top level that is not an object is refused before any field is
+    # read (a string holds the field names as substrings)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"model": "H4"}))
-    assert main(["scan-bowditch", "--rep", str(path)]) == 2
-    assert capsys.readouterr().err
+    path.write_text(json.dumps(payload))
+    for command in ("scan-bowditch", "scan-ps"):
+        assert main([command, "--rep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("primscan: error: ")
+        assert error in captured.err and str(path) in captured.err
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

@@ -51,14 +51,13 @@ from primscan.scans import (
     class_matrix,
     excursion_profile,
     find_quasi_loops,
-    fricke_traces,
     local_global_scan,
     perturbation_scan,
     ps_scan,
 )
 from primscan.words import rotate
 
-from references import class_pairs, farey_parents
+from references import class_pairs, exact_fricke_traces, farey_parents
 
 MARKOFF_A = [[1, 1], [1, 2]]
 MARKOFF_B = [[1, -1], [-1, 2]]
@@ -107,7 +106,7 @@ def test_deepest_class_at_cap_600_has_finite_length():
     tower = build_blocks(599, 600)
     m = class_matrix(markoff(), tower)
     tr = complex(np.trace(m))
-    want = fricke_traces(3.0, 3.0, 3.0, 600)[(599, 600)]
+    want = exact_fricke_traces((3.0, 3.0, 3.0), 600)[599, 600]
     assert len(tower.word) == 1199 and want > 1e250
     assert tr.real == pytest.approx(want, rel=1e-12)
     assert translation_length(m) == pytest.approx(2 * math.log(want),
@@ -144,7 +143,7 @@ def test_class_matrix_deep_class_stays_unimodular_in_effect():
     # (20, 19) has entries ~ 1e8; the trace must still match the exact
     # integer value predicted by the trace recursion.
     rep = markoff()
-    oracle = fricke_traces(3.0, 3.0, 3.0, 20)
+    oracle = exact_fricke_traces((3.0, 3.0, 3.0), 20)
     for tower in enumerate_primitive_classes(20):
         if (tower.p, tower.q) == (20, 19):
             tr = complex(np.trace(class_matrix(rep, tower)))
@@ -225,8 +224,7 @@ def test_walk_words_are_rotations_of_the_tower_words():
 @pytest.mark.parametrize("cap", [0, -3])
 def test_scans_refuse_a_cap_below_one(cap):
     for scan in (lambda: bowditch_scan(markoff(), cap),
-                 lambda: ps_scan(markoff(), cap),
-                 lambda: fricke_traces(3, 3, 3, cap)):
+                 lambda: ps_scan(markoff(), cap)):
         with pytest.raises(ValueError, match="max_den must be >= 1"):
             scan()
 
@@ -545,8 +543,9 @@ def test_rotation_images_match_fresh_products():
 
 
 def test_ps_scan_memory_peak():
-    # one class's axes at a time: the records and the class table set the
-    # peak (86.6 MB with every rotation image of every class held at once)
+    # one class's axes at a time: the records and the walk's stack set the
+    # peak, 2.54 MB on Python 3.11.7 (86.6 MB with every rotation image of
+    # every class held at once)
     tracemalloc.start()
     try:
         ps_scan(markoff(), 80)
@@ -816,29 +815,26 @@ def test_word_displacement_refuses_past_the_float_range():
 # ----------------------------------------------------------- trace oracle
 
 def test_fricke_traces_markoff_values():
-    out = fricke_traces(3.0, 3.0, 3.0, 5)
-    assert out[(1, 0)] == 3.0
-    assert out[(0, 1)] == 3.0
-    assert out[(1, 1)] == 3.0
-    assert out[(1, 2)] == 6.0
-    assert out[(2, 1)] == 6.0
-    assert out[(1, 3)] == 15.0
-    assert out[(3, 2)] == 15.0
-    assert out[(5, 3)] == 87.0
-
-
-def test_fricke_traces_cover_all_classes():
-    for cap in (4, 7, 12):
-        classes = enumerate_primitive_classes(cap)
-        oracle = fricke_traces(3.0, 3.0, 3.0, cap)
-        assert set(oracle) == {(t.p, t.q) for t in classes}
+    scan = bowditch_scan(markoff(), 5)
+    traces = {(r["p"], r["q"]): r["tr"] for r in scan.records}
+    for pq, tr in (((1, 0), 3.0), ((0, 1), 3.0), ((1, 1), 3.0),
+                   ((1, 2), 6.0), ((2, 1), 6.0), ((1, 3), 15.0),
+                   ((3, 2), 15.0), ((5, 3), 87.0)):
+        assert traces[pq] == [tr, 0.0], pq
 
 
 def test_fricke_traces_walk_past_the_recursion_limit():
-    # a recursive descent raised RecursionError from cap 1000 on
-    pairs = list(class_pairs(1000))
-    out = fricke_traces(3.0, 3.0, 3.0, 1000)
-    assert len(out) == len(pairs) and all(pq in out for pq in pairs)
+    # a recursive descent raised RecursionError from cap 1000 on: the
+    # walk meets each class of the cap once
+    cap = 1000
+    seen = bytearray((cap + 1) ** 2)
+    for p, q, _ in scans._farey_walk(cap, None, None, None,
+                                     lambda u, v, w: None):
+        assert not seen[p * (cap + 1) + q], (p, q)
+        seen[p * (cap + 1) + q] = 1
+    pairs = list(class_pairs(cap))
+    assert seen.count(1) == len(pairs)
+    assert all(seen[p * (cap + 1) + q] for p, q in pairs)
 
 
 def test_farey_walk_joins_each_class_from_its_farey_parents():
@@ -881,18 +877,26 @@ def benchmark_validate(monkeypatch):
 
 
 def test_fricke_traces_match_the_benchmark_oracle(monkeypatch):
+    # the tests' reference, in integers, against the recursion that
+    # perfbench/validate.py gates the benchmark's scans with
     validate = benchmark_validate(monkeypatch)
-    assert fricke_traces(3, 3, 3, 20) == validate.fricke_traces(3, 3, 3, 20)
+    assert (exact_fricke_traces((3, 3, 3), 20)
+            == validate.fricke_traces(3, 3, 3, 20))
 
 
 # ----------------------------------------------------------- bowditch scan
+
+def flagged(scan):
+    """The flags of each flagged record of a scan, keyed by (p, q)."""
+    return {(r["p"], r["q"]): r["flags"] for r in scan.records if r["flags"]}
+
 
 def test_bowditch_markoff_aggregate():
     scan = bowditch_scan(markoff(), 20)
     agg = scan.aggregate
     assert agg["classes"] == 257
     assert agg["violations"] == 0
-    assert not scan.violations
+    assert flagged(scan) == {}
     assert agg["commutator_trace"][0] == pytest.approx(-2.0, abs=1e-9)
     assert agg["commutator_trace"][1] == pytest.approx(0.0, abs=1e-9)
     assert agg["min_ratio"] == pytest.approx(math.acosh(1.5), rel=1e-12)
@@ -942,12 +946,12 @@ def test_bowditch_matches_the_class_products(tmp_path, which):
 
 
 def test_bowditch_traces_match_the_integer_oracle_at_the_benchmark_cap(
-        tmp_path, monkeypatch):
+        tmp_path):
     # the benchmark's representations (the fixture and two seeded
-    # conjugates) at its cap of 200 against perfbench/validate.py's own
-    # integer recursion, well inside its 1e-9 gate: at most 8.1e-14
+    # conjugates) at its cap of 200 against the reference in integers,
+    # well inside the 1e-9 gate of perfbench/validate.py: at most 8.1e-14
     # relative is measured
-    exact = benchmark_validate(monkeypatch).fricke_traces(3, 3, 3, 200)
+    exact = exact_fricke_traces((3, 3, 3), 200)
     for rep in (markoff(), benchmark_rep(1, tmp_path),
                 benchmark_rep(7, tmp_path)):
         scan = bowditch_scan(rep, 200)
@@ -967,17 +971,6 @@ def inverted_338_rep():
                           [[3.0, -xi], [1.0 / xi, 0.0]])
 
 
-def exact_fricke_traces(triple, cap):
-    """The Fricke recursion over the Farey tree in exact rational
-    arithmetic, on a trace triple of floats, keyed by (p, q)."""
-    traces = dict(zip([(1, 0), (0, 1), (1, 1)], map(Fraction, triple)))
-    for p, q in list(class_pairs(cap))[3:]:
-        (pu, qu), (pv, qv) = farey_parents(p, q)
-        traces[p, q] = (traces[pu, qu] * traces[pv, qv]
-                        - traces[abs(pu - pv), abs(qu - qv)])
-    return traces
-
-
 @pytest.mark.parametrize("cap, elliptic", [(20, 63), (40, 189), (80, 589)])
 def test_bowditch_elliptic_traces_match_the_exact_recursion(cap, elliptic):
     # an elliptic trace stays below 2 while the entries of the class images
@@ -987,7 +980,8 @@ def test_bowditch_elliptic_traces_match_the_exact_recursion(cap, elliptic):
     rep = inverted_338_rep()
     triple = [rep._product(w) for w in ("a", "b", "ab")]
     assert all(m[0].imag == m[3].imag == 0.0 for m in triple)
-    exact = exact_fricke_traces([(m[0] + m[3]).real for m in triple], cap)
+    exact = exact_fricke_traces(
+        [Fraction((m[0] + m[3]).real) for m in triple], cap)
     seen = 0
     for r in bowditch_scan(rep, cap).records:
         want = exact[r["p"], r["q"]]
@@ -1022,8 +1016,7 @@ def test_bowditch_flags_elliptic_generator():
     by_slope = {(r["p"], r["q"]): r for r in scan.records}
     assert by_slope[(0, 1)]["flags"] == ["elliptic"]
     assert by_slope[(0, 1)]["ratio"] == 0.0
-    assert scan.violations
-    assert scan.aggregate["violations"] >= 1
+    assert scan.aggregate["violations"] == len(flagged(scan)) >= 1
     assert scan.aggregate["min_ratio"] == 0.0
     assert scan.aggregate["fitted_C"] is None
 
@@ -1049,12 +1042,11 @@ def test_scans_tell_the_identity_from_a_parabolic(b, kind):
     # in the other rep.  A trace cannot tell the two apart; the image can
     rep = Representation("H2", [[2.0, 0.0], [0.0, 0.5]], b)
     scan = bowditch_scan(rep, 6)
-    assert {(r["p"], r["q"]): r["flags"] for r in scan.violations} == {
-        (1, 1): [kind]}
+    assert flagged(scan) == {(1, 1): [kind]}
     assert scan.aggregate["small_trace_count"] == 1
     ps = ps_scan(rep, 6)
-    assert {(r["p"], r["q"]): (r["flags"], r["tube"])
-            for r in ps.violations} == {(1, 1): (["not-loxodromic"], None)}
+    assert flagged(ps) == {(1, 1): ["not-loxodromic"]}
+    assert [r["tube"] for r in ps.records if r["flags"]] == [None]
 
 
 def test_identity_classes_take_one_image_walk(monkeypatch):
@@ -1393,10 +1385,6 @@ def test_ps_scan_projection_bound_holds_for_every_pair(rep):
 def test_ps_scan_flags_low_ratio_as_bowditch_scan_does():
     # class 7/12 of this representation translates 0.0036 over 19 letters
     rep = random_h3_rep(4)
-
-    def flagged(scan):
-        return {(r["p"], r["q"]): r["flags"] for r in scan.violations}
-
     assert (flagged(ps_scan(rep, 12)) == flagged(bowditch_scan(rep, 12))
             == {(7, 12): ["low-ratio"]})
 

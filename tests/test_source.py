@@ -13,23 +13,28 @@ UNNAMED_IN_SRC = {
                            "a value, the per-rotation reference of the "
                            "perm-cycl suite",
     "axis_of": "tracer target; test reference for the per-rotation frames",
+    "class_matrix": "tracer target; the image of a tower's class word",
     "classify_magic_subword": "tracer target; the checked entry to the "
                               "magic-subword matcher",
     "dist_to_geodesic": "tracer target; test reference for the "
                         "per-rotation frames",
     "fermi_point": "tracer target",
+    "is_primitive": "public API: the README's library tour",
     "minimize_convex": "tracer target; test reference for the line searches",
     "power_displacement": "test reference: criterion 7 reads it",
     "rotations": "tracer target; test reference for cyclic words",
+    "slope_of": "public API: the README's library tour",
     "sub_excursion_in": "public API: the README's excursion example",
     "substitute": "test reference: letter substitutions of words",
+    "translation_length": "tracer target; public API: the README's "
+                          "library tour",
 }
 
 
 def unnamed_definitions(trees):
     """Names of the functions and classes (dunders aside) defined in
-    `trees` that none of them names as a name, an attribute or a string
-    of `__all__`."""
+    `trees` that none of them names as a name or an attribute.  A string
+    of `__all__` is no use: exporting a name does not call it."""
     defined, named = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -42,10 +47,6 @@ def unnamed_definitions(trees):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets):
-                named.update(ast.literal_eval(node.value))
     return defined - named
 
 
